@@ -7,11 +7,11 @@ Three subcommands cover the whole workflow:
     plain-text matrix files plus a ``certificate.txt`` report.
 
 ``coopftc simulate``
-    Run the closed loop (optionally across all three named topologies
-    concurrently), write the CSV trace, a ``summary.txt`` with tracking
-    metrics, and plot-ready data files (two-column series per curve, so
-    any plotting tool can render them; this package deliberately has no
-    rendering dependency).
+    Run the closed loop (optionally for each of the three named
+    topologies in turn), write the CSV trace, a ``summary.txt`` with
+    tracking metrics, and plot-ready data files (two-column series per
+    curve, so any plotting tool can render them; this package
+    deliberately has no rendering dependency).
 
 ``coopftc verify``
     Re-run every certificate check against a recorded trace: the
@@ -25,7 +25,8 @@ rejected so typos cannot silently fall back to defaults.
 
 Exit codes: 0 all pass; 2 validation/input problems (bad scenario,
 unreadable or unwritable files, schema mismatches); 3 synthesis
-infeasible; 4 simulation failure; 5 certificate failure.
+infeasible; 4 simulation failure; 5 certificate failure, including an
+internal identity check (a fast path disagreeing with its reference).
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -72,7 +72,7 @@ from .graph import (
     is_positive_stable,
     normalize_weights,
 )
-from .linalg import is_hurwitz, solve_linear
+from .linalg import is_hurwitz, solve_linear, sym_eigendecomp
 from .plant import (
     AgentModel,
     AugmentedModel,
@@ -91,7 +91,12 @@ from .sim import (
     trace_from_csv,
     trace_to_csv,
 )
-from .synth import ObserverSynthesis, synth_controller, synth_observer
+from .synth import (
+    ObserverSynthesis,
+    observer_inequality,
+    synth_controller,
+    synth_observer,
+)
 
 __all__ = [
     "Scenario",
@@ -533,18 +538,6 @@ def load_matrix(path) -> np.ndarray:
     return values.reshape(rows, cols)
 
 
-def _observer_margin(aug: AugmentedModel, net: NetworkModel,
-                     P: np.ndarray, Lgain: np.ndarray,
-                     delta: float) -> float:
-    """Depth of the estimator's supply-rate inequality for given gains."""
-    A_err = aug.F1 @ aug.A_a - Lgain @ aug.E2
-    top = P @ A_err + A_err.T @ P + np.eye(aug.n_aug)
-    off = P @ (aug.F1 @ net.D)
-    Pi = np.block([[top, off],
-                   [off.T, -delta ** 2 * np.eye(net.nbar_v)]])
-    return -float(np.linalg.eigvalsh(0.5 * (Pi + Pi.T)).max())
-
-
 def _load_gains(sc: Scenario, aug: AugmentedModel, net: NetworkModel,
                 gains_dir) -> tuple[ObserverSynthesis, np.ndarray]:
     Lgain = load_matrix(os.path.join(gains_dir, OBSERVER_GAIN_FILE))
@@ -562,9 +555,12 @@ def _load_gains(sc: Scenario, aug: AugmentedModel, net: NetworkModel,
         raise SchemaError(
             f"observer storage has shape {P.shape}, expected "
             f"{(aug.n_aug, aug.n_aug)}")
-    margin = _observer_margin(aug, net, P, Lgain, sc.delta)
-    so = ObserverSynthesis(delta=sc.delta, P=0.5 * (P + P.T),
-                           H=(0.5 * (P + P.T)) @ Lgain, Lgain=Lgain,
+    P = 0.5 * (P + P.T)
+    H = P @ Lgain
+    pi = observer_inequality(P, H, aug.F1 @ aug.A_a, aug.E2, aug.F1 @ net.D,
+                             sc.delta)
+    margin = -float(sym_eigendecomp(pi).eigenvalues[-1])
+    so = ObserverSynthesis(delta=sc.delta, P=P, H=H, Lgain=Lgain,
                            margin=margin)
     return so, K
 
@@ -574,28 +570,9 @@ def _obtain_gains(sc: Scenario, aug: AugmentedModel, net: NetworkModel,
     """Load gains from files, or synthesize them in-process."""
     if gains_dir is not None:
         return _load_gains(sc, aug, net, gains_dir)
-    so = _synth_observer_stage(sc, aug, net)
-    ctrl = _synth_controller_stage(sc, net)
+    so = synth_observer(aug, net, sc.delta, margin=sc.margin)
+    ctrl = synth_controller(net, sc.alpha, sc.delta, margin=sc.margin)
     return so, ctrl.K
-
-
-def _synth_observer_stage(sc: Scenario, aug: AugmentedModel,
-                          net: NetworkModel) -> ObserverSynthesis:
-    try:
-        return synth_observer(aug, net, sc.delta, margin=sc.margin)
-    except InfeasibleError as exc:
-        if "observer" in str(exc):
-            raise
-        raise InfeasibleError(f"observer LMI infeasible: {exc}") from exc
-
-
-def _synth_controller_stage(sc: Scenario, net: NetworkModel):
-    try:
-        return synth_controller(net, sc.alpha, sc.delta, margin=sc.margin)
-    except InfeasibleError as exc:
-        if "feedback" in str(exc) or "controller" in str(exc):
-            raise
-        raise InfeasibleError(f"controller LMI infeasible: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -641,12 +618,8 @@ def cmd_synth(sc: Scenario, outdir) -> int:
     """Run both synthesis stages and write gains plus a certificate."""
     net = build_plant(sc)
     aug = augment_network(net)
-    try:
-        so = _synth_observer_stage(sc, aug, net)
-        ctrl = _synth_controller_stage(sc, net)
-    except InfeasibleError as exc:
-        print(f"synthesis failed: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    so = synth_observer(aug, net, sc.delta, margin=sc.margin)
+    ctrl = synth_controller(net, sc.alpha, sc.delta, margin=sc.margin)
 
     os.makedirs(outdir, exist_ok=True)
     save_matrix(os.path.join(outdir, OBSERVER_GAIN_FILE), so.Lgain)
@@ -676,17 +649,13 @@ def cmd_synth(sc: Scenario, outdir) -> int:
 
 
 def _run_one(sc: Scenario, net: NetworkModel, aug: AugmentedModel,
-             so: ObserverSynthesis, K: np.ndarray, topology: str | None):
-    run_sc = sc if topology is None else replace(
-        sc, topology=topology, graph_edges=(), graph_sources=())
-    g = build_interaction(run_sc, net)
+             so: ObserverSynthesis, K: np.ndarray, g: NetworkGraph):
     law = ControlLaw(graph=g, K=K, ell_p=sc.ell_p, ell_i=sc.ell_i)
     obs = build_observer(aug, net, so)
     loop = build_closed_loop(net, aug, obs, law)
     schedule = build_schedule(sc, net)
     s0 = sample_initial_state(net, aug, sc.seed, sc.init_bounds)
-    trace = run_experiment(loop, schedule, s0, h=sc.h, T=sc.T)
-    return g, trace
+    return run_experiment(loop, schedule, s0, h=sc.h, T=sc.T)
 
 
 def cmd_simulate(sc: Scenario, outdir, gains_dir=None,
@@ -694,26 +663,18 @@ def cmd_simulate(sc: Scenario, outdir, gains_dir=None,
     """Simulate the scenario (or all named topologies) and write artifacts."""
     net = build_plant(sc)
     aug = augment_network(net)
-    try:
-        so, K = _obtain_gains(sc, aug, net, gains_dir)
-    except InfeasibleError as exc:
-        print(f"synthesis failed: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    runs = ([replace(sc, topology=name, graph_edges=(), graph_sources=())
+             for name in sorted(BENCHMARK_TOPOLOGIES)] if sweep else [sc])
+    # Every graph is built before synthesis, so a graph that does not fit
+    # the plant fails before the expensive work.
+    graphs = {run.topology or "custom": build_interaction(run, net)
+              for run in runs}
+    so, K = _obtain_gains(sc, aug, net, gains_dir)
     os.makedirs(outdir, exist_ok=True)
 
-    if sweep:
-        topologies = sorted(BENCHMARK_TOPOLOGIES)
-        with ThreadPoolExecutor(max_workers=len(topologies)) as pool:
-            futures = {name: pool.submit(_run_one, sc, net, aug, so, K, name)
-                       for name in topologies}
-            results = {name: fut.result() for name, fut in futures.items()}
-    else:
-        name = sc.topology if sc.topology is not None else "custom"
-        results = {name: _run_one(sc, net, aug, so, K, None)}
-
     summary: list[str] = []
-    for name in sorted(results):
-        g, trace = results[name]
+    for name, g in graphs.items():
+        trace = _run_one(sc, net, aug, so, K, g)
         suffix = f"_{name}" if sweep else ""
         trace_name = f"trace{suffix}.csv"
         trace_to_csv(trace, net, os.path.join(outdir, trace_name))
@@ -727,7 +688,7 @@ def cmd_simulate(sc: Scenario, outdir, gains_dir=None,
             summary.append(f"{prefix}plot.file={f}")
         summary.extend(f"{prefix}{line}" for line in report.as_lines())
     if sweep:
-        summary.append("sweep.topologies=" + ",".join(sorted(results)))
+        summary.append("sweep.topologies=" + ",".join(graphs))
 
     with open(os.path.join(outdir, "summary.txt"), "w",
               encoding="utf-8") as fh:
@@ -766,12 +727,8 @@ def cmd_verify(sc: Scenario, trace_path, gains_dir=None,
     """Re-run every certificate check against a recorded trace."""
     net = build_plant(sc)
     aug = augment_network(net)
-    try:
-        so, K = _obtain_gains(sc, aug, net, gains_dir)
-    except InfeasibleError as exc:
-        print(f"synthesis failed: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     g = build_interaction(sc, net)
+    so, K = _obtain_gains(sc, aug, net, gains_dir)
     law = ControlLaw(graph=g, K=K, ell_p=sc.ell_p, ell_i=sc.ell_i)
     trace = trace_from_csv(trace_path, net)
 
@@ -851,7 +808,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="directory with files from 'synth' "
                             "(default: synthesize in-process)")
     p_sim.add_argument("--sweep", action="store_true",
-                       help="run all three named topologies concurrently")
+                       help="run each of the three named topologies in turn")
 
     p_ver = sub.add_parser(
         "verify", help="check every certificate against a recorded trace")

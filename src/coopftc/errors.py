@@ -52,8 +52,10 @@ class ModelValidationError(ToolkitError):
 
 
 class IdentityCheckFailedError(ToolkitError):
-    """The selector/embedding identities of the augmented plant do not
-    hold to tolerance (indicates inconsistent dimensions upstream)."""
+    """An exact identity does not hold to tolerance: the selector and
+    embedding identities of the augmented plant (inconsistent
+    dimensions upstream), or a fast path of the simulation against its
+    reference."""
 
 
 # --- synthesis -------------------------------------------------------------

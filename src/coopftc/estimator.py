@@ -1,4 +1,4 @@
-"""Realizable augmented-state observer and its verification oracle.
+"""Realizable augmented-state observer.
 
 The observer runs in transformed coordinates ``eta = x_o - F2 y_f`` so
 that only measured signals appear on the right-hand side:
@@ -8,9 +8,7 @@ that only measured signals appear on the right-hand side:
 
 The measured output is injected exactly once, through
 ``B_y = A_obs F2 + L``; that is the unique form consistent with the
-change of variables above, and :func:`virtual_observer_oracle` exists
-precisely to check this equivalence numerically against the idealized
-observer driven by the true augmented-state derivative.
+change of variables above.
 
 Splitting ``x_o`` along the canonical augmented layout gives the plant
 state estimate and the sensor-fault estimate in one step.
@@ -21,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
 from .errors import DimensionMismatchError, NotHurwitzError
 from .linalg import is_hurwitz
@@ -34,7 +31,6 @@ __all__ = [
     "build_observer",
     "observer_derivative",
     "extract_estimates",
-    "virtual_observer_oracle",
 ]
 
 
@@ -124,81 +120,3 @@ def extract_estimates(obs: ObserverRealization, eta: np.ndarray,
             f"y_f has shape {y_f.shape}, expected ({obs.nbar_y},)")
     x_o = eta + obs.F2 @ y_f
     return EstimateSplit(x_hat=x_o[:obs.nbar_x], f_hat=x_o[obs.nbar_x:])
-
-
-def virtual_observer_oracle(aug: AugmentedModel, net: NetworkModel,
-                            synth: ObserverSynthesis,
-                            times: np.ndarray, x_a: np.ndarray,
-                            x_a_dot: np.ndarray, u: np.ndarray,
-                            x_o0: np.ndarray | None = None) -> np.ndarray:
-    """Integrate the idealized observer that sees the true derivative.
-
-    This observer is not implementable (it consumes the exact
-    augmented-state derivative through the filtered-output slope), so
-    it serves purely as a test oracle: fed the recorded
-    ``x_a``/``x_a_dot``/``u`` traces of a run, its ``x_o`` trajectory
-    must match ``eta + F2 y_f`` from the realizable observer to
-    integration accuracy.  Signals between grid points are
-    reconstructed by cubic Hermite interpolation (the derivative trace
-    pins the slope), keeping the classical Runge-Kutta steps at full
-    order.  The equivalence itself holds because the difference of the
-    two observers obeys the homogeneous estimation-error dynamics.
-
-    Parameters
-    ----------
-    times : (N,) strictly increasing, uniformly spaced sample times.
-    x_a : (N, n_aug) true augmented-state trace.
-    x_a_dot : (N, n_aug) its exact derivative trace.
-    u : (N, nbar_u) input trace.
-    x_o0 : optional initial estimate; defaults to ``F2 E2 x_a(0)``,
-        which matches starting the realizable observer at
-        ``eta(0) = 0``.
-
-    Returns
-    -------
-    (N, n_aug) array of virtual-observer estimates.
-    """
-    times = np.asarray(times, dtype=float)
-    x_a = np.asarray(x_a, dtype=float)
-    x_a_dot = np.asarray(x_a_dot, dtype=float)
-    u = np.asarray(u, dtype=float)
-    n = times.size
-    if x_a.shape != (n, aug.n_aug) or x_a_dot.shape != x_a.shape:
-        raise DimensionMismatchError(
-            f"state traces must be ({n}, {aug.n_aug}), got "
-            f"{x_a.shape} and {x_a_dot.shape}")
-    if u.shape != (n, net.nbar_u):
-        raise DimensionMismatchError(
-            f"input trace must be ({n}, {net.nbar_u}), got {u.shape}")
-
-    Lgain = synth.Lgain
-    F1A = aug.F1 @ aug.A_a
-    F1B = aug.F1 @ net.B
-    E2, F2 = aug.E2, aug.F2
-
-    xa_spline = CubicHermiteSpline(times, x_a, x_a_dot, axis=0)
-    dxa_spline = xa_spline.derivative()
-    u_spline = CubicSpline(times, u, axis=0)
-
-    if x_o0 is None:
-        x_o0 = F2 @ (E2 @ x_a[0])
-
-    def rhs(t, x_o):
-        y_f = E2 @ xa_spline(t)
-        dy_f = E2 @ dxa_spline(t)
-        return (F1A @ x_o + F1B @ u_spline(t) + F2 @ dy_f
-                + Lgain @ (y_f - E2 @ x_o))
-
-    out = np.empty_like(x_a)
-    out[0] = x_o0
-    h = times[1] - times[0]
-    x_o = np.asarray(x_o0, dtype=float).copy()
-    for k in range(n - 1):
-        t = times[k]
-        k1 = rhs(t, x_o)
-        k2 = rhs(t + 0.5 * h, x_o + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, x_o + 0.5 * h * k2)
-        k4 = rhs(t + h, x_o + h * k3)
-        x_o = x_o + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[k + 1] = x_o
-    return out

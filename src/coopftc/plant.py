@@ -129,7 +129,9 @@ def dc_motor_agent(i: int, J: float = 0.01, b0: float = 0.1, m0: float = 0.01,
         sigma_i = sigma0 * i           disturbance scale
 
     State is (shaft speed, armature current); input the armature
-    voltage; measured output the speed.
+    voltage; measured output the speed.  With ``r0 > 0`` the resistance
+    law reaches zero at ``i = 51``; agents from there on raise
+    :class:`ModelValidationError`.
     """
     if i < 1:
         raise ModelValidationError(f"agent index must be >= 1, got {i}")
@@ -141,6 +143,9 @@ def dc_motor_agent(i: int, J: float = 0.01, b0: float = 0.1, m0: float = 0.01,
         raise ModelValidationError(
             f"degenerate motor parameters: J={J}, L={L} (must be finite, > 0)"
         )
+    if not R > 0:
+        raise ModelValidationError(
+            f"agent {i}: armature resistance R={R:g} must be > 0")
     sigma = sigma0 * i
     A = np.array([[-b / J, M / J], [-M / L, -R / L]])
     B = np.array([[0.0], [1.0 / L]])

@@ -26,7 +26,8 @@ import numpy as np
 
 from .control import (ClosedLoop, ClosedLoopState, closed_loop_maps,
                       closed_loop_rhs, control_input, cooperative_error)
-from .errors import DimensionMismatchError, NonFiniteStateError, SchemaError
+from .errors import (DimensionMismatchError, IdentityCheckFailedError,
+                     NonFiniteStateError, SchemaError)
 from .plant import AugmentedModel, NetworkModel, aug_indices
 
 __all__ = [
@@ -223,7 +224,9 @@ def run_experiment(loop: ClosedLoop, schedule: SignalSchedule,
     """Integrate a closed loop and log the full trace.
 
     The affine fast path is verified against the reference wiring at
-    one random state before integration starts.
+    one random state before integration starts, and the vectorized
+    control reconstruction against :func:`control_input` at one step;
+    a disagreement raises :class:`IdentityCheckFailedError`.
     """
     net, aug, obs, law = loop.net, loop.aug, loop.obs, loop.law
     rhs = _affine_rhs(loop, schedule)
@@ -235,7 +238,7 @@ def run_experiment(loop: ClosedLoop, schedule: SignalSchedule,
         z_chk, net.nbar_x, aug.n_aug), loop, schedule).packed()
     fast = rhs(t_chk, z_chk)
     if np.abs(ref - fast).max() > 1e-9 * max(1.0, np.abs(ref).max()):
-        raise NonFiniteStateError(
+        raise IdentityCheckFailedError(
             "affine fast path disagrees with reference right-hand side")
 
     times, Z = integrate(rhs, s0.packed(), h, T)
@@ -266,8 +269,8 @@ def run_experiment(loop: ClosedLoop, schedule: SignalSchedule,
     u_ref = control_input(law, aug.E1, x_o[mid], cooperative_error(
         law.graph, y_hat[mid], y0[mid]), q[mid])
     if np.abs(u_ref - u[mid]).max() > 1e-9 * max(1.0, np.abs(u_ref).max()):
-        raise NonFiniteStateError("vectorized control reconstruction "
-                                  "disagrees with control_input")
+        raise IdentityCheckFailedError("vectorized control reconstruction "
+                                       "disagrees with control_input")
 
     return SimTrace(t=times, x=x, eta=eta, q=q, x_hat=x_hat, f_hat=f_hat,
                     u=u, y_f=y_f, e_bar=e_bar, v=v, f_s=f_s, y0=y0)

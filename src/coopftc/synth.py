@@ -35,20 +35,25 @@ independent of the iteration that produced it.
 Feasible sets here are large, and different feasible gains behave very
 differently in closed loop: an over-fast inner loop starves the
 cooperative outer loop of DC gain, which slows source tracking on
-weakly pinned graphs.  The default controller policy therefore anchors
-the iteration at the slowest gain the inequality can certify: a small
+weakly pinned graphs.  The feedback synthesis therefore anchors the
+iteration at the slowest gain the inequality can certify: a small
 bisection over pole-placement speed, with feasibility decided by an
 algebraic Riccati equation equivalent to the inequality at fixed gain,
 yields a strictly feasible starting point that the projection step
-accepts essentially unchanged.  The cold-started search remains
-available (``pole_policy="fast"``), optionally boxed by affine
-eigenvalue-strip blocks; either way the returned certificate passes the
-same independent re-verification.
+accepts essentially unchanged.  When no anchor can be built for an
+agent, its solve falls back to a cold-started search boxed by affine
+eigenvalue-strip blocks (closed-loop decay rates between
+``CONTROLLER_DECAY`` and ``CONTROLLER_MAX_RATE``); either way the
+returned certificate passes the same independent re-verification.
+
+Each inequality has one builder, :func:`observer_inequality` and
+:func:`feedback_inequality`; it serves the per-agent LMI expression and
+the re-verification of the assembled network matrices alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -72,17 +77,17 @@ __all__ = [
     "ControllerSynthesis",
     "synth_observer",
     "synth_controller",
+    "observer_inequality",
+    "feedback_inequality",
     "gamma_bound",
-    "save_matrix",
-    "load_matrix",
 ]
 
 #: Default strictness margin: the block expression must satisfy
 #: ``lambda_max <= -MARGIN``.
 MARGIN = 1e-6
-#: Default positive-definiteness floor for PD-constrained variables.
+#: Positive-definiteness floor for PD-constrained variables.
 PD_MARGIN = 1e-8
-#: Default minimum decay rate imposed on the synthesized observer.
+#: Minimum decay rate imposed on the synthesized observer.
 OBSERVER_DECAY = 1.0
 #: Minimum decay rate imposed on the cold-started state feedback search.
 CONTROLLER_DECAY = 2.0
@@ -346,6 +351,47 @@ def _solve_with_ladder(problem: LmiProblem, max_iterations: int):
     return sol
 
 
+# --- the two inequalities ---------------------------------------------------
+
+def observer_inequality(P, H, F1A, E2, F1D, delta, decay=False):
+    """Observer block ``Pi(P, H)`` (module docstring) for the given
+    ``F1 A_a``, ``E2`` and ``F1 D``, per agent or for the network.
+
+    With ``decay`` the block ``Delta - I + 2 OBSERVER_DECAY P`` is
+    appended on the diagonal, imposing the minimum decay rate.
+    """
+    core = P @ F1A + F1A.T @ P - H @ E2 - E2.T @ H.T
+    PD = P @ F1D
+    pi = np.block([[core + np.eye(F1A.shape[0]), PD],
+                   [PD.T, -delta ** 2 * np.eye(F1D.shape[1])]])
+    if decay:
+        return scipy.linalg.block_diag(pi, core + 2.0 * OBSERVER_DECAY * P)
+    return pi
+
+
+def feedback_inequality(R, G, A, B, D, alpha, delta, strip=False):
+    """Feedback block ``Lambda(R, G)`` (module docstring), per agent or
+    for the network.
+
+    With ``strip`` two blocks are appended on the diagonal that confine
+    the closed-loop decay rate to ``[CONTROLLER_DECAY,
+    CONTROLLER_MAX_RATE]``.
+    """
+    n, nu, nv = A.shape[0], B.shape[1], D.shape[1]
+    core = A @ R + R @ A.T + B @ G + G.T @ B.T
+    lam = np.block([
+        [core, R, -B, D],
+        [R, -np.eye(n), np.zeros((n, nu)), np.zeros((n, nv))],
+        [-B.T, np.zeros((nu, n)), -alpha * np.eye(nu), np.zeros((nu, nv))],
+        [D.T, np.zeros((nv, n)), np.zeros((nv, nu)), -delta ** 2 * np.eye(nv)],
+    ])
+    if strip:
+        return scipy.linalg.block_diag(
+            lam, core + 2.0 * CONTROLLER_DECAY * R,
+            -core - 2.0 * CONTROLLER_MAX_RATE * R)
+    return lam
+
+
 # --- observer synthesis -----------------------------------------------------
 
 @dataclass(frozen=True)
@@ -357,47 +403,17 @@ class ObserverSynthesis:
     H: np.ndarray
     Lgain: np.ndarray
     margin: float
-    decay_rate: float = 0.0
-
-
-def _observer_expression(F1A, E2, F1D, delta, decay_rate):
-    n = F1A.shape[0]
-    n_v = F1D.shape[1]
-
-    def expr(vals):
-        P, H = vals["P"], vals["H"]
-        delta_blk = P @ F1A + F1A.T @ P - H @ E2 - E2.T @ H.T
-        top = np.hstack([delta_blk + np.eye(n), P @ F1D])
-        bot = np.hstack([(P @ F1D).T, -delta ** 2 * np.eye(n_v)])
-        pi = np.vstack([top, bot])
-        if decay_rate > 0.0:
-            rate_blk = delta_blk + 2.0 * decay_rate * P
-            return scipy.linalg.block_diag(pi, rate_blk)
-        return pi
-
-    return expr
-
-
-def _observer_pi(aug: AugmentedModel, net: NetworkModel, P, H, delta):
-    F1A = aug.F1 @ aug.A_a
-    F1D = aug.F1 @ net.D
-    delta_blk = (P @ F1A + F1A.T @ P - H @ aug.E2 - aug.E2.T @ H.T
-                 + np.eye(aug.n_aug))
-    return np.block([[delta_blk, P @ F1D],
-                     [(P @ F1D).T, -delta ** 2 * np.eye(net.nbar_v)]])
 
 
 def synth_observer(aug: AugmentedModel, net: NetworkModel, delta: float,
-                   margin: float = MARGIN, pd_margin: float = PD_MARGIN,
-                   decay_rate: float = OBSERVER_DECAY, per_agent: bool = True,
+                   margin: float = MARGIN,
                    max_iterations: int = 6000) -> ObserverSynthesis:
     """Synthesize the augmented-state observer gain for a network.
 
-    By default one small problem is solved per agent and the solutions
-    are scattered into network-level ``(P, H)``; block-diagonality of
-    the plant makes the assembly exact, and the full network inequality
-    is re-verified on the assembled matrices regardless.  Set
-    ``per_agent=False`` to solve the coupled network problem directly.
+    One small problem is solved per agent and the solutions are
+    scattered into network-level ``(P, H)``; block-diagonality of the
+    plant makes the assembly exact, and the full network inequality is
+    re-verified on the assembled matrices regardless.
 
     Returns
     -------
@@ -411,65 +427,60 @@ def synth_observer(aug: AugmentedModel, net: NetworkModel, delta: float,
         If ``delta <= 0``.
     InfeasibleError
         If any sub-problem has no strictly feasible point at the
-        requested ``delta``.
+        requested ``delta``, or the assembled certificate fails its
+        re-verification; the message starts with "observer".
     """
     if delta <= 0:
         raise DeltaNonPositiveError(f"delta must be > 0, got {delta}")
 
-    n_aug, ny = aug.n_aug, net.nbar_y
-    P = np.zeros((n_aug, n_aug))
-    H = np.zeros((n_aug, ny))
-    if per_agent:
-        for i in range(net.m):
-            ai = aug_indices(net, i)
-            yi = np.arange(i * net.n_y, (i + 1) * net.n_y)
-            vi = np.arange(i * net.n_v, (i + 1) * net.n_v)
-            F1A_i = (aug.F1 @ aug.A_a)[np.ix_(ai, ai)]
-            E2_i = aug.E2[np.ix_(yi, ai)]
-            F1D_i = (aug.F1 @ net.D)[np.ix_(ai, vi)]
-            sol = _solve_observer_block(F1A_i, E2_i, F1D_i, delta, margin,
-                                        pd_margin, decay_rate, max_iterations,
-                                        label=f"agent {i + 1}")
-            P[np.ix_(ai, ai)] = sol["P"]
-            H[np.ix_(ai, yi)] = sol["H"]
-    else:
-        sol = _solve_observer_block(aug.F1 @ aug.A_a, aug.E2, aug.F1 @ net.D,
-                                    delta, margin, pd_margin, decay_rate,
-                                    max_iterations, label="network")
-        P, H = sol["P"], sol["H"]
+    F1A = aug.F1 @ aug.A_a
+    F1D = aug.F1 @ net.D
+    P = np.zeros((aug.n_aug, aug.n_aug))
+    H = np.zeros((aug.n_aug, net.nbar_y))
+    for i in range(net.m):
+        ai = aug_indices(net, i)
+        yi = np.arange(i * net.n_y, (i + 1) * net.n_y)
+        vi = np.arange(i * net.n_v, (i + 1) * net.n_v)
+        sol = _solve_observer_block(
+            F1A[np.ix_(ai, ai)], aug.E2[np.ix_(yi, ai)], F1D[np.ix_(ai, vi)],
+            delta, margin, max_iterations, label=f"agent {i + 1}")
+        P[np.ix_(ai, ai)] = sol["P"]
+        H[np.ix_(ai, yi)] = sol["H"]
 
     Lgain = solve_linear(P, H)
 
     # Re-verify the accepted certificate from scratch on the assembled
     # network matrices; nothing below depends on the solver internals.
-    pi = _observer_pi(aug, net, P, H, delta)
+    pi = observer_inequality(P, H, F1A, aug.E2, F1D, delta)
     achieved = -sym_eigendecomp(pi).eigenvalues[-1]
     p_min = sym_eigendecomp(P).eigenvalues[0]
-    if achieved < margin or p_min < pd_margin:
+    if achieved < margin or p_min < PD_MARGIN:
         raise InfeasibleError(
-            f"assembled observer certificate failed re-verification "
-            f"(margin {achieved:.3e}, lambda_min(P) {p_min:.3e})"
+            f"observer certificate failed re-verification on the assembled "
+            f"network (margin {achieved:.3e}, lambda_min(P) {p_min:.3e})"
         )
     residual = np.abs(P @ Lgain - H).max()
     if residual > 1e-9 * max(1.0, np.abs(H).max()):
-        raise InfeasibleError(f"P L = H residual {residual:.3e} too large")
-    A_err = aug.F1 @ aug.A_a - Lgain @ aug.E2
-    if not is_hurwitz(A_err):
-        raise InfeasibleError("error dynamics not Hurwitz after assembly")
+        raise InfeasibleError(
+            f"observer gain residual |P L - H| = {residual:.3e} too large")
+    if not is_hurwitz(F1A - Lgain @ aug.E2):
+        raise InfeasibleError(
+            "observer error dynamics not Hurwitz after assembly")
     return ObserverSynthesis(delta=delta, P=P, H=H, Lgain=Lgain,
-                             margin=achieved, decay_rate=decay_rate)
+                             margin=achieved)
 
 
-def _solve_observer_block(F1A, E2, F1D, delta, margin, pd_margin, decay_rate,
-                          max_iterations, label):
+def _solve_observer_block(F1A, E2, F1D, delta, margin, max_iterations,
+                          label):
     n = F1A.shape[0]
     problem = LmiProblem(
         variables=[
             VariableSpec("P", n, n, symmetric=True, positive_definite=True),
             VariableSpec("H", n, E2.shape[0]),
         ],
-        expression=_observer_expression(F1A, E2, F1D, delta, decay_rate),
-        margin=margin, pd_margin=pd_margin,
+        expression=lambda v: observer_inequality(v["P"], v["H"], F1A, E2,
+                                                 F1D, delta, decay=True),
+        margin=margin,
     )
     try:
         return _solve_with_ladder(problem, max_iterations)
@@ -578,63 +589,19 @@ class ControllerSynthesis:
     K: np.ndarray
     gamma: float
     margin: float
-    decay_rate: float = 0.0
-
-
-def _controller_expression(A, B, D, alpha, delta, decay_rate, max_rate):
-    n, nu, nv = A.shape[0], B.shape[1], D.shape[1]
-
-    def expr(vals):
-        R, G = vals["R"], vals["G"]
-        delta_blk = A @ R + R @ A.T + B @ G + G.T @ B.T
-        lam = np.block([
-            [delta_blk, R, -B, D],
-            [R, -np.eye(n), np.zeros((n, nu)), np.zeros((n, nv))],
-            [-B.T, np.zeros((nu, n)), -alpha * np.eye(nu), np.zeros((nu, nv))],
-            [D.T, np.zeros((nv, n)), np.zeros((nv, nu)), -delta ** 2 * np.eye(nv)],
-        ])
-        extras = []
-        if decay_rate > 0.0:
-            extras.append(delta_blk + 2.0 * decay_rate * R)
-        if max_rate is not None:
-            extras.append(-delta_blk - 2.0 * max_rate * R)
-        return scipy.linalg.block_diag(lam, *extras) if extras else lam
-
-    return expr
-
-
-def _controller_lambda(net: NetworkModel, R, G, alpha, delta):
-    n, nu, nv = net.nbar_x, net.nbar_u, net.nbar_v
-    delta_blk = net.A @ R + R @ net.A.T + net.B @ G + G.T @ net.B.T
-    return np.block([
-        [delta_blk, R, -net.B, net.D],
-        [R, -np.eye(n), np.zeros((n, nu)), np.zeros((n, nv))],
-        [-net.B.T, np.zeros((nu, n)), -alpha * np.eye(nu), np.zeros((nu, nv))],
-        [net.D.T, np.zeros((nv, n)), np.zeros((nv, nu)), -delta ** 2 * np.eye(nv)],
-    ])
 
 
 def synth_controller(net: NetworkModel, alpha: float, delta: float,
-                     margin: float = MARGIN, pd_margin: float = PD_MARGIN,
-                     pole_policy="slow",
-                     decay_rate: float = CONTROLLER_DECAY,
-                     max_rate: float | None = CONTROLLER_MAX_RATE,
-                     per_agent: bool = True,
+                     margin: float = MARGIN,
                      max_iterations: int = 6000) -> ControllerSynthesis:
     """Synthesize the inner state-feedback gain ``K = G R^{-1}``.
 
-    Per-agent decomposition mirrors :func:`synth_observer`.
-
-    ``pole_policy`` chooses where the search starts inside the (large)
-    feasible set.  The default ``"slow"`` anchors each agent at the
-    slowest certifiable pole family (see module docstring), which keeps
-    the DC gain that the cooperative outer loop needs.  ``"fast"``
-    cold-starts the projection iteration, boxed by the
-    ``[decay_rate, max_rate]`` eigenvalue strip.  A sequence of
-    per-agent pole collections anchors at exactly those poles.
-    Anchored solves ignore the strip parameters; when no anchor can be
-    built for an agent, its solve silently falls back to the
-    cold-started search.
+    Per-agent decomposition mirrors :func:`synth_observer`.  Each agent's
+    search starts at the slowest certifiable pole family (see module
+    docstring), which keeps the DC gain that the cooperative outer loop
+    needs.  When no anchor can be built for an agent, its solve falls
+    back to the cold-started search boxed by the
+    ``[CONTROLLER_DECAY, CONTROLLER_MAX_RATE]`` eigenvalue strip.
 
     Besides the block inequality itself, the accepted gain is checked to
     make ``A + B K`` Hurwitz and to satisfy the equivalent
@@ -645,99 +612,51 @@ def synth_controller(net: NetworkModel, alpha: float, delta: float,
          [*,                    *,   -delta^2 I]]  < 0,   Q = R^{-1},
 
     which is the form whose quadratic storage function certifies the L2
-    gain used by :func:`gamma_bound`.
+    gain used by :func:`gamma_bound`.  Every :class:`InfeasibleError`
+    raised here starts with "feedback".
     """
     if delta <= 0:
         raise DeltaNonPositiveError(f"delta must be > 0, got {delta}")
     if alpha <= 0:
         raise AlphaNonPositiveError(f"alpha must be > 0, got {alpha}")
 
-    if isinstance(pole_policy, str):
-        if pole_policy not in ("slow", "fast"):
-            raise ValueError(f"unknown pole_policy {pole_policy!r}")
-        explicit_poles = None
-    else:
-        explicit_poles = [np.atleast_1d(np.asarray(p)) for p in pole_policy]
-        if len(explicit_poles) != net.m:
-            raise DimensionMismatchError(
-                f"pole_policy lists {len(explicit_poles)} agents, "
-                f"network has {net.m}")
-        for p in explicit_poles:
-            if p.size != net.n_x or np.any(p.real >= 0):
-                raise ValueError(
-                    "each agent needs n_x strictly stable target poles")
-
-    def blocks_of(i):
-        xi = np.arange(i * net.n_x, (i + 1) * net.n_x)
-        ui = np.arange(i * net.n_u, (i + 1) * net.n_u)
-        vi = np.arange(i * net.n_v, (i + 1) * net.n_v)
-        return (xi, ui, net.A[np.ix_(xi, xi)], net.B[np.ix_(xi, ui)],
-                net.D[np.ix_(xi, vi)])
-
-    def anchor_of(i, Ai, Bi, Di):
-        if explicit_poles is not None:
-            poles = explicit_poles[i]
-        elif pole_policy == "slow":
-            poles = _slow_pole_targets(Ai, Bi, Di, alpha, delta)
-            if poles is None:
-                return None
-        else:
-            return None
-        return _anchor_from_poles(Ai, Bi, Di, alpha, delta, poles)
-
     nbx = net.nbar_x
     R = np.zeros((nbx, nbx))
     G = np.zeros((net.nbar_u, nbx))
-    if per_agent:
-        for i in range(net.m):
-            xi, ui, Ai, Bi, Di = blocks_of(i)
-            anchor = anchor_of(i, Ai, Bi, Di)
-            sol = _solve_controller_block(
-                Ai, Bi, Di, alpha, delta, margin, pd_margin,
-                0.0 if anchor is not None else decay_rate,
-                None if anchor is not None else max_rate,
-                max_iterations, label=f"agent {i + 1}", initial=anchor)
-            R[np.ix_(xi, xi)] = sol["R"]
-            G[np.ix_(ui, xi)] = sol["G"]
-    else:
-        # Anchors are per-agent even for the whole-network solve:
-        # block-diagonal assembly of feasible points stays feasible.
-        anchors = []
-        for i in range(net.m):
-            xi, ui, Ai, Bi, Di = blocks_of(i)
-            anchors.append(anchor_of(i, Ai, Bi, Di))
-        initial = None
-        if all(a is not None for a in anchors):
-            R0 = np.zeros((nbx, nbx))
-            G0 = np.zeros((net.nbar_u, nbx))
-            for i, a in enumerate(anchors):
-                xi, ui, *_ = blocks_of(i)
-                R0[np.ix_(xi, xi)] = a["R"]
-                G0[np.ix_(ui, xi)] = a["G"]
-            initial = {"R": R0, "G": G0}
-        sol = _solve_controller_block(
-            net.A, net.B, net.D, alpha, delta, margin, pd_margin,
-            0.0 if initial is not None else decay_rate,
-            None if initial is not None else max_rate,
-            max_iterations, label="network", initial=initial)
-        R, G = sol["R"], sol["G"]
+    for i in range(net.m):
+        xi = np.arange(i * net.n_x, (i + 1) * net.n_x)
+        ui = np.arange(i * net.n_u, (i + 1) * net.n_u)
+        vi = np.arange(i * net.n_v, (i + 1) * net.n_v)
+        Ai = net.A[np.ix_(xi, xi)]
+        Bi = net.B[np.ix_(xi, ui)]
+        Di = net.D[np.ix_(xi, vi)]
+        poles = _slow_pole_targets(Ai, Bi, Di, alpha, delta)
+        anchor = (None if poles is None
+                  else _anchor_from_poles(Ai, Bi, Di, alpha, delta, poles))
+        sol = _solve_controller_block(Ai, Bi, Di, alpha, delta, margin,
+                                      max_iterations, label=f"agent {i + 1}",
+                                      initial=anchor)
+        R[np.ix_(xi, xi)] = sol["R"]
+        G[np.ix_(ui, xi)] = sol["G"]
 
     K = solve_linear(R, G.T).T  # K R = G with R symmetric
 
-    lam = _controller_lambda(net, R, G, alpha, delta)
+    lam = feedback_inequality(R, G, net.A, net.B, net.D, alpha, delta)
     achieved = -sym_eigendecomp(lam).eigenvalues[-1]
     r_min = sym_eigendecomp(R).eigenvalues[0]
-    if achieved < margin or r_min < pd_margin:
+    if achieved < margin or r_min < PD_MARGIN:
         raise InfeasibleError(
-            f"assembled feedback certificate failed re-verification "
-            f"(margin {achieved:.3e}, lambda_min(R) {r_min:.3e})"
+            f"feedback certificate failed re-verification on the assembled "
+            f"network (margin {achieved:.3e}, lambda_min(R) {r_min:.3e})"
         )
     residual = np.abs(K @ R - G).max()
     if residual > 1e-9 * max(1.0, np.abs(G).max()):
-        raise InfeasibleError(f"K R = G residual {residual:.3e} too large")
+        raise InfeasibleError(
+            f"feedback gain residual |K R - G| = {residual:.3e} too large")
     Acl = net.A + net.B @ K
     if not is_hurwitz(Acl):
-        raise InfeasibleError("closed loop A + B K not Hurwitz after assembly")
+        raise InfeasibleError(
+            "feedback closed loop A + B K not Hurwitz after assembly")
 
     # Equivalent pre-elimination inequality at Q = R^{-1}.
     Q = solve_linear(R, np.eye(nbx))
@@ -751,26 +670,25 @@ def synth_controller(net: NetworkModel, alpha: float, delta: float,
     ])
     if sym_eigendecomp(diss).eigenvalues[-1] >= 0.0:
         raise InfeasibleError(
-            "recovered (Q, K) fail the dissipation inequality"
+            "feedback gain (Q, K) fails the dissipation inequality"
         )
 
     return ControllerSynthesis(alpha=alpha, delta=delta, R=R, G=G, K=K,
                                gamma=gamma_bound(K, alpha, delta),
-                               margin=achieved, decay_rate=decay_rate)
+                               margin=achieved)
 
 
-def _solve_controller_block(A, B, D, alpha, delta, margin, pd_margin,
-                            decay_rate, max_rate, max_iterations, label,
-                            initial=None):
+def _solve_controller_block(A, B, D, alpha, delta, margin, max_iterations,
+                            label, initial=None):
     n = A.shape[0]
     problem = LmiProblem(
         variables=[
             VariableSpec("R", n, n, symmetric=True, positive_definite=True),
             VariableSpec("G", B.shape[1], n),
         ],
-        expression=_controller_expression(A, B, D, alpha, delta, decay_rate,
-                                          max_rate),
-        margin=margin, pd_margin=pd_margin,
+        expression=lambda v: feedback_inequality(
+            v["R"], v["G"], A, B, D, alpha, delta, strip=initial is None),
+        margin=margin,
     )
     try:
         if initial is not None:
@@ -801,36 +719,3 @@ def gamma_bound(K, alpha: float, delta: float) -> float:
     K = np.asarray(K, dtype=float)
     lam_max = sym_eigendecomp(K.T @ K).eigenvalues[-1]
     return float(np.sqrt(alpha * lam_max + 1.0) * delta)
-
-
-# --- gain file I/O ----------------------------------------------------------
-
-def save_matrix(path, M) -> None:
-    """Write a matrix to a plain-text file: ``rows cols`` header line,
-    then one row per line, full double precision."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    with open(path, "w") as fh:
-        fh.write(f"{M.shape[0]} {M.shape[1]}\n")
-        for row in M:
-            fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
-
-
-def load_matrix(path) -> np.ndarray:
-    """Read a matrix written by :func:`save_matrix`."""
-    from .errors import SchemaError
-
-    with open(path) as fh:
-        tokens = fh.read().split()
-    if len(tokens) < 2:
-        raise SchemaError(f"{path}: missing 'rows cols' header")
-    try:
-        rows, cols = int(tokens[0]), int(tokens[1])
-        values = [float(t) for t in tokens[2:]]
-    except ValueError as exc:
-        raise SchemaError(f"{path}: non-numeric content ({exc})") from exc
-    if rows < 0 or cols < 0 or len(values) != rows * cols:
-        raise SchemaError(
-            f"{path}: header says {rows}x{cols} but file has "
-            f"{len(values)} values"
-        )
-    return np.array(values).reshape(rows, cols)

@@ -18,12 +18,12 @@ from conftest import ALPHA, DELTA, FAULT_MAG, benchmark_schedule
 from coopftc.analysis import (consensus_report, dissipation_check,
                               empirical_l2_ratio, verify_iss_bound)
 from coopftc.control import closed_loop_maps, cooperative_error
-from coopftc.estimator import virtual_observer_oracle
 from coopftc.graph import is_positive_stable
 from coopftc.linalg import (is_hurwitz, solve_linear, solve_lyapunov,
                             sym_eigendecomp)
 from coopftc.sim import integrate, run_experiment
 from coopftc.synth import synth_controller, synth_observer
+from oracles import virtual_observer_oracle
 
 
 @pytest.fixture()

@@ -6,15 +6,16 @@ shorten the horizon to keep the suite quick; one round trip runs the
 full 40-second benchmark.
 """
 
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from coopftc import cli
-from coopftc.cli import (Scenario, build_interaction, build_plant, main,
-                         parse_scenario)
+from coopftc import cli, sim
+from coopftc.cli import (Scenario, build_interaction, build_plant,
+                         load_matrix, main, parse_scenario, save_matrix)
 from coopftc.errors import ParseError, ValidationError
-from coopftc.synth import load_matrix, save_matrix
 
 SHORT_SCENARIO = "sim:\n  T: 2.0\n"
 
@@ -139,6 +140,14 @@ def test_synth_infeasible_delta_exit_code(tmp_path, capsys):
     assert "observer LMI infeasible" in capsys.readouterr().err
 
 
+def test_nonpositive_motor_resistance_rejected(tmp_path, capsys):
+    p = tmp_path / "m51.yaml"
+    p.write_text("plant: {m: 51}\n")
+    assert main(["synth", "-s", str(p), "-o", str(tmp_path)]) \
+        == cli.EXIT_VALIDATION
+    assert "agent 51" in capsys.readouterr().err
+
+
 # --- simulate command -------------------------------------------------------
 
 def test_simulate_short_run_outputs(tmp_path, short_scenario, gains_dir):
@@ -176,6 +185,45 @@ def test_simulate_sweep_three_topologies(tmp_path, short_scenario,
     # per-topology blocks merged in sorted order
     assert summary.index("cyclic.") < summary.index("path.") \
         < summary.index("star.")
+
+
+@pytest.mark.parametrize("graph, extra", [
+    ("", ["simulate"]),
+    ("graph: {edges: [[2, 1, 1.0], [3, 2, 1.0]], sources: [[1, 1.0]]}\n",
+     ["simulate", "--sweep"]),
+    ("", ["verify", "--trace", "never-read.csv"]),
+])
+def test_graph_size_checked_before_synthesis(tmp_path, monkeypatch, graph,
+                                             extra):
+    def no_synthesis(*args, **kwargs):
+        raise AssertionError("synthesis ran before the graph check")
+
+    monkeypatch.setattr(cli, "synth_observer", no_synthesis)
+    p = tmp_path / "m3.yaml"
+    p.write_text(graph + "plant: {m: 3}\n")
+    argv = extra[:1] + ["-s", str(p)] + extra[1:]
+    if extra[0] == "simulate":
+        argv += ["-o", str(tmp_path / "out")]
+    assert main(argv) == cli.EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("target", ["closed_loop_maps", "control_input"])
+def test_fast_path_mismatch_is_identity_failure(tmp_path, short_scenario,
+                                                gains_dir, monkeypatch,
+                                                capsys, target):
+    original = getattr(sim, target)
+    if target == "closed_loop_maps":
+        def perturbed(loop):
+            maps = original(loop)
+            return dataclasses.replace(maps, M=maps.M + 1e-3)
+    else:
+        def perturbed(*args):
+            return original(*args) + 1e-3
+    monkeypatch.setattr(sim, target, perturbed)
+    code = main(["simulate", "-s", str(short_scenario), "-o", str(tmp_path),
+                 "--gains", str(gains_dir)])
+    assert code == cli.EXIT_CERTIFICATE
+    assert "disagrees with" in capsys.readouterr().err
 
 
 # --- verify command ---------------------------------------------------------

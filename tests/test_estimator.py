@@ -10,10 +10,11 @@ import pytest
 from conftest import quiet_schedule
 from coopftc.errors import DimensionMismatchError, NotHurwitzError
 from coopftc.estimator import (build_observer, extract_estimates,
-                               observer_derivative, virtual_observer_oracle)
+                               observer_derivative)
 from coopftc.linalg import is_hurwitz
 from coopftc.sim import (SignalSchedule, constant_disturbance,
                          piecewise_setpoint, run_experiment, step_fault)
+from oracles import virtual_observer_oracle
 
 
 def disturbed_faultfree_schedule(m):

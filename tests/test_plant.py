@@ -36,6 +36,12 @@ def test_motor_rejects_degenerate_inertia():
         dc_motor_agent(0)
 
 
+def test_motor_rejects_nonpositive_resistance():
+    assert dc_motor_agent(50).A[1, 1] < 0.0  # R_50 = 0.02 > 0
+    with pytest.raises(ModelValidationError, match="agent 51"):
+        dc_motor_agent(51)
+
+
 def test_motor_fleet_is_controllable_observable():
     # construction itself runs the rank checks
     for i in range(1, 5):
