@@ -109,6 +109,7 @@ class IssCertificate:
     ``alpha`` and ``beta`` are the decay rate and input amplification of
     the underlying comparison argument; ``(c1, c2, c3)`` are the
     constants of the trajectory bound quoted in the module docstring.
+    ``Q`` is the Lyapunov weight, the identity.
     """
 
     graph: NetworkGraph
@@ -126,8 +127,8 @@ class IssCertificate:
     lyapunov_residual: float = field(repr=False, default=0.0)
 
 
-def iss_certificate(g: NetworkGraph, net: NetworkModel, K: np.ndarray,
-                    Q: np.ndarray | None = None) -> IssCertificate:
+def iss_certificate(g: NetworkGraph, net: NetworkModel,
+                    K: np.ndarray) -> IssCertificate:
     """Build the disagreement ISS certificate for inner gain ``K``.
 
     Parameters
@@ -140,9 +141,8 @@ def iss_certificate(g: NetworkGraph, net: NetworkModel, K: np.ndarray,
         Stacked plant supplying ``A``, ``B`` and the disturbance map.
     K : ndarray
         Inner state-feedback gain; ``A + B K`` must be Hurwitz.
-    Q : ndarray, optional
-        Symmetric positive definite Lyapunov weight.  Defaults to the
-        identity, which is also what the acceptance checks use.
+
+    The Lyapunov weight ``Q`` is the identity.
 
     Raises
     ------
@@ -166,43 +166,29 @@ def iss_certificate(g: NetworkGraph, net: NetworkModel, K: np.ndarray,
     if not is_hurwitz(Acl):
         raise NotHurwitzError("A + B K is not Hurwitz; no ISS certificate")
 
-    nbar = net.nbar_x
     Lk = kron(g.L, np.eye(net.n_x))
     # Phi = Lk @ Acl @ inv(Lk), formed by solving on the right.
     Phi = solve_linear(Lk.T, (Lk @ Acl).T).T
     B_theta = np.hstack([net.D, -net.B])
     B_phi = Lk @ B_theta
 
-    if Q is None:
-        Q = np.eye(nbar)
-    else:
-        Q = np.asarray(Q, dtype=float)
-        if Q.shape != (nbar, nbar):
-            raise DimensionMismatchError(
-                f"Q has shape {Q.shape}, expected {(nbar, nbar)}")
-        if not np.allclose(Q, Q.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(Q).max())):
-            raise DimensionMismatchError("Q must be symmetric")
-
-    q_eigs = sym_eigendecomp(Q).eigenvalues
-    if q_eigs[0] <= 0.0:
-        raise DimensionMismatchError("Q must be positive definite")
-
+    Q = np.eye(net.nbar_x)
     P_e = solve_lyapunov(Phi, Q)
     residual = float(np.abs(Phi.T @ P_e + P_e @ Phi + Q).max())
-    if residual > LYAPUNOV_RESIDUAL_TOL * max(1.0, float(np.abs(Q).max())):
+    if residual > LYAPUNOV_RESIDUAL_TOL:
         raise NotHurwitzError(
             f"Lyapunov residual {residual:.3e} exceeds tolerance; "
             "certificate rejected")
 
     p_eigs = sym_eigendecomp(P_e).eigenvalues
     p_min, p_max = float(p_eigs[0]), float(p_eigs[-1])
-    q_min = float(q_eigs[0])
 
     M = P_e @ B_phi
     kappa = float(np.sqrt(max(sym_eigendecomp(M.T @ M).eigenvalues[-1], 0.0)))
 
-    alpha = q_min / (2.0 * p_max)
-    beta = 2.0 * kappa ** 2 / q_min
+    # lambda_min(Q) = 1 drops out of alpha and beta.
+    alpha = 1.0 / (2.0 * p_max)
+    beta = 2.0 * kappa ** 2
     c1 = float(np.sqrt(p_max / p_min))
     c2 = alpha / 2.0
     c3 = float(np.sqrt(beta / (alpha * p_min)))
@@ -334,8 +320,7 @@ class IssBoundReport:
 
 
 def verify_iss_bound(trace: SimTrace, cert: IssCertificate,
-                     net: NetworkModel, law: ControlLaw,
-                     x0_schedule=None, rtol: float = ISS_RTOL) -> IssBoundReport:
+                     net: NetworkModel, law: ControlLaw) -> IssBoundReport:
     """Check the certificate's trajectory bound pointwise on a trace.
 
     The trace is split at setpoint changes (read off the recorded
@@ -348,15 +333,11 @@ def verify_iss_bound(trace: SimTrace, cert: IssCertificate,
 
     is evaluated at every sample with a running maximum on the right.
     A sample violates when the left side exceeds the right by more than
-    ``rtol`` relative to the right side.
+    ``ISS_RTOL`` relative to the right side.
 
-    Parameters
-    ----------
-    x0_schedule : callable, optional
-        Maps a window start time to the designated per-agent state for
-        that window.  Defaults to the minimum-norm lift of the recorded
-        setpoint through the first agent's output map.  The shifted
-        error does not depend on this choice (see module docstring).
+    The designated per-agent state of a window is the minimum-norm lift
+    of the recorded setpoint through the first agent's output map; the
+    shifted error does not depend on this choice (see module docstring).
     """
     if cert.graph.m * cert.n_x != trace.x.shape[1]:
         raise DimensionMismatchError(
@@ -373,10 +354,7 @@ def verify_iss_bound(trace: SimTrace, cert: IssCertificate,
     worst = -np.inf
     for k0, k1 in zip(bounds[:-1], bounds[1:]):
         t_w = trace.t[k0:k1]
-        if x0_schedule is not None:
-            x0 = np.asarray(x0_schedule(float(t_w[0])), dtype=float).ravel()
-        else:
-            x0 = _lift_setpoint(net, trace.y0[k0, 0])
+        x0 = _lift_setpoint(net, trace.y0[k0, 0])
         xbar0 = np.tile(x0, cert.graph.m)
         phi0 = cert.Phi @ (A0k @ xbar0)
         e_star = solve_linear(cert.Phi, -phi0)
@@ -395,7 +373,7 @@ def verify_iss_bound(trace: SimTrace, cert: IssCertificate,
             max_relative_violation=w_max,
         ))
     return IssBoundReport(
-        passed=bool(worst <= rtol), max_relative_violation=worst,
+        passed=bool(worst <= ISS_RTOL), max_relative_violation=worst,
         windows=tuple(windows), c1=cert.c1, c2=cert.c2, c3=cert.c3,
     )
 
@@ -514,13 +492,13 @@ class ConsensusReport:
         return "\n".join(self.as_lines())
 
 
-def consensus_report(trace: SimTrace, net: NetworkModel, g: NetworkGraph,
-                     band_fraction: float = SETTLING_FRACTION) -> ConsensusReport:
+def consensus_report(trace: SimTrace, net: NetworkModel,
+                     g: NetworkGraph) -> ConsensusReport:
     """Per-agent settling and agreement metrics on the true outputs.
 
     Settling is measured from the last setpoint change: the settling
     time of agent ``i`` is the earliest time after which its true
-    output stays within ``band_fraction`` of the final setpoint value
+    output stays within ``SETTLING_FRACTION`` of the final setpoint value
     (relative band; an absolute band of the same size is used when the
     setpoint is zero).  ``inf`` means the agent never settles within
     the trace.  Pairwise spread and the output-level cooperative error
@@ -534,7 +512,7 @@ def consensus_report(trace: SimTrace, net: NetworkModel, g: NetworkGraph,
     starts = _window_starts(trace.y0)
     k_last = int(starts[-1])
     y0_final = float(y0[-1])
-    band = band_fraction * (abs(y0_final) if y0_final != 0.0 else 1.0)
+    band = SETTLING_FRACTION * (abs(y0_final) if y0_final != 0.0 else 1.0)
 
     dev = np.abs(y - y0[:, None])
     m = net.m

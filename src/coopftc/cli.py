@@ -46,7 +46,7 @@ from .analysis import (
     iss_certificate,
     verify_iss_bound,
 )
-from .control import ControlLaw, build_closed_loop
+from .control import ClosedLoopState, ControlLaw, build_closed_loop
 from .errors import (
     BadEdgeError,
     DimensionMismatchError,
@@ -63,7 +63,7 @@ from .errors import (
     SingularMatrixError,
     ValidationError,
 )
-from .estimator import build_observer
+from .estimator import ObserverRealization, build_observer
 from .graph import (
     BENCHMARK_TOPOLOGIES,
     NetworkGraph,
@@ -83,11 +83,9 @@ from .plant import (
 )
 from .sim import (
     SignalSchedule,
-    constant_disturbance,
-    piecewise_setpoint,
     run_experiment,
     sample_initial_state,
-    step_fault,
+    step_schedule,
     trace_from_csv,
     trace_to_csv,
 )
@@ -330,6 +328,11 @@ def parse_scenario(path) -> Scenario:
     T = _number("sim", "T", sim_raw.get("T"), 40.0, positive=True)
     if T < h:
         raise ValidationError(f"sim.T ({T}) must be at least sim.h ({h})")
+    snapped = [_snap(t, h) for t, _ in setpoint]
+    if any(b <= a for a, b in zip(snapped, snapped[1:])):
+        raise ValidationError(
+            "control.setpoint times must lie at least one step apart on "
+            f"the sim.h={h:g} time grid, got {[t for t, _ in setpoint]}")
     seed = sim_raw.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ValidationError(f"sim.seed must be a non-negative integer, "
@@ -490,18 +493,22 @@ def _snap(t: float, h: float) -> float:
 
 def build_schedule(sc: Scenario, net: NetworkModel) -> SignalSchedule:
     """Signal schedule with all breakpoints snapped to the time grid."""
-    times = tuple(_snap(t, sc.h) for t, _ in sc.setpoint)
-    values = tuple(v for _, v in sc.setpoint)
-    onset = _snap(sc.fault_onset, sc.h)
-    mag = sc.fault_magnitude
-    active = np.any(np.asarray(mag, dtype=float) != 0.0) and onset <= sc.T
-    return SignalSchedule(
-        disturbance=constant_disturbance(sc.disturbance, net.m),
-        fault=step_fault(mag, onset, net.m),
-        setpoint=piecewise_setpoint(times, values),
-        setpoint_times=times,
-        fault_times=(onset,) if active else (),
-    )
+    return step_schedule(net.m, sc.disturbance, sc.fault_magnitude,
+                         _snap(sc.fault_onset, sc.h),
+                         [(_snap(t, sc.h), y) for t, y in sc.setpoint])
+
+
+def _require_single_channel(sc: Scenario) -> None:
+    """``simulate`` and ``verify`` need one input, output and disturbance
+    channel per agent: the trace CSV has one column per agent for each
+    signal, and the consensus metrics compare one output per agent."""
+    for k, (_, B, C, D) in enumerate(sc.agents, start=1):
+        n_u, n_y, n_v = len(B[0]), len(C), len(D[0])
+        if (n_u, n_y, n_v) != (1, 1, 1):
+            raise ValidationError(
+                f"plant.agents[{k}] has n_u={n_u}, n_y={n_y}, n_v={n_v}; "
+                "simulate and verify need single-channel agents "
+                "(n_u = n_y = n_v = 1)")
 
 
 # ---------------------------------------------------------------------------
@@ -649,12 +656,10 @@ def cmd_synth(sc: Scenario, outdir) -> int:
 
 
 def _run_one(sc: Scenario, net: NetworkModel, aug: AugmentedModel,
-             so: ObserverSynthesis, K: np.ndarray, g: NetworkGraph):
+             obs: ObserverRealization, K: np.ndarray, g: NetworkGraph,
+             schedule: SignalSchedule, s0: ClosedLoopState):
     law = ControlLaw(graph=g, K=K, ell_p=sc.ell_p, ell_i=sc.ell_i)
-    obs = build_observer(aug, net, so)
     loop = build_closed_loop(net, aug, obs, law)
-    schedule = build_schedule(sc, net)
-    s0 = sample_initial_state(net, aug, sc.seed, sc.init_bounds)
     return run_experiment(loop, schedule, s0, h=sc.h, T=sc.T)
 
 
@@ -662,6 +667,7 @@ def cmd_simulate(sc: Scenario, outdir, gains_dir=None,
                  sweep: bool = False) -> int:
     """Simulate the scenario (or all named topologies) and write artifacts."""
     net = build_plant(sc)
+    _require_single_channel(sc)
     aug = augment_network(net)
     runs = ([replace(sc, topology=name, graph_edges=(), graph_sources=())
              for name in sorted(BENCHMARK_TOPOLOGIES)] if sweep else [sc])
@@ -670,11 +676,16 @@ def cmd_simulate(sc: Scenario, outdir, gains_dir=None,
     graphs = {run.topology or "custom": build_interaction(run, net)
               for run in runs}
     so, K = _obtain_gains(sc, aug, net, gains_dir)
+    # The topologies of a sweep share the gains, the signals and the
+    # initial state, so the observer realization is built once.
+    obs = build_observer(aug, net, so)
+    schedule = build_schedule(sc, net)
+    s0 = sample_initial_state(net, aug, sc.seed, sc.init_bounds)
     os.makedirs(outdir, exist_ok=True)
 
     summary: list[str] = []
     for name, g in graphs.items():
-        trace = _run_one(sc, net, aug, so, K, g)
+        trace = _run_one(sc, net, aug, obs, K, g, schedule, s0)
         suffix = f"_{name}" if sweep else ""
         trace_name = f"trace{suffix}.csv"
         trace_to_csv(trace, net, os.path.join(outdir, trace_name))
@@ -722,10 +733,10 @@ def _agreement_identity(g: NetworkGraph) -> tuple[bool, list[str]]:
     return ok, lines
 
 
-def cmd_verify(sc: Scenario, trace_path, gains_dir=None,
-               offset_tol: float = OFFSET_TOL) -> int:
+def cmd_verify(sc: Scenario, trace_path, gains_dir=None) -> int:
     """Re-run every certificate check against a recorded trace."""
     net = build_plant(sc)
+    _require_single_channel(sc)
     aug = augment_network(net)
     g = build_interaction(sc, net)
     so, K = _obtain_gains(sc, aug, net, gains_dir)
@@ -762,7 +773,7 @@ def cmd_verify(sc: Scenario, trace_path, gains_dir=None,
     report = consensus_report(trace, net, g)
     lines.extend(report.as_lines())
     tracking_ok = (np.all(np.isfinite(report.settling_time))
-                   and float(report.final_offset.max()) <= offset_tol)
+                   and float(report.final_offset.max()) <= OFFSET_TOL)
     lines.append(f"consensus.passed={'true' if tracking_ok else 'false'}")
     if not tracking_ok:
         failures.append("consensus")

@@ -21,7 +21,8 @@ computed and cross-checked on every call, so a forgotten
 the consensus point.
 
 :func:`closed_loop_rhs` wires plant, observer, and outer loop into one
-derivative over the canonical stacked state ``[x; eta; q]``;
+derivative over the canonical stacked state ``[x; eta; q]``, driven by
+the exogenous signals of a :class:`SignalSchedule` table;
 :func:`closed_loop_maps` probes that derivative once to extract the
 (affine) matrix realization used for fast simulation and for
 eigenvalue/Lyapunov analysis of the loop.
@@ -43,6 +44,7 @@ __all__ = [
     "ClosedLoopState",
     "ClosedLoop",
     "ClosedLoopMaps",
+    "SignalSchedule",
     "in_neighbor_setpoint",
     "cooperative_error",
     "control_input",
@@ -99,6 +101,47 @@ class ClosedLoopState:
         return ClosedLoopState(x=vec[:nbar_x],
                                eta=vec[nbar_x:nbar_x + n_aug],
                                q=vec[nbar_x + n_aug:])
+
+
+@dataclass(frozen=True)
+class SignalSchedule:
+    """Piecewise-constant exogenous signals, as one breakpoint table.
+
+    Row ``k`` holds the stacked disturbance ``v``, the stacked sensor
+    fault ``f_s`` and the source output ``y0`` on ``[times[k],
+    times[k+1])``; the last row holds from ``times[-1]`` on.  ``times``
+    starts at 0 and strictly increases, so every signal is
+    right-continuous: at a breakpoint it already has the new row's value.
+    The columns are stored as read-only copies.
+    """
+
+    times: np.ndarray
+    v: np.ndarray
+    f_s: np.ndarray
+    y0: np.ndarray
+
+    def __post_init__(self):
+        for name in ("times", "v", "f_s", "y0"):
+            col = np.array(getattr(self, name), dtype=float)
+            col.setflags(write=False)
+            object.__setattr__(self, name, col)
+        times = self.times
+        if (times.ndim != 1 or times.size == 0 or times[0] != 0.0
+                or np.any(np.diff(times) <= 0)):
+            raise ValueError("schedule breakpoints must start at 0 and "
+                             f"strictly increase, got {times}")
+        for name in ("v", "f_s", "y0"):
+            shape = getattr(self, name).shape
+            if len(shape) != 2 or shape[0] != times.size:
+                raise DimensionMismatchError(
+                    f"schedule column {name} has shape {shape}, "
+                    f"expected ({times.size}, ...)")
+
+    def sample(self, t):
+        """``(v, f_s, y0)`` in force at ``t``: one row each for a scalar
+        ``t``, one row per time for an array."""
+        k = np.searchsorted(self.times[1:], t, side="right")
+        return self.v[k], self.f_s[k], self.y0[k]
 
 
 @dataclass(frozen=True)
@@ -213,17 +256,18 @@ def closed_loop_rhs(t: float, state: ClosedLoopState, loop: ClosedLoop,
                     signals) -> ClosedLoopState:
     """One evaluation of the complete networked loop.
 
-    ``signals`` must provide ``disturbance(t)``, ``fault(t)`` and
-    ``setpoint(t)`` returning the stacked disturbance, the stacked
-    sensor-fault vector, and the shared source output.
+    ``signals.sample(t)`` must return the stacked disturbance, the
+    stacked sensor-fault vector and the shared source output at ``t``,
+    as a :class:`SignalSchedule` does.
 
     The wiring order mirrors the information flow: measure, estimate,
     share, compare, actuate.
     """
     net, aug, obs, law = loop.net, loop.aug, loop.obs, loop.law
-    v = _check_len("disturbance", signals.disturbance(t), net.nbar_v)
-    f_s = _check_len("fault", signals.fault(t), net.nbar_y)
-    y0 = np.atleast_1d(np.asarray(signals.setpoint(t), dtype=float))
+    v, f_s, y0 = signals.sample(t)
+    v = _check_len("disturbance", v, net.nbar_v)
+    f_s = _check_len("fault", f_s, net.nbar_y)
+    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
 
     y_f = net.C @ state.x + net.F @ f_s
     est = extract_estimates(obs, state.eta, y_f)
@@ -248,20 +292,6 @@ class ClosedLoopMaps:
     B_r: np.ndarray
 
 
-class _Probe:
-    def __init__(self, v, f, r):
-        self._v, self._f, self._r = v, f, r
-
-    def disturbance(self, t):
-        return self._v
-
-    def fault(self, t):
-        return self._f
-
-    def setpoint(self, t):
-        return self._r
-
-
 def closed_loop_maps(loop: ClosedLoop) -> ClosedLoopMaps:
     """Extract the linear realization by unit-vector probing.
 
@@ -275,8 +305,9 @@ def closed_loop_maps(loop: ClosedLoop) -> ClosedLoopMaps:
 
     def f(z, v, fs, r):
         s = ClosedLoopState.unpack(z, nbx, na)
-        d = closed_loop_rhs(0.0, s, loop, _Probe(v, fs, r))
-        return d.packed()
+        signals = SignalSchedule(times=(0.0,), v=v[None], f_s=fs[None],
+                                 y0=r[None])
+        return closed_loop_rhs(0.0, s, loop, signals).packed()
 
     z0 = np.zeros(dim)
     v0 = np.zeros(net.nbar_v)

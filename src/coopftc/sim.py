@@ -1,12 +1,15 @@
 """Fixed-step simulation of the closed loop with dense trace logging.
 
 The integrator is the classical 4th-order Runge-Kutta scheme with a
-uniform step.  Signal schedules (disturbance, sensor fault, source
-setpoint) are plain callables of time; step-type signals are
-right-continuous, and schedule builders (see the command-line layer)
-snap onsets to the time grid, so a discontinuity contaminates only the
-final stage of the single step that lands on it -- the induced offset
-decays with the loop and the certificate checks exclude that step.
+uniform step.  The exogenous signals (disturbance, sensor fault, source
+setpoint) are piecewise constant and held as data: one
+:class:`~coopftc.control.SignalSchedule` table of breakpoints and
+values, built by :func:`step_schedule` and sampled right-continuously
+at a scalar time or a whole time grid.  The command-line layer snaps
+every breakpoint to the time grid, so a discontinuity contaminates only
+the final stage of the single step that lands on it -- the induced
+offset decays with the loop and the certificate checks exclude that
+step.
 
 For speed, :func:`run_experiment` integrates the affine realization
 from :func:`~coopftc.control.closed_loop_maps` (one small matrix-vector
@@ -24,8 +27,9 @@ from typing import Callable
 
 import numpy as np
 
-from .control import (ClosedLoop, ClosedLoopState, closed_loop_maps,
-                      closed_loop_rhs, control_input, cooperative_error)
+from .control import (ClosedLoop, ClosedLoopState, SignalSchedule,
+                      closed_loop_maps, closed_loop_rhs, control_input,
+                      cooperative_error)
 from .errors import (DimensionMismatchError, IdentityCheckFailedError,
                      NonFiniteStateError, SchemaError)
 from .plant import AugmentedModel, NetworkModel, aug_indices
@@ -33,9 +37,7 @@ from .plant import AugmentedModel, NetworkModel, aug_indices
 __all__ = [
     "SignalSchedule",
     "SimTrace",
-    "constant_disturbance",
-    "step_fault",
-    "piecewise_setpoint",
+    "step_schedule",
     "integrate",
     "sample_initial_state",
     "run_experiment",
@@ -44,76 +46,43 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SignalSchedule:
-    """Deterministic exogenous signals of one experiment.
-
-    ``setpoint_times`` and ``fault_times`` expose the breakpoints so
-    analysis code can window a trace into smooth segments without
-    re-parsing the callables.
-    """
-
-    disturbance: Callable[[float], np.ndarray]
-    fault: Callable[[float], np.ndarray]
-    setpoint: Callable[[float], np.ndarray]
-    setpoint_times: tuple = (0.0,)
-    fault_times: tuple = ()
-
-
-def constant_disturbance(value, m: int) -> Callable[[float], np.ndarray]:
-    """Constant per-agent disturbance; scalar values are broadcast."""
-    vec = np.broadcast_to(np.asarray(value, dtype=float).ravel(), (m,)) \
-        if np.ndim(value) == 0 else np.asarray(value, dtype=float)
+def _per_agent(name: str, value, m: int) -> np.ndarray:
+    vec = np.asarray(value, dtype=float)
+    if vec.ndim == 0:
+        vec = np.full(m, vec)
     if vec.shape != (m,):
         raise DimensionMismatchError(
-            f"disturbance value shape {np.shape(value)} incompatible "
-            f"with m={m}")
-    frozen = vec.copy()
-
-    def signal(t: float) -> np.ndarray:
-        return frozen
-
-    return signal
+            f"{name} shape {np.shape(value)} incompatible with m={m}")
+    return vec
 
 
-def step_fault(magnitude, onset: float, m: int) -> Callable[[float], np.ndarray]:
-    """Sensor-fault step: zero before ``onset``, ``magnitude`` from
-    ``onset`` on (right-continuous).  Scalar magnitudes are broadcast."""
-    if onset < 0:
-        raise ValueError(f"fault onset must be >= 0, got {onset}")
-    mag = np.broadcast_to(np.asarray(magnitude, dtype=float).ravel(), (m,)) \
-        if np.ndim(magnitude) == 0 else np.asarray(magnitude, dtype=float)
-    if mag.shape != (m,):
-        raise DimensionMismatchError(
-            f"fault magnitude shape {np.shape(magnitude)} incompatible "
-            f"with m={m}")
-    post = mag.copy()
-    pre = np.zeros(m)
+def step_schedule(m: int, disturbance, fault_magnitude, fault_onset: float,
+                  setpoint_pairs) -> SignalSchedule:
+    """The experiment's signals as one table.
 
-    def signal(t: float) -> np.ndarray:
-        return post if t >= onset else pre
-
-    return signal
-
-
-def piecewise_setpoint(times, values) -> Callable[[float], np.ndarray]:
-    """Piecewise-constant source output: ``values[k]`` on
-    ``[times[k], times[k+1])``; ``times[0]`` must be 0."""
-    times = np.asarray(times, dtype=float)
-    vals = [np.atleast_1d(np.asarray(v, dtype=float)) for v in values]
-    if times.ndim != 1 or times.size != len(vals) or times.size == 0:
-        raise DimensionMismatchError("need one value per breakpoint")
-    if times[0] != 0.0 or np.any(np.diff(times) <= 0):
-        raise ValueError("breakpoints must start at 0 and increase")
-    if any(v.shape != vals[0].shape for v in vals):
-        raise DimensionMismatchError("setpoint values must share a shape")
-    stacked = np.stack(vals)
-
-    def signal(t: float) -> np.ndarray:
-        k = int(np.searchsorted(times, t, side="right")) - 1
-        return stacked[max(k, 0)]
-
-    return signal
+    A constant per-agent ``disturbance``; a sensor-fault step, zero
+    before ``fault_onset`` and ``fault_magnitude`` from it on; and a
+    source output that takes ``value`` from each ``(time, value)`` of
+    ``setpoint_pairs`` on, the first time being 0.  Scalar disturbance
+    and fault values are broadcast to the ``m`` agents.
+    """
+    if fault_onset < 0:
+        raise ValueError(f"fault onset must be >= 0, got {fault_onset}")
+    set_times = np.array([t for t, _ in setpoint_pairs], dtype=float)
+    if (set_times.size == 0 or set_times[0] != 0.0
+            or np.any(np.diff(set_times) <= 0)):
+        raise ValueError("setpoint times must start at 0 and strictly "
+                         f"increase, got {set_times}")
+    set_values = np.stack([np.atleast_1d(np.asarray(y, dtype=float))
+                           for _, y in setpoint_pairs])
+    times = np.union1d(set_times, [fault_onset])
+    magnitude = _per_agent("fault magnitude", fault_magnitude, m)
+    return SignalSchedule(
+        times=times,
+        v=np.tile(_per_agent("disturbance", disturbance, m), (times.size, 1)),
+        f_s=np.where((times >= fault_onset)[:, None], magnitude, 0.0),
+        y0=set_values[np.searchsorted(set_times, times, side="right") - 1],
+    )
 
 
 def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
@@ -209,11 +178,11 @@ class SimTrace:
 def _affine_rhs(loop: ClosedLoop, schedule: SignalSchedule):
     maps = closed_loop_maps(loop)
     M, B_v, B_f, B_r = maps.M, maps.B_v, maps.B_f, maps.B_r
-    dist, fault, setp = schedule.disturbance, schedule.fault, schedule.setpoint
+    sample = schedule.sample
 
     def rhs(t, z):
-        return (M @ z + B_v @ dist(t) + B_f @ fault(t)
-                + B_r @ np.atleast_1d(setp(t)))
+        v, f_s, y0 = sample(t)
+        return M @ z + B_v @ v + B_f @ f_s + B_r @ y0
 
     return rhs
 
@@ -248,9 +217,7 @@ def run_experiment(loop: ClosedLoop, schedule: SignalSchedule,
     eta = Z[:, nbx:nbx + na]
     q = Z[:, nbx + na:]
 
-    v = np.stack([schedule.disturbance(t) for t in times])
-    f_s = np.stack([schedule.fault(t) for t in times])
-    y0 = np.stack([np.atleast_1d(schedule.setpoint(t)) for t in times])
+    v, f_s, y0 = schedule.sample(times)
 
     y_f = x @ net.C.T + f_s @ net.F.T
     x_o = eta + y_f @ aug.F2.T

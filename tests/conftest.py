@@ -16,9 +16,8 @@ from coopftc.estimator import build_observer
 from coopftc.graph import (BENCHMARK_TOPOLOGIES, benchmark_topology,
                            build_graph, normalize_weights)
 from coopftc.plant import augment_network, dc_motor_agent, stack_network
-from coopftc.sim import (SignalSchedule, constant_disturbance,
-                         piecewise_setpoint, run_experiment,
-                         sample_initial_state, step_fault)
+from coopftc.sim import (SignalSchedule, run_experiment,
+                         sample_initial_state, step_schedule)
 from coopftc.synth import synth_controller, synth_observer
 
 # Benchmark configuration shared across the suite.
@@ -36,24 +35,13 @@ SETPOINT_STEP = 20.0
 
 def benchmark_schedule(m: int) -> SignalSchedule:
     """Disturbance 0.1, sensor fault 5.75 at t=10, setpoint 1 -> 2 at t=20."""
-    return SignalSchedule(
-        disturbance=constant_disturbance(DISTURBANCE, m),
-        fault=step_fault(FAULT_MAG, FAULT_ONSET, m),
-        setpoint=piecewise_setpoint([0.0, SETPOINT_STEP], [1.0, 2.0]),
-        setpoint_times=(0.0, SETPOINT_STEP),
-        fault_times=(FAULT_ONSET,),
-    )
+    return step_schedule(m, DISTURBANCE, FAULT_MAG, FAULT_ONSET,
+                         [(0.0, 1.0), (SETPOINT_STEP, 2.0)])
 
 
-def quiet_schedule(m: int) -> SignalSchedule:
-    """No disturbance, no fault, constant setpoint 1."""
-    return SignalSchedule(
-        disturbance=constant_disturbance(0.0, m),
-        fault=step_fault(0.0, 0.0, m),
-        setpoint=piecewise_setpoint([0.0], [1.0]),
-        setpoint_times=(0.0,),
-        fault_times=(),
-    )
+def quiet_schedule(m: int, setpoint: float = 1.0) -> SignalSchedule:
+    """No disturbance, no fault, a constant setpoint (1 by default)."""
+    return step_schedule(m, 0.0, 0.0, 0.0, [(0.0, setpoint)])
 
 
 def random_reachable_graph(rng, max_m: int = 6):

@@ -25,9 +25,7 @@ from coopftc.graph import build_graph
 from coopftc.linalg import kron
 from coopftc.plant import (AgentModel, augment_network, dc_motor_agent,
                            stack_network)
-from coopftc.sim import (SignalSchedule, constant_disturbance,
-                         piecewise_setpoint, run_experiment,
-                         sample_initial_state, step_fault)
+from coopftc.sim import run_experiment, sample_initial_state
 from coopftc.synth import synth_controller, synth_observer
 
 
@@ -45,12 +43,11 @@ def _unit_graph():
 # --- iss_certificate --------------------------------------------------------
 
 def test_certificate_scalar_closed_forms():
-    # identity graph, A+BK = -1, Q = 2 => P_e = 1
+    # identity graph, A+BK = -1, Q = 1 => P_e = 1/2, alpha = 1/(2 P_e)
     net = _single_unit_net([[-1.0]], [[1.0]], [[1.0]], [[1.0]])
-    cert = iss_certificate(_unit_graph(), net, np.zeros((1, 1)),
-                           Q=2.0 * np.eye(1))
+    cert = iss_certificate(_unit_graph(), net, np.zeros((1, 1)))
     npt.assert_allclose(cert.Phi, [[-1.0]], atol=1e-12)
-    npt.assert_allclose(cert.P_e, [[1.0]], atol=1e-10)
+    npt.assert_allclose(cert.P_e, [[0.5]], atol=1e-10)
     assert cert.c1 == pytest.approx(1.0)
     assert cert.alpha == pytest.approx(1.0)
     assert cert.c2 == pytest.approx(0.5)
@@ -131,12 +128,9 @@ def test_state_error_batch_rows_match_vectors(graphs):
 # --- verify_iss_bound -------------------------------------------------------
 
 def test_iss_bound_zero_run(loops, star_cert, benchmark_net):
-    sched = SignalSchedule(disturbance=constant_disturbance(0.0, 4),
-                           fault=step_fault(0.0, 0.0, 4),
-                           setpoint=piecewise_setpoint([0.0], [0.0]),
-                           setpoint_times=(0.0,), fault_times=())
     rest = ClosedLoopState(x=np.zeros(8), eta=np.zeros(12), q=np.zeros(4))
-    tr = run_experiment(loops["star"], sched, rest, h=1e-3, T=1.0)
+    tr = run_experiment(loops["star"], quiet_schedule(4, setpoint=0.0), rest,
+                        h=1e-3, T=1.0)
     report = verify_iss_bound(tr, star_cert, benchmark_net,
                               loops["star"].law)
     assert report.passed
@@ -262,11 +256,18 @@ def test_consensus_star_settles_no_later_than_path(full_traces,
 
 # --- time-varying reference -------------------------------------------------
 
-def _ramp_schedule(rate, m=4):
-    return SignalSchedule(disturbance=constant_disturbance(0.0, m),
-                          fault=step_fault(0.0, 0.0, m),
-                          setpoint=lambda t: np.array([rate * t]),
-                          setpoint_times=(0.0,), fault_times=())
+class _Ramp:
+    """No disturbance, no fault, source output ``rate * t``.  Not piecewise
+    constant, so not a ``SignalSchedule`` table, but it samples like one
+    at a scalar time or an array of times."""
+
+    def __init__(self, rate, m=4):
+        self.rate, self.m = rate, m
+
+    def sample(self, t):
+        t = np.asarray(t, dtype=float)
+        quiet = np.zeros(t.shape + (self.m,))
+        return quiet, quiet, (self.rate * t)[..., None]
 
 
 def test_timevarying_zero_rate_reduces_to_constant(quiet_traces, star_cert,
@@ -281,7 +282,7 @@ def test_timevarying_rate_scaling(loops, star_cert, benchmark_net):
     rest = ClosedLoopState(x=np.zeros(8), eta=np.zeros(12), q=np.zeros(4))
     sups = {}
     for rate in (0.05, 0.1):
-        tr = run_experiment(loops["star"], _ramp_schedule(rate), rest,
+        tr = run_experiment(loops["star"], _Ramp(rate), rest,
                             h=1e-3, T=20.0)
         report = timevarying_reference_boundedness(
             tr, star_cert, benchmark_net, loops["star"].law)
@@ -292,7 +293,7 @@ def test_timevarying_rate_scaling(loops, star_cert, benchmark_net):
 
 def test_timevarying_long_horizon_stays_bounded(loops, star_cert,
                                                 benchmark_net, s0):
-    tr = run_experiment(loops["star"], _ramp_schedule(0.05), s0, h=1e-3,
+    tr = run_experiment(loops["star"], _Ramp(0.05), s0, h=1e-3,
                         T=80.0)
     report = timevarying_reference_boundedness(
         tr, star_cert, benchmark_net, loops["star"].law)

@@ -16,6 +16,7 @@ from coopftc import cli, sim
 from coopftc.cli import (Scenario, build_interaction, build_plant,
                          load_matrix, main, parse_scenario, save_matrix)
 from coopftc.errors import ParseError, ValidationError
+from coopftc.estimator import build_observer
 
 SHORT_SCENARIO = "sim:\n  T: 2.0\n"
 
@@ -174,10 +175,19 @@ def test_simulate_deterministic_bytes(tmp_path, short_scenario, gains_dir):
 
 
 def test_simulate_sweep_three_topologies(tmp_path, short_scenario,
-                                         gains_dir):
+                                         gains_dir, monkeypatch):
+    builds = []
+
+    def counted_build_observer(*args):
+        builds.append(args)
+        return build_observer(*args)
+
+    monkeypatch.setattr(cli, "build_observer", counted_build_observer)
     code = main(["simulate", "-s", str(short_scenario), "-o", str(tmp_path),
                  "--gains", str(gains_dir), "--sweep"])
     assert code == 0
+    # the topologies share the gains, so the observer is built once
+    assert len(builds) == 1
     for name in ("star", "cyclic", "path"):
         assert (tmp_path / f"trace_{name}.csv").exists()
     summary = (tmp_path / "summary.txt").read_text()
@@ -185,6 +195,10 @@ def test_simulate_sweep_three_topologies(tmp_path, short_scenario,
     # per-topology blocks merged in sorted order
     assert summary.index("cyclic.") < summary.index("path.") \
         < summary.index("star.")
+
+
+def _no_synthesis(*args, **kwargs):
+    raise AssertionError("synthesis ran before the input check")
 
 
 @pytest.mark.parametrize("graph, extra", [
@@ -195,16 +209,42 @@ def test_simulate_sweep_three_topologies(tmp_path, short_scenario,
 ])
 def test_graph_size_checked_before_synthesis(tmp_path, monkeypatch, graph,
                                              extra):
-    def no_synthesis(*args, **kwargs):
-        raise AssertionError("synthesis ran before the graph check")
-
-    monkeypatch.setattr(cli, "synth_observer", no_synthesis)
+    monkeypatch.setattr(cli, "synth_observer", _no_synthesis)
     p = tmp_path / "m3.yaml"
     p.write_text(graph + "plant: {m: 3}\n")
     argv = extra[:1] + ["-s", str(p)] + extra[1:]
     if extra[0] == "simulate":
         argv += ["-o", str(tmp_path / "out")]
     assert main(argv) == cli.EXIT_VALIDATION
+
+
+def test_collapsing_setpoint_steps_rejected(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "synth_observer", _no_synthesis)
+    p = tmp_path / "close.yaml"
+    p.write_text("control: {setpoint: [[0.0, 1.0], [0.0004, 2.0]]}\n")
+    with pytest.raises(ValidationError, match="control.setpoint"):
+        parse_scenario(p)
+    assert main(["simulate", "-s", str(p), "-o", str(tmp_path)]) \
+        == cli.EXIT_VALIDATION
+    assert "control.setpoint" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [["simulate"],
+                                   ["verify", "--trace", "never-read.csv"]])
+def test_multichannel_agents_rejected_before_synthesis(tmp_path, monkeypatch,
+                                                       capsys, extra):
+    monkeypatch.setattr(cli, "synth_observer", _no_synthesis)
+    agent = ("{A: [[-1.0, 0.0], [0.0, -2.0]], B: [[1.0], [1.0]], "
+             "C: [[1.0, 0.0], [0.0, 1.0]], D: [[1.0], [0.0]]}")
+    p = tmp_path / "two_outputs.yaml"
+    p.write_text("graph: {edges: [[2, 1, 1.0]], sources: [[1, 1.0]]}\n"
+                 f"plant: {{kind: explicit, agents: [{agent}, {agent}]}}\n")
+    argv = extra[:1] + ["-s", str(p)] + extra[1:]
+    if extra[0] == "simulate":
+        argv += ["-o", str(tmp_path / "out")]
+    assert main(argv) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "plant.agents[1]" in err and "n_y=2" in err
 
 
 @pytest.mark.parametrize("target", ["closed_loop_maps", "control_input"])

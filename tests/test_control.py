@@ -17,8 +17,6 @@ from coopftc.control import (ClosedLoopState, ControlLaw, build_closed_loop,
 from coopftc.errors import DimensionMismatchError
 from coopftc.graph import benchmark_topology
 from coopftc.linalg import is_hurwitz, kron, solve_linear
-from coopftc.sim import SignalSchedule, constant_disturbance, \
-    piecewise_setpoint, step_fault
 
 
 def test_star_neighbor_setpoint_is_source(star_graph):
@@ -110,12 +108,9 @@ def test_closed_loop_dimension(loops):
 
 
 def test_zero_equilibrium(loops):
-    sched = SignalSchedule(disturbance=constant_disturbance(0.0, 4),
-                           fault=step_fault(0.0, 0.0, 4),
-                           setpoint=piecewise_setpoint([0.0], [0.0]),
-                           setpoint_times=(0.0,), fault_times=())
     rest = ClosedLoopState(x=np.zeros(8), eta=np.zeros(12), q=np.zeros(4))
-    ds = closed_loop_rhs(1.0, rest, loops["star"], sched)
+    ds = closed_loop_rhs(1.0, rest, loops["star"],
+                         quiet_schedule(4, setpoint=0.0))
     npt.assert_allclose(ds.packed(), 0.0, atol=0)
 
 
@@ -134,8 +129,8 @@ def test_affine_maps_match_reference_rhs(loops):
     z = rng.normal(size=24)
     state = ClosedLoopState.unpack(z, 8, 12)
     ref = closed_loop_rhs(0.0, state, loop, sched).packed()
-    fast = maps.M @ z + maps.B_v @ sched.disturbance(0.0) \
-        + maps.B_f @ sched.fault(0.0) + maps.B_r @ sched.setpoint(0.0)
+    v, f_s, y0 = sched.sample(0.0)
+    fast = maps.M @ z + maps.B_v @ v + maps.B_f @ f_s + maps.B_r @ y0
     npt.assert_allclose(fast, ref, atol=1e-12)
 
 

@@ -12,16 +12,12 @@ from coopftc.errors import DimensionMismatchError, NotHurwitzError
 from coopftc.estimator import (build_observer, extract_estimates,
                                observer_derivative)
 from coopftc.linalg import is_hurwitz
-from coopftc.sim import (SignalSchedule, constant_disturbance,
-                         piecewise_setpoint, run_experiment, step_fault)
+from coopftc.sim import run_experiment, step_schedule
 from oracles import virtual_observer_oracle
 
 
 def disturbed_faultfree_schedule(m):
-    return SignalSchedule(disturbance=constant_disturbance(0.1, m),
-                          fault=step_fault(0.0, 0.0, m),
-                          setpoint=piecewise_setpoint([0.0], [1.0]),
-                          setpoint_times=(0.0,), fault_times=())
+    return step_schedule(m, 0.1, 0.0, 0.0, [(0.0, 1.0)])
 
 
 def test_realization_shapes(observer, benchmark_aug):

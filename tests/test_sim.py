@@ -4,12 +4,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import benchmark_schedule, quiet_schedule
 from coopftc.errors import (DimensionMismatchError, NonFiniteStateError,
                             SchemaError)
-from coopftc.sim import (constant_disturbance, integrate, piecewise_setpoint,
-                         run_experiment, sample_initial_state, step_fault,
+from coopftc.sim import (SignalSchedule, integrate, run_experiment,
+                         sample_initial_state, step_schedule,
                          trace_from_csv, trace_to_csv)
 
 
@@ -55,26 +57,91 @@ def test_integrate_aborts_on_finite_time_escape():
 # --- signal schedules -------------------------------------------------------
 
 def test_constant_disturbance_broadcast():
-    sig = constant_disturbance(0.1, 4)
-    npt.assert_allclose(sig(0.0), 0.1 * np.ones(4))
-    npt.assert_allclose(sig(17.3), 0.1 * np.ones(4))
+    sched = step_schedule(4, 0.1, 0.0, 0.0, [(0.0, 1.0)])
+    npt.assert_allclose(sched.sample(0.0)[0], 0.1 * np.ones(4))
+    npt.assert_allclose(sched.sample(17.3)[0], 0.1 * np.ones(4))
+    with pytest.raises(DimensionMismatchError):
+        step_schedule(4, [0.1, 0.2], 0.0, 0.0, [(0.0, 1.0)])
 
 
 def test_step_fault_right_continuous():
-    sig = step_fault(5.75, 10.0, 4)
-    npt.assert_allclose(sig(9.999), np.zeros(4))
-    npt.assert_allclose(sig(10.0), 5.75 * np.ones(4))
+    sched = step_schedule(4, 0.0, 5.75, 10.0, [(0.0, 1.0)])
+    npt.assert_allclose(sched.sample(9.999)[1], np.zeros(4))
+    npt.assert_allclose(sched.sample(10.0)[1], 5.75 * np.ones(4))
     with pytest.raises(ValueError):
-        step_fault(1.0, -1.0, 4)
+        step_schedule(4, 0.0, 1.0, -1.0, [(0.0, 1.0)])
 
 
 def test_piecewise_setpoint_breakpoints():
-    sig = piecewise_setpoint([0.0, 20.0], [1.0, 2.0])
-    npt.assert_allclose(sig(0.0), [1.0])
-    npt.assert_allclose(sig(19.999), [1.0])
-    npt.assert_allclose(sig(20.0), [2.0])
+    sched = step_schedule(1, 0.0, 0.0, 0.0, [(0.0, 1.0), (20.0, 2.0)])
+    npt.assert_allclose(sched.sample(0.0)[2], [1.0])
+    npt.assert_allclose(sched.sample(19.999)[2], [1.0])
+    npt.assert_allclose(sched.sample(20.0)[2], [2.0])
+    with pytest.raises(ValueError):  # must start at 0
+        step_schedule(1, 0.0, 0.0, 0.0, [(1.0, 1.0), (2.0, 2.0)])
     with pytest.raises(ValueError):
-        piecewise_setpoint([1.0, 2.0], [1.0, 2.0])  # must start at 0
+        SignalSchedule(times=[1.0, 2.0], v=np.zeros((2, 1)),
+                       f_s=np.zeros((2, 1)), y0=[[1.0], [2.0]])
+
+
+def test_schedule_merges_breakpoints():
+    sched = step_schedule(2, [0.1, 0.2], [5.0, 6.0], 10.0,
+                          [(0.0, 1.0), (20.0, 2.0)])
+    npt.assert_array_equal(sched.times, [0.0, 10.0, 20.0])
+    npt.assert_array_equal(sched.v, [[0.1, 0.2]] * 3)
+    npt.assert_array_equal(sched.f_s, [[0.0, 0.0], [5.0, 6.0], [5.0, 6.0]])
+    npt.assert_array_equal(sched.y0, [[1.0], [1.0], [2.0]])
+    # an onset on a setpoint step adds no row
+    assert step_schedule(2, 0.0, 1.0, 20.0,
+                         [(0.0, 1.0), (20.0, 2.0)]).times.size == 2
+
+
+def test_schedule_rejects_bad_tables():
+    with pytest.raises(ValueError):  # not increasing
+        SignalSchedule(times=[0.0, 2.0, 2.0], v=np.zeros((3, 1)),
+                       f_s=np.zeros((3, 1)), y0=np.zeros((3, 1)))
+    with pytest.raises(DimensionMismatchError):  # one row short
+        SignalSchedule(times=[0.0, 2.0], v=np.zeros((1, 1)),
+                       f_s=np.zeros((2, 1)), y0=np.zeros((2, 1)))
+    with pytest.raises(ValueError):  # setpoint steps out of order
+        step_schedule(1, 0.0, 0.0, 0.0, [(0.0, 1.0), (3.0, 2.0), (2.0, 0.5)])
+    sched = step_schedule(1, 0.0, 0.0, 0.0, [(0.0, 1.0)])
+    with pytest.raises(ValueError):  # the table is read-only
+        sched.v[0, 0] = 1.0
+
+
+@st.composite
+def _tables(draw):
+    n_rows = draw(st.integers(1, 6))
+    gaps = draw(st.lists(st.floats(1e-3, 10.0), min_size=n_rows - 1,
+                         max_size=n_rows - 1))
+    times = np.concatenate([[0.0], np.cumsum(gaps)])
+    widths = draw(st.tuples(*[st.integers(1, 3)] * 3))
+    values = st.floats(-1e3, 1e3, allow_nan=False)
+    cols = [np.array(draw(st.lists(values, min_size=n_rows * w,
+                                   max_size=n_rows * w))).reshape(n_rows, w)
+            for w in widths]
+    return SignalSchedule(times, *cols)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tables(), st.lists(st.floats(0.0, 60.0), max_size=20))
+def test_schedule_sample_vectorized_matches_scalar(sched, extra):
+    # every breakpoint, just before each one, and arbitrary times
+    t = np.concatenate([sched.times, np.nextafter(sched.times, -np.inf)[1:],
+                        extra])
+    batch = sched.sample(t)
+    for k, tk in enumerate(t):
+        for col, row in zip(batch, sched.sample(tk)):
+            npt.assert_array_equal(col[k], row)
+    # right-continuous: row k holds from times[k] on, row k-1 just before
+    for k, tk in enumerate(sched.times):
+        for col, row in zip((sched.v, sched.f_s, sched.y0), sched.sample(tk)):
+            npt.assert_array_equal(row, col[k])
+        if k:
+            before = sched.sample(np.nextafter(tk, -np.inf))
+            for col, row in zip((sched.v, sched.f_s, sched.y0), before):
+                npt.assert_array_equal(row, col[k - 1])
 
 
 # --- initial states ---------------------------------------------------------
