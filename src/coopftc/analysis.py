@@ -51,7 +51,7 @@ from .errors import (
     NotPositiveStableError,
 )
 from .graph import NetworkGraph, is_positive_stable
-from .linalg import is_hurwitz, kron, solve_linear, solve_lyapunov, sym_eigendecomp
+from .linalg import kron, solve_linear, solve_lyapunov, sym_eigendecomp
 from .plant import AugmentedModel, NetworkModel
 from .sim import SimTrace
 from .synth import ObserverSynthesis
@@ -65,7 +65,6 @@ __all__ = [
     "TimeVaryingReport",
     "L2GainReport",
     "iss_certificate",
-    "cooperative_state_error",
     "verify_iss_bound",
     "dissipation_check",
     "consensus_report",
@@ -163,8 +162,6 @@ def iss_certificate(g: NetworkGraph, net: NetworkModel,
             "graph matrix is not positive stable; the disagreement "
             "transform is singular (check source reachability)")
     Acl = net.A + net.B @ K
-    if not is_hurwitz(Acl):
-        raise NotHurwitzError("A + B K is not Hurwitz; no ISS certificate")
 
     Lk = kron(g.L, np.eye(net.n_x))
     # Phi = Lk @ Acl @ inv(Lk), formed by solving on the right.
@@ -173,7 +170,13 @@ def iss_certificate(g: NetworkGraph, net: NetworkModel,
     B_phi = Lk @ B_theta
 
     Q = np.eye(net.nbar_x)
-    P_e = solve_lyapunov(Phi, Q)
+    # Phi is similar to Acl, so this solve also decides whether Acl is
+    # Hurwitz.
+    try:
+        P_e = solve_lyapunov(Phi, Q)
+    except NotHurwitzError as exc:
+        raise NotHurwitzError(
+            f"A + B K is not Hurwitz; no ISS certificate ({exc})") from exc
     residual = float(np.abs(Phi.T @ P_e + P_e @ Phi + Q).max())
     if residual > LYAPUNOV_RESIDUAL_TOL:
         raise NotHurwitzError(
@@ -197,26 +200,6 @@ def iss_certificate(g: NetworkGraph, net: NetworkModel,
         kappa=kappa, alpha=float(alpha), beta=float(beta),
         c1=c1, c2=c2, c3=c3, lyapunov_residual=residual,
     )
-
-
-def cooperative_state_error(g: NetworkGraph, x: np.ndarray,
-                            x0: np.ndarray) -> np.ndarray:
-    """State-level cooperative error against a shared designated state.
-
-    Computes ``(L (x) I) x - (A_0 (x) I) (1 (x) x0)`` for a single
-    stacked state vector or row-wise for a ``(N, m*n_x)`` batch.  ``x0``
-    is one per-agent state, shared by all agents.
-    """
-    x = np.asarray(x, dtype=float)
-    x0 = np.asarray(x0, dtype=float).ravel()
-    n_x = x0.size
-    nbar = g.m * n_x
-    if x.shape[-1] != nbar:
-        raise DimensionMismatchError(
-            f"state has trailing dimension {x.shape[-1]}, expected {nbar}")
-    Lk = kron(g.L, np.eye(n_x))
-    offset = kron(g.A_0, np.eye(n_x)) @ np.tile(x0, g.m)
-    return x @ Lk.T - offset
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,12 @@ computed and cross-checked on every call, so a forgotten
 ``normalize_weights`` surfaces immediately instead of silently skewing
 the consensus point.
 
+:func:`in_neighbor_setpoint`, :func:`cooperative_error` and
+:func:`control_input` take one stacked vector or a 2-D array with one
+row per sample (the stacked dimension last), so the reference
+right-hand side and the reconstruction of a whole simulated trace call
+the same functions.
+
 :func:`closed_loop_rhs` wires plant, observer, and outer loop into one
 derivative over the canonical stacked state ``[x; eta; q]``, driven by
 the exogenous signals of a :class:`SignalSchedule` table;
@@ -158,30 +164,46 @@ class ClosedLoop:
         return self.net.nbar_x + self.aug.n_aug + self.net.nbar_y
 
 
-def _check_len(name, vec, n):
-    vec = np.asarray(vec, dtype=float)
-    if vec.shape != (n,):
+def _check_rows(name, rows, n):
+    """One stacked vector of size ``n``, or one such row per sample."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim not in (1, 2) or rows.shape[-1] != n:
         raise DimensionMismatchError(
-            f"{name} has shape {vec.shape}, expected ({n},)")
-    return vec
+            f"{name} has shape {rows.shape}, expected ({n},) or (N, {n})")
+    return rows
+
+
+def _output_rows(g: NetworkGraph, y_hat, y0):
+    """Check ``y_hat`` against ``m`` blocks of the width of ``y0``, one
+    per-agent row or one row per row of ``y_hat``; also return that
+    width."""
+    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
+    n_y = y0.shape[-1]
+    y_hat = _check_rows("y_hat", y_hat, g.m * n_y)
+    if y0.ndim > 1 and y0.shape[:-1] != y_hat.shape[:-1]:
+        raise DimensionMismatchError(
+            f"y0 has shape {y0.shape}, expected ({n_y},) or one row per "
+            f"row of y_hat {y_hat.shape}")
+    return y_hat, y0, n_y
 
 
 def in_neighbor_setpoint(g: NetworkGraph, y_hat: np.ndarray,
                          y0: np.ndarray) -> np.ndarray:
     """Weighted reference each unit compares itself against:
     ``z = (A_m kron I) y_hat + (A_0 kron I) (1 kron y0)``."""
-    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-    n_y = y0.size
-    y_hat = _check_len("y_hat", y_hat, g.m * n_y)
+    y_hat, y0, n_y = _output_rows(g, y_hat, y0)
     Am = np.kron(g.A_m, np.eye(n_y))
     A0 = np.kron(g.A_0, np.eye(n_y))
-    return Am @ y_hat + A0 @ np.tile(y0, g.m)
+    return y_hat @ Am.T + np.tile(y0, g.m) @ A0.T
 
 
 def cooperative_error(g: NetworkGraph, y_hat: np.ndarray,
                       y0: np.ndarray) -> np.ndarray:
     """Cooperative tracking error ``e = (L kron I) y_hat - (A_0 kron I)
     (1 kron y0)``.
+
+    The block size is the width of ``y0``, so a per-agent state in
+    place of ``y0`` gives the state-level error of stacked states.
 
     The equal route ``y_hat - z`` (with ``z`` the in-neighbor setpoint)
     is evaluated as well and both must agree to ``1e-12`` -- an
@@ -193,12 +215,10 @@ def cooperative_error(g: NetworkGraph, y_hat: np.ndarray,
         When the two routes disagree, i.e. the graph was not
         normalized.
     """
-    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-    n_y = y0.size
-    y_hat = _check_len("y_hat", y_hat, g.m * n_y)
+    y_hat, y0, n_y = _output_rows(g, y_hat, y0)
     Lk = np.kron(g.L, np.eye(n_y))
     A0 = np.kron(g.A_0, np.eye(n_y))
-    e = Lk @ y_hat - A0 @ np.tile(y0, g.m)
+    e = y_hat @ Lk.T - np.tile(y0, g.m) @ A0.T
     e_alt = y_hat - in_neighbor_setpoint(g, y_hat, y0)
     scale = max(1.0, float(np.abs(y_hat).max(initial=0.0)),
                 float(np.abs(y0).max(initial=0.0)))
@@ -210,28 +230,29 @@ def cooperative_error(g: NetworkGraph, y_hat: np.ndarray,
     return e
 
 
-def control_input(law: ControlLaw, E1: np.ndarray, x_o: np.ndarray,
-                  e_bar: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Full control ``u = K E1 x_o - (ell_p . e + ell_i . q)``.
+def control_input(law: ControlLaw, x_hat: np.ndarray, e_bar: np.ndarray,
+                  q: np.ndarray) -> np.ndarray:
+    """Full control ``u = K x_hat - (ell_p . e + ell_i . q)``, with
+    ``x_hat = E1 x_o`` the plant-state part of the observer estimate.
 
     The outer terms act per agent; this requires one input channel per
     output channel, which is checked against the shapes.
     """
-    x_o = np.asarray(x_o, dtype=float)
-    xhat = E1 @ x_o
     m = law.graph.m
-    if law.K.shape[1] != xhat.size:
-        raise DimensionMismatchError(
-            f"K expects state of size {law.K.shape[1]}, got {xhat.size}")
     n_u, rem = divmod(law.K.shape[0], m)
     if rem:
         raise DimensionMismatchError(
             f"K has {law.K.shape[0]} rows, not divisible by m={m}")
-    e_bar = _check_len("e_bar", e_bar, m * n_u)
-    q = _check_len("q", q, m * n_u)
-    outer = (np.repeat(law.ell_p, n_u) * e_bar
-             + np.repeat(law.ell_i, n_u) * q)
-    return law.K @ xhat - outer
+    x_hat = _check_rows("x_hat", x_hat, law.K.shape[1])
+    e_bar = _check_rows("e_bar", e_bar, m * n_u)
+    q = _check_rows("q", q, m * n_u)
+    if not x_hat.shape[:-1] == e_bar.shape[:-1] == q.shape[:-1]:
+        raise DimensionMismatchError(
+            f"x_hat, e_bar and q have shapes {x_hat.shape}, {e_bar.shape} "
+            f"and {q.shape}, not the same number of rows")
+    return (x_hat @ law.K.T
+            - np.repeat(law.ell_p, n_u) * e_bar
+            - np.repeat(law.ell_i, n_u) * q)
 
 
 def build_closed_loop(net: NetworkModel, aug: AugmentedModel,
@@ -263,18 +284,16 @@ def closed_loop_rhs(t: float, state: ClosedLoopState, loop: ClosedLoop,
     The wiring order mirrors the information flow: measure, estimate,
     share, compare, actuate.
     """
-    net, aug, obs, law = loop.net, loop.aug, loop.obs, loop.law
+    net, obs, law = loop.net, loop.obs, loop.law
     v, f_s, y0 = signals.sample(t)
-    v = _check_len("disturbance", v, net.nbar_v)
-    f_s = _check_len("fault", f_s, net.nbar_y)
-    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
+    v = _check_rows("disturbance", v, net.nbar_v)
+    f_s = _check_rows("fault", f_s, net.nbar_y)
 
     y_f = net.C @ state.x + net.F @ f_s
     est = extract_estimates(obs, state.eta, y_f)
     y_hat = net.C @ est.x_hat
     e_bar = cooperative_error(law.graph, y_hat, y0)
-    x_o = state.eta + obs.F2 @ y_f
-    u = control_input(law, aug.E1, x_o, e_bar, state.q)
+    u = control_input(law, est.x_hat, e_bar, state.q)
 
     dx = net.A @ state.x + net.B @ u + net.D @ v
     deta = observer_derivative(obs, state.eta, y_f, u)

@@ -109,14 +109,20 @@ def observer_derivative(obs: ObserverRealization, eta: np.ndarray,
 def extract_estimates(obs: ObserverRealization, eta: np.ndarray,
                       y_f: np.ndarray) -> EstimateSplit:
     """Recover ``x_o = eta + F2 y_f`` and split it along the canonical
-    layout (plant states first, sensor-fault components after)."""
+    layout (plant states first, sensor-fault components after).
+
+    ``eta`` and ``y_f`` are one vector each or one row per sample.
+    """
     eta = np.asarray(eta, dtype=float)
     y_f = np.asarray(y_f, dtype=float)
-    if eta.shape != (obs.n_aug,):
+    for name, rows, n in (("eta", eta, obs.n_aug), ("y_f", y_f, obs.nbar_y)):
+        if rows.ndim not in (1, 2) or rows.shape[-1] != n:
+            raise DimensionMismatchError(
+                f"{name} has shape {rows.shape}, expected ({n},) or (N, {n})")
+    if eta.shape[:-1] != y_f.shape[:-1]:
         raise DimensionMismatchError(
-            f"eta has shape {eta.shape}, expected ({obs.n_aug},)")
-    if y_f.shape != (obs.nbar_y,):
-        raise DimensionMismatchError(
-            f"y_f has shape {y_f.shape}, expected ({obs.nbar_y},)")
-    x_o = eta + obs.F2 @ y_f
-    return EstimateSplit(x_hat=x_o[:obs.nbar_x], f_hat=x_o[obs.nbar_x:])
+            f"eta and y_f have shapes {eta.shape} and {y_f.shape}, not the "
+            "same number of rows")
+    x_o = eta + y_f @ obs.F2.T
+    return EstimateSplit(x_hat=x_o[..., :obs.nbar_x],
+                         f_hat=x_o[..., obs.nbar_x:])

@@ -15,9 +15,10 @@ For speed, :func:`run_experiment` integrates the affine realization
 from :func:`~coopftc.control.closed_loop_maps` (one small matrix-vector
 product per stage) and spot-checks it against the readable
 :func:`~coopftc.control.closed_loop_rhs` wiring at a random state, so
-the fast path cannot silently diverge from the reference path.  All
-remaining trace columns (estimates, control, cooperative error) are
-reconstructed vectorized after integration.
+the fast path cannot silently diverge from the reference path.  The
+remaining trace columns (estimates, cooperative error, control) come
+from the functions ``closed_loop_rhs`` itself calls, applied once to
+the whole trace with one row per sample.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .control import (ClosedLoop, ClosedLoopState, SignalSchedule,
                       cooperative_error)
 from .errors import (DimensionMismatchError, IdentityCheckFailedError,
                      NonFiniteStateError, SchemaError)
+from .estimator import extract_estimates
 from .plant import AugmentedModel, NetworkModel, aug_indices
 
 __all__ = [
@@ -193,9 +195,10 @@ def run_experiment(loop: ClosedLoop, schedule: SignalSchedule,
     """Integrate a closed loop and log the full trace.
 
     The affine fast path is verified against the reference wiring at
-    one random state before integration starts, and the vectorized
-    control reconstruction against :func:`control_input` at one step;
-    a disagreement raises :class:`IdentityCheckFailedError`.
+    one random state before integration starts; a disagreement raises
+    :class:`IdentityCheckFailedError`.  The estimates, the cooperative
+    error and the control of every sample are computed by the same
+    law functions as the reference wiring, on the whole trace at once.
     """
     net, aug, obs, law = loop.net, loop.aug, loop.obs, loop.law
     rhs = _affine_rhs(loop, schedule)
@@ -211,7 +214,6 @@ def run_experiment(loop: ClosedLoop, schedule: SignalSchedule,
             "affine fast path disagrees with reference right-hand side")
 
     times, Z = integrate(rhs, s0.packed(), h, T)
-    n = times.size
     nbx, na = net.nbar_x, aug.n_aug
     x = Z[:, :nbx]
     eta = Z[:, nbx:nbx + na]
@@ -220,27 +222,13 @@ def run_experiment(loop: ClosedLoop, schedule: SignalSchedule,
     v, f_s, y0 = schedule.sample(times)
 
     y_f = x @ net.C.T + f_s @ net.F.T
-    x_o = eta + y_f @ aug.F2.T
-    x_hat = x_o[:, :nbx]
-    f_hat = x_o[:, nbx:]
-    y_hat = x_hat @ net.C.T
-    Lk = np.kron(law.graph.L, np.eye(net.n_y))
-    A0k = np.kron(law.graph.A_0, np.eye(net.n_y))
-    e_bar = y_hat @ Lk.T - np.tile(y0, (1, net.m)) @ A0k.T
-    u = (x_hat @ law.K.T
-         - np.repeat(law.ell_p, net.n_u) * e_bar
-         - np.repeat(law.ell_i, net.n_u) * q)
+    est = extract_estimates(obs, eta, y_f)
+    e_bar = cooperative_error(law.graph, est.x_hat @ net.C.T, y0)
+    u = control_input(law, est.x_hat, e_bar, q)
 
-    # one defensive cross-check of the vectorized reconstruction
-    mid = n // 2
-    u_ref = control_input(law, aug.E1, x_o[mid], cooperative_error(
-        law.graph, y_hat[mid], y0[mid]), q[mid])
-    if np.abs(u_ref - u[mid]).max() > 1e-9 * max(1.0, np.abs(u_ref).max()):
-        raise IdentityCheckFailedError("vectorized control reconstruction "
-                                       "disagrees with control_input")
-
-    return SimTrace(t=times, x=x, eta=eta, q=q, x_hat=x_hat, f_hat=f_hat,
-                    u=u, y_f=y_f, e_bar=e_bar, v=v, f_s=f_s, y0=y0)
+    return SimTrace(t=times, x=x, eta=eta, q=q, x_hat=est.x_hat,
+                    f_hat=est.f_hat, u=u, y_f=y_f, e_bar=e_bar, v=v,
+                    f_s=f_s, y0=y0)
 
 
 # --- CSV export/import ------------------------------------------------------

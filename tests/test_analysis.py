@@ -12,12 +12,12 @@ import numpy.testing as npt
 import pytest
 
 from conftest import benchmark_schedule, quiet_schedule
-from coopftc.analysis import (consensus_report, cooperative_state_error,
-                              dissipation_check, empirical_l2_ratio,
-                              iss_certificate,
+from coopftc.analysis import (consensus_report, dissipation_check,
+                              empirical_l2_ratio, iss_certificate,
                               timevarying_reference_boundedness,
                               verify_iss_bound)
-from coopftc.control import ClosedLoopState, ControlLaw, build_closed_loop
+from coopftc.control import (ClosedLoopState, ControlLaw, build_closed_loop,
+                             cooperative_error)
 from coopftc.errors import (IdentityCheckFailedError, NotHurwitzError,
                             NotPositiveStableError)
 from coopftc.estimator import build_observer
@@ -86,45 +86,6 @@ def test_certificate_rejects_unstable_closed_loop():
         iss_certificate(_unit_graph(), net, np.zeros((1, 1)))
 
 
-# --- cooperative_state_error ------------------------------------------------
-
-def test_state_error_zero_at_state_consensus(star_graph):
-    x0 = np.array([0.3, -0.7])
-    err = cooperative_state_error(star_graph, np.tile(x0, 4), x0)
-    npt.assert_allclose(err, 0.0, atol=1e-12)
-
-
-def test_state_error_star_per_agent_offsets(star_graph):
-    rng = np.random.default_rng(9)
-    x = rng.normal(size=8)
-    x0 = rng.normal(size=2)
-    err = cooperative_state_error(star_graph, x, x0)
-    npt.assert_allclose(err, x - np.tile(x0, 4), atol=1e-12)
-
-
-def test_state_error_linear_in_state(graphs):
-    g = graphs["cyclic"]
-    rng = np.random.default_rng(10)
-    xa, xb = rng.normal(size=(2, 8))
-    x0 = np.zeros(2)
-    lhs = cooperative_state_error(g, xa + xb, x0)
-    rhs = cooperative_state_error(g, xa, x0) \
-        + cooperative_state_error(g, xb, x0)
-    npt.assert_allclose(lhs, rhs, atol=1e-12)
-
-
-def test_state_error_batch_rows_match_vectors(graphs):
-    g = graphs["path"]
-    rng = np.random.default_rng(11)
-    X = rng.normal(size=(5, 8))
-    x0 = rng.normal(size=2)
-    batch = cooperative_state_error(g, X, x0)
-    for k in range(5):
-        npt.assert_allclose(batch[k],
-                            cooperative_state_error(g, X[k], x0),
-                            atol=1e-12)
-
-
 # --- verify_iss_bound -------------------------------------------------------
 
 def test_iss_bound_zero_run(loops, star_cert, benchmark_net):
@@ -176,7 +137,7 @@ def test_equilibrium_error_reached_by_inner_loop(benchmark_net,
     tr = run_experiment(loop, quiet_schedule(4), s0, h=1e-3, T=15.0)
     x0 = np.array([1.0, 0.0])  # designated state lifting the setpoint
     e_star = -kron(star_graph.A_0, np.eye(2)) @ np.tile(x0, 4)
-    final = cooperative_state_error(star_graph, tr.x[-1], x0)
+    final = cooperative_error(star_graph, tr.x[-1], x0)
     assert np.linalg.norm(final - e_star) <= 1e-6
 
 

@@ -12,9 +12,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from coopftc import cli, sim
-from coopftc.cli import (Scenario, build_interaction, build_plant,
-                         load_matrix, main, parse_scenario, save_matrix)
+from coopftc import cli, linalg, sim
+from coopftc.cli import (build_interaction, build_plant, load_matrix, main,
+                         parse_scenario, save_matrix)
 from coopftc.errors import ParseError, ValidationError
 from coopftc.estimator import build_observer
 
@@ -133,6 +133,20 @@ def test_synth_writes_gains_and_certificate(gains_dir):
     assert "synth.controller.closed_loop_hurwitz=true" in cert
 
 
+def test_synth_decides_each_stability_fact_once(tmp_path, monkeypatch):
+    """One Lyapunov solve for the observer, one for the feedback loop;
+    the certificate reuses what synthesis decided."""
+    original = linalg.solve_lyapunov
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(linalg, "solve_lyapunov", counted)
+    assert main(["synth", "-o", str(tmp_path)]) == 0
+    assert len(calls) == 2
+
+
 def test_synth_infeasible_delta_exit_code(tmp_path, capsys):
     p = tmp_path / "tiny.yaml"
     p.write_text("synthesis:\n  delta: 1.0e-9\n")
@@ -247,18 +261,46 @@ def test_multichannel_agents_rejected_before_synthesis(tmp_path, monkeypatch,
     assert "plant.agents[1]" in err and "n_y=2" in err
 
 
-@pytest.mark.parametrize("target", ["closed_loop_maps", "control_input"])
+@pytest.mark.parametrize("text, field", [
+    ("sim: {T: .inf}\n", "sim.T"),
+    ("sim: {init_bounds: [-.inf, 1.0]}\n", "sim.init_bounds"),
+    ("synthesis: {delta: .inf}\n", "synthesis.delta"),
+    ("sim: {disturbance: .nan}\n", "sim.disturbance"),
+    ("graph: {edges: [[2, 1, .nan]], sources: [[1, 1.0]]}\n", "graph.edges"),
+], ids=["T", "init_bounds", "delta", "disturbance", "edge_weight"])
+def test_nonfinite_numbers_rejected(tmp_path, monkeypatch, capsys, text,
+                                    field):
+    monkeypatch.setattr(cli, "synth_observer", _no_synthesis)
+    p = tmp_path / "nonfinite.yaml"
+    p.write_text(text)
+    assert main(["simulate", "-s", str(p), "-o", str(tmp_path / "out")]) \
+        == cli.EXIT_VALIDATION
+    assert field in capsys.readouterr().err
+
+
+def test_explicit_agent_count_must_match_plant_m(tmp_path, monkeypatch,
+                                                 capsys):
+    monkeypatch.setattr(cli, "synth_observer", _no_synthesis)
+    agent = "{A: [[-1.0]], B: [[1.0]], C: [[1.0]], D: [[1.0]]}"
+    p = tmp_path / "explicit.yaml"
+    text = f"plant: {{kind: explicit, m: M, agents: [{agent}, {agent}]}}\n"
+    p.write_text(text.replace("M", "2"))
+    assert parse_scenario(p).m == 2
+    p.write_text(text.replace("M", "3"))
+    assert main(["synth", "-s", str(p), "-o", str(tmp_path)]) \
+        == cli.EXIT_VALIDATION
+    assert "plant.m" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["closed_loop_maps"])
 def test_fast_path_mismatch_is_identity_failure(tmp_path, short_scenario,
                                                 gains_dir, monkeypatch,
                                                 capsys, target):
     original = getattr(sim, target)
-    if target == "closed_loop_maps":
-        def perturbed(loop):
-            maps = original(loop)
-            return dataclasses.replace(maps, M=maps.M + 1e-3)
-    else:
-        def perturbed(*args):
-            return original(*args) + 1e-3
+
+    def perturbed(loop):
+        maps = original(loop)
+        return dataclasses.replace(maps, M=maps.M + 1e-3)
     monkeypatch.setattr(sim, target, perturbed)
     code = main(["simulate", "-s", str(short_scenario), "-o", str(tmp_path),
                  "--gains", str(gains_dir)])

@@ -10,12 +10,11 @@ import numpy.testing as npt
 import pytest
 
 from conftest import quiet_schedule, random_reachable_graph
-from coopftc.control import (ClosedLoopState, ControlLaw, build_closed_loop,
-                             closed_loop_maps, closed_loop_rhs,
-                             control_input, cooperative_error,
-                             in_neighbor_setpoint)
+from coopftc.control import (ClosedLoopState, closed_loop_maps,
+                             closed_loop_rhs, control_input,
+                             cooperative_error, in_neighbor_setpoint)
 from coopftc.errors import DimensionMismatchError
-from coopftc.graph import benchmark_topology
+from coopftc.estimator import extract_estimates
 from coopftc.linalg import is_hurwitz, kron, solve_linear
 
 
@@ -66,41 +65,102 @@ def test_cooperative_error_identity_paths():
 
 
 def test_cooperative_error_dimension_check(star_graph):
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(DimensionMismatchError, match="y_hat"):
         cooperative_error(star_graph, np.zeros(3), np.zeros(1))
+    with pytest.raises(DimensionMismatchError, match="y_hat"):
+        cooperative_error(star_graph, np.zeros((2, 2, 4)), np.zeros(1))
+    with pytest.raises(DimensionMismatchError, match="y0"):
+        cooperative_error(star_graph, np.zeros((5, 4)), np.zeros((3, 1)))
 
 
-def test_control_input_zero(loops, benchmark_aug):
+# --- the state-level error: the per-agent block is the width of x0 ----------
+
+def test_cooperative_error_zero_at_state_consensus(star_graph):
+    x0 = np.array([0.3, -0.7])
+    err = cooperative_error(star_graph, np.tile(x0, 4), x0)
+    npt.assert_allclose(err, 0.0, atol=1e-12)
+
+
+def test_cooperative_error_star_per_agent_offsets(star_graph):
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=8)
+    x0 = rng.normal(size=2)
+    err = cooperative_error(star_graph, x, x0)
+    npt.assert_allclose(err, x - np.tile(x0, 4), atol=1e-12)
+
+
+def test_cooperative_error_linear_in_state(graphs):
+    g = graphs["cyclic"]
+    rng = np.random.default_rng(10)
+    xa, xb = rng.normal(size=(2, 8))
+    x0 = np.zeros(2)
+    lhs = cooperative_error(g, xa + xb, x0)
+    rhs = cooperative_error(g, xa, x0) + cooperative_error(g, xb, x0)
+    npt.assert_allclose(lhs, rhs, atol=1e-12)
+
+
+def test_batch_rows_match_vectors(graphs, loops, observer):
+    """One row per sample gives, row by row, what one vector gives: the
+    form the trace reconstruction relies on."""
+    g = graphs["path"]
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(5, 8))
+    x0 = rng.normal(size=2)
+    batch = cooperative_error(g, X, x0)
+    X0 = rng.normal(size=(5, 2))
+    per_sample = cooperative_error(g, X, X0)
+    for k in range(5):
+        npt.assert_allclose(batch[k], cooperative_error(g, X[k], x0),
+                            atol=1e-12)
+        npt.assert_allclose(per_sample[k], cooperative_error(g, X[k], X0[k]),
+                            atol=1e-12)
+
     law = loops["star"].law
-    u = control_input(law, benchmark_aug.E1, np.zeros(12), np.zeros(4),
-                      np.zeros(4))
+    E, Q = rng.normal(size=(2, 5, 4))
+    U = control_input(law, X, E, Q)
+    eta = rng.normal(size=(5, 12))
+    y_f = rng.normal(size=(5, 4))
+    est = extract_estimates(observer, eta, y_f)
+    for k in range(5):
+        npt.assert_allclose(U[k], control_input(law, X[k], E[k], Q[k]),
+                            atol=1e-12)
+        split = extract_estimates(observer, eta[k], y_f[k])
+        npt.assert_allclose(est.x_hat[k], split.x_hat, atol=1e-12)
+        npt.assert_allclose(est.f_hat[k], split.f_hat, atol=1e-12)
+
+
+def test_control_input_zero(loops):
+    law = loops["star"].law
+    u = control_input(law, np.zeros(8), np.zeros(4), np.zeros(4))
     npt.assert_allclose(u, 0.0)
 
 
-def test_control_input_outer_gain_mapping(loops, benchmark_aug):
+def test_control_input_outer_gain_mapping(loops):
     """Proportional 0.1 acts on e, integral 90 on the accumulated q."""
     law = loops["star"].law
     e1 = np.array([1.0, 0.0, 0.0, 0.0])
-    u_p = control_input(law, benchmark_aug.E1, np.zeros(12), e1, np.zeros(4))
+    u_p = control_input(law, np.zeros(8), e1, np.zeros(4))
     npt.assert_allclose(u_p, [-0.1, 0.0, 0.0, 0.0], atol=1e-15)
-    u_i = control_input(law, benchmark_aug.E1, np.zeros(12), np.zeros(4), e1)
+    u_i = control_input(law, np.zeros(8), np.zeros(4), e1)
     npt.assert_allclose(u_i, [-90.0, 0.0, 0.0, 0.0], atol=1e-15)
 
 
 def test_control_input_inner_gain_and_superposition(loops, benchmark_aug):
     law = loops["star"].law
     rng = np.random.default_rng(45)
-    x_o = rng.normal(size=12)
+    x_hat = benchmark_aug.E1 @ rng.normal(size=12)
     e = rng.normal(size=4)
     q = rng.normal(size=4)
-    u = control_input(law, benchmark_aug.E1, x_o, e, q)
-    ref = law.K @ (benchmark_aug.E1 @ x_o) - (law.ell_p * e
-                                              + law.ell_i * q)
+    u = control_input(law, x_hat, e, q)
+    ref = law.K @ x_hat - (law.ell_p * e + law.ell_i * q)
     npt.assert_allclose(u, ref, atol=1e-12)
-    u_split = control_input(law, benchmark_aug.E1, x_o, np.zeros(4),
-                            np.zeros(4)) \
-        + control_input(law, benchmark_aug.E1, np.zeros(12), e, q)
+    u_split = control_input(law, x_hat, np.zeros(4), np.zeros(4)) \
+        + control_input(law, np.zeros(8), e, q)
     npt.assert_allclose(u, u_split, atol=1e-12)
+    with pytest.raises(DimensionMismatchError, match="x_hat"):
+        control_input(law, np.zeros(12), e, q)
+    with pytest.raises(DimensionMismatchError, match="x_hat, e_bar and q"):
+        control_input(law, np.zeros((3, 8)), e, q)
 
 
 def test_closed_loop_dimension(loops):

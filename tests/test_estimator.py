@@ -7,7 +7,6 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import quiet_schedule
 from coopftc.errors import DimensionMismatchError, NotHurwitzError
 from coopftc.estimator import (build_observer, extract_estimates,
                                observer_derivative)
@@ -87,6 +86,10 @@ def test_extract_round_trip(observer, benchmark_aug):
     split = extract_estimates(observer, eta, y_f)
     x_o = eta + benchmark_aug.F2 @ y_f
     npt.assert_allclose(np.concatenate([split.x_hat, split.f_hat]), x_o)
+    with pytest.raises(DimensionMismatchError, match="eta"):
+        extract_estimates(observer, np.zeros(11), y_f)
+    with pytest.raises(DimensionMismatchError, match="eta and y_f"):
+        extract_estimates(observer, np.zeros((3, 12)), np.zeros((2, 4)))
 
 
 def test_fault_estimate_converges_to_injected_magnitude(benchmark_trace):

@@ -6,14 +6,13 @@ do not trust the solver's own bookkeeping.
 """
 
 import numpy as np
-import numpy.testing as npt
 import pytest
 
 from coopftc import synth
 from coopftc.errors import (AlphaNonPositiveError, DeltaNonPositiveError,
                             InfeasibleError)
 from coopftc.linalg import is_hurwitz, is_negative_definite, sym_eigendecomp
-from coopftc.plant import AgentModel, augment_network, stack_network
+from coopftc.plant import AgentModel, stack_network
 from coopftc.synth import (LmiProblem, VariableSpec, gamma_bound, solve_lmi,
                            synth_controller, synth_observer)
 
