@@ -207,6 +207,11 @@ def _is_number(value) -> bool:
         return False
 
 
+def _is_index(value) -> bool:
+    """An integral number: an int, or a float with no fractional part."""
+    return _is_number(value) and float(value).is_integer()
+
+
 def _number(section: str, key: str, value, default,
             positive: bool = False, nonnegative: bool = False) -> float:
     if value is None:
@@ -388,9 +393,11 @@ def _edge_list(value) -> tuple:
     edges = []
     for item in value:
         if (not isinstance(item, list) or len(item) != 3
-                or not all(map(_is_number, item))):
+                or not all(map(_is_index, item[:2]))
+                or not _is_number(item[2])):
             raise ValidationError(
-                f"graph.edges entries must be [i, j, weight], got {item!r}")
+                "graph.edges entries must be [i, j, weight] with integral "
+                f"i, j, got {item!r}")
         edges.append((int(item[0]), int(item[1]), float(item[2])))
     return tuple(edges)
 
@@ -404,9 +411,10 @@ def _source_list(value) -> tuple:
     sources = []
     for item in value:
         if (not isinstance(item, list) or len(item) != 2
-                or not all(map(_is_number, item))):
+                or not _is_index(item[0]) or not _is_number(item[1])):
             raise ValidationError(
-                f"graph.sources entries must be [i, weight], got {item!r}")
+                "graph.sources entries must be [i, weight] with integral i, "
+                f"got {item!r}")
         sources.append((int(item[0]), float(item[1])))
     return tuple(sources)
 

@@ -71,3 +71,20 @@ def virtual_observer_oracle(aug, net, synth, times, x_a, x_a_dot, u,
 
     h = times[1] - times[0]
     return integrate(rhs, x_o0, h, times[-1] - times[0])[1]
+
+
+def kronecker_lyapunov(Phi, Q):
+    """Solve ``Phi.T @ P + P @ Phi = -Q`` as one n^2 x n^2 linear system.
+
+    With column-major ``vec``, ``vec(Phi.T P) = (I (x) Phi.T) vec(P)`` and
+    ``vec(P Phi) = (Phi.T (x) I) vec(P)``, so ``vec(P)`` solves the
+    Kronecker-sum system ``(I (x) Phi.T + Phi.T (x) I) vec(P) = -vec(Q)``.
+    O(n^6) time and O(n^4) memory: the reference for
+    :func:`coopftc.linalg.solve_lyapunov`, not a path for large n.
+    """
+    Phi = np.asarray(Phi, dtype=float)
+    Q = np.asarray(Q, dtype=float)
+    eye = np.eye(Phi.shape[0])
+    K = np.kron(eye, Phi.T) + np.kron(Phi.T, eye)
+    vec_p = np.linalg.solve(K, -Q.reshape(-1, order="F"))
+    return vec_p.reshape(Phi.shape, order="F")

@@ -278,6 +278,29 @@ def test_nonfinite_numbers_rejected(tmp_path, monkeypatch, capsys, text,
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("graph, field", [
+    ("{edges: [[2.7, 1, 1.0], [3, 2, 1.0], [4, 3, 1.0]], "
+     "sources: [[1, 1.0]]}", "graph.edges"),
+    ("{edges: [[2, 1.5, 1.0], [3, 2, 1.0], [4, 3, 1.0]], "
+     "sources: [[1, 1.0]]}", "graph.edges"),
+    ("{edges: [[2, 1, 1.0], [3, 2, 1.0], [4, 3, 1.0]], "
+     "sources: [[1.9, 1.0]]}", "graph.sources"),
+], ids=["edge_head", "edge_tail", "source"])
+def test_fractional_graph_indices_rejected(tmp_path, monkeypatch, capsys,
+                                           graph, field):
+    monkeypatch.setattr(cli, "synth_observer", _no_synthesis)
+    p = tmp_path / "fractional.yaml"
+    p.write_text(f"graph: {graph}\n")
+    assert main(["synth", "-s", str(p), "-o", str(tmp_path)]) \
+        == cli.EXIT_VALIDATION
+    assert field in capsys.readouterr().err
+    # an integral float is still an index
+    p.write_text(f"graph: {graph}\n".replace("2.7", "2.0")
+                 .replace("1.5", "1.0").replace("1.9", "1.0"))
+    sc = parse_scenario(p)
+    assert sc.graph_edges[0][:2] == (2, 1) and sc.graph_sources == ((1, 1.0),)
+
+
 def test_explicit_agent_count_must_match_plant_m(tmp_path, monkeypatch,
                                                  capsys):
     monkeypatch.setattr(cli, "synth_observer", _no_synthesis)

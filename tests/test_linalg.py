@@ -1,15 +1,19 @@
-"""Dense-kernel tests: exact small cases plus residual oracles."""
+"""Dense-kernel tests: exact small cases, residual and Kronecker oracles."""
+
+import warnings
 
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from coopftc import linalg
 from coopftc.errors import NotHurwitzError, NotSymmetricError, \
     SingularMatrixError
 from coopftc.linalg import (is_hurwitz, is_negative_definite, kron,
                             solve_linear, solve_lyapunov, sym_eigendecomp)
+from oracles import kronecker_lyapunov
 
 
 # --- solve_linear -----------------------------------------------------------
@@ -141,6 +145,51 @@ def test_lyapunov_residual_random_hurwitz():
 def test_lyapunov_rejects_unstable():
     with pytest.raises(NotHurwitzError):
         solve_lyapunov(np.array([[1.0]]), np.array([[1.0]]))
+
+
+@pytest.mark.parametrize("Phi", [np.zeros((1, 1)), np.zeros((2, 2)),
+                                 np.diag([-1.0, 1.0])],
+                         ids=["zero-1x1", "zero-2x2", "diag(-1,1)"])
+def test_lyapunov_rejects_singular_operator(Phi):
+    # an eigenvalue pair summing to zero: LAPACK perturbs the problem and
+    # warns; the kernel must raise its own error and let no warning out
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotHurwitzError):
+            solve_lyapunov(Phi, np.eye(Phi.shape[0]))
+
+
+def _random_hurwitz(rng, n, margin):
+    """Gaussian matrix shifted so its spectral abscissa is ``-margin``."""
+    A = rng.normal(size=(n, n))
+    return A - (np.linalg.eigvals(A).real.max() + margin) * np.eye(n)
+
+
+# One fixed n = 48 case besides the random n <= 8 ones.  The oracle's
+# dense system is 2304^2 there; do not run it above n = 48 (at n >= 96
+# it needs gigabytes).
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 8), st.floats(0.1, 2.0))
+@example(seed=48, n=48, margin=0.5)
+def test_lyapunov_matches_kronecker_oracle(seed, n, margin):
+    rng = np.random.default_rng(seed)
+    Phi, Q = _random_hurwitz(rng, n, margin), rng.normal(size=(n, n))
+    Q = Q @ Q.T + np.eye(n)
+    ref = kronecker_lyapunov(Phi, Q)
+    P = solve_lyapunov(Phi, Q)
+    assert np.linalg.norm(P - ref) <= 1e-9 * np.linalg.norm(ref)
+
+
+def test_lyapunov_assembles_no_kronecker_system(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("n^2 x n^2 Kronecker assembly in the kernel")
+
+    monkeypatch.setattr(linalg.np, "kron", forbidden)
+    monkeypatch.setattr(linalg, "solve_linear", forbidden)
+    Phi = _random_hurwitz(np.random.default_rng(5), 12, 0.5)
+    P = solve_lyapunov(Phi, np.eye(12))
+    assert np.linalg.norm(Phi.T @ P + P @ Phi + np.eye(12)) <= 1e-8
+    assert is_hurwitz(Phi)
 
 
 # --- is_hurwitz -------------------------------------------------------------
