@@ -62,13 +62,11 @@ __all__ = [
     "IssWindow",
     "DissipationReport",
     "ConsensusReport",
-    "TimeVaryingReport",
     "L2GainReport",
     "iss_certificate",
     "verify_iss_bound",
     "dissipation_check",
     "consensus_report",
-    "timevarying_reference_boundedness",
     "empirical_l2_ratio",
 ]
 
@@ -515,79 +513,6 @@ def consensus_report(trace: SimTrace, net: NetworkModel,
         settling_time=settle, final_offset=dev[-1].copy(),
         max_pairwise_final=max_pair, ebar_y_final=float(np.linalg.norm(e_y)),
         band=float(band), t_last_setpoint=float(trace.t[k_last]),
-    )
-
-
-# ---------------------------------------------------------------------------
-# time-varying designated state
-
-
-@dataclass(frozen=True)
-class TimeVaryingReport:
-    """Boundedness check for a trace with a moving setpoint."""
-
-    passed: bool
-    sup_shifted_error: float
-    final_shifted_error: float
-    sup_input: float
-    sup_reference_rate: float
-    envelope: float
-
-    def as_lines(self) -> list[str]:
-        return [
-            f"timevarying.passed={_fmt(self.passed)}",
-            f"timevarying.sup_shifted_error={_fmt(self.sup_shifted_error)}",
-            f"timevarying.final_shifted_error={_fmt(self.final_shifted_error)}",
-            f"timevarying.sup_input={_fmt(self.sup_input)}",
-            f"timevarying.sup_reference_rate={_fmt(self.sup_reference_rate)}",
-            f"timevarying.envelope={_fmt(self.envelope)}",
-        ]
-
-    def __str__(self) -> str:
-        return "\n".join(self.as_lines())
-
-
-def timevarying_reference_boundedness(trace: SimTrace, cert: IssCertificate,
-                                      net: NetworkModel,
-                                      law: ControlLaw) -> TimeVaryingReport:
-    """Boundedness of the shifted error under a drifting setpoint.
-
-    When the designated state moves, its rate enters the shifted-error
-    dynamics as an extra additive input alongside ``B_phi theta``.  The
-    same comparison argument then yields the envelope
-
-        sup ||e_tilde|| <= c1 ||e_tilde(0)|| + c3 sup ||theta||
-                           + c3 (lam_max(P_e) / kappa) sup ||r||
-
-    with ``r = (A_0 (x) I) d/dt x_bar_0`` the reference-rate input; the
-    factor rescales ``c3`` from the ``B_phi`` channel to a direct one.
-    The designated state is lifted from the recorded setpoint and its
-    rate obtained by centered differencing.  Only boundedness is
-    claimed, so the check is the (loose) envelope above.
-    """
-    tilde = trace.x @ kron(cert.graph.L, np.eye(cert.n_x)).T
-    norms = np.linalg.norm(tilde, axis=1)
-    theta = _theta_star(trace, law)
-    sup_theta = float(np.linalg.norm(theta, axis=1).max())
-
-    x0_rows = trace.y0 @ np.linalg.pinv(net.C[: net.n_y, : net.n_x]).T
-    rate = np.zeros_like(x0_rows)
-    rate[1:-1] = (x0_rows[2:] - x0_rows[:-2]) / (2.0 * trace.h)
-    rate[0], rate[-1] = rate[1], rate[-2]
-    A0k = kron(cert.graph.A_0, np.eye(cert.n_x))
-    r_rows = np.tile(rate, (1, cert.graph.m)) @ A0k.T
-    sup_rate = float(np.linalg.norm(r_rows, axis=1).max())
-
-    p_max = float(sym_eigendecomp(cert.P_e).eigenvalues[-1])
-    rate_gain = cert.c3 * (p_max / cert.kappa) if cert.kappa > 0.0 else 0.0
-    envelope = (cert.c1 * float(norms[0]) + cert.c3 * sup_theta
-                + rate_gain * sup_rate)
-    sup_err = float(norms.max())
-    return TimeVaryingReport(
-        passed=bool(np.isfinite(sup_err) and sup_err <= envelope * (1.0 + ISS_RTOL)),
-        sup_shifted_error=sup_err, final_shifted_error=float(norms[-1]),
-        sup_input=sup_theta, sup_reference_rate=sup_rate,
-        envelope=float(envelope),
     )
 
 

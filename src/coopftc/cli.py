@@ -70,6 +70,7 @@ from .graph import (
     NetworkGraph,
     benchmark_topology,
     build_graph,
+    check_source_reachability,
     is_positive_stable,
     normalize_weights,
 )
@@ -488,7 +489,11 @@ def build_plant(sc: Scenario) -> NetworkModel:
 
 
 def build_interaction(sc: Scenario, net: NetworkModel) -> NetworkGraph:
-    """Instantiate the interaction topology described by a scenario."""
+    """Instantiate the interaction topology described by a scenario.
+
+    The graph must fit the plant and the source must reach every unit,
+    else the scenario is rejected before any synthesis.
+    """
     if sc.topology is not None:
         g = benchmark_topology(sc.topology, normalize=sc.normalize)
     else:
@@ -498,6 +503,11 @@ def build_interaction(sc: Scenario, net: NetworkModel) -> NetworkGraph:
     if g.m != net.m:
         raise ValidationError(
             f"graph has {g.m} units but the plant has {net.m} agents")
+    unreached = check_source_reachability(g)
+    if unreached:
+        raise ValidationError(
+            f"graph.sources: units {unreached} are not reachable from the "
+            "source; pin one of them or add an edge from a reached unit")
     return g
 
 
@@ -539,7 +549,8 @@ def save_matrix(path, M: np.ndarray) -> None:
 
 
 def load_matrix(path) -> np.ndarray:
-    """Read a matrix written by :func:`save_matrix`."""
+    """Read a matrix written by :func:`save_matrix`; every entry must be
+    finite."""
     with open(path, encoding="utf-8") as fh:
         tokens = fh.read().split()
     if len(tokens) < 2:
@@ -556,6 +567,8 @@ def load_matrix(path) -> np.ndarray:
         values = np.array([float(v) for v in body], dtype=float)
     except ValueError as exc:
         raise SchemaError(f"{path}: non-numeric matrix entry") from exc
+    if not np.all(np.isfinite(values)):
+        raise SchemaError(f"{path}: non-finite matrix entry")
     return values.reshape(rows, cols)
 
 
@@ -638,6 +651,9 @@ def _emit_plots(outdir, suffix: str, trace, net: NetworkModel) -> list[str]:
 def cmd_synth(sc: Scenario, outdir) -> int:
     """Run both synthesis stages and write gains plus a certificate."""
     net = build_plant(sc)
+    # Synthesis does not read the graph, but simulate and verify do: a
+    # graph they would reject fails here, before the expensive work.
+    build_interaction(sc, net)
     aug = augment_network(net)
     so = synth_observer(aug, net, sc.delta, margin=sc.margin)
     ctrl = synth_controller(net, sc.alpha, sc.delta, margin=sc.margin)

@@ -50,11 +50,6 @@ class NetworkGraph:
     L_m: np.ndarray = field(repr=False)
     L: np.ndarray = field(repr=False)
 
-    @property
-    def source_weights(self) -> np.ndarray:
-        """Diagonal of ``A_0`` as a flat vector."""
-        return np.diag(self.A_0).copy()
-
 
 def build_graph(m, unit_edges, source_weights) -> NetworkGraph:
     """Assemble a :class:`NetworkGraph` from edge lists.
@@ -73,7 +68,8 @@ def build_graph(m, unit_edges, source_weights) -> NetworkGraph:
     Raises
     ------
     BadEdgeError
-        On any index/weight/duplication violation.
+        On any index/weight/duplication violation; the message names the
+        scenario field, ``graph.edges`` or ``graph.sources``.
     """
     if m < 1:
         raise BadEdgeError(f"graph needs at least one unit, got m={m}")
@@ -81,13 +77,15 @@ def build_graph(m, unit_edges, source_weights) -> NetworkGraph:
     seen = set()
     for i, j, w in unit_edges:
         if not (1 <= i <= m and 1 <= j <= m):
-            raise BadEdgeError(f"edge ({i},{j}) out of range 1..{m}")
+            raise BadEdgeError(
+                f"graph.edges: edge ({i},{j}) out of range 1..{m}")
         if i == j:
-            raise BadEdgeError(f"self-loop ({i},{i}) not allowed")
+            raise BadEdgeError(f"graph.edges: self-loop ({i},{i}) not allowed")
         if (i, j) in seen:
-            raise BadEdgeError(f"duplicate edge ({i},{j})")
+            raise BadEdgeError(f"graph.edges: duplicate edge ({i},{j})")
         if not np.isfinite(w) or w < 0:
-            raise BadEdgeError(f"edge ({i},{j}) has invalid weight {w}")
+            raise BadEdgeError(
+                f"graph.edges: edge ({i},{j}) has invalid weight {w}")
         seen.add((i, j))
         A_m[i - 1, j - 1] = w
 
@@ -95,11 +93,12 @@ def build_graph(m, unit_edges, source_weights) -> NetworkGraph:
     seen_src = set()
     for i, w in source_weights:
         if not (1 <= i <= m):
-            raise BadEdgeError(f"source weight index {i} out of range 1..{m}")
+            raise BadEdgeError(f"graph.sources: unit {i} out of range 1..{m}")
         if i in seen_src:
-            raise BadEdgeError(f"duplicate source weight for unit {i}")
+            raise BadEdgeError(f"graph.sources: duplicate weight for unit {i}")
         if not np.isfinite(w) or w < 0:
-            raise BadEdgeError(f"source weight for unit {i} invalid: {w}")
+            raise BadEdgeError(
+                f"graph.sources: weight for unit {i} invalid: {w}")
         seen_src.add(i)
         a0[i - 1] = w
 
@@ -132,12 +131,12 @@ def normalize_weights(g: NetworkGraph) -> NetworkGraph:
     return _finalize(g.m, g.A_m / w[:, None], g.A_0 / w[:, None])
 
 
-def check_source_reachability(g: NetworkGraph) -> bool:
-    """Breadth-first reachability from the source.
+def check_source_reachability(g: NetworkGraph) -> list[int]:
+    """Units (1-based) the source does not reach; empty when all are.
 
     Information propagates along an edge from its tail ``j`` to its head
     ``i`` whenever ``A_m[i, j] > 0``; the search starts at every unit
-    with a positive pinning weight.  True iff every unit is reached.
+    with a positive pinning weight.
     """
     reached = np.diag(g.A_0) > 0
     frontier = list(np.flatnonzero(reached))
@@ -147,7 +146,7 @@ def check_source_reachability(g: NetworkGraph) -> bool:
             if not reached[i]:
                 reached[i] = True
                 frontier.append(i)
-    return bool(reached.all())
+    return [int(i) + 1 for i in np.flatnonzero(~reached)]
 
 
 def is_positive_stable(L) -> bool:

@@ -28,9 +28,12 @@ while staying on the affine family spanned by the decision variables
 Douglas-Rachford iteration, which converges far faster here than plain
 alternating projections.  Strictness is enforced by embedding margins
 into the target, and a short ladder of increasing margins pushes the
-accepted point into the interior of the feasible set.  Every accepted
-solution is re-verified from scratch through plain eigendecompositions,
-independent of the iteration that produced it.
+accepted point into the interior of the feasible set.  Each agent's
+affine family is probed once, when its :class:`LmiProblem` is built;
+the margin is an argument of :func:`solve_lmi`, so every ladder rung
+solves the same problem.  Every accepted solution is re-verified from
+scratch through plain eigendecompositions, independent of the iteration
+that produced it.
 
 Feasible sets here are large, and different feasible gains behave very
 differently in closed loop: an over-fast inner loop starves the
@@ -53,7 +56,7 @@ the re-verification of the assembled network matrices alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -124,46 +127,7 @@ class VariableSpec:
             raise ValueError(f"symmetric variable {self.name!r} must be square")
 
 
-@dataclass
-class LmiProblem:
-    """Feasibility problem: symmetric affine expression strictly < 0.
-
-    ``expression`` maps a dict of variable values to one symmetric
-    matrix; it must be affine in the variables (checked by probing) and
-    symmetric for every assignment.  Feasibility means
-    ``lambda_max(expression) <= -margin`` with every PD-flagged variable
-    satisfying ``lambda_min >= pd_margin``.
-    """
-
-    variables: list[VariableSpec]
-    expression: Callable[[dict[str, np.ndarray]], np.ndarray]
-    margin: float = MARGIN
-    pd_margin: float = PD_MARGIN
-
-
 # --- generic solver ---------------------------------------------------------
-
-def _coordinates(variables):
-    coords = []
-    for v in variables:
-        if v.symmetric:
-            coords += [(v.name, i, j) for i in range(v.rows)
-                       for j in range(i, v.cols)]
-        else:
-            coords += [(v.name, i, j) for i in range(v.rows)
-                       for j in range(v.cols)]
-    return coords
-
-
-def _assignment(variables, coords, y):
-    vals = {v.name: np.zeros((v.rows, v.cols)) for v in variables}
-    sym = {v.name: v.symmetric for v in variables}
-    for yk, (name, i, j) in zip(y, coords):
-        vals[name][i, j] = yk
-        if sym[name] and i != j:
-            vals[name][j, i] = yk
-    return vals
-
 
 def _check_symmetric(M, what):
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -173,73 +137,85 @@ def _check_symmetric(M, what):
                          "symmetric for every assignment")
 
 
-class _AffineStack:
-    """Vectorized affine map y -> [expression + t*I, pd_floor - V, ...].
+class LmiProblem:
+    """Feasibility problem: symmetric affine expression strictly < 0.
 
-    Precomputes the basis responses of all blocks so each iteration is a
-    couple of small matrix products plus per-block eigendecompositions.
+    ``expression`` maps a dict of variable values to one symmetric
+    matrix; it must be affine in the variables and symmetric for every
+    assignment.  Feasibility at margin ``t`` means
+    ``lambda_max(expression) <= -t`` with every PD-flagged variable
+    satisfying ``lambda_min >= PD_MARGIN``.
+
+    The family is probed once, here: ``expression`` at zero and at each
+    unit coordinate gives the stacked affine map
+    ``y -> [expression(y), -V, ...]`` (one ``-V`` block per PD variable)
+    as ``base + A y``, together with the pseudo-inverse of ``A``.  Every
+    solve of the problem reuses them, whatever its margin.
     """
 
-    def __init__(self, problem: LmiProblem):
-        self.coords = _coordinates(problem.variables)
-        self.n_vars = len(self.coords)
-        zero = _assignment(problem.variables, self.coords, np.zeros(self.n_vars))
-        M0 = np.asarray(problem.expression(zero), dtype=float)
+    def __init__(self, variables: list[VariableSpec],
+                 expression: Callable[[dict[str, np.ndarray]], np.ndarray]):
+        self.variables = list(variables)
+        self.coords = []
+        for v in self.variables:
+            self.coords += [(v.name, i, j) for i in range(v.rows)
+                            for j in range(i if v.symmetric else 0, v.cols)]
+        n_vars = len(self.coords)
+        M0 = np.asarray(expression(self.assignment(np.zeros(n_vars))),
+                        dtype=float)
         _check_symmetric(M0, "expression at zero")
-        self.pd_vars = [v for v in problem.variables if v.positive_definite]
-        self.block_sizes = [M0.shape[0]] + [v.rows for v in self.pd_vars]
-        self.offsets = np.concatenate([[0], np.cumsum([s * s for s in self.block_sizes])])
+        pd_vars = [v for v in self.variables if v.positive_definite]
+        self.block_sizes = [M0.shape[0]] + [v.rows for v in pd_vars]
+        self.offsets = np.concatenate(
+            [[0], np.cumsum([s * s for s in self.block_sizes])])
         total = self.offsets[-1]
 
-        # constant part, margin-free (margins are added in `constant`)
         self.base = np.zeros(total)
         self.base[:M0.size] = M0.ravel()
 
         # basis responses, one column per scalar coordinate
-        A = np.zeros((total, self.n_vars))
-        for k in range(self.n_vars):
-            e = np.zeros(self.n_vars)
+        A = np.zeros((total, n_vars))
+        for k in range(n_vars):
+            e = np.zeros(n_vars)
             e[k] = 1.0
-            vals = _assignment(problem.variables, self.coords, e)
-            Mk = np.asarray(problem.expression(vals), dtype=float) - M0
+            Mk = np.asarray(expression(self.assignment(e)), dtype=float) - M0
             _check_symmetric(Mk + M0, f"expression response of {self.coords[k]}")
-            col = np.zeros(total)
-            col[:Mk.size] = Mk.ravel()
-            for b, v in enumerate(self.pd_vars, start=1):
-                name, i, j = self.coords[k]
-                if name == v.name:
-                    E = np.zeros((v.rows, v.cols))
-                    E[i, j] = -1.0
-                    if i != j:
-                        E[j, i] = -1.0
-                    col[self.offsets[b]:self.offsets[b + 1]] = E.ravel()
-            A[:, k] = col
+            A[:Mk.size, k] = Mk.ravel()
+            name, i, j = self.coords[k]
+            for b, v in enumerate(pd_vars, start=1):
+                if name == v.name:  # -V block: entries (i, j) and (j, i)
+                    off = self.offsets[b]
+                    A[[off + i * v.cols + j, off + j * v.cols + i], k] = -1.0
         self.A = A
-        self.pinv = np.linalg.pinv(A) if self.n_vars else None
+        self.pinv = np.linalg.pinv(A) if n_vars else None
 
-    def constant(self, t: float, pd_floor: float) -> np.ndarray:
-        g0 = self.base.copy()
-        n0 = self.block_sizes[0]
-        g0[:n0 * n0] += (t * np.eye(n0)).ravel()
-        for b in range(1, len(self.block_sizes)):
-            nb = self.block_sizes[b]
-            g0[self.offsets[b]:self.offsets[b + 1]] += (pd_floor * np.eye(nb)).ravel()
-        return g0
+    def assignment(self, y: np.ndarray) -> dict[str, np.ndarray]:
+        """Variable values at coordinates ``y``."""
+        vals = {v.name: np.zeros((v.rows, v.cols)) for v in self.variables}
+        sym = {v.name: v.symmetric for v in self.variables}
+        for yk, (name, i, j) in zip(y, self.coords):
+            vals[name][i, j] = yk
+            if sym[name]:
+                vals[name][j, i] = yk
+        return vals
 
-    def blocks(self, gvec: np.ndarray):
-        out = []
-        for b, nb in enumerate(self.block_sizes):
-            out.append(gvec[self.offsets[b]:self.offsets[b + 1]].reshape(nb, nb))
-        return out
+    def blocks(self, gvec: np.ndarray) -> list[np.ndarray]:
+        """Square views of the stacked blocks of ``gvec``."""
+        return [gvec[self.offsets[b]:self.offsets[b + 1]].reshape(nb, nb)
+                for b, nb in enumerate(self.block_sizes)]
 
 
-def solve_lmi(problem: LmiProblem, max_iterations: int = 6000,
+def solve_lmi(problem: LmiProblem, margin: float = MARGIN,
+              max_iterations: int = 6000,
               initial: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
     """Find a strictly feasible assignment for ``problem``.
 
     Parameters
     ----------
     problem : LmiProblem
+        The affine family, probed once when the problem was built.
+    margin : float
+        Strictness required of the expression, ``>= 0``.
     max_iterations : int
         Projection-iteration budget before declaring infeasibility.
     initial : dict, optional
@@ -248,7 +224,7 @@ def solve_lmi(problem: LmiProblem, max_iterations: int = 6000,
     Returns
     -------
     dict mapping variable names to value arrays, guaranteed to satisfy
-    ``lambda_max(expression) <= -margin`` and all PD floors.
+    ``lambda_max(expression) <= -margin`` and the ``PD_MARGIN`` floors.
 
     Raises
     ------
@@ -257,13 +233,12 @@ def solve_lmi(problem: LmiProblem, max_iterations: int = 6000,
         problem is constant (provably infeasible) or the iteration
         budget/stagnation cutoff was hit.
     """
-    stack = _AffineStack(problem)
-    t, pd = float(problem.margin), float(problem.pd_margin)
-    if t < 0 or pd < 0:
-        raise ValueError("margins must be non-negative")
+    t = float(margin)
+    if t < 0:
+        raise ValueError(f"margin must be non-negative, got {margin}")
 
-    if stack.n_vars == 0:
-        w = sym_eigendecomp(stack.blocks(stack.constant(0.0, pd))[0]).eigenvalues
+    if not problem.coords:
+        w = sym_eigendecomp(problem.blocks(problem.base)[0]).eigenvalues
         if w[-1] <= -t:
             return {}
         raise InfeasibleError(
@@ -271,55 +246,50 @@ def solve_lmi(problem: LmiProblem, max_iterations: int = 6000,
             "provably infeasible"
         )
 
-    # Internal targets sit slightly beyond the requested margins so the
+    # Internal targets sit slightly beyond the required floors so the
     # exact requirement is met strictly before full convergence.
-    t_int = 1.05 * t + 1e-9
-    pd_int = 2.0 * pd + 1e-12
-    g0 = stack.constant(t_int, pd_int)
-    slacks = [t_int - t] + [pd_int - pd] * len(stack.pd_vars)
+    n_pd = len(problem.block_sizes) - 1
+    floors = [t] + [PD_MARGIN] * n_pd
+    targets = [1.05 * t + 1e-9] + [2.0 * PD_MARGIN + 1e-12] * n_pd
+    slacks = [target - floor for target, floor in zip(targets, floors)]
+    g0 = problem.base.copy()
+    for Gb, target in zip(problem.blocks(g0), targets):
+        Gb += target * np.eye(len(Gb))
 
     if initial is not None:
-        y = np.array([initial[name][i, j] for name, i, j in stack.coords])
+        y = np.array([initial[name][i, j] for name, i, j in problem.coords])
     else:
-        y = np.zeros(stack.n_vars)
+        y = np.zeros(len(problem.coords))
 
     def project_cone(vec):
         clipped = []
-        for Gb in stack.blocks(vec):
+        for Gb in problem.blocks(vec):
             w, V = np.linalg.eigh(0.5 * (Gb + Gb.T))
             clipped.append((V * np.minimum(w, 0.0)) @ V.T)
         return np.concatenate([Z.ravel() for Z in clipped])
 
-    def family_point(vec):
-        """Project onto the affine family; return (y, stacked value)."""
-        yk = stack.pinv @ (vec - g0)
-        return yk, g0 + stack.A @ yk
-
-    def margins_met(vec):
-        return all(
-            np.linalg.eigvalsh(0.5 * (Gb + Gb.T))[-1] <= s
-            for Gb, s in zip(stack.blocks(vec), slacks)
-        )
-
     # Douglas-Rachford splitting between the affine family and the
     # negative-semidefinite cone; plain alternating projections crawl on
     # the feedback inequality, the reflected iteration does not.
-    z = g0 + stack.A @ y
+    z = g0 + problem.A @ y
     best_gap = np.inf
     stall = 0
     worst = np.nan
     for _ in range(max_iterations):
         u = project_cone(z)
-        y_v, v = family_point(2.0 * u - z)
-        if margins_met(v):
-            return _assignment(problem.variables, stack.coords, y_v)
+        # least-squares projection of the reflection onto the family
+        y_v = problem.pinv @ (2.0 * u - z - g0)
+        v = g0 + problem.A @ y_v
+        # one eigenvalue pass per block serves the stop test and the
+        # excess reported when the budget runs out
+        excess = [np.linalg.eigvalsh(0.5 * (Gb + Gb.T))[-1] - s
+                  for Gb, s in zip(problem.blocks(v), slacks)]
+        if all(e <= 0.0 for e in excess):
+            return problem.assignment(y_v)
         z = z + v - u
 
         gap = np.linalg.norm(v - u)
-        worst = max(
-            np.linalg.eigvalsh(0.5 * (Gb + Gb.T))[-1] - s
-            for Gb, s in zip(stack.blocks(v), slacks)
-        )
+        worst = max(excess)
         if gap < best_gap * (1.0 - 1e-9):
             best_gap, stall = gap, 0
         else:
@@ -335,20 +305,48 @@ def solve_lmi(problem: LmiProblem, max_iterations: int = 6000,
     )
 
 
-def _solve_with_ladder(problem: LmiProblem, max_iterations: int):
-    """Solve at the base margin, then climb a margin ladder while the
-    warm-started solves keep succeeding; return the deepest point."""
-    sol = solve_lmi(problem, max_iterations=max_iterations)
+def _solve_block(problem: LmiProblem, margin, max_iterations, prefix,
+                 anchor=None):
+    """Solve one agent's block at ``margin``, then climb the margin
+    ladder while the warm-started solves keep succeeding; return the
+    deepest point.  An anchored solve starts at ``anchor`` and does not
+    climb: the ladder would walk away from the anchor, whose strictness
+    is already built in.  A failed base solve raises with ``prefix``."""
+    try:
+        sol = solve_lmi(problem, margin, max_iterations, initial=anchor)
+    except InfeasibleError as exc:
+        raise InfeasibleError(f"{prefix}: {exc}") from exc
+    if anchor is not None:
+        return sol
     for t in MARGIN_LADDER:
-        if t <= problem.margin:
+        if t <= margin:
             continue
         try:
-            sol = solve_lmi(replace(problem, margin=t),
-                            max_iterations=max_iterations // 3,
-                            initial=sol)
+            sol = solve_lmi(problem, t, max_iterations // 3, initial=sol)
         except InfeasibleError:
             break
     return sol
+
+
+def _reverify(stage, block, margin, storage_name, storage, gain_form,
+              lhs, rhs) -> float:
+    """Re-check an assembled certificate from scratch: ``block`` has
+    margin at least ``margin``, the storage matrix clears ``PD_MARGIN``
+    and the recovered gain solves ``lhs = rhs``.  Returns the margin
+    achieved."""
+    achieved = -sym_eigendecomp(block).eigenvalues[-1]
+    s_min = sym_eigendecomp(storage).eigenvalues[0]
+    if achieved < margin or s_min < PD_MARGIN:
+        raise InfeasibleError(
+            f"{stage} certificate failed re-verification on the assembled "
+            f"network (margin {achieved:.3e}, lambda_min({storage_name}) "
+            f"{s_min:.3e})"
+        )
+    residual = np.abs(lhs - rhs).max()
+    if residual > 1e-9 * max(1.0, np.abs(rhs).max()):
+        raise InfeasibleError(
+            f"{stage} gain residual {gain_form} = {residual:.3e} too large")
+    return achieved
 
 
 # --- the two inequalities ---------------------------------------------------
@@ -441,9 +439,18 @@ def synth_observer(aug: AugmentedModel, net: NetworkModel, delta: float,
         ai = aug_indices(net, i)
         yi = np.arange(i * net.n_y, (i + 1) * net.n_y)
         vi = np.arange(i * net.n_v, (i + 1) * net.n_v)
-        sol = _solve_observer_block(
-            F1A[np.ix_(ai, ai)], aug.E2[np.ix_(yi, ai)], F1D[np.ix_(ai, vi)],
-            delta, margin, max_iterations, label=f"agent {i + 1}")
+        F1Ai = F1A[np.ix_(ai, ai)]
+        E2i = aug.E2[np.ix_(yi, ai)]
+        F1Di = F1D[np.ix_(ai, vi)]
+        n = len(ai)
+        problem = LmiProblem(
+            [VariableSpec("P", n, n, symmetric=True, positive_definite=True),
+             VariableSpec("H", n, net.n_y)],
+            lambda v: observer_inequality(v["P"], v["H"], F1Ai, E2i, F1Di,
+                                          delta, decay=True))
+        sol = _solve_block(
+            problem, margin, max_iterations,
+            f"observer LMI infeasible for agent {i + 1} at delta={delta:g}")
         P[np.ix_(ai, ai)] = sol["P"]
         H[np.ix_(ai, yi)] = sol["H"]
 
@@ -452,17 +459,8 @@ def synth_observer(aug: AugmentedModel, net: NetworkModel, delta: float,
     # Re-verify the accepted certificate from scratch on the assembled
     # network matrices; nothing below depends on the solver internals.
     pi = observer_inequality(P, H, F1A, aug.E2, F1D, delta)
-    achieved = -sym_eigendecomp(pi).eigenvalues[-1]
-    p_min = sym_eigendecomp(P).eigenvalues[0]
-    if achieved < margin or p_min < PD_MARGIN:
-        raise InfeasibleError(
-            f"observer certificate failed re-verification on the assembled "
-            f"network (margin {achieved:.3e}, lambda_min(P) {p_min:.3e})"
-        )
-    residual = np.abs(P @ Lgain - H).max()
-    if residual > 1e-9 * max(1.0, np.abs(H).max()):
-        raise InfeasibleError(
-            f"observer gain residual |P L - H| = {residual:.3e} too large")
+    achieved = _reverify("observer", pi, margin, "P", P, "|P L - H|",
+                         P @ Lgain, H)
     if not is_hurwitz(F1A - Lgain @ aug.E2):
         raise InfeasibleError(
             "observer error dynamics not Hurwitz after assembly")
@@ -470,39 +468,20 @@ def synth_observer(aug: AugmentedModel, net: NetworkModel, delta: float,
                              margin=achieved)
 
 
-def _solve_observer_block(F1A, E2, F1D, delta, margin, max_iterations,
-                          label):
-    n = F1A.shape[0]
-    problem = LmiProblem(
-        variables=[
-            VariableSpec("P", n, n, symmetric=True, positive_definite=True),
-            VariableSpec("H", n, E2.shape[0]),
-        ],
-        expression=lambda v: observer_inequality(v["P"], v["H"], F1A, E2,
-                                                 F1D, delta, decay=True),
-        margin=margin,
-    )
-    try:
-        return _solve_with_ladder(problem, max_iterations)
-    except InfeasibleError as exc:
-        raise InfeasibleError(
-            f"observer LMI infeasible for {label} at delta={delta:g}: {exc}"
-        ) from exc
-
-
 # --- state-feedback synthesis -----------------------------------------------
 
-def _anchor_riccati(Acl, NNt, inflation=ANCHOR_INFLATION):
+def _anchor_riccati(Acl, NNt):
     """Stabilizing ``Q > 0`` solving the fixed-gain Riccati equation
 
-        Q Acl + Acl' Q + Q NNt Q + (1 + inflation) I = 0,
+        Q Acl + Acl' Q + Q NNt Q + (1 + ANCHOR_INFLATION) I = 0,
 
     or None when no such solution exists.  Existence is exactly strict
     feasibility of the fixed-gain feedback inequality (Schur), so this
     doubles as a cheap feasibility oracle over candidate gains.
     """
     n = Acl.shape[0]
-    ham = np.block([[Acl, NNt], [-(1.0 + inflation) * np.eye(n), -Acl.T]])
+    ham = np.block([[Acl, NNt],
+                    [-(1.0 + ANCHOR_INFLATION) * np.eye(n), -Acl.T]])
     ev, V = np.linalg.eig(ham)
     scale = max(1.0, np.abs(ev).max())
     if np.min(np.abs(ev.real)) < 1e-8 * scale:
@@ -544,13 +523,13 @@ def _anchor_from_poles(A, B, D, alpha, delta, poles):
     return {"R": R0, "G": K0 @ R0}
 
 
-def _slow_pole_targets(A, B, D, alpha, delta,
-                       ratio=CONTROLLER_POLE_RATIO,
-                       slack=CONTROLLER_POLE_SLACK):
-    """Slowest certifiable pole family ``-s * ratio**j``, slowed-down
-    bisection over the speed ``s``; None when even fast anchors fail."""
+def _slow_anchor(A, B, D, alpha, delta):
+    """Anchor ``(R, G)`` of the slowest certifiable pole family
+    ``-s * CONTROLLER_POLE_RATIO**j``: a bisection over the speed ``s``,
+    then ``CONTROLLER_POLE_SLACK`` faster; None when even fast anchors
+    fail."""
     n = A.shape[0]
-    pattern = -(ratio ** np.arange(n))
+    pattern = -(CONTROLLER_POLE_RATIO ** np.arange(n))
 
     def feasible(speed):
         return _anchor_from_poles(A, B, D, alpha, delta, speed * pattern)
@@ -572,9 +551,10 @@ def _slow_pole_targets(A, B, D, alpha, delta,
             hi = mid
         else:
             lo = mid
-    for speed in (slack * hi, hi, 1.5 * hi):
-        if feasible(speed) is not None:
-            return speed * pattern
+    for speed in (CONTROLLER_POLE_SLACK * hi, hi, 1.5 * hi):
+        anchor = feasible(speed)
+        if anchor is not None:
+            return anchor
     return None
 
 
@@ -630,29 +610,25 @@ def synth_controller(net: NetworkModel, alpha: float, delta: float,
         Ai = net.A[np.ix_(xi, xi)]
         Bi = net.B[np.ix_(xi, ui)]
         Di = net.D[np.ix_(xi, vi)]
-        poles = _slow_pole_targets(Ai, Bi, Di, alpha, delta)
-        anchor = (None if poles is None
-                  else _anchor_from_poles(Ai, Bi, Di, alpha, delta, poles))
-        sol = _solve_controller_block(Ai, Bi, Di, alpha, delta, margin,
-                                      max_iterations, label=f"agent {i + 1}",
-                                      initial=anchor)
+        anchor = _slow_anchor(Ai, Bi, Di, alpha, delta)
+        problem = LmiProblem(
+            [VariableSpec("R", net.n_x, net.n_x, symmetric=True,
+                          positive_definite=True),
+             VariableSpec("G", net.n_u, net.n_x)],
+            lambda v: feedback_inequality(v["R"], v["G"], Ai, Bi, Di, alpha,
+                                          delta, strip=anchor is None))
+        sol = _solve_block(
+            problem, margin, max_iterations,
+            f"feedback LMI infeasible for agent {i + 1} at alpha={alpha:g}, "
+            f"delta={delta:g}", anchor=anchor)
         R[np.ix_(xi, xi)] = sol["R"]
         G[np.ix_(ui, xi)] = sol["G"]
 
     K = solve_linear(R, G.T).T  # K R = G with R symmetric
 
     lam = feedback_inequality(R, G, net.A, net.B, net.D, alpha, delta)
-    achieved = -sym_eigendecomp(lam).eigenvalues[-1]
-    r_min = sym_eigendecomp(R).eigenvalues[0]
-    if achieved < margin or r_min < PD_MARGIN:
-        raise InfeasibleError(
-            f"feedback certificate failed re-verification on the assembled "
-            f"network (margin {achieved:.3e}, lambda_min(R) {r_min:.3e})"
-        )
-    residual = np.abs(K @ R - G).max()
-    if residual > 1e-9 * max(1.0, np.abs(G).max()):
-        raise InfeasibleError(
-            f"feedback gain residual |K R - G| = {residual:.3e} too large")
+    achieved = _reverify("feedback", lam, margin, "R", R, "|K R - G|",
+                         K @ R, G)
     Acl = net.A + net.B @ K
     if not is_hurwitz(Acl):
         raise InfeasibleError(
@@ -676,32 +652,6 @@ def synth_controller(net: NetworkModel, alpha: float, delta: float,
     return ControllerSynthesis(alpha=alpha, delta=delta, R=R, G=G, K=K,
                                gamma=gamma_bound(K, alpha, delta),
                                margin=achieved)
-
-
-def _solve_controller_block(A, B, D, alpha, delta, margin, max_iterations,
-                            label, initial=None):
-    n = A.shape[0]
-    problem = LmiProblem(
-        variables=[
-            VariableSpec("R", n, n, symmetric=True, positive_definite=True),
-            VariableSpec("G", B.shape[1], n),
-        ],
-        expression=lambda v: feedback_inequality(
-            v["R"], v["G"], A, B, D, alpha, delta, strip=initial is None),
-        margin=margin,
-    )
-    try:
-        if initial is not None:
-            # Anchored: the margin ladder would walk away from the
-            # anchor; its strictness is already built into the anchor.
-            return solve_lmi(problem, max_iterations=max_iterations,
-                             initial=initial)
-        return _solve_with_ladder(problem, max_iterations)
-    except InfeasibleError as exc:
-        raise InfeasibleError(
-            f"feedback LMI infeasible for {label} at alpha={alpha:g}, "
-            f"delta={delta:g}: {exc}"
-        ) from exc
 
 
 def gamma_bound(K, alpha: float, delta: float) -> float:

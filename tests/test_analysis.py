@@ -14,7 +14,6 @@ import pytest
 from conftest import benchmark_schedule, quiet_schedule
 from coopftc.analysis import (consensus_report, dissipation_check,
                               empirical_l2_ratio, iss_certificate,
-                              timevarying_reference_boundedness,
                               verify_iss_bound)
 from coopftc.control import (ClosedLoopState, ControlLaw, build_closed_loop,
                              cooperative_error)
@@ -213,56 +212,6 @@ def test_consensus_star_settles_no_later_than_path(full_traces,
     assert np.all(np.isfinite(star.settling_time))
     assert np.all(np.isfinite(path.settling_time))
     assert star.settling_time.max() <= path.settling_time.max()
-
-
-# --- time-varying reference -------------------------------------------------
-
-class _Ramp:
-    """No disturbance, no fault, source output ``rate * t``.  Not piecewise
-    constant, so not a ``SignalSchedule`` table, but it samples like one
-    at a scalar time or an array of times."""
-
-    def __init__(self, rate, m=4):
-        self.rate, self.m = rate, m
-
-    def sample(self, t):
-        t = np.asarray(t, dtype=float)
-        quiet = np.zeros(t.shape + (self.m,))
-        return quiet, quiet, (self.rate * t)[..., None]
-
-
-def test_timevarying_zero_rate_reduces_to_constant(quiet_traces, star_cert,
-                                                   benchmark_net, loops):
-    report = timevarying_reference_boundedness(
-        quiet_traces["star"], star_cert, benchmark_net, loops["star"].law)
-    assert report.passed
-    assert report.sup_reference_rate <= 1e-9
-
-
-def test_timevarying_rate_scaling(loops, star_cert, benchmark_net):
-    rest = ClosedLoopState(x=np.zeros(8), eta=np.zeros(12), q=np.zeros(4))
-    sups = {}
-    for rate in (0.05, 0.1):
-        tr = run_experiment(loops["star"], _Ramp(rate), rest,
-                            h=1e-3, T=20.0)
-        report = timevarying_reference_boundedness(
-            tr, star_cert, benchmark_net, loops["star"].law)
-        assert report.passed
-        sups[rate] = report.sup_shifted_error
-    assert sups[0.1] <= 2.5 * sups[0.05]
-
-
-def test_timevarying_long_horizon_stays_bounded(loops, star_cert,
-                                                benchmark_net, s0):
-    tr = run_experiment(loops["star"], _Ramp(0.05), s0, h=1e-3,
-                        T=80.0)
-    report = timevarying_reference_boundedness(
-        tr, star_cert, benchmark_net, loops["star"].law)
-    assert report.passed
-    assert report.final_shifted_error <= report.sup_shifted_error
-    late = np.linalg.norm(
-        tr.x[tr.t >= 40.0] @ kron(star_cert.graph.L, np.eye(2)).T, axis=1)
-    assert late.max() <= 2.0 * late.min() + 1.0  # flat tail, no drift
 
 
 # --- empirical L2 gain ------------------------------------------------------

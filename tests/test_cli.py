@@ -119,6 +119,30 @@ def test_matrix_file_round_trip(tmp_path):
     npt.assert_array_equal(load_matrix(path), M)
 
 
+@pytest.mark.parametrize("command", [
+    ["simulate", "-o", "never-written"],
+    ["verify", "--trace", "never-read.csv"],
+], ids=["simulate", "verify"])
+@pytest.mark.parametrize("name", [cli.OBSERVER_GAIN_FILE,
+                                  cli.FEEDBACK_GAIN_FILE,
+                                  cli.OBSERVER_STORAGE_FILE])
+def test_nonfinite_gain_file_rejected(tmp_path, monkeypatch, capsys,
+                                      short_scenario, gains_dir, name,
+                                      command):
+    monkeypatch.setattr(cli, "synth_observer", _no_synthesis)
+    for f in (cli.OBSERVER_GAIN_FILE, cli.FEEDBACK_GAIN_FILE,
+              cli.OBSERVER_STORAGE_FILE):
+        (tmp_path / f).write_bytes((gains_dir / f).read_bytes())
+    header, first, *rest = (tmp_path / name).read_text().splitlines()
+    (tmp_path / name).write_text(
+        "\n".join([header, "nan " + first.split(" ", 1)[1], *rest]) + "\n")
+    argv = command[:1] + ["-s", str(short_scenario), "--gains",
+                          str(tmp_path)] + command[1:]
+    assert main(argv) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert name in err and "non-finite" in err
+
+
 # --- synth command ----------------------------------------------------------
 
 def test_synth_writes_gains_and_certificate(gains_dir):
@@ -220,16 +244,38 @@ def _no_synthesis(*args, **kwargs):
     ("graph: {edges: [[2, 1, 1.0], [3, 2, 1.0]], sources: [[1, 1.0]]}\n",
      ["simulate", "--sweep"]),
     ("", ["verify", "--trace", "never-read.csv"]),
+    ("", ["synth"]),
+    ("graph: {edges: [[0, 1, 1.0], [3, 2, 1.0]], sources: [[1, 1.0]]}\n",
+     ["synth"]),
 ])
-def test_graph_size_checked_before_synthesis(tmp_path, monkeypatch, graph,
-                                             extra):
+def test_graph_size_checked_before_synthesis(tmp_path, monkeypatch, capsys,
+                                             graph, extra):
     monkeypatch.setattr(cli, "synth_observer", _no_synthesis)
     p = tmp_path / "m3.yaml"
     p.write_text(graph + "plant: {m: 3}\n")
     argv = extra[:1] + ["-s", str(p)] + extra[1:]
-    if extra[0] == "simulate":
+    if extra[0] in ("simulate", "synth"):
         argv += ["-o", str(tmp_path / "out")]
     assert main(argv) == cli.EXIT_VALIDATION
+    # "graph has 4 units ...", or "graph.edges: edge (0,1) out of range"
+    assert "graph" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [["synth"], ["simulate"],
+                                   ["verify", "--trace", "never-read.csv"]])
+def test_unreached_units_rejected_before_synthesis(tmp_path, monkeypatch,
+                                                   capsys, extra):
+    # units 3 and 4 hear only each other: a closed cycle the source misses
+    monkeypatch.setattr(cli, "synth_observer", _no_synthesis)
+    p = tmp_path / "cycle.yaml"
+    p.write_text("graph: {edges: [[2, 1, 1.0], [3, 4, 1.0], [4, 3, 1.0]], "
+                 "sources: [[1, 1.0]]}\n")
+    argv = extra[:1] + ["-s", str(p)] + extra[1:]
+    if extra[0] != "verify":
+        argv += ["-o", str(tmp_path / "out")]
+    assert main(argv) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "graph.sources" in err and "[3, 4]" in err
 
 
 def test_collapsing_setpoint_steps_rejected(tmp_path, monkeypatch, capsys):

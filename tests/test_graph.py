@@ -43,7 +43,7 @@ def test_single_unit():
     ([], [(3, 1.0)]),                       # source index out of range
 ])
 def test_bad_edges_rejected(edges, sources):
-    with pytest.raises(BadEdgeError):
+    with pytest.raises(BadEdgeError, match=r"^graph\.(edges|sources): "):
         build_graph(2, edges, sources)
 
 
@@ -71,22 +71,27 @@ def test_normalize_rejects_isolated_unit():
 
 
 def test_reachability_benchmark_topologies():
-    assert check_source_reachability(benchmark_topology("star"))
-    assert check_source_reachability(benchmark_topology("path"))
-    assert check_source_reachability(benchmark_topology("cyclic"))
+    for name in ("star", "path", "cyclic"):
+        assert check_source_reachability(benchmark_topology(name)) == []
 
 
 def test_reachability_false_when_unit_cut_off():
     g = build_graph(2, [], [(1, 1.0), (2, 0.0)])
-    assert not check_source_reachability(g)
+    assert check_source_reachability(g) == [2]
 
 
 def test_reachability_follows_edge_direction():
     # edge 1<-2 does not carry information from unit 1 to unit 2
     g = build_graph(2, [(1, 2, 1.0)], [(1, 1.0)])
-    assert not check_source_reachability(g)
+    assert check_source_reachability(g) == [2]
     g2 = build_graph(2, [(2, 1, 1.0)], [(1, 1.0)])
-    assert check_source_reachability(g2)
+    assert check_source_reachability(g2) == []
+
+
+def test_reachability_names_every_unit_a_closed_cycle_hides():
+    # units 3 and 4 hear only each other, so the source reaches 1 and 2
+    g = build_graph(4, [(2, 1, 1.0), (3, 4, 1.0), (4, 3, 1.0)], [(1, 1.0)])
+    assert check_source_reachability(g) == [3, 4]
 
 
 def test_positive_stable_identity():
@@ -121,6 +126,6 @@ def test_normalization_is_idempotent():
 @given(st.integers(0, 10_000))
 def test_reachable_normalized_graphs_are_positive_stable(seed):
     g = random_reachable_graph(np.random.default_rng(seed))
-    assert check_source_reachability(g)
+    assert check_source_reachability(g) == []
     npt.assert_allclose((g.L - g.A_0) @ np.ones(g.m), 0.0, atol=1e-12)
     assert is_positive_stable(g.L)

@@ -79,6 +79,33 @@ def test_observer_benchmark_feasible(benchmark_aug, benchmark_net,
     assert is_hurwitz(A_err)
 
 
+def test_observer_probes_each_agent_block_once(benchmark_aug, benchmark_net,
+                                              monkeypatch):
+    """Each agent's affine family is probed once (at zero and at each
+    scalar coordinate of P and H), however many ladder rungs it climbs."""
+    probes, solves = [], []
+    inequality, solve = synth.observer_inequality, synth.solve_lmi
+
+    def counted_inequality(*args, decay=False):
+        if decay:  # the per-agent expression; re-verification has none
+            probes.append(args[0].shape[0])
+        return inequality(*args, decay=decay)
+
+    def counted_solve(*args, **kwargs):
+        solves.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(synth, "observer_inequality", counted_inequality)
+    monkeypatch.setattr(synth, "solve_lmi", counted_solve)
+    synth_observer(benchmark_aug, benchmark_net, 0.3)
+
+    net = benchmark_net
+    n = benchmark_aug.n_aug // net.m
+    coordinates = n * (n + 1) // 2 + n * net.n_y
+    assert probes == [n] * (net.m * (1 + coordinates))
+    assert len(solves) > net.m  # rungs were climbed beyond the base solves
+
+
 def test_observer_rejects_nonpositive_delta(benchmark_aug, benchmark_net):
     with pytest.raises(DeltaNonPositiveError):
         synth_observer(benchmark_aug, benchmark_net, 0.0)
@@ -148,7 +175,7 @@ def test_controller_rejects_nonpositive_alpha(benchmark_net):
 def test_controller_fast_pole_policy(benchmark_net, monkeypatch):
     """With no pole anchor every agent falls back to the cold-started
     search, boxed by the eigenvalue strip (-8, -2)."""
-    monkeypatch.setattr(synth, "_slow_pole_targets", lambda *a: None)
+    monkeypatch.setattr(synth, "_slow_anchor", lambda *a: None)
     s = synth_controller(benchmark_net, 0.2, 0.3)
     lam = _feedback_block(benchmark_net, s.R, s.G, s.alpha, s.delta)
     assert sym_eigendecomp(lam).eigenvalues[-1] <= -MARGIN
