@@ -389,9 +389,10 @@ class DissipationReport:
 
 
 def dissipation_check(trace: SimTrace, aug: AugmentedModel,
-                      net: NetworkModel, synth_obs: ObserverSynthesis,
-                      tol: float = DISSIPATION_TOL) -> DissipationReport:
-    """Audit ``Vdot + ||eps||^2 - delta^2 ||v||^2 <= tol`` along a trace.
+                      net: NetworkModel,
+                      synth_obs: ObserverSynthesis) -> DissipationReport:
+    """Audit ``Vdot + ||eps||^2 - delta^2 ||v||^2 <= DISSIPATION_TOL``
+    along a trace.
 
     ``V = eps' P eps`` with ``P`` from the observer certificate and
     ``eps`` the augmented estimation error read off the trace.  The
@@ -438,9 +439,9 @@ def dissipation_check(trace: SimTrace, aug: AugmentedModel,
     max_fd = float(fd_dev[keep_int].max()) if keep_int.any() else 0.0
 
     return DissipationReport(
-        passed=bool(max_val <= tol), max_interior_value=max_val,
+        passed=bool(max_val <= DISSIPATION_TOL), max_interior_value=max_val,
         max_fd_deviation=max_fd, n_checked=int(keep.sum()),
-        n_excluded=int(excluded.sum()), tol=tol,
+        n_excluded=int(excluded.sum()), tol=DISSIPATION_TOL,
     )
 
 

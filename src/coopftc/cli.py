@@ -35,7 +35,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 import yaml
@@ -143,61 +143,6 @@ AGREEMENT_TOL = 1e-8
 # scenario schema
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """Fully resolved run configuration; defaults are the benchmark."""
-
-    schema_version: int = SCHEMA_VERSION
-    topology: str | None = "star"
-    graph_edges: tuple = ()
-    graph_sources: tuple = ()
-    normalize: bool = True
-    plant_kind: str = "dc_motor"
-    m: int = 4
-    agents: tuple = ()
-    delta: float = 0.3
-    alpha: float = 0.2
-    margin: float = 1e-6
-    ell_p: object = 0.1
-    ell_i: object = 90.0
-    setpoint: tuple = ((0.0, 1.0), (20.0, 2.0))
-    h: float = 1e-3
-    T: float = 40.0
-    seed: int = 0
-    init_bounds: tuple = (-1.0, 1.0)
-    disturbance: object = 0.1
-    fault_magnitude: object = 5.75
-    fault_onset: float = 10.0
-
-
-_TOP_KEYS = frozenset({
-    "schema_version", "topology", "graph", "plant", "synthesis",
-    "control", "sim",
-})
-_GRAPH_KEYS = frozenset({"edges", "sources", "normalize"})
-_PLANT_KEYS = frozenset({"kind", "m", "agents"})
-_SYNTH_KEYS = frozenset({"delta", "alpha", "margin"})
-_CONTROL_KEYS = frozenset({"ell_p", "ell_i", "setpoint"})
-_SIM_KEYS = frozenset({"h", "T", "seed", "init_bounds", "disturbance",
-                       "fault"})
-_FAULT_KEYS = frozenset({"magnitude", "onset"})
-
-
-def _reject_unknown(mapping, allowed, where: str) -> None:
-    for key in mapping:
-        if key not in allowed:
-            raise ValidationError(f"unknown key '{key}' in {where}")
-
-
-def _section(raw: dict, name: str) -> dict:
-    value = raw.get(name)
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ValidationError(f"section '{name}' must be a mapping")
-    return value
-
-
 def _is_number(value) -> bool:
     """A finite int or float; YAML booleans are not numbers."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -213,39 +158,196 @@ def _is_index(value) -> bool:
     return _is_number(value) and float(value).is_integer()
 
 
-def _number(section: str, key: str, value, default,
-            positive: bool = False, nonnegative: bool = False) -> float:
-    if value is None:
-        value = default
-    if not _is_number(value):
-        raise ValidationError(f"{section}.{key} must be a finite number, "
-                              f"got {value!r}")
-    value = float(value)
-    if positive and not value > 0.0:
-        raise ValidationError(f"{section}.{key} must be > 0, got {value}")
-    if nonnegative and value < 0.0:
-        raise ValidationError(f"{section}.{key} must be >= 0, got {value}")
-    return value
+# Readers: each takes a field's dotted key and the value the file gives
+# it, rejects a bad value naming the key, and returns the value in the
+# form the Scenario field holds.
 
 
-def _gain(section: str, key: str, value, default):
-    """Scalar or per-agent list of outer-loop gains."""
-    if value is None:
-        return default
+def _one_of(*choices):
+    def read(key: str, value):
+        # the type must match too: YAML's true is not the number 1
+        if not any(type(value) is type(c) and value == c for c in choices):
+            raise ValidationError(
+                f"{key} must be one of {list(choices)}, got {value!r}")
+        return value
+    return read
+
+
+def _integer(minimum: int):
+    def read(key: str, value) -> int:
+        if (not isinstance(value, int) or isinstance(value, bool)
+                or value < minimum):
+            raise ValidationError(
+                f"{key} must be an integer >= {minimum}, got {value!r}")
+        return value
+    return read
+
+
+def _number(minimum: float, strict: bool):
+    """A finite number at least, or if ``strict`` above, ``minimum``."""
+    def read(key: str, value) -> float:
+        if not _is_number(value):
+            raise ValidationError(
+                f"{key} must be a finite number, got {value!r}")
+        value = float(value)
+        if value < minimum or (strict and value == minimum):
+            raise ValidationError(f"{key} must be {'>' if strict else '>='} "
+                                  f"{minimum:g}, got {value}")
+        return value
+    return read
+
+
+_positive = _number(0.0, strict=True)
+
+
+def _per_agent(key: str, value):
+    """One number for every agent, or a list of one number per agent
+    (its length is checked against ``plant.m`` once that is known)."""
     if _is_number(value):
         return float(value)
     if isinstance(value, list) and value and all(map(_is_number, value)):
         return tuple(float(v) for v in value)
-    raise ValidationError(f"{section}.{key} must be a finite number or a "
-                          f"list of finite numbers, got {value!r}")
+    raise ValidationError(f"{key} must be a finite number or a list of "
+                          f"finite numbers, got {value!r}")
+
+
+def _bounds(key: str, value) -> tuple:
+    if (not isinstance(value, list) or len(value) != 2
+            or not all(map(_is_number, value))
+            or float(value[0]) > float(value[1])):
+        raise ValidationError(
+            f"{key} must be [lo, hi] of finite numbers with lo <= hi, "
+            f"got {value!r}")
+    return (float(value[0]), float(value[1]))
+
+
+def _index_rows(pattern: str, n_index: int, nonempty: bool):
+    """A list of ``pattern`` rows: ``n_index`` integral unit indices,
+    then a weight."""
+    def read(key: str, value) -> tuple:
+        if not isinstance(value, list) or (nonempty and not value):
+            raise ValidationError(f"{key} must be a list of {pattern} rows"
+                                  + " (non-empty)" * nonempty)
+        rows = []
+        for item in value:
+            if (not isinstance(item, list) or len(item) != n_index + 1
+                    or not all(map(_is_index, item[:n_index]))
+                    or not _is_number(item[n_index])):
+                raise ValidationError(
+                    f"{key} entries must be {pattern} with integral "
+                    f"indices, got {item!r}")
+            rows.append(tuple(map(int, item[:n_index]))
+                        + (float(item[n_index]),))
+        return tuple(rows)
+    return read
+
+
+def _matrix(where: str, value) -> tuple:
+    if (not isinstance(value, list) or not value
+            or not all(isinstance(row, list) and row for row in value)):
+        raise ValidationError(f"{where} must be a list of rows")
+    width = len(value[0])
+    for row in value:
+        if len(row) != width or not all(map(_is_number, row)):
+            raise ValidationError(f"{where} rows must be equal-length "
+                                  "lists of finite numbers")
+    return tuple(tuple(float(v) for v in row) for row in value)
+
+
+def _agents(key: str, value) -> tuple:
+    if not isinstance(value, list) or not value:
+        raise ValidationError(
+            f"{key} must be a non-empty list of matrix mappings")
+    agents = []
+    for k, item in enumerate(value, start=1):
+        where = f"{key}[{k}]"
+        if not isinstance(item, dict):
+            raise ValidationError(f"{where} must be a mapping")
+        if set(item) != {"A", "B", "C", "D"}:
+            raise ValidationError(f"{where} must have exactly the keys "
+                                  f"A, B, C, D, got {list(item)}")
+        agents.append(tuple(_matrix(f"{where}.{name}", item[name])
+                            for name in ("A", "B", "C", "D")))
+    return tuple(agents)
+
+
+def _setpoints(key: str, value) -> tuple:
+    if not isinstance(value, list) or not value:
+        raise ValidationError(
+            f"{key} must be a non-empty list of [time, value] pairs")
+    pairs = []
+    for item in value:
+        if (not isinstance(item, list) or len(item) != 2
+                or not all(map(_is_number, item))):
+            raise ValidationError(
+                f"{key} entries must be [time, value], got {item!r}")
+        pairs.append((float(item[0]), float(item[1])))
+    times = [t for t, _ in pairs]
+    if times[0] != 0.0:
+        raise ValidationError(f"{key} must start at time 0")
+    if any(b <= a for a, b in zip(times, times[1:])):
+        raise ValidationError(f"{key} times must be strictly increasing")
+    return tuple(pairs)
+
+
+def _key(key: str, read, default):
+    """A Scenario field: its dotted scenario key, reader and default."""
+    return field(default=default, metadata={"key": key, "read": read})
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """Fully resolved run configuration; the defaults are the benchmark.
+
+    This table is the single source of the scenario schema: each field
+    declares its dotted key in the YAML file, its default and the reader
+    that checks a given value.  :func:`parse_scenario` accepts exactly
+    these keys, and a key left out (or null) takes the field's default.
+    """
+
+    schema_version: int = _key(
+        "schema_version", _one_of(SCHEMA_VERSION), SCHEMA_VERSION)
+    topology: str | None = _key(
+        "topology", _one_of(*BENCHMARK_TOPOLOGIES), "star")
+    graph_edges: tuple = _key(
+        "graph.edges", _index_rows("[i, j, weight]", 2, nonempty=True), ())
+    graph_sources: tuple = _key(
+        "graph.sources", _index_rows("[i, weight]", 1, nonempty=False), ())
+    normalize: bool = _key("graph.normalize", _one_of(True, False), True)
+    plant_kind: str = _key(
+        "plant.kind", _one_of("dc_motor", "explicit"), "dc_motor")
+    m: int = _key("plant.m", _integer(1), 4)
+    agents: tuple = _key("plant.agents", _agents, ())
+    delta: float = _key("synthesis.delta", _positive, 0.3)
+    alpha: float = _key("synthesis.alpha", _positive, 0.2)
+    margin: float = _key("synthesis.margin", _positive, 1e-6)
+    ell_p: object = _key("control.ell_p", _per_agent, 0.1)
+    ell_i: object = _key("control.ell_i", _per_agent, 90.0)
+    setpoint: tuple = _key("control.setpoint", _setpoints,
+                           ((0.0, 1.0), (20.0, 2.0)))
+    h: float = _key("sim.h", _positive, 1e-3)
+    T: float = _key("sim.T", _positive, 40.0)
+    seed: int = _key("sim.seed", _integer(0), 0)
+    init_bounds: tuple = _key("sim.init_bounds", _bounds, (-1.0, 1.0))
+    disturbance: object = _key("sim.disturbance", _per_agent, 0.1)
+    fault_magnitude: object = _key("sim.fault.magnitude", _per_agent, 5.75)
+    fault_onset: float = _key(
+        "sim.fault.onset", _number(0.0, strict=False), 10.0)
+
+
+#: Dotted scenario key -> Scenario field, and the sections holding them.
+_FIELDS = {f.metadata["key"]: f for f in fields(Scenario)}
+_SECTIONS = {key[:i] for key in _FIELDS
+             for i, c in enumerate(key) if c == "."}
 
 
 def parse_scenario(path) -> Scenario:
     """Read and fully validate a YAML scenario file.
 
-    An empty file yields the benchmark defaults.  Unknown keys raise
-    :class:`ValidationError` naming the offending field; syntax errors
-    raise :class:`ParseError` with the line and column when available.
+    An empty file yields the benchmark defaults.  Unknown keys and bad
+    values raise :class:`ValidationError` naming the field; syntax
+    errors raise :class:`ParseError` with the line and column when
+    available.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -266,208 +368,63 @@ def parse_scenario(path) -> Scenario:
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: top level must be a mapping, "
                          f"got {type(raw).__name__}")
-    _reject_unknown(raw, _TOP_KEYS, "the top level")
+    given = _flatten(raw)
+    sc = Scenario(**{f.name: f.metadata["read"](key, given[key])
+                     for key, f in _FIELDS.items() if key in given})
+    return _cross_check(sc, given)
 
-    version = raw.get("schema_version", SCHEMA_VERSION)
-    if not isinstance(version, int) or isinstance(version, bool) \
-            or version != SCHEMA_VERSION:
-        raise ValidationError(
-            f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
 
-    # --- graph ---
-    graph_raw = _section(raw, "graph")
-    _reject_unknown(graph_raw, _GRAPH_KEYS, "section 'graph'")
-    topology = raw.get("topology")
-    if topology is not None and graph_raw:
-        raise ValidationError(
-            "give either 'topology' or an explicit 'graph' section, not both")
-    graph_edges: tuple = ()
-    graph_sources: tuple = ()
-    if graph_raw:
-        graph_edges = _edge_list(graph_raw.get("edges"))
-        graph_sources = _source_list(graph_raw.get("sources"))
-        topology = None
-    else:
-        if topology is None:
-            topology = "star"
-        if not isinstance(topology, str) or topology not in BENCHMARK_TOPOLOGIES:
-            raise ValidationError(
-                f"topology must be one of {sorted(BENCHMARK_TOPOLOGIES)}, "
-                f"got {topology!r}")
-    normalize = graph_raw.get("normalize", True)
-    if not isinstance(normalize, bool):
-        raise ValidationError("graph.normalize must be true or false")
+def _flatten(mapping: dict, prefix: str = "") -> dict:
+    """Dotted key -> value of every non-null leaf of the file."""
+    flat = {}
+    for name, value in mapping.items():
+        key = f"{prefix}{name}"
+        if "." in str(name) or (key not in _FIELDS and key not in _SECTIONS):
+            raise ValidationError(f"unknown key '{key}'")
+        if value is None:
+            continue
+        if key not in _SECTIONS:
+            flat[key] = value
+        elif isinstance(value, dict):
+            flat.update(_flatten(value, key + "."))
+        else:
+            raise ValidationError(f"section '{key}' must be a mapping")
+    return flat
 
-    # --- plant ---
-    plant_raw = _section(raw, "plant")
-    _reject_unknown(plant_raw, _PLANT_KEYS, "section 'plant'")
-    kind = plant_raw.get("kind", "dc_motor")
-    if kind not in ("dc_motor", "explicit"):
-        raise ValidationError(
-            f"plant.kind must be 'dc_motor' or 'explicit', got {kind!r}")
-    m = plant_raw.get("m", 4)
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise ValidationError(f"plant.m must be a positive integer, got {m!r}")
-    agents: tuple = ()
-    if kind == "explicit":
-        agents_raw = plant_raw.get("agents")
-        if not isinstance(agents_raw, list) or not agents_raw:
-            raise ValidationError(
-                "plant.agents must be a non-empty list of matrix mappings")
-        agents = _agent_list(agents_raw)
-        if "m" in plant_raw and m != len(agents):
-            raise ValidationError(
-                f"plant.m is {m} but plant.agents lists {len(agents)} agents")
-        m = len(agents)
-    elif "agents" in plant_raw:
+
+def _cross_check(sc: Scenario, given: dict) -> Scenario:
+    """The checks that read more than one field."""
+    if any(key.startswith("graph.") for key in given):
+        if "topology" in given:
+            raise ValidationError("give either 'topology' or an explicit "
+                                  "'graph' section, not both")
+        if "graph.edges" not in given:
+            raise ValidationError("a graph section needs graph.edges")
+        sc = replace(sc, topology=None)
+    if sc.plant_kind == "explicit":
+        if not sc.agents:
+            raise ValidationError("plant.kind: explicit needs plant.agents")
+        if "plant.m" in given and sc.m != len(sc.agents):
+            raise ValidationError(f"plant.m is {sc.m} but plant.agents "
+                                  f"lists {len(sc.agents)} agents")
+        sc = replace(sc, m=len(sc.agents))
+    elif sc.agents:
         raise ValidationError("plant.agents requires plant.kind: explicit")
-
-    # --- synthesis ---
-    synth_raw = _section(raw, "synthesis")
-    _reject_unknown(synth_raw, _SYNTH_KEYS, "section 'synthesis'")
-    delta = _number("synthesis", "delta", synth_raw.get("delta"), 0.3,
-                    positive=True)
-    alpha = _number("synthesis", "alpha", synth_raw.get("alpha"), 0.2,
-                    positive=True)
-    margin = _number("synthesis", "margin", synth_raw.get("margin"), 1e-6,
-                     positive=True)
-
-    # --- control ---
-    control_raw = _section(raw, "control")
-    _reject_unknown(control_raw, _CONTROL_KEYS, "section 'control'")
-    ell_p = _gain("control", "ell_p", control_raw.get("ell_p"), 0.1)
-    ell_i = _gain("control", "ell_i", control_raw.get("ell_i"), 90.0)
-    setpoint = _setpoint_list(control_raw.get("setpoint"))
-
-    # --- sim ---
-    sim_raw = _section(raw, "sim")
-    _reject_unknown(sim_raw, _SIM_KEYS, "section 'sim'")
-    h = _number("sim", "h", sim_raw.get("h"), 1e-3, positive=True)
-    T = _number("sim", "T", sim_raw.get("T"), 40.0, positive=True)
-    if T < h:
-        raise ValidationError(f"sim.T ({T}) must be at least sim.h ({h})")
-    snapped = [_snap(t, h) for t, _ in setpoint]
+    for key, f in _FIELDS.items():
+        value = getattr(sc, f.name)
+        if (f.metadata["read"] is _per_agent and isinstance(value, tuple)
+                and len(value) != sc.m):
+            raise ValidationError(
+                f"{key} lists {len(value)} values for {sc.m} agents")
+    if sc.T < sc.h:
+        raise ValidationError(
+            f"sim.T ({sc.T}) must be at least sim.h ({sc.h})")
+    snapped = [_snap(t, sc.h) for t, _ in sc.setpoint]
     if any(b <= a for a, b in zip(snapped, snapped[1:])):
         raise ValidationError(
             "control.setpoint times must lie at least one step apart on "
-            f"the sim.h={h:g} time grid, got {[t for t, _ in setpoint]}")
-    seed = sim_raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ValidationError(f"sim.seed must be a non-negative integer, "
-                              f"got {seed!r}")
-    bounds_raw = sim_raw.get("init_bounds", [-1.0, 1.0])
-    if (not isinstance(bounds_raw, list) or len(bounds_raw) != 2
-            or not all(map(_is_number, bounds_raw))
-            or float(bounds_raw[0]) > float(bounds_raw[1])):
-        raise ValidationError(
-            f"sim.init_bounds must be [lo, hi] of finite numbers with "
-            f"lo <= hi, got {bounds_raw!r}")
-    disturbance = _gain("sim", "disturbance", sim_raw.get("disturbance"), 0.1)
-    fault_raw = sim_raw.get("fault")
-    if fault_raw is None:
-        fault_raw = {}
-    if not isinstance(fault_raw, dict):
-        raise ValidationError("sim.fault must be a mapping")
-    _reject_unknown(fault_raw, _FAULT_KEYS, "section 'sim.fault'")
-    fault_magnitude = _gain("sim.fault", "magnitude",
-                            fault_raw.get("magnitude"), 5.75)
-    fault_onset = _number("sim.fault", "onset", fault_raw.get("onset"), 10.0,
-                          nonnegative=True)
-
-    return Scenario(
-        schema_version=SCHEMA_VERSION, topology=topology,
-        graph_edges=graph_edges, graph_sources=graph_sources,
-        normalize=normalize, plant_kind=kind, m=m, agents=agents,
-        delta=delta, alpha=alpha, margin=margin,
-        ell_p=ell_p, ell_i=ell_i, setpoint=setpoint,
-        h=h, T=T, seed=seed,
-        init_bounds=(float(bounds_raw[0]), float(bounds_raw[1])),
-        disturbance=disturbance, fault_magnitude=fault_magnitude,
-        fault_onset=fault_onset,
-    )
-
-
-def _edge_list(value) -> tuple:
-    if not isinstance(value, list) or not value:
-        raise ValidationError(
-            "graph.edges must be a non-empty list of [i, j, weight] triples")
-    edges = []
-    for item in value:
-        if (not isinstance(item, list) or len(item) != 3
-                or not all(map(_is_index, item[:2]))
-                or not _is_number(item[2])):
-            raise ValidationError(
-                "graph.edges entries must be [i, j, weight] with integral "
-                f"i, j, got {item!r}")
-        edges.append((int(item[0]), int(item[1]), float(item[2])))
-    return tuple(edges)
-
-
-def _source_list(value) -> tuple:
-    if value is None:
-        return ()
-    if not isinstance(value, list):
-        raise ValidationError(
-            "graph.sources must be a list of [i, weight] pairs")
-    sources = []
-    for item in value:
-        if (not isinstance(item, list) or len(item) != 2
-                or not _is_index(item[0]) or not _is_number(item[1])):
-            raise ValidationError(
-                "graph.sources entries must be [i, weight] with integral i, "
-                f"got {item!r}")
-        sources.append((int(item[0]), float(item[1])))
-    return tuple(sources)
-
-
-def _matrix(where: str, value) -> tuple:
-    if (not isinstance(value, list) or not value
-            or not all(isinstance(row, list) and row for row in value)):
-        raise ValidationError(f"{where} must be a list of rows")
-    width = len(value[0])
-    for row in value:
-        if len(row) != width or not all(map(_is_number, row)):
-            raise ValidationError(f"{where} rows must be equal-length "
-                                  "lists of finite numbers")
-    return tuple(tuple(float(v) for v in row) for row in value)
-
-
-def _agent_list(value: list) -> tuple:
-    agents = []
-    for k, item in enumerate(value, start=1):
-        if not isinstance(item, dict):
-            raise ValidationError(f"plant.agents[{k}] must be a mapping")
-        _reject_unknown(item, frozenset({"A", "B", "C", "D"}),
-                        f"plant.agents[{k}]")
-        mats = {}
-        for name in ("A", "B", "C", "D"):
-            if name not in item:
-                raise ValidationError(f"plant.agents[{k}] is missing '{name}'")
-            mats[name] = _matrix(f"plant.agents[{k}].{name}", item[name])
-        agents.append((mats["A"], mats["B"], mats["C"], mats["D"]))
-    return tuple(agents)
-
-
-def _setpoint_list(value) -> tuple:
-    if value is None:
-        return ((0.0, 1.0), (20.0, 2.0))
-    if not isinstance(value, list) or not value:
-        raise ValidationError(
-            "control.setpoint must be a non-empty list of [time, value] pairs")
-    pairs = []
-    for item in value:
-        if (not isinstance(item, list) or len(item) != 2
-                or not all(map(_is_number, item))):
-            raise ValidationError(
-                f"control.setpoint entries must be [time, value], got {item!r}")
-        pairs.append((float(item[0]), float(item[1])))
-    times = [t for t, _ in pairs]
-    if times[0] != 0.0:
-        raise ValidationError("control.setpoint must start at time 0")
-    if any(b <= a for a, b in zip(times, times[1:])):
-        raise ValidationError("control.setpoint times must be strictly "
-                              "increasing")
-    return tuple(pairs)
+            f"the sim.h={sc.h:g} time grid, got {[t for t, _ in sc.setpoint]}")
+    return sc
 
 
 # ---------------------------------------------------------------------------
@@ -489,13 +446,15 @@ def build_plant(sc: Scenario) -> NetworkModel:
 
 
 def build_interaction(sc: Scenario, net: NetworkModel) -> NetworkGraph:
-    """Instantiate the interaction topology described by a scenario.
+    """Instantiate the interaction topology described by a scenario: a
+    named topology as the benchmark defines it (normalized), or the
+    explicit graph, normalized if ``sc.normalize``.
 
     The graph must fit the plant and the source must reach every unit,
     else the scenario is rejected before any synthesis.
     """
     if sc.topology is not None:
-        g = benchmark_topology(sc.topology, normalize=sc.normalize)
+        g = benchmark_topology(sc.topology)
     else:
         g = build_graph(net.m, sc.graph_edges, sc.graph_sources)
         if sc.normalize:

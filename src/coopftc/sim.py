@@ -241,25 +241,26 @@ def _require_scalar_channels(net: NetworkModel) -> None:
             f"(n_u={net.n_u}, n_y={net.n_y}, n_v={net.n_v})")
 
 
-def _column_names(net: NetworkModel) -> list[str]:
-    m, n_x, n_y = net.m, net.n_x, net.n_y
-    n_aug_agent = n_x + n_y
-    names = ["t"]
-    names += [f"x[{i}][{k}]" for i in range(1, m + 1)
-              for k in range(1, n_x + 1)]
-    names += [f"eta[{i}][{k}]" for i in range(1, m + 1)
-              for k in range(1, n_aug_agent + 1)]
-    names += [f"q[{i}]" for i in range(1, m + 1)]
-    names += [f"xhat[{i}][{k}]" for i in range(1, m + 1)
-              for k in range(1, n_x + 1)]
-    names += [f"fhat[{i}]" for i in range(1, m + 1)]
-    names += [f"u[{i}]" for i in range(1, m + 1)]
-    names += [f"yf[{i}]" for i in range(1, m + 1)]
-    names += [f"ebar[{i}]" for i in range(1, m + 1)]
-    names += [f"v[{i}]" for i in range(1, m + 1)]
-    names += [f"fs[{i}]" for i in range(1, m + 1)]
-    names += ["y0"]
-    return names
+def _trace_columns(net: NetworkModel) -> list[tuple[str, list[str]]]:
+    """The trace CSV layout in file order: each :class:`SimTrace` field
+    with the header names of its columns.  The header, the write order
+    and the read cuts all come from this table."""
+    agents = range(1, net.m + 1)
+
+    def per_state(label: str, n: int) -> list[str]:
+        return [f"{label}[{i}][{k}]" for i in agents for k in range(1, n + 1)]
+
+    def per_agent(label: str) -> list[str]:
+        return [f"{label}[{i}]" for i in agents]
+
+    return [
+        ("t", ["t"]), ("x", per_state("x", net.n_x)),
+        ("eta", per_state("eta", net.n_x + net.n_y)), ("q", per_agent("q")),
+        ("x_hat", per_state("xhat", net.n_x)), ("f_hat", per_agent("fhat")),
+        ("u", per_agent("u")), ("y_f", per_agent("yf")),
+        ("e_bar", per_agent("ebar")), ("v", per_agent("v")),
+        ("f_s", per_agent("fs")), ("y0", ["y0"]),
+    ]
 
 
 def _agent_permutation(net: NetworkModel) -> np.ndarray:
@@ -272,13 +273,11 @@ def trace_to_csv(trace: SimTrace, net: NetworkModel, path) -> None:
     state is stored per agent (states then fault component) even though
     it lives in the canonical stacked layout in memory."""
     _require_scalar_channels(net)
-    perm = _agent_permutation(net)
-    table = np.hstack([
-        trace.t[:, None], trace.x, trace.eta[:, perm], trace.q,
-        trace.x_hat, trace.f_hat, trace.u, trace.y_f, trace.e_bar,
-        trace.v, trace.f_s, trace.y0,
-    ])
-    names = _column_names(net)
+    columns = _trace_columns(net)
+    table = np.column_stack([trace.eta[:, _agent_permutation(net)]
+                             if name == "eta" else getattr(trace, name)
+                             for name, _ in columns])
+    names = [label for _, labels in columns for label in labels]
     if table.shape[1] != len(names):
         raise SchemaError(f"trace has {table.shape[1]} columns, header "
                           f"names {len(names)}")
@@ -290,9 +289,10 @@ def trace_from_csv(path, net: NetworkModel) -> SimTrace:
     """Read a trace written by :func:`trace_to_csv`, undoing the
     per-agent observer-state grouping."""
     _require_scalar_channels(net)
+    columns = _trace_columns(net)
+    expected = [label for _, labels in columns for label in labels]
     with open(path) as fh:
         header = fh.readline().strip()
-    expected = _column_names(net)
     if header.split(",") != expected:
         raise SchemaError(f"{path}: header does not match the trace "
                           "schema for this network")
@@ -300,16 +300,9 @@ def trace_from_csv(path, net: NetworkModel) -> SimTrace:
     if table.shape[1] != len(expected):
         raise SchemaError(f"{path}: {table.shape[1]} columns, expected "
                           f"{len(expected)}")
-    m, n_x, n_y = net.m, net.n_x, net.n_y
-    na = m * (n_x + n_y)
-    cuts = np.cumsum([1, m * n_x, na, m * n_y, m * n_x, m * n_y, m * n_y,
-                      m * n_y, m * n_y, net.nbar_v, m * n_y])
-    t = table[:, 0]
-    x, eta_grp, q, x_hat, f_hat, u, y_f, e_bar, v, f_s = [
-        table[:, a:b] for a, b in zip(cuts[:-1], cuts[1:])]
-    y0 = table[:, cuts[-1]:]
-    perm = _agent_permutation(net)
-    eta = np.empty_like(eta_grp)
-    eta[:, perm] = eta_grp
-    return SimTrace(t=t, x=x, eta=eta, q=q, x_hat=x_hat, f_hat=f_hat,
-                    u=u, y_f=y_f, e_bar=e_bar, v=v, f_s=f_s, y0=y0)
+    cuts = np.cumsum([len(labels) for _, labels in columns])[:-1]
+    parts = dict(zip([name for name, _ in columns],
+                     np.split(table, cuts, axis=1)))
+    parts["t"] = parts["t"][:, 0]
+    parts["eta"] = parts["eta"][:, np.argsort(_agent_permutation(net))]
+    return SimTrace(**parts)

@@ -129,7 +129,7 @@ def test_04_estimator_dissipation_inequality(benchmark_trace, benchmark_aug,
                                              benchmark_net, observer_synth,
                                              announce):
     report = dissipation_check(benchmark_trace, benchmark_aug,
-                               benchmark_net, observer_synth, tol=1e-9)
+                               benchmark_net, observer_synth)
     ok = report.passed and report.max_interior_value <= 1e-9 \
         and report.n_excluded >= 1
     announce("04 estimator dissipation inequality", ok,

@@ -7,16 +7,24 @@ full 40-second benchmark.
 """
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopftc import cli, linalg, sim
-from coopftc.cli import (build_interaction, build_plant, load_matrix, main,
-                         parse_scenario, save_matrix)
+from coopftc.cli import (Scenario, build_interaction, build_plant,
+                         load_matrix, main, parse_scenario, save_matrix)
 from coopftc.errors import ParseError, ValidationError
 from coopftc.estimator import build_observer
+from coopftc.graph import BENCHMARK_TOPOLOGIES
+
+#: Scenario field name -> its dotted key in a scenario file.
+KEYS = {f.name: f.metadata["key"] for f in dataclasses.fields(Scenario)}
 
 SHORT_SCENARIO = "sim:\n  T: 2.0\n"
 
@@ -56,6 +64,80 @@ def test_empty_file_yields_benchmark_defaults(tmp_path):
     assert sc.fault_magnitude == 5.75 and sc.fault_onset == 10.0
     assert sc.h == 1e-3 and sc.T == 40.0 and sc.seed == 0
     assert sc.setpoint == ((0.0, 1.0), (20.0, 2.0))
+    assert sc == Scenario()
+
+
+def _yaml_value(value):
+    if isinstance(value, tuple):
+        return [_yaml_value(v) for v in value]
+    return value
+
+
+def _nested(values: dict) -> dict:
+    """Scenario field values as the nested mapping of a scenario file."""
+    doc: dict = {}
+    for name, value in values.items():
+        *sections, leaf = KEYS[name].split(".")
+        node = doc
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[leaf] = _yaml_value(value)
+    return doc
+
+
+_positive = st.floats(1e-6, 1e3)
+_finite = st.floats(-1e3, 1e3, allow_nan=False)
+_per_agent = st.one_of(_finite, st.tuples(*[_finite] * 4))
+
+
+@st.composite
+def _setpoints(draw):
+    # steps at least 0.5 s apart stay apart on every drawn grid (h <= 0.01)
+    gaps = draw(st.lists(st.floats(0.5, 10.0), max_size=3))
+    times = [0.0]
+    for gap in gaps:
+        times.append(times[-1] + gap)
+    return tuple((t, draw(_finite)) for t in times)
+
+
+# Valid values for every field whose validity does not hang on a field
+# left out (graph, explicit agents, plant size).
+_FIELD_VALUES = {
+    "schema_version": st.just(1),
+    "topology": st.sampled_from(BENCHMARK_TOPOLOGIES),
+    "plant_kind": st.just("dc_motor"),
+    "m": st.just(4),
+    "delta": _positive, "alpha": _positive, "margin": _positive,
+    "ell_p": _per_agent, "ell_i": _per_agent, "setpoint": _setpoints(),
+    "h": st.floats(1e-4, 1e-2), "T": st.floats(1.0, 100.0),
+    "seed": st.integers(0, 2 ** 31),
+    "init_bounds": st.tuples(_finite, _finite).map(
+        lambda b: tuple(sorted(b))),
+    "disturbance": _per_agent, "fault_magnitude": _per_agent,
+    "fault_onset": st.floats(0.0, 100.0),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=st.fixed_dictionaries({}, optional=_FIELD_VALUES))
+def test_field_table_round_trip(tmp_path_factory, drawn):
+    p = tmp_path_factory.mktemp("round_trip") / "drawn.yaml"
+    p.write_text(yaml.safe_dump(_nested(drawn)))
+    assert parse_scenario(p) == dataclasses.replace(Scenario(), **drawn)
+
+
+def test_readme_schema_block_lists_every_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("### Scenario schema", 1)[1]
+    block = block.split("```yaml\n", 1)[1].split("```", 1)[0]
+
+    def flatten(node, prefix=""):
+        for name, value in node.items():
+            if isinstance(value, dict):
+                yield from flatten(value, f"{prefix}{name}.")
+            else:
+                yield f"{prefix}{name}"
+    assert sorted(flatten(yaml.safe_load(block))) == sorted(KEYS.values())
 
 
 def test_named_cyclic_topology_weights(tmp_path):
@@ -235,6 +317,17 @@ def test_simulate_sweep_three_topologies(tmp_path, short_scenario,
         < summary.index("star.")
 
 
+def test_sweep_normalizes_named_topologies(tmp_path, gains_dir):
+    # an unnormalized explicit chain must not unbalance the named ones
+    p = tmp_path / "chain.yaml"
+    p.write_text("graph: {edges: [[2, 1, 1.0], [3, 2, 1.0], [4, 3, 1.0]], "
+                 "sources: [[1, 1.0]], normalize: false}\nsim: {T: 0.5}\n")
+    assert main(["simulate", "-s", str(p), "-o", str(tmp_path),
+                 "--gains", str(gains_dir), "--sweep"]) == 0
+    assert "sweep.topologies=cyclic,path,star" \
+        in (tmp_path / "summary.txt").read_text()
+
+
 def _no_synthesis(*args, **kwargs):
     raise AssertionError("synthesis ran before the input check")
 
@@ -287,6 +380,26 @@ def test_collapsing_setpoint_steps_rejected(tmp_path, monkeypatch, capsys):
     assert main(["simulate", "-s", str(p), "-o", str(tmp_path)]) \
         == cli.EXIT_VALIDATION
     assert "control.setpoint" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [["synth"], ["simulate"],
+                                   ["verify", "--trace", "never-read.csv"]])
+@pytest.mark.parametrize("text, key", [
+    ("control: {ell_p: [0.1, 0.2]}\n", "control.ell_p"),
+    ("control: {ell_i: [90.0, 90.0]}\n", "control.ell_i"),
+    ("sim: {disturbance: [0.1, 0.1]}\n", "sim.disturbance"),
+    ("sim: {fault: {magnitude: [5.75, 5.75]}}\n", "sim.fault.magnitude"),
+], ids=["ell_p", "ell_i", "disturbance", "fault_magnitude"])
+def test_per_agent_list_length_checked_before_synthesis(
+        tmp_path, monkeypatch, capsys, text, key, extra):
+    monkeypatch.setattr(cli, "synth_observer", _no_synthesis)
+    p = tmp_path / "two_values.yaml"
+    p.write_text(text)
+    argv = extra[:1] + ["-s", str(p)] + extra[1:]
+    if extra[0] != "verify":
+        argv += ["-o", str(tmp_path / "out")]
+    assert main(argv) == cli.EXIT_VALIDATION
+    assert f"{key} lists 2 values for 4 agents" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("extra", [["simulate"],
