@@ -126,7 +126,7 @@ def normalize_weights(g: NetworkGraph) -> NetworkGraph:
     """
     w = np.diag(g.W)
     if (w <= 0).any():
-        bad = [i + 1 for i in np.flatnonzero(w <= 0)]
+        bad = [int(i) + 1 for i in np.flatnonzero(w <= 0)]
         raise IsolatedUnitError(f"units {bad} have zero total in-weight")
     return _finalize(g.m, g.A_m / w[:, None], g.A_0 / w[:, None])
 

@@ -11,14 +11,20 @@ the final stage of the single step that lands on it -- the induced
 offset decays with the loop and the certificate checks exclude that
 step.
 
-For speed, :func:`run_experiment` integrates the affine realization
-from :func:`~coopftc.control.closed_loop_maps` (one small matrix-vector
-product per stage) and spot-checks it against the readable
-:func:`~coopftc.control.closed_loop_rhs` wiring at a random state, so
-the fast path cannot silently diverge from the reference path.  The
-remaining trace columns (estimates, cooperative error, control) come
-from the functions ``closed_loop_rhs`` itself calls, applied once to
-the whole trace with one row per sample.
+The closed loop is linear and its inputs are piecewise constant, so one
+RK4 step is exactly one affine map
+``z+ = Phi z + G0 w(t) + Gh w(t + h/2) + G1 w(t + h)`` of the stacked
+state and signals.  :func:`run_experiment` probes the affine realization
+from :func:`~coopftc.control.closed_loop_maps` once, spot-checks it
+against the readable :func:`~coopftc.control.closed_loop_rhs` wiring at
+a random state (so the fast path cannot silently diverge from the
+reference path), builds the step map by applying the RK4 formula to
+identity columns (:func:`rk4_step_maps`) and advances the whole grid
+with one small matrix-vector product per step (:func:`propagate`).
+:func:`integrate` is the generic RK4 integrator the step map is
+checked against.  The remaining trace columns (estimates, cooperative
+error, control) come from the functions ``closed_loop_rhs`` itself
+calls, applied once to the whole trace with one row per sample.
 """
 
 from __future__ import annotations
@@ -28,9 +34,9 @@ from typing import Callable
 
 import numpy as np
 
-from .control import (ClosedLoop, ClosedLoopState, SignalSchedule,
-                      closed_loop_maps, closed_loop_rhs, control_input,
-                      cooperative_error)
+from .control import (ClosedLoop, ClosedLoopMaps, ClosedLoopState,
+                      SignalSchedule, closed_loop_maps, closed_loop_rhs,
+                      control_input, cooperative_error)
 from .errors import (DimensionMismatchError, IdentityCheckFailedError,
                      NonFiniteStateError, SchemaError)
 from .estimator import extract_estimates
@@ -41,6 +47,8 @@ __all__ = [
     "SimTrace",
     "step_schedule",
     "integrate",
+    "rk4_step_maps",
+    "propagate",
     "sample_initial_state",
     "run_experiment",
     "trace_to_csv",
@@ -87,6 +95,24 @@ def step_schedule(m: int, disturbance, fault_magnitude, fault_onset: float,
     )
 
 
+def _grid(h: float, T: float) -> np.ndarray:
+    """The uniform time grid: the horizon rounded to whole steps."""
+    if h <= 0:
+        raise ValueError(f"step size must be > 0, got {h}")
+    if T < h:
+        raise ValueError(f"horizon {T} shorter than one step {h}")
+    return np.arange(int(round(T / h)) + 1) * h
+
+
+def _rk4_step(rhs, t, z, h):
+    """One classical Runge-Kutta step from ``(t, z)``."""
+    k1 = rhs(t, z)
+    k2 = rhs(t + 0.5 * h, z + (0.5 * h) * k1)
+    k3 = rhs(t + 0.5 * h, z + (0.5 * h) * k2)
+    k4 = rhs(t + h, z + h * k3)
+    return z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
               z0: np.ndarray, h: float, T: float):
     """Classical 4th-order fixed-step integration.
@@ -95,28 +121,98 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
     the initial state; the horizon is rounded to a whole number of
     steps.  Aborts with the first offending time when the state stops
     being finite.
+
+    This is the generic, readable integrator: :func:`propagate` is the
+    same scheme for the affine closed loop, and tests compare the two.
     """
-    if h <= 0:
-        raise ValueError(f"step size must be > 0, got {h}")
-    if T < h:
-        raise ValueError(f"horizon {T} shorter than one step {h}")
-    n_steps = int(round(T / h))
-    times = np.arange(n_steps + 1) * h
+    times = _grid(h, T)
     z = np.array(z0, dtype=float)
-    out = np.empty((n_steps + 1, z.size))
+    out = np.empty((times.size, z.size))
     out[0] = z
-    for k in range(n_steps):
-        t = times[k]
-        k1 = rhs(t, z)
-        k2 = rhs(t + 0.5 * h, z + (0.5 * h) * k1)
-        k3 = rhs(t + 0.5 * h, z + (0.5 * h) * k2)
-        k4 = rhs(t + h, z + h * k3)
-        z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    for k in range(times.size - 1):
+        z = _rk4_step(rhs, times[k], z, h)
         if not np.all(np.isfinite(z)):
             raise NonFiniteStateError(
                 f"state became non-finite at t={times[k + 1]:.6g}",
                 time=float(times[k + 1]))
         out[k + 1] = z
+    return times, out
+
+
+def _affine_rhs(maps: ClosedLoopMaps, schedule: SignalSchedule):
+    """``z' = M z + B_v v + B_f f_s + B_r y0`` with the schedule's signals."""
+    M, B_v, B_f, B_r = maps.M, maps.B_v, maps.B_f, maps.B_r
+    sample = schedule.sample
+
+    def rhs(t, z):
+        v, f_s, y0 = sample(t)
+        return M @ z + B_v @ v + B_f @ f_s + B_r @ y0
+
+    return rhs
+
+
+def rk4_step_maps(maps: ClosedLoopMaps, h: float) -> np.ndarray:
+    """One RK4 step of the affine loop as ``[Phi | G0 | Gh | G1]``.
+
+    With ``w = (v, f_s, y0)`` stacked, the step from ``t`` is exactly
+    ``z+ = Phi z + G0 w(t) + Gh w(t + h/2) + G1 w(t + h)``.  The columns
+    come from one :func:`_rk4_step` applied to identity columns, each
+    stage time selecting its own block of input columns, so the maps
+    carry the integrator's own arithmetic and no series.
+    """
+    B = np.hstack([maps.B_v, maps.B_f, maps.B_r])
+    n, p = B.shape
+    eye = np.eye(n + 3 * p)
+    inputs = {0.0: eye[n:n + p], 0.5 * h: eye[n + p:n + 2 * p],
+              h: eye[n + 2 * p:]}
+    return _rk4_step(lambda t, z: maps.M @ z + B @ inputs[t], 0.0,
+                     eye[:n], h)
+
+
+#: Below this magnitude an RK4 stage overflows only if the loop's gains
+#: exceed it too, so the step map and the stage arithmetic of
+#: :func:`integrate` agree that every state is finite.  Nearer overflow
+#: they can disagree by many steps on where the state first overflows.
+_SAFE_MAGNITUDE = np.sqrt(np.finfo(float).max)
+
+#: Grid rows whose forcing is sampled and formed at once: a bounded
+#: block keeps the sampled signals out of the run's peak memory.
+_BLOCK_ROWS = 4096
+
+
+def propagate(maps: ClosedLoopMaps, schedule: SignalSchedule,
+              z0: np.ndarray, h: float, T: float):
+    """RK4 on the affine loop of ``maps`` driven by ``schedule``.
+
+    Returns what :func:`integrate` returns for :func:`_affine_rhs`, to
+    rounding: ``(times, states)`` on the same grid.  The schedule is
+    sampled at the stage times ``integrate`` uses, the forcing of every
+    step is written into the output array, and each step then adds one
+    small matrix-vector product.
+
+    A trajectory that leaves the safe magnitude range is handed to
+    :func:`integrate`, so a state that stops being finite is reported
+    at the time the reference integrator reports.
+    """
+    times = _grid(h, T)
+    step = rk4_step_maps(maps, h)
+    n = maps.M.shape[0]
+    out = np.empty((times.size, n))
+    out[0] = z0
+    starts = times[:-1]
+    for lo in range(0, starts.size, _BLOCK_ROWS):
+        t = starts[lo:lo + _BLOCK_ROWS]
+        w = np.hstack([col for s in (t, t + 0.5 * h, t + h)
+                       for col in schedule.sample(s)])
+        np.matmul(w, step[:, n:].T, out=out[lo + 1:lo + 1 + t.size])
+    phi_t = np.ascontiguousarray(step[:, :n].T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        prev = out[0]
+        for row in out[1:]:
+            row += prev @ phi_t
+            prev = row
+    if not -_SAFE_MAGNITUDE < out.min() <= out.max() < _SAFE_MAGNITUDE:
+        return integrate(_affine_rhs(maps, schedule), z0, h, T)
     return times, out
 
 
@@ -177,31 +273,22 @@ class SimTrace:
         return float(self.t[1] - self.t[0])
 
 
-def _affine_rhs(loop: ClosedLoop, schedule: SignalSchedule):
-    maps = closed_loop_maps(loop)
-    M, B_v, B_f, B_r = maps.M, maps.B_v, maps.B_f, maps.B_r
-    sample = schedule.sample
-
-    def rhs(t, z):
-        v, f_s, y0 = sample(t)
-        return M @ z + B_v @ v + B_f @ f_s + B_r @ y0
-
-    return rhs
-
-
 def run_experiment(loop: ClosedLoop, schedule: SignalSchedule,
                    s0: ClosedLoopState, h: float = 1e-3,
                    T: float = 40.0) -> SimTrace:
     """Integrate a closed loop and log the full trace.
 
-    The affine fast path is verified against the reference wiring at
-    one random state before integration starts; a disagreement raises
-    :class:`IdentityCheckFailedError`.  The estimates, the cooperative
-    error and the control of every sample are computed by the same
-    law functions as the reference wiring, on the whole trace at once.
+    The loop's affine realization is probed once and verified against
+    the reference wiring at one random state; a disagreement raises
+    :class:`IdentityCheckFailedError`.  The states then come from
+    :func:`propagate`, one precomputed RK4 step map per step.  The
+    estimates, the cooperative error and the control of every sample
+    are computed by the same law functions as the reference wiring, on
+    the whole trace at once.
     """
     net, aug, obs, law = loop.net, loop.aug, loop.obs, loop.law
-    rhs = _affine_rhs(loop, schedule)
+    maps = closed_loop_maps(loop)
+    rhs = _affine_rhs(maps, schedule)
 
     check_rng = np.random.default_rng(0)
     z_chk = check_rng.normal(size=loop.dim)
@@ -213,7 +300,7 @@ def run_experiment(loop: ClosedLoop, schedule: SignalSchedule,
         raise IdentityCheckFailedError(
             "affine fast path disagrees with reference right-hand side")
 
-    times, Z = integrate(rhs, s0.packed(), h, T)
+    times, Z = propagate(maps, schedule, s0.packed(), h, T)
     nbx, na = net.nbar_x, aug.n_aug
     x = Z[:, :nbx]
     eta = Z[:, nbx:nbx + na]

@@ -14,14 +14,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import ALPHA, DELTA, FAULT_MAG, benchmark_schedule
+from conftest import (ALPHA, DELTA, FAULT_MAG, benchmark_schedule,
+                      quiet_schedule)
 from coopftc.analysis import (consensus_report, dissipation_check,
                               empirical_l2_ratio, verify_iss_bound)
 from coopftc.control import closed_loop_maps, cooperative_error
 from coopftc.graph import is_positive_stable
 from coopftc.linalg import (is_hurwitz, solve_linear, solve_lyapunov,
                             sym_eigendecomp)
-from coopftc.sim import integrate, run_experiment
+from coopftc.sim import integrate, propagate, run_experiment
 from coopftc.synth import synth_controller, synth_observer
 from oracles import virtual_observer_oracle
 
@@ -227,17 +228,30 @@ def test_09_graph_balance_and_positive_stability(graphs, graph_sweep,
 
 
 def test_10_numerical_kernel_accuracy(loops, star_cert, announce):
-    # integrator order on two smooth linear benchmarks
+    # integrator order on two smooth linear benchmarks and on the
+    # simulation propagator
     ratios = []
     errs = {h: np.abs(integrate(lambda t, z: -z, np.ones(1), h, 2.0)[1][-1]
                       - np.exp(-2.0)).max()
             for h in (2e-3, 1e-3)}
     ratios.append(errs[2e-3] / errs[1e-3])
-    M = closed_loop_maps(loops["star"]).M
+    maps = closed_loop_maps(loops["star"])
+    M = maps.M
     z0 = np.random.default_rng(10).uniform(-1.0, 1.0, size=M.shape[0])
     ref = scipy.linalg.expm(2.0 * M) @ z0
     errs = {h: np.abs(integrate(lambda t, z: M @ z, z0, h, 2.0)[1][-1]
                       - ref).max()
+            for h in (2e-3, 1e-3)}
+    ratios.append(errs[2e-3] / errs[1e-3])
+    # the step-map propagator simulate runs, on the star loop under a
+    # constant setpoint: exact via the exponential of the loop augmented
+    # by its constant forcing
+    quiet = quiet_schedule(4)
+    forcing = maps.B_r @ quiet.y0[0]
+    aug = np.zeros((M.shape[0] + 1,) * 2)
+    aug[:-1, :-1], aug[:-1, -1] = M, forcing
+    ref = (scipy.linalg.expm(2.0 * aug) @ np.append(z0, 1.0))[:-1]
+    errs = {h: np.abs(propagate(maps, quiet, z0, h, 2.0)[1][-1] - ref).max()
             for h in (2e-3, 1e-3)}
     ratios.append(errs[2e-3] / errs[1e-3])
 

@@ -7,6 +7,7 @@ full 40-second benchmark.
 """
 
 import dataclasses
+import io
 from pathlib import Path
 
 import numpy as np
@@ -19,9 +20,9 @@ from hypothesis import strategies as st
 from coopftc import cli, linalg, sim
 from coopftc.cli import (Scenario, build_interaction, build_plant,
                          load_matrix, main, parse_scenario, save_matrix)
-from coopftc.errors import ParseError, ValidationError
+from coopftc.errors import NonFiniteStateError, ParseError, ValidationError
 from coopftc.estimator import build_observer
-from coopftc.graph import BENCHMARK_TOPOLOGIES
+from coopftc.graph import BENCHMARK_TOPOLOGIES, benchmark_topology
 
 #: Scenario field name -> its dotted key in a scenario file.
 KEYS = {f.name: f.metadata["key"] for f in dataclasses.fields(Scenario)}
@@ -294,6 +295,38 @@ def test_simulate_deterministic_bytes(tmp_path, short_scenario, gains_dir):
     assert (a / "trace.csv").read_bytes() == (b / "trace.csv").read_bytes()
 
 
+def _savetxt_series(curves) -> bytes:
+    """The plot file as ``np.savetxt`` writes it, one block per curve."""
+    fh = io.StringIO()
+    fh.write("# two-column series; blank lines separate curves\n")
+    for label, t, values in curves:
+        fh.write(f"# curve={label}\n")
+        np.savetxt(fh, np.column_stack([t, values]), fmt="%.17g",
+                   delimiter=" ")
+        fh.write("\n")
+    return fh.getvalue().encode()
+
+
+def test_plot_bytes_match_savetxt(tmp_path, short_scenario, gains_dir,
+                                  monkeypatch):
+    written = []
+    original = cli._write_series
+
+    def recorded(path, curves):
+        written.append((path, curves))
+        original(path, curves)
+    monkeypatch.setattr(cli, "_write_series", recorded)
+    assert main(["simulate", "-s", str(short_scenario), "-o", str(tmp_path),
+                 "--gains", str(gains_dir)]) == 0
+    # signed zeros, subnormal and huge values format as savetxt does
+    edge = [("edge", np.arange(6.0), np.array([0.0, -0.0, 5e-324, -1e300,
+                                               1 / 3, 2.0 ** 60]))]
+    recorded(tmp_path / "edge.dat", edge)
+    assert len(written) == 3
+    for path, curves in written:
+        assert Path(path).read_bytes() == _savetxt_series(curves)
+
+
 def test_simulate_sweep_three_topologies(tmp_path, short_scenario,
                                          gains_dir, monkeypatch):
     builds = []
@@ -369,6 +402,31 @@ def test_unreached_units_rejected_before_synthesis(tmp_path, monkeypatch,
     assert main(argv) == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
     assert "graph.sources" in err and "[3, 4]" in err
+
+
+def test_empty_edge_graph_is_the_star(tmp_path):
+    p = tmp_path / "star.yaml"
+    p.write_text("graph: {edges: [], sources: [[1, 1.0], [2, 1.0], "
+                 "[3, 1.0], [4, 1.0]]}\n")
+    sc = parse_scenario(p)
+    g = build_interaction(sc, build_plant(sc))
+    star = benchmark_topology("star")
+    npt.assert_array_equal(g.A_m, star.A_m)
+    npt.assert_array_equal(g.A_0, star.A_0)
+    assert main(["synth", "-s", str(p), "-o", str(tmp_path / "out")]) \
+        == cli.EXIT_OK
+
+
+def test_empty_edge_graph_with_unpinned_unit_rejected(tmp_path, monkeypatch,
+                                                      capsys):
+    monkeypatch.setattr(cli, "synth_observer", _no_synthesis)
+    p = tmp_path / "unpinned.yaml"
+    p.write_text("graph: {edges: [], sources: [[1, 1.0], [2, 1.0], "
+                 "[3, 1.0]]}\n")
+    assert main(["synth", "-s", str(p), "-o", str(tmp_path / "out")]) \
+        == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "graph.sources" in err and "[4]" in err
 
 
 def test_collapsing_setpoint_steps_rejected(tmp_path, monkeypatch, capsys):
@@ -488,6 +546,19 @@ def test_fast_path_mismatch_is_identity_failure(tmp_path, short_scenario,
                  "--gains", str(gains_dir)])
     assert code == cli.EXIT_CERTIFICATE
     assert "disagrees with" in capsys.readouterr().err
+
+
+def test_simulate_non_finite_state_exit_code(tmp_path, short_scenario,
+                                             gains_dir, monkeypatch, capsys):
+    def diverging(*args, **kwargs):
+        raise NonFiniteStateError("state became non-finite at t=1.234",
+                                  time=1.234)
+    monkeypatch.setattr(cli, "run_experiment", diverging)
+    code = main(["simulate", "-s", str(short_scenario), "-o", str(tmp_path),
+                 "--gains", str(gains_dir)])
+    assert code == cli.EXIT_SIMULATION
+    err = capsys.readouterr().err
+    assert "simulation failed" in err and "t=1.234" in err
 
 
 # --- verify command ---------------------------------------------------------

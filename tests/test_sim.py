@@ -1,5 +1,7 @@
 """Integration kernel, schedules, experiment runs, trace CSV round trip."""
 
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -8,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import benchmark_schedule, quiet_schedule
+from coopftc.control import ClosedLoopMaps, closed_loop_maps
 from coopftc.errors import (DimensionMismatchError, NonFiniteStateError,
                             SchemaError)
-from coopftc.sim import (SignalSchedule, integrate, run_experiment,
-                         sample_initial_state, step_schedule,
+from coopftc.sim import (SignalSchedule, integrate, propagate,
+                         run_experiment, sample_initial_state, step_schedule,
                          trace_from_csv, trace_to_csv)
 
 
@@ -52,6 +55,81 @@ def test_integrate_aborts_on_finite_time_escape():
     with np.errstate(over="ignore"), pytest.raises(NonFiniteStateError):
         # quadratic growth escapes to infinity just before t=1
         integrate(lambda t, z: z ** 2, np.array([1.0]), h=0.01, T=2.0)
+
+
+# --- propagate: the RK4 step map against integrate -------------------------
+
+def _affine_oracle(maps, schedule):
+    """The affine loop as a plain right-hand side for :func:`integrate`."""
+    def rhs(t, z):
+        v, f_s, y0 = schedule.sample(t)
+        return maps.M @ z + maps.B_v @ v + maps.B_f @ f_s + maps.B_r @ y0
+    return rhs
+
+
+def _relative_gap(a, b):
+    return np.abs(a - b).max() / max(1.0, np.abs(b).max())
+
+
+@st.composite
+def _affine_runs(draw):
+    """A random Hurwitz affine system and a piecewise-constant schedule
+    whose breakpoints lie on the time grid."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 6))
+    widths = draw(st.tuples(*[st.integers(1, 3)] * 3))
+    M = rng.normal(size=(n, n))
+    M -= (np.linalg.eigvals(M).real.max()
+          + draw(st.floats(0.05, 3.0))) * np.eye(n)
+    maps = ClosedLoopMaps(M, *(rng.normal(size=(n, w)) for w in widths))
+    h = draw(st.sampled_from([1e-3, 5e-3, 1e-2, 2e-2]))
+    n_steps = draw(st.integers(1, 400))
+    steps = draw(st.lists(st.integers(1, n_steps), max_size=4, unique=True))
+    times = np.concatenate([[0.0], np.sort(steps) * h])
+    schedule = SignalSchedule(times, *(rng.uniform(-2.0, 2.0,
+                                                   size=(times.size, w))
+                                       for w in widths))
+    return maps, schedule, rng.uniform(-1.0, 1.0, size=n), h, n_steps * h
+
+
+@settings(max_examples=40, deadline=None)
+@given(_affine_runs())
+def test_propagate_matches_integrate_on_affine_systems(run):
+    maps, schedule, z0, h, T = run
+    t_ref, z_ref = integrate(_affine_oracle(maps, schedule), z0, h, T)
+    t, z = propagate(maps, schedule, z0, h, T)
+    npt.assert_array_equal(t, t_ref)
+    assert _relative_gap(z, z_ref) <= 1e-9
+
+
+def test_propagate_matches_integrate_on_star_loop(loops, benchmark_trace,
+                                                  s0):
+    # 21 s crosses the fault onset at 10 s and the setpoint step at 20 s
+    T = 21.0
+    maps = closed_loop_maps(loops["star"])
+    _, z_ref = integrate(_affine_oracle(maps, benchmark_schedule(4)),
+                         s0.packed(), 1e-3, T)
+    rows = z_ref.shape[0]
+    tr = benchmark_trace
+    z = np.hstack([tr.x[:rows], tr.eta[:rows], tr.q[:rows]])
+    assert _relative_gap(z, z_ref) <= 1e-9
+
+
+def test_propagate_reports_first_non_finite_time_of_integrate(loops, s0):
+    # positive inner feedback: the loop diverges and overflows near 12.4 s
+    star = loops["star"]
+    unstable = dataclasses.replace(
+        star, law=dataclasses.replace(star.law, K=-20.0 * star.law.K))
+    maps = closed_loop_maps(unstable)
+    schedule = benchmark_schedule(4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteStateError) as ref:
+            integrate(_affine_oracle(maps, schedule), s0.packed(), 1e-3,
+                      15.0)
+        with pytest.raises(NonFiniteStateError) as fast:
+            run_experiment(unstable, schedule, s0, h=1e-3, T=15.0)
+    assert 0.0 < ref.value.time < 15.0
+    assert fast.value.time == ref.value.time
 
 
 # --- signal schedules -------------------------------------------------------
