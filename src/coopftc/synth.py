@@ -31,9 +31,14 @@ into the target, and a short ladder of increasing margins pushes the
 accepted point into the interior of the feasible set.  Each agent's
 affine family is probed once, when its :class:`LmiProblem` is built;
 the margin is an argument of :func:`solve_lmi`, so every ladder rung
-solves the same problem.  Every accepted solution is re-verified from
-scratch through plain eigendecompositions, independent of the iteration
-that produced it.
+solves the same problem.  The probe also yields the margin cap: a
+diagonal entry no variable touches bounds ``lambda_max`` from below, so
+the constant ``-delta^2 I`` block of ``Pi`` caps its margin at
+``delta^2``, and the ``-I``, ``-alpha I``, ``-delta^2 I`` blocks of
+``Lambda`` cap its margin at ``min(1, alpha, delta^2)``.  A rung above
+the cap fails at once instead of running to the stall cutoff.  Every
+accepted solution is re-verified from scratch through plain
+eigendecompositions, independent of the iteration that produced it.
 
 Feasible sets here are large, and different feasible gains behave very
 differently in closed loop: an over-fast inner loop starves the
@@ -43,9 +48,10 @@ iteration at the slowest gain the inequality can certify: a small
 bisection over pole-placement speed, with feasibility decided by an
 algebraic Riccati equation equivalent to the inequality at fixed gain,
 yields a strictly feasible starting point that the projection step
-accepts essentially unchanged.  When no anchor can be built for an
-agent, its solve falls back to a cold-started search boxed by affine
-eigenvalue-strip blocks (closed-loop decay rates between
+accepts essentially unchanged.  Each candidate gain places the poles by
+one Sylvester solve (:func:`_placing_gain`).  When no anchor can be
+built for an agent, its solve falls back to a cold-started search boxed
+by affine eigenvalue-strip blocks (closed-loop decay rates between
 ``CONTROLLER_DECAY`` and ``CONTROLLER_MAX_RATE``); either way the
 returned certificate passes the same independent re-verification.
 
@@ -61,7 +67,6 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg
-import scipy.signal
 
 from .errors import (
     AlphaNonPositiveError,
@@ -151,6 +156,11 @@ class LmiProblem:
     ``y -> [expression(y), -V, ...]`` (one ``-V`` block per PD variable)
     as ``base + A y``, together with the pseudo-inverse of ``A``.  Every
     solve of the problem reuses them, whatever its margin.
+
+    The probe also gives ``margin_cap``: minus the largest diagonal entry
+    of the expression that no variable touches (``inf`` when every
+    diagonal entry moves).  ``lambda_max`` is at least every diagonal
+    entry, so no margin above the cap is attainable.
     """
 
     def __init__(self, variables: list[VariableSpec],
@@ -188,6 +198,10 @@ class LmiProblem:
                     A[[off + i * v.cols + j, off + j * v.cols + i], k] = -1.0
         self.A = A
         self.pinv = np.linalg.pinv(A) if n_vars else None
+        diagonal = np.arange(M0.shape[0]) * (M0.shape[0] + 1)
+        fixed = ~A[diagonal].any(axis=1)
+        self.margin_cap = (-float(M0.diagonal()[fixed].max()) if fixed.any()
+                           else np.inf)
 
     def assignment(self, y: np.ndarray) -> dict[str, np.ndarray]:
         """Variable values at coordinates ``y``."""
@@ -229,9 +243,12 @@ def solve_lmi(problem: LmiProblem, margin: float = MARGIN,
     Raises
     ------
     InfeasibleError
-        If no feasible point is found; the message says whether the
-        problem is constant (provably infeasible) or the iteration
-        budget/stagnation cutoff was hit.
+        If no feasible point is found.  Two cases are provably infeasible
+        and raise before any iteration: a constant expression whose
+        ``lambda_max`` exceeds ``-margin``, and a margin above
+        ``problem.margin_cap``; the message gives the cap.  Otherwise the
+        message says whether the iteration budget or the stagnation
+        cutoff was hit.
     """
     t = float(margin)
     if t < 0:
@@ -244,6 +261,12 @@ def solve_lmi(problem: LmiProblem, margin: float = MARGIN,
         raise InfeasibleError(
             f"constant expression has lambda_max = {w[-1]:.3e} > {-t:.3e}: "
             "provably infeasible"
+        )
+    if t > problem.margin_cap:
+        raise InfeasibleError(
+            f"margin {t:.3e} is provably infeasible: a constant diagonal "
+            f"entry of the expression caps the margin at "
+            f"{problem.margin_cap:.3e}"
         )
 
     # Internal targets sit slightly beyond the required floors so the
@@ -503,17 +526,33 @@ def _anchor_riccati(Acl, NNt):
     return Q
 
 
+def _placing_gain(A, B, poles):
+    """Gain ``K0`` with ``A + B K0 = X diag(poles) X^{-1}`` for distinct
+    real ``poles`` off the spectrum of ``A``, or None when ``X`` is not
+    finite or has condition number above 1e12.
+
+    One Sylvester solve ``A X - X diag(poles) = -B W`` gives ``X``, and
+    ``K0 = W X^{-1}``.  Column ``k`` of ``W`` is the unit vector
+    ``e_(k mod n_u)``: pole ``k`` is steered through input ``k mod n_u``.
+    With one input ``W`` is all ones and ``K0`` is the unique placing
+    gain; with more inputs this ``W`` may fail to place a controllable
+    pair, and an agent no speed can place falls back to the strip search.
+    """
+    n, n_u = B.shape
+    W = np.eye(n_u)[:, np.arange(n) % n_u]
+    X = scipy.linalg.solve_sylvester(A, -np.diag(poles), -B @ W)
+    if not np.isfinite(X).all() or np.linalg.cond(X) > 1e12:
+        return None
+    return np.linalg.solve(X.T, W.T).T
+
+
 def _anchor_from_poles(A, B, D, alpha, delta, poles):
     """Feasible ``(R, G)`` whose recovered gain places ``A+BK`` at
     ``poles``, or None when placement fails or the Riccati oracle
     rejects the speed."""
-    try:
-        placed = scipy.signal.place_poles(np.asarray(A, dtype=float),
-                                          np.asarray(B, dtype=float),
-                                          np.sort(np.asarray(poles)))
-    except ValueError:
+    K0 = _placing_gain(A, B, poles)
+    if K0 is None:
         return None
-    K0 = -placed.gain_matrix
     NNt = B @ B.T / alpha + D @ D.T / delta ** 2
     Q = _anchor_riccati(A + B @ K0, NNt)
     if Q is None:

@@ -1,6 +1,7 @@
 """Test-only reference models that the package itself never runs."""
 
 import numpy as np
+import scipy.signal
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
 from coopftc.errors import DimensionMismatchError
@@ -88,3 +89,11 @@ def kronecker_lyapunov(Phi, Q):
     K = np.kron(eye, Phi.T) + np.kron(Phi.T, eye)
     vec_p = np.linalg.solve(K, -Q.reshape(-1, order="F"))
     return vec_p.reshape(Phi.shape, order="F")
+
+
+def place_poles_gain(A, B, poles):
+    """Gain ``K`` placing the eigenvalues of ``A + B K`` at ``poles``, by
+    ``scipy.signal.place_poles``: the reference for
+    :func:`coopftc.synth._placing_gain`.  ``scipy.signal`` is imported
+    here, never by the package, whose import it would slow."""
+    return -scipy.signal.place_poles(A, B, np.sort(poles)).gain_matrix

@@ -262,6 +262,18 @@ def test_synth_infeasible_delta_exit_code(tmp_path, capsys):
     assert "observer LMI infeasible" in capsys.readouterr().err
 
 
+def test_synth_margin_above_the_cap_exits_at_once(tmp_path, capsys):
+    """delta = 0.3 caps every margin at delta^2: asking for 0.1 fails on
+    agent 1 before any iteration, not after the solver stalls."""
+    p = tmp_path / "margin.yaml"
+    p.write_text("synthesis: {margin: 0.1}\n")
+    code = main(["synth", "-s", str(p), "-o", str(tmp_path)])
+    assert code == cli.EXIT_INFEASIBLE
+    err = capsys.readouterr().err
+    assert "agent 1 " in err and "provably infeasible" in err
+    assert err.rstrip().endswith("caps the margin at 9.000e-02")
+
+
 def test_nonpositive_motor_resistance_rejected(tmp_path, capsys):
     p = tmp_path / "m51.yaml"
     p.write_text("plant: {m: 51}\n")

@@ -5,9 +5,14 @@ A stdlib stand-in for a linter's unused-import check over ``src/`` and
 in ``__all__``, so an ``__all__`` entry must name something the module
 binds at top level; a stale entry would otherwise hide the imports that
 only the deleted code read.
+
+Also: the command-line module stays light to import.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -67,3 +72,40 @@ def test_no_unused_imports():
 
 def test_every_export_is_bound():
     assert _offenders(_unbound_exports) == {}
+
+
+
+#: Modules that ``import coopftc.cli`` and a synth -> simulate -> verify
+#: pass leave unloaded: ``scipy.signal`` alone took about 1 s of the
+#: 1.4-1.8 s import and pulled in ``scipy.stats`` and the rest.
+HEAVY_MODULES = ["scipy.signal", "scipy.stats", "scipy.interpolate",
+                 "scipy.optimize"]
+
+_PIPELINE = """
+import io, os, sys
+from contextlib import redirect_stdout
+import coopftc.cli
+heavy = sys.argv[2:]
+loaded = {name for name in heavy if name in sys.modules}
+os.chdir(sys.argv[1])
+with open("short.yaml", "w") as fh:
+    fh.write("sim: {T: 4.0}")
+with redirect_stdout(io.StringIO()):
+    for argv in (["synth", "-s", "short.yaml", "-o", "gains"],
+                 ["simulate", "-s", "short.yaml", "-o", "out",
+                  "--gains", "gains"],
+                 ["verify", "-s", "short.yaml", "--trace", "out/trace.csv",
+                  "--gains", "gains"]):
+        assert coopftc.cli.main(argv) == 0, argv
+loaded |= {name for name in heavy if name in sys.modules}
+print(sorted(loaded))
+"""
+
+
+def test_cli_leaves_heavy_scipy_modules_unloaded(tmp_path):
+    """In a fresh interpreter, so that no test's imports count."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", _PIPELINE, str(tmp_path), *HEAVY_MODULES],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"

