@@ -51,7 +51,7 @@ from .errors import (
     NotPositiveStableError,
 )
 from .graph import NetworkGraph, is_positive_stable
-from .linalg import kron, solve_linear, solve_lyapunov, sym_eigendecomp
+from .linalg import solve_linear, solve_lyapunov, sym_eigendecomp
 from .plant import AugmentedModel, NetworkModel
 from .sim import SimTrace
 from .synth import ObserverSynthesis
@@ -161,7 +161,7 @@ def iss_certificate(g: NetworkGraph, net: NetworkModel,
             "transform is singular (check source reachability)")
     Acl = net.A + net.B @ K
 
-    Lk = kron(g.L, np.eye(net.n_x))
+    Lk = np.kron(g.L, np.eye(net.n_x))
     # Phi = Lk @ Acl @ inv(Lk), formed by solving on the right.
     Phi = solve_linear(Lk.T, (Lk @ Acl).T).T
     B_theta = np.hstack([net.D, -net.B])
@@ -326,8 +326,8 @@ def verify_iss_bound(trace: SimTrace, cert: IssCertificate,
     theta = _theta_star(trace, law)
     theta_norm = np.linalg.norm(theta, axis=1)
 
-    Lk = kron(cert.graph.L, np.eye(cert.n_x))
-    A0k = kron(cert.graph.A_0, np.eye(cert.n_x))
+    Lk = np.kron(cert.graph.L, np.eye(cert.n_x))
+    A0k = np.kron(cert.graph.A_0, np.eye(cert.n_x))
 
     starts = _window_starts(trace.y0)
     bounds = np.concatenate([starts, [trace.t.size]])

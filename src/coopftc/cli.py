@@ -85,11 +85,13 @@ from .plant import (
 )
 from .sim import (
     SignalSchedule,
+    read_rows,
     run_experiment,
     sample_initial_state,
     step_schedule,
     trace_from_csv,
     trace_to_csv,
+    write_rows,
 )
 from .synth import (
     ObserverSynthesis,
@@ -500,55 +502,33 @@ def _require_single_channel(sc: Scenario) -> None:
 
 
 def save_matrix(path, M: np.ndarray) -> None:
-    """Write ``rows cols`` then row-major values, full double precision."""
+    """Write ``rows cols``, then one line per row at full precision."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{M.shape[0]} {M.shape[1]}\n")
-        for row in M:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+        write_rows(fh, [M], " ")
 
 
 def load_matrix(path) -> np.ndarray:
     """Read a matrix written by :func:`save_matrix`; every entry must be
     finite."""
-    with open(path, encoding="utf-8") as fh:
-        tokens = fh.read().split()
-    if len(tokens) < 2:
-        raise SchemaError(f"{path}: missing 'rows cols' header")
-    try:
-        rows, cols = int(tokens[0]), int(tokens[1])
-    except ValueError as exc:
-        raise SchemaError(f"{path}: header must be two integers") from exc
-    body = tokens[2:]
-    if rows < 1 or cols < 1 or len(body) != rows * cols:
-        raise SchemaError(
-            f"{path}: expected {rows}x{cols} values, got {len(body)}")
-    try:
-        values = np.array([float(v) for v in body], dtype=float)
-    except ValueError as exc:
-        raise SchemaError(f"{path}: non-numeric matrix entry") from exc
-    if not np.all(np.isfinite(values)):
-        raise SchemaError(f"{path}: non-finite matrix entry")
-    return values.reshape(rows, cols)
+    header, M = read_rows(path, " ")
+    if header.split() != [str(n) for n in M.shape]:
+        raise SchemaError(f"{path}: header {header!r} is not 'rows cols' "
+                          f"of the {M.shape[0]}x{M.shape[1]} values below")
+    return M
 
 
 def _load_gains(sc: Scenario, aug: AugmentedModel, net: NetworkModel,
                 gains_dir) -> tuple[ObserverSynthesis, np.ndarray]:
-    Lgain = load_matrix(os.path.join(gains_dir, OBSERVER_GAIN_FILE))
-    K = load_matrix(os.path.join(gains_dir, FEEDBACK_GAIN_FILE))
-    P = load_matrix(os.path.join(gains_dir, OBSERVER_STORAGE_FILE))
-    if Lgain.shape != (aug.n_aug, net.nbar_y):
-        raise SchemaError(
-            f"observer gain has shape {Lgain.shape}, expected "
-            f"{(aug.n_aug, net.nbar_y)}")
-    if K.shape != (net.nbar_u, net.nbar_x):
-        raise SchemaError(
-            f"feedback gain has shape {K.shape}, expected "
-            f"{(net.nbar_u, net.nbar_x)}")
-    if P.shape != (aug.n_aug, aug.n_aug):
-        raise SchemaError(
-            f"observer storage has shape {P.shape}, expected "
-            f"{(aug.n_aug, aug.n_aug)}")
+    shapes = {OBSERVER_GAIN_FILE: (aug.n_aug, net.nbar_y),
+              FEEDBACK_GAIN_FILE: (net.nbar_u, net.nbar_x),
+              OBSERVER_STORAGE_FILE: (aug.n_aug, aug.n_aug)}
+    Lgain, K, P = (load_matrix(os.path.join(gains_dir, name))
+                   for name in shapes)
+    for (name, shape), M in zip(shapes.items(), (Lgain, K, P)):
+        if M.shape != shape:
+            raise SchemaError(f"{name} has shape {M.shape}, expected {shape}")
     P = 0.5 * (P + P.T)
     H = P @ Lgain
     pi = observer_inequality(P, H, aug.F1 @ aug.A_a, aug.E2, aug.F1 @ net.D,
@@ -573,41 +553,24 @@ def _obtain_gains(sc: Scenario, aug: AugmentedModel, net: NetworkModel,
 # plot emission
 
 
-#: Plot rows formatted per call: enough that the call overhead vanishes,
-#: few enough that the formatted text stays a small allocation.  Blocks
-#: of 4096 rows, or one per curve, raised the peak memory of repeated
-#: simulate and verify runs in one process by up to 20 MB.
-_PLOT_BLOCK_ROWS = 1024
-
-
 def _write_series(path, curves) -> None:
     """Write gnuplot-style two-column blocks, one block per curve."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# two-column series; blank lines separate curves\n")
         for label, t, values in curves:
             fh.write(f"# curve={label}\n")
-            # One format call per block of rows; the bytes equal
-            # np.savetxt's, which makes one call per row.
-            rows = np.column_stack([t, values])
-            for lo in range(0, len(rows), _PLOT_BLOCK_ROWS):
-                block = rows[lo:lo + _PLOT_BLOCK_ROWS]
-                fh.write(("%.17g %.17g\n" * len(block))
-                         % tuple(block.ravel().tolist()))
+            write_rows(fh, [t, values], " ")
             fh.write("\n")
 
 
 def _emit_plots(outdir, suffix: str, trace, net: NetworkModel) -> list[str]:
-    n_x, n_y, m = net.n_x, net.n_y, net.m
-    err_curves = []
-    for i in range(m):
-        sl = slice(i * n_x, (i + 1) * n_x)
-        fl = slice(i * n_y, (i + 1) * n_y)
-        err = np.sqrt(
-            np.sum((trace.x[:, sl] - trace.x_hat[:, sl]) ** 2, axis=1)
-            + np.sum((trace.f_s[:, fl] - trace.f_hat[:, fl]) ** 2, axis=1))
-        err_curves.append((f"agent{i + 1}", trace.t, err))
-    out_curves = [(f"agent{i + 1}", trace.t, (trace.x @ net.C.T)[:, i])
-                  for i in range(m)]
+    m = net.m
+    dx = (trace.x - trace.x_hat).reshape(-1, m, net.n_x)
+    df = (trace.f_s - trace.f_hat).reshape(-1, m, net.n_y)
+    err = np.sqrt(np.sum(dx ** 2, axis=2) + np.sum(df ** 2, axis=2))
+    y = trace.x @ net.C.T
+    err_curves = [(f"agent{i + 1}", trace.t, err[:, i]) for i in range(m)]
+    out_curves = [(f"agent{i + 1}", trace.t, y[:, i]) for i in range(m)]
     out_curves.append(("setpoint", trace.t, trace.y0.ravel()))
     names = [f"plot_estimation_errors{suffix}.dat",
              f"plot_outputs{suffix}.dat"]
@@ -834,7 +797,7 @@ def _build_parser() -> argparse.ArgumentParser:
 _VALIDATION_ERRORS = (
     ParseError, ValidationError, SchemaError, ModelValidationError,
     BadEdgeError, IsolatedUnitError, DimensionMismatchError,
-    NotSymmetricError,
+    NotSymmetricError, OSError,
 )
 
 _CERTIFICATE_ERRORS = (
@@ -854,9 +817,6 @@ def main(argv=None) -> int:
                                 sweep=args.sweep)
         return cmd_verify(sc, args.trace, gains_dir=args.gains)
     except _VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except InfeasibleError as exc:

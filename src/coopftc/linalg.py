@@ -1,10 +1,9 @@
 """Dense linear-algebra kernel used by every other module.
 
 Thin, contract-checked wrappers around LAPACK (via numpy/scipy): pivoted
-LU solves, symmetric eigendecomposition, Kronecker products, Lyapunov
-equations by the Bartels-Stewart method (a real Schur form and LAPACK
-``trsyl``; O(n^3) time, O(n^2) memory), and the Hurwitz /
-negative-definiteness predicates built on top of them.
+LU solves, symmetric eigendecomposition, Lyapunov equations by the
+Bartels-Stewart method (a real Schur form and LAPACK ``trsyl``; O(n^3)
+time, O(n^2) memory), and the Hurwitz predicate built on top of them.
 
 All routines work on float64 ``numpy.ndarray`` and validate finiteness
 of their inputs; failures raise the typed exceptions from
@@ -31,10 +30,8 @@ __all__ = [
     "as_matrix",
     "solve_linear",
     "sym_eigendecomp",
-    "kron",
     "solve_lyapunov",
     "is_hurwitz",
-    "is_negative_definite",
 ]
 
 #: Relative pivot threshold below which an LU factorization is declared
@@ -139,11 +136,6 @@ def sym_eigendecomp(S) -> SymEig:
     return SymEig(eigenvalues=w, eigenvectors=V)
 
 
-def kron(A, B) -> np.ndarray:
-    """Kronecker product ``A (x) B``."""
-    return np.kron(as_matrix(A, "A"), as_matrix(B, "B"))
-
-
 def solve_lyapunov(Phi, Q) -> np.ndarray:
     """Solve ``Phi.T @ P + P @ Phi = -Q`` for symmetric positive definite P.
 
@@ -202,10 +194,3 @@ def is_hurwitz(A) -> bool:
     except NotHurwitzError:
         return False
     return True
-
-
-def is_negative_definite(S, margin: float = 0.0) -> bool:
-    """True iff ``lambda_max(S) < -margin`` (strict, so the zero matrix
-    fails even at ``margin=0``)."""
-    w = sym_eigendecomp(S).eigenvalues
-    return bool(w[-1] < -margin)

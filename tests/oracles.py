@@ -5,6 +5,7 @@ import scipy.signal
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
 from coopftc.errors import DimensionMismatchError
+from coopftc.linalg import sym_eigendecomp
 from coopftc.sim import integrate
 
 
@@ -97,3 +98,11 @@ def place_poles_gain(A, B, poles):
     :func:`coopftc.synth._placing_gain`.  ``scipy.signal`` is imported
     here, never by the package, whose import it would slow."""
     return -scipy.signal.place_poles(A, B, np.sort(poles)).gain_matrix
+
+
+def is_negative_definite(S, margin: float = 0.0) -> bool:
+    """True iff ``lambda_max(S) < -margin`` (strict, so the zero matrix
+    fails even at ``margin=0``): the independent re-check of an accepted
+    LMI certificate."""
+    w = sym_eigendecomp(S).eigenvalues
+    return bool(w[-1] < -margin)

@@ -21,7 +21,6 @@ from coopftc.errors import (IdentityCheckFailedError, NotHurwitzError,
                             NotPositiveStableError)
 from coopftc.estimator import build_observer
 from coopftc.graph import build_graph
-from coopftc.linalg import kron
 from coopftc.plant import (AgentModel, augment_network, dc_motor_agent,
                            stack_network)
 from coopftc.sim import run_experiment, sample_initial_state
@@ -135,7 +134,7 @@ def test_equilibrium_error_reached_by_inner_loop(benchmark_net,
     loop = build_closed_loop(benchmark_net, benchmark_aug, observer, law)
     tr = run_experiment(loop, quiet_schedule(4), s0, h=1e-3, T=15.0)
     x0 = np.array([1.0, 0.0])  # designated state lifting the setpoint
-    e_star = -kron(star_graph.A_0, np.eye(2)) @ np.tile(x0, 4)
+    e_star = -np.kron(star_graph.A_0, np.eye(2)) @ np.tile(x0, 4)
     final = cooperative_error(star_graph, tr.x[-1], x0)
     assert np.linalg.norm(final - e_star) <= 1e-6
 

@@ -8,7 +8,9 @@ full 40-second benchmark.
 
 import dataclasses
 import io
+import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
@@ -339,6 +341,33 @@ def test_plot_bytes_match_savetxt(tmp_path, short_scenario, gains_dir,
         assert Path(path).read_bytes() == _savetxt_series(curves)
 
 
+def test_plot_curves_match_per_agent_reference(tmp_path, monkeypatch):
+    """The curves computed for all agents at once equal the per-agent
+    formulas bit for bit."""
+    net = build_plant(Scenario())
+    rng = np.random.default_rng(5)
+    n = 7
+    trace = SimpleNamespace(
+        t=np.arange(n) * 0.1, y0=rng.normal(size=(n, 1)),
+        **{name: rng.normal(size=(n, width)) for name, width in (
+            ("x", net.nbar_x), ("x_hat", net.nbar_x), ("f_s", net.nbar_y),
+            ("f_hat", net.nbar_y))})
+    written = {}
+    monkeypatch.setattr(cli, "_write_series",
+                        lambda path, curves: written.update({path: curves}))
+    names = cli._emit_plots(tmp_path, "", trace, net)
+    errors, outputs = (written[str(tmp_path / name)] for name in names)
+    for i in range(net.m):
+        sl = slice(i * net.n_x, (i + 1) * net.n_x)
+        fl = slice(i * net.n_y, (i + 1) * net.n_y)
+        err = np.sqrt(
+            np.sum((trace.x[:, sl] - trace.x_hat[:, sl]) ** 2, axis=1)
+            + np.sum((trace.f_s[:, fl] - trace.f_hat[:, fl]) ** 2, axis=1))
+        npt.assert_array_equal(errors[i][2], err)
+        npt.assert_array_equal(outputs[i][2], (trace.x @ net.C.T)[:, i])
+    assert [label for label, _, _ in outputs][-1] == "setpoint"
+
+
 def test_simulate_sweep_three_topologies(tmp_path, short_scenario,
                                          gains_dir, monkeypatch):
     builds = []
@@ -598,6 +627,43 @@ def test_verify_rejects_truncated_trace(tmp_path, short_scenario,
     code = main(["verify", "-s", str(short_scenario), "--trace", str(bad),
                  "--gains", str(gains_dir)])
     assert code == cli.EXIT_VALIDATION
+
+
+def _tamper(lines, kind):
+    """The trace lines with one defect of the given kind."""
+    cells = lines[5].split(",")
+    if kind == "non-numeric":
+        cells[3] = "abc"
+    elif kind == "short-row":
+        cells.pop()
+    elif kind == "nan":
+        cells[3] = "nan"
+    else:  # header only
+        return lines[:1]
+    return lines[:5] + [",".join(cells)] + lines[6:]
+
+
+@pytest.mark.parametrize("kind", ["non-numeric", "short-row", "nan",
+                                  "header-only"])
+def test_verify_rejects_malformed_trace(tmp_path, short_scenario, gains_dir,
+                                        capsys, kind):
+    assert main(["simulate", "-s", str(short_scenario), "-o", str(tmp_path),
+                 "--gains", str(gains_dir)]) == 0
+    path = tmp_path / "trace.csv"
+    lines = _tamper(path.read_text().splitlines(), kind)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning may leak
+        code = main(["verify", "-s", str(short_scenario), "--trace",
+                     str(path), "--gains", str(gains_dir)])
+    assert code == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert str(path) in err and "Traceback" not in err
+    if kind != "header-only":
+        assert f"{path}: line 6: " in err
+    if kind == "nan":
+        assert "non-finite" in err
 
 
 def test_verify_flags_tampered_trace(tmp_path, short_scenario, gains_dir,

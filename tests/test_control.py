@@ -15,7 +15,7 @@ from coopftc.control import (ClosedLoopState, closed_loop_maps,
                              cooperative_error, in_neighbor_setpoint)
 from coopftc.errors import DimensionMismatchError
 from coopftc.estimator import extract_estimates
-from coopftc.linalg import is_hurwitz, kron, solve_linear
+from coopftc.linalg import is_hurwitz, solve_linear
 
 
 def test_star_neighbor_setpoint_is_source(star_graph):
@@ -57,8 +57,8 @@ def test_cooperative_error_identity_paths():
     y_hat = rng.normal(size=g.m)
     y0 = rng.normal(size=1)
     e = cooperative_error(g, y_hat, y0)
-    direct = kron(g.L, np.eye(1)) @ y_hat \
-        - kron(g.A_0, np.eye(1)) @ np.repeat(y0, g.m)
+    direct = np.kron(g.L, np.eye(1)) @ y_hat \
+        - np.kron(g.A_0, np.eye(1)) @ np.repeat(y0, g.m)
     npt.assert_allclose(e, direct, atol=1e-12)
     z = in_neighbor_setpoint(g, y_hat, y0)
     npt.assert_allclose(e, y_hat - z, atol=1e-12)
@@ -203,8 +203,8 @@ def test_zero_error_equivalent_to_consensus():
         e = cooperative_error(g, np.repeat(y0, g.m), y0)
         npt.assert_allclose(e, 0.0, atol=1e-12)
         # zero error => consensus
-        rhs = kron(g.A_0, np.eye(1)) @ np.repeat(y0, g.m)
-        y_hat = solve_linear(kron(g.L, np.eye(1)), rhs)
+        rhs = np.kron(g.A_0, np.eye(1)) @ np.repeat(y0, g.m)
+        y_hat = solve_linear(np.kron(g.L, np.eye(1)), rhs)
         npt.assert_allclose(y_hat, np.repeat(y0, g.m), atol=1e-8)
 
 

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from coopftc import linalg
 from coopftc.errors import NotHurwitzError, NotSymmetricError, \
     SingularMatrixError
-from coopftc.linalg import (is_hurwitz, is_negative_definite, kron,
-                            solve_linear, solve_lyapunov, sym_eigendecomp)
-from oracles import kronecker_lyapunov
+from coopftc.linalg import (is_hurwitz, solve_linear, solve_lyapunov,
+                            sym_eigendecomp)
+from oracles import is_negative_definite, kronecker_lyapunov
 
 
 # --- solve_linear -----------------------------------------------------------
@@ -74,48 +74,6 @@ def test_eig_reconstruction_random_6x6():
 def test_eig_rejects_asymmetric():
     with pytest.raises(NotSymmetricError):
         sym_eigendecomp(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-
-# --- kron -------------------------------------------------------------------
-
-def test_kron_identity_blocks():
-    B = np.array([[1.0, 2.0], [3.0, 4.0]])
-    K = kron(np.eye(2), B)
-    npt.assert_allclose(K[:2, :2], B)
-    npt.assert_allclose(K[2:, 2:], B)
-    npt.assert_allclose(K[:2, 2:], 0 * B)
-
-
-def test_kron_scalar():
-    B = np.arange(6.0).reshape(2, 3)
-    npt.assert_allclose(kron(np.array([[2.5]]), B), 2.5 * B)
-
-
-def test_kron_index_formula():
-    rng = np.random.default_rng(3)
-    A = rng.normal(size=(2, 3))
-    B = rng.normal(size=(3, 2))
-    K = kron(A, B)
-    p, q = B.shape
-    for i in range(2):
-        for j in range(3):
-            for k in range(p):
-                for l in range(q):
-                    assert K[i * p + k, j * q + l] == A[i, j] * B[k, l]
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 10_000))
-def test_kron_mixed_product(seed):
-    rng = np.random.default_rng(seed)
-    n, m, r = rng.integers(1, 4, size=3)
-    A = rng.normal(size=(n, m))
-    C = rng.normal(size=(m, r))
-    B = rng.normal(size=(m, n))
-    D = rng.normal(size=(n, m))
-    lhs = kron(A, B) @ kron(C, D)
-    rhs = kron(A @ C, B @ D)
-    assert np.abs(lhs - rhs).max() <= 1e-10 * max(1.0, np.abs(rhs).max())
 
 
 # --- solve_lyapunov ---------------------------------------------------------
@@ -227,7 +185,7 @@ def test_hurwitz_matches_char_poly_roots(seed, n):
     assert is_hurwitz(A) == (top < 0)
 
 
-# --- is_negative_definite ---------------------------------------------------
+# --- is_negative_definite (the test oracle in oracles.py) ------------------
 
 def test_nd_minus_identity_with_margin():
     assert is_negative_definite(-np.eye(3), margin=0.5)

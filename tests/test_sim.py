@@ -1,21 +1,24 @@
-"""Integration kernel, schedules, experiment runs, trace CSV round trip."""
+"""Integration kernel, schedules, experiment runs, text tables and the
+trace CSV round trip."""
 
 import dataclasses
+import io
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import benchmark_schedule, quiet_schedule
 from coopftc.control import ClosedLoopMaps, closed_loop_maps
 from coopftc.errors import (DimensionMismatchError, NonFiniteStateError,
                             SchemaError)
-from coopftc.sim import (SignalSchedule, integrate, propagate,
+from coopftc.sim import (SignalSchedule, integrate, propagate, read_rows,
                          run_experiment, sample_initial_state, step_schedule,
-                         trace_from_csv, trace_to_csv)
+                         trace_from_csv, trace_to_csv, write_rows)
 
 
 # --- integrate --------------------------------------------------------------
@@ -305,6 +308,34 @@ def test_quiet_run_errors_vanish(quiet_traces):
     assert np.linalg.norm(tr.e_bar[tail], axis=1).max() <= 1e-6
     eps = np.hstack([tr.x - tr.x_hat, tr.f_s - tr.f_hat])
     assert np.linalg.norm(eps[tail], axis=1).max() <= 1e-6
+
+
+# --- text tables ------------------------------------------------------------
+
+_TABLES = arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 4)),
+                 elements=st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_TABLES, st.sampled_from([",", " "]))
+@example(np.array([[0.0, -0.0, 5e-324], [-2.2250738585072014e-308, 1e300,
+                                          -1e300]]), ",")
+@example(np.array([[-0.0], [5e-324], [1e300], [-1e300]]), " ")
+@example(np.arange(3001.0).reshape(-1, 1) / 7, " ")  # several blocks
+@example(np.arange(4200.0).reshape(2, -1) / 7, ",")  # rows wider than a block
+def test_table_bytes_and_round_trip(tmp_path_factory, rows, sep):
+    """Every finite float64 reads back bit-exactly, and the bytes are
+    those of ``np.savetxt`` with the same format."""
+    written, oracle = io.StringIO(), io.StringIO()
+    write_rows(written, [rows], sep)
+    np.savetxt(oracle, rows, fmt="%.17g", delimiter=sep)
+    assert written.getvalue() == oracle.getvalue()
+    path = tmp_path_factory.mktemp("table") / "t.txt"
+    path.write_text("header line\n" + written.getvalue(), newline="\n")
+    first, back = read_rows(path, sep)
+    assert first == "header line"
+    assert back.shape == rows.shape
+    npt.assert_array_equal(back.view(np.uint64), rows.view(np.uint64))
 
 
 # --- CSV round trip ---------------------------------------------------------

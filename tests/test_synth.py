@@ -12,13 +12,13 @@ import pytest
 import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import place_poles_gain
+from oracles import is_negative_definite, place_poles_gain
 
 from coopftc import synth
 from coopftc.cli import save_matrix
 from coopftc.errors import (AlphaNonPositiveError, DeltaNonPositiveError,
                             InfeasibleError)
-from coopftc.linalg import is_hurwitz, is_negative_definite, sym_eigendecomp
+from coopftc.linalg import is_hurwitz, sym_eigendecomp
 from coopftc.plant import AgentModel, stack_network
 from coopftc.synth import (LmiProblem, VariableSpec, gamma_bound, solve_lmi,
                            synth_controller, synth_observer)
