@@ -416,8 +416,11 @@ def dissipation_check(trace: SimTrace, aug: AugmentedModel,
     A_err = aug.F1 @ aug.A_a - synth_obs.Lgain @ aug.E2
     Bv = aug.F1 @ net.D
 
-    eps_dot = eps @ A_err.T + trace.v @ Bv.T
-    v_dot = 2.0 * np.einsum("ij,ij->i", eps @ P, eps_dot)
+    eps_dot = eps @ A_err.T
+    eps_dot += trace.v @ Bv.T
+    eps_P = eps @ P  # serves both V_dot and V
+    v_dot = 2.0 * np.einsum("ij,ij->i", eps_P, eps_dot)
+    del eps_dot
     supply = (v_dot + np.einsum("ij,ij->i", eps, eps)
               - delta ** 2 * np.einsum("ij,ij->i", trace.v, trace.v))
 
@@ -432,7 +435,7 @@ def dissipation_check(trace: SimTrace, aug: AugmentedModel,
     max_val = float(supply[keep].max()) if keep.any() else -np.inf
 
     h = trace.h
-    V = np.einsum("ij,ij->i", eps @ P, eps)
+    V = np.einsum("ij,ij->i", eps_P, eps)
     fd = (V[2:] - V[:-2]) / (2.0 * h)
     fd_dev = np.abs(fd - v_dot[1:-1])
     keep_int = keep[1:-1]

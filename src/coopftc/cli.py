@@ -342,6 +342,11 @@ _SECTIONS = {key[:i] for key in _FIELDS
              for i, c in enumerate(key) if c == "."}
 
 
+#: libyaml's safe loader when PyYAML was built with it: the same
+#: documents and types as ``yaml.SafeLoader``, parsed in C.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def parse_scenario(path) -> Scenario:
     """Read and fully validate a YAML scenario file.
 
@@ -356,7 +361,7 @@ def parse_scenario(path) -> Scenario:
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         loc = (f" (line {mark.line + 1}, column {mark.column + 1})"

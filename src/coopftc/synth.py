@@ -30,15 +30,22 @@ alternating projections.  Strictness is enforced by embedding margins
 into the target, and a short ladder of increasing margins pushes the
 accepted point into the interior of the feasible set.  Each agent's
 affine family is probed once, when its :class:`LmiProblem` is built;
-the margin is an argument of :func:`solve_lmi`, so every ladder rung
-solves the same problem.  The probe also yields the margin cap: a
-diagonal entry no variable touches bounds ``lambda_max`` from below, so
-the constant ``-delta^2 I`` block of ``Pi`` caps its margin at
-``delta^2``, and the ``-I``, ``-alpha I``, ``-delta^2 I`` blocks of
-``Lambda`` cap its margin at ``min(1, alpha, delta^2)``.  A rung above
-the cap fails at once instead of running to the stall cutoff.  Every
-accepted solution is re-verified from scratch through plain
-eigendecompositions, independent of the iteration that produced it.
+the margin is an argument of the solve, so every ladder rung solves the
+same problem.  The agents' problems are independent and share one
+shape, so the base solve and each rung run in lockstep across agents:
+one stacked iteration over every agent still climbing, in which each
+agent keeps its own warm start, stall counter and margin cap and leaves
+the stack when it converges or gives up.  Every step is elementwise
+over the stack, so each agent ends exactly where a solve of its own
+would.  When base solves fail, the first failing agent is reported.
+The probe also yields the margin cap: a diagonal entry no variable
+touches bounds ``lambda_max`` from below, so the constant
+``-delta^2 I`` block of ``Pi`` caps its margin at ``delta^2``, and the
+``-I``, ``-alpha I``, ``-delta^2 I`` blocks of ``Lambda`` cap its
+margin at ``min(1, alpha, delta^2)``.  A rung above the cap fails at
+once instead of running to the stall cutoff.  Every accepted solution
+is re-verified from scratch through plain eigendecompositions,
+independent of the iteration that produced it.
 
 Feasible sets here are large, and different feasible gains behave very
 differently in closed loop: an over-fast inner loop starves the
@@ -224,6 +231,9 @@ def solve_lmi(problem: LmiProblem, margin: float = MARGIN,
               initial: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
     """Find a strictly feasible assignment for ``problem``.
 
+    A batch of one for the lockstep kernel that synthesis runs over all
+    agents at once (:func:`_solve_batch`).
+
     Parameters
     ----------
     problem : LmiProblem
@@ -250,105 +260,201 @@ def solve_lmi(problem: LmiProblem, margin: float = MARGIN,
         message says whether the iteration budget or the stagnation
         cutoff was hit.
     """
+    ((result, _),) = _solve_batch([problem], margin, max_iterations,
+                                  [initial])
+    if isinstance(result, InfeasibleError):
+        raise result
+    return result
+
+
+def _solve_batch(problems, margin, max_iterations, initials):
+    """Solve each of ``problems`` at ``margin``, warm-started at the
+    matching entry of ``initials`` (an assignment or None).
+
+    Returns one ``(result, iterations)`` pair per problem, in order:
+    ``result`` is the accepted assignment or the :class:`InfeasibleError`
+    that :func:`solve_lmi` raises for it, and ``iterations`` counts the
+    projection steps the problem took (0 when it was decided without
+    iterating).  Problems of one block layout iterate together, in
+    lockstep, in one :func:`_douglas_rachford` stack.
+    """
     t = float(margin)
     if t < 0:
         raise ValueError(f"margin must be non-negative, got {margin}")
+    outcomes = [None] * len(problems)
+    layouts = {}
+    for j, problem in enumerate(problems):
+        if not problem.coords:
+            w = sym_eigendecomp(problem.blocks(problem.base)[0]).eigenvalues
+            outcomes[j] = ({} if w[-1] <= -t else InfeasibleError(
+                f"constant expression has lambda_max = {w[-1]:.3e} > "
+                f"{-t:.3e}: provably infeasible"), 0)
+        elif t > problem.margin_cap:
+            outcomes[j] = (InfeasibleError(
+                f"margin {t:.3e} is provably infeasible: a constant diagonal "
+                f"entry of the expression caps the margin at "
+                f"{problem.margin_cap:.3e}"), 0)
+        else:
+            layout = (tuple(problem.block_sizes), len(problem.coords))
+            layouts.setdefault(layout, []).append(j)
+    for members in layouts.values():
+        stacked = _douglas_rachford([problems[j] for j in members], t,
+                                    max_iterations,
+                                    [initials[j] for j in members])
+        for j, outcome in zip(members, stacked):
+            outcomes[j] = outcome
+    return outcomes
 
-    if not problem.coords:
-        w = sym_eigendecomp(problem.blocks(problem.base)[0]).eigenvalues
-        if w[-1] <= -t:
-            return {}
-        raise InfeasibleError(
-            f"constant expression has lambda_max = {w[-1]:.3e} > {-t:.3e}: "
-            "provably infeasible"
-        )
-    if t > problem.margin_cap:
-        raise InfeasibleError(
-            f"margin {t:.3e} is provably infeasible: a constant diagonal "
-            f"entry of the expression caps the margin at "
-            f"{problem.margin_cap:.3e}"
-        )
 
+def _douglas_rachford(problems, t, max_iterations, initials):
+    """Run the projection iteration on a stack of same-layout problems
+    at margin ``t``; outcomes as in :func:`_solve_batch`.
+
+    Every step is elementwise over the stack: one stacked ``eigh`` per
+    block for the cone projection, one stacked product each with
+    ``pinv`` and ``A``, one stacked ``eigvalsh`` per block for the stop
+    test.  Stacked ``eigh``, ``eigvalsh`` and ``matmul`` compute each
+    matrix as the single-matrix calls do, so each problem follows the
+    iterates it would follow alone.  A problem keeps its own stall
+    counter and leaves the stack when it converges or stalls; the stack
+    is compacted only then.
+    """
+    first = problems[0]
+    spans = [(first.offsets[b], first.offsets[b + 1], nb)
+             for b, nb in enumerate(first.block_sizes)]
     # Internal targets sit slightly beyond the required floors so the
     # exact requirement is met strictly before full convergence.
-    n_pd = len(problem.block_sizes) - 1
+    n_pd = len(spans) - 1
     floors = [t] + [PD_MARGIN] * n_pd
     targets = [1.05 * t + 1e-9] + [2.0 * PD_MARGIN + 1e-12] * n_pd
     slacks = [target - floor for target, floor in zip(targets, floors)]
-    g0 = problem.base.copy()
-    for Gb, target in zip(problem.blocks(g0), targets):
-        Gb += target * np.eye(len(Gb))
 
-    if initial is not None:
-        y = np.array([initial[name][i, j] for name, i, j in problem.coords])
-    else:
-        y = np.zeros(len(problem.coords))
+    def block_views(x):
+        return [x[:, lo:hi].reshape(-1, nb, nb) for lo, hi, nb in spans]
 
-    def project_cone(vec):
-        clipped = []
-        for Gb in problem.blocks(vec):
-            w, V = np.linalg.eigh(0.5 * (Gb + Gb.T))
-            clipped.append((V * np.minimum(w, 0.0)) @ V.T)
-        return np.concatenate([Z.ravel() for Z in clipped])
+    # every vector is stacked as a (k, length, 1) column, so the products
+    # with ``pinv`` and ``A`` are stacked matrix-vector products
+    A = np.stack([p.A for p in problems])
+    pinv = np.stack([p.pinv for p in problems])
+    g0 = np.stack([p.base for p in problems])[:, :, None]
+    for Gb, target in zip(block_views(g0), targets):
+        Gb += target * np.eye(Gb.shape[-1])
+    y = np.zeros((len(problems), len(first.coords), 1))
+    for row, (problem, initial) in enumerate(zip(problems, initials)):
+        if initial is not None:
+            y[row, :, 0] = [initial[name][i, j]
+                            for name, i, j in problem.coords]
 
     # Douglas-Rachford splitting between the affine family and the
     # negative-semidefinite cone; plain alternating projections crawl on
-    # the feedback inequality, the reflected iteration does not.
-    z = g0 + problem.A @ y
-    best_gap = np.inf
-    stall = 0
-    worst = np.nan
-    for _ in range(max_iterations):
-        u = project_cone(z)
+    # the feedback inequality, the reflected iteration does not.  z, u
+    # and v are updated in place through their block views.
+    z = g0 + A @ y
+    u, v = np.empty_like(z), np.empty_like(z)
+    views = block_views(z), block_views(u), block_views(v)
+    live = np.arange(len(problems))
+    # a step improves when its gap is below the best gap so far times
+    # (1 - 1e-9); that product is kept, not recomputed each step
+    threshold = np.full(len(problems), np.inf)
+    improved_at = np.zeros(len(problems), dtype=int)
+    deadline = 500
+    worst = np.full(len(problems), np.nan)
+    outcomes = [None] * len(problems)
+    for iteration in range(1, max_iterations + 1):
+        z_blocks, u_blocks, v_blocks = views
+        for Zb, Ub in zip(z_blocks, u_blocks):
+            w, V = np.linalg.eigh(0.5 * (Zb + Zb.mT))
+            np.matmul(V * np.minimum(w, 0.0)[:, None, :], V.mT, out=Ub)
         # least-squares projection of the reflection onto the family
-        y_v = problem.pinv @ (2.0 * u - z - g0)
-        v = g0 + problem.A @ y_v
+        y_v = pinv @ (2.0 * u - z - g0)
+        np.matmul(A, y_v, out=v)
+        v += g0
         # one eigenvalue pass per block serves the stop test and the
         # excess reported when the budget runs out
-        excess = [np.linalg.eigvalsh(0.5 * (Gb + Gb.T))[-1] - s
-                  for Gb, s in zip(problem.blocks(v), slacks)]
-        if all(e <= 0.0 for e in excess):
-            return problem.assignment(y_v)
-        z = z + v - u
+        for b, (Vb, s) in enumerate(zip(v_blocks, slacks)):
+            excess = np.linalg.eigvalsh(0.5 * (Vb + Vb.mT))[:, -1] - s
+            worst = excess if b == 0 else np.maximum(worst, excess)
+        r = v[:, :, 0] - u[:, :, 0]
+        z += v
+        z -= u
 
-        gap = np.linalg.norm(v - u)
-        worst = max(excess)
-        if gap < best_gap * (1.0 - 1e-9):
-            best_gap, stall = gap, 0
-        else:
-            stall += 1
-            if stall >= 500:
-                raise InfeasibleError(
-                    "projection iteration stagnated (residual gap "
-                    f"{gap:.3e}); no strictly feasible point found"
-                )
-    raise InfeasibleError(
-        f"iteration budget ({max_iterations}) exhausted with "
-        f"lambda_max excess {worst:.3e}; no strictly feasible point found"
-    )
-
-
-def _solve_block(problem: LmiProblem, margin, max_iterations, prefix,
-                 anchor=None):
-    """Solve one agent's block at ``margin``, then climb the margin
-    ladder while the warm-started solves keep succeeding; return the
-    deepest point.  An anchored solve starts at ``anchor`` and does not
-    climb: the ladder would walk away from the anchor, whose strictness
-    is already built in.  A failed base solve raises with ``prefix``."""
-    try:
-        sol = solve_lmi(problem, margin, max_iterations, initial=anchor)
-    except InfeasibleError as exc:
-        raise InfeasibleError(f"{prefix}: {exc}") from exc
-    if anchor is not None:
-        return sol
-    for t in MARGIN_LADDER:
-        if t <= margin:
+        # np.vecdot runs the dot routine that np.linalg.norm runs on one
+        # vector, so each problem's gap is its own norm, bit for bit
+        gap = np.sqrt(np.vecdot(r, r))
+        improved = gap < threshold
+        np.multiply(gap, 1.0 - 1e-9, out=threshold, where=improved)
+        improved_at[improved] = iteration
+        # a problem stalls after 500 steps without improvement; the
+        # deadline is a lower bound, refreshed only once it is reached
+        if iteration >= deadline:
+            deadline = improved_at.min() + 500
+        if np.minimum.reduce(worst) > 0.0 and iteration < deadline:
             continue
-        try:
-            sol = solve_lmi(problem, t, max_iterations // 3, initial=sol)
-        except InfeasibleError:
-            break
-    return sol
+        converged = worst <= 0.0
+        retired = converged | (improved_at <= iteration - 500)
+        if not retired.any():  # a NaN excess
+            continue
+        for row in np.flatnonzero(retired):
+            j = live[row]
+            if converged[row]:
+                outcomes[j] = (problems[j].assignment(y_v[row, :, 0]),
+                               iteration)
+            else:
+                outcomes[j] = (InfeasibleError(
+                    "projection iteration stagnated (residual gap "
+                    f"{gap[row]:.3e}); no strictly feasible point found"),
+                    iteration)
+        keep = ~retired
+        if not keep.any():
+            return outcomes
+        live, A, pinv, g0, z, threshold, improved_at, worst = (
+            x[keep] for x in (live, A, pinv, g0, z, threshold,
+                              improved_at, worst))
+        u, v = np.empty_like(z), np.empty_like(z)
+        views = block_views(z), block_views(u), block_views(v)
+    for j, excess in zip(live, worst):
+        outcomes[j] = (InfeasibleError(
+            f"iteration budget ({max_iterations}) exhausted with "
+            f"lambda_max excess {excess:.3e}; no strictly feasible point "
+            "found"), max_iterations)
+    return outcomes
+
+
+def _solve_block(problems, margin, max_iterations, prefix, anchors):
+    """Solve every agent's block at ``margin``, then climb the margin
+    ladder while the warm-started solves keep succeeding; return each
+    agent's deepest point.
+
+    Rungs run in lockstep across agents: the base solve is one batch
+    over all agents, and each rung one batch over the agents still
+    climbing.  An agent stops at its first failed rung and keeps the
+    point of the rung below.  An anchored agent (its entry of
+    ``anchors`` is not None) starts at its anchor and does not climb:
+    the ladder would walk away from the anchor, whose strictness is
+    already built in.  If any base solve fails, the first failing agent
+    is reported, with ``prefix.format(agent)`` (1-based) before the
+    solver's message, and no ladder runs.
+    """
+    outcomes = _solve_batch(problems, margin, max_iterations, anchors)
+    for agent, (result, _) in enumerate(outcomes, start=1):
+        if isinstance(result, InfeasibleError):
+            raise InfeasibleError(
+                f"{prefix.format(agent)}: {result}") from result
+    solutions = [result for result, _ in outcomes]
+    climbing = [i for i, anchor in enumerate(anchors) if anchor is None]
+    for t in MARGIN_LADDER:
+        if t <= margin or not climbing:
+            continue
+        outcomes = _solve_batch([problems[i] for i in climbing], t,
+                                max_iterations // 3,
+                                [solutions[i] for i in climbing])
+        still = []
+        for i, (result, _) in zip(climbing, outcomes):
+            if not isinstance(result, InfeasibleError):
+                solutions[i] = result
+                still.append(i)
+        climbing = still
+    return solutions
 
 
 def _reverify(stage, block, margin, storage_name, storage, gain_form,
@@ -456,8 +562,7 @@ def synth_observer(aug: AugmentedModel, net: NetworkModel, delta: float,
 
     F1A = aug.F1 @ aug.A_a
     F1D = aug.F1 @ net.D
-    P = np.zeros((aug.n_aug, aug.n_aug))
-    H = np.zeros((aug.n_aug, net.nbar_y))
+    indices, problems = [], []
     for i in range(net.m):
         ai = aug_indices(net, i)
         yi = np.arange(i * net.n_y, (i + 1) * net.n_y)
@@ -466,14 +571,19 @@ def synth_observer(aug: AugmentedModel, net: NetworkModel, delta: float,
         E2i = aug.E2[np.ix_(yi, ai)]
         F1Di = F1D[np.ix_(ai, vi)]
         n = len(ai)
-        problem = LmiProblem(
+        indices.append((ai, yi))
+        problems.append(LmiProblem(
             [VariableSpec("P", n, n, symmetric=True, positive_definite=True),
              VariableSpec("H", n, net.n_y)],
             lambda v: observer_inequality(v["P"], v["H"], F1Ai, E2i, F1Di,
-                                          delta, decay=True))
-        sol = _solve_block(
-            problem, margin, max_iterations,
-            f"observer LMI infeasible for agent {i + 1} at delta={delta:g}")
+                                          delta, decay=True)))
+    solutions = _solve_block(
+        problems, margin, max_iterations,
+        f"observer LMI infeasible for agent {{}} at delta={delta:g}",
+        [None] * net.m)
+    P = np.zeros((aug.n_aug, aug.n_aug))
+    H = np.zeros((aug.n_aug, net.nbar_y))
+    for (ai, yi), sol in zip(indices, solutions):
         P[np.ix_(ai, ai)] = sol["P"]
         H[np.ix_(ai, yi)] = sol["H"]
 
@@ -640,8 +750,7 @@ def synth_controller(net: NetworkModel, alpha: float, delta: float,
         raise AlphaNonPositiveError(f"alpha must be > 0, got {alpha}")
 
     nbx = net.nbar_x
-    R = np.zeros((nbx, nbx))
-    G = np.zeros((net.nbar_u, nbx))
+    indices, problems, anchors = [], [], []
     for i in range(net.m):
         xi = np.arange(i * net.n_x, (i + 1) * net.n_x)
         ui = np.arange(i * net.n_u, (i + 1) * net.n_u)
@@ -650,16 +759,23 @@ def synth_controller(net: NetworkModel, alpha: float, delta: float,
         Bi = net.B[np.ix_(xi, ui)]
         Di = net.D[np.ix_(xi, vi)]
         anchor = _slow_anchor(Ai, Bi, Di, alpha, delta)
-        problem = LmiProblem(
+        indices.append((xi, ui))
+        anchors.append(anchor)
+        problems.append(LmiProblem(
             [VariableSpec("R", net.n_x, net.n_x, symmetric=True,
                           positive_definite=True),
              VariableSpec("G", net.n_u, net.n_x)],
             lambda v: feedback_inequality(v["R"], v["G"], Ai, Bi, Di, alpha,
-                                          delta, strip=anchor is None))
-        sol = _solve_block(
-            problem, margin, max_iterations,
-            f"feedback LMI infeasible for agent {i + 1} at alpha={alpha:g}, "
-            f"delta={delta:g}", anchor=anchor)
+                                          delta, strip=anchor is None)))
+    # anchored and strip-boxed agents differ in block layout, so they
+    # iterate as two stacks
+    solutions = _solve_block(
+        problems, margin, max_iterations,
+        f"feedback LMI infeasible for agent {{}} at alpha={alpha:g}, "
+        f"delta={delta:g}", anchors)
+    R = np.zeros((nbx, nbx))
+    G = np.zeros((net.nbar_u, nbx))
+    for (xi, ui), sol in zip(indices, solutions):
         R[np.ix_(xi, xi)] = sol["R"]
         G[np.ix_(ui, xi)] = sol["G"]
 

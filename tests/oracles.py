@@ -4,9 +4,10 @@ import numpy as np
 import scipy.signal
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
-from coopftc.errors import DimensionMismatchError
+from coopftc.errors import DimensionMismatchError, InfeasibleError
 from coopftc.linalg import sym_eigendecomp
 from coopftc.sim import integrate
+from coopftc.synth import PD_MARGIN
 
 
 def virtual_observer_oracle(aug, net, synth, times, x_a, x_a_dot, u,
@@ -106,3 +107,82 @@ def is_negative_definite(S, margin: float = 0.0) -> bool:
     LMI certificate."""
     w = sym_eigendecomp(S).eigenvalues
     return bool(w[-1] < -margin)
+
+
+def solve_lmi_reference(problem, margin, max_iterations=6000, initial=None):
+    """One problem's Douglas-Rachford iteration, block by block: the
+    reference for the lockstep kernel behind :func:`coopftc.synth.solve_lmi`.
+
+    Same contract as ``solve_lmi``: returns the accepted assignment or
+    raises :class:`InfeasibleError` with the same message.  Every step
+    is the per-problem form of the kernel's stacked step, so the two
+    agree bit for bit.
+    """
+    t = float(margin)
+    if t < 0:
+        raise ValueError(f"margin must be non-negative, got {margin}")
+
+    if not problem.coords:
+        w = sym_eigendecomp(problem.blocks(problem.base)[0]).eigenvalues
+        if w[-1] <= -t:
+            return {}
+        raise InfeasibleError(
+            f"constant expression has lambda_max = {w[-1]:.3e} > {-t:.3e}: "
+            "provably infeasible"
+        )
+    if t > problem.margin_cap:
+        raise InfeasibleError(
+            f"margin {t:.3e} is provably infeasible: a constant diagonal "
+            f"entry of the expression caps the margin at "
+            f"{problem.margin_cap:.3e}"
+        )
+
+    n_pd = len(problem.block_sizes) - 1
+    floors = [t] + [PD_MARGIN] * n_pd
+    targets = [1.05 * t + 1e-9] + [2.0 * PD_MARGIN + 1e-12] * n_pd
+    slacks = [target - floor for target, floor in zip(targets, floors)]
+    g0 = problem.base.copy()
+    for Gb, target in zip(problem.blocks(g0), targets):
+        Gb += target * np.eye(len(Gb))
+
+    if initial is not None:
+        y = np.array([initial[name][i, j] for name, i, j in problem.coords])
+    else:
+        y = np.zeros(len(problem.coords))
+
+    def project_cone(vec):
+        clipped = []
+        for Gb in problem.blocks(vec):
+            w, V = np.linalg.eigh(0.5 * (Gb + Gb.T))
+            clipped.append((V * np.minimum(w, 0.0)) @ V.T)
+        return np.concatenate([Z.ravel() for Z in clipped])
+
+    z = g0 + problem.A @ y
+    best_gap = np.inf
+    stall = 0
+    worst = np.nan
+    for _ in range(max_iterations):
+        u = project_cone(z)
+        y_v = problem.pinv @ (2.0 * u - z - g0)
+        v = g0 + problem.A @ y_v
+        excess = [np.linalg.eigvalsh(0.5 * (Gb + Gb.T))[-1] - s
+                  for Gb, s in zip(problem.blocks(v), slacks)]
+        if all(e <= 0.0 for e in excess):
+            return problem.assignment(y_v)
+        z = z + v - u
+
+        gap = np.linalg.norm(v - u)
+        worst = max(excess)
+        if gap < best_gap * (1.0 - 1e-9):
+            best_gap, stall = gap, 0
+        else:
+            stall += 1
+            if stall >= 500:
+                raise InfeasibleError(
+                    "projection iteration stagnated (residual gap "
+                    f"{gap:.3e}); no strictly feasible point found"
+                )
+    raise InfeasibleError(
+        f"iteration budget ({max_iterations}) exhausted with "
+        f"lambda_max excess {worst:.3e}; no strictly feasible point found"
+    )

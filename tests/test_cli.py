@@ -181,6 +181,32 @@ def test_malformed_yaml_reports_position(tmp_path):
         parse_scenario(p)
 
 
+def test_libyaml_and_python_loaders_agree(tmp_path, monkeypatch):
+    """Scenarios load through libyaml's safe loader when PyYAML has it;
+    the pure-Python safe loader reads every file to the same Scenario."""
+    agents = [
+        "{A: [[-10.0, 1], [-0.02, -2.0e+0]], B: [[0.0], [2.0]], "
+        "C: [[1.0, 0.0]], D: [[0.1], [1.0e-1]]}",
+        "{A: [[-11, 1.05], [-0.021, -1.9]], B: [[0], [1.94]], "
+        "C: [[1, 0]], D: [[.2], [0.2]]}",
+        "{A: [[-12.0, 1.1], [-0.022, -1.85]], B: [[0.0], [1.887]], "
+        "C: [[1.0, 0.0]], D: [[3.0e-1], [0.3]]}",
+    ]
+    p = tmp_path / "explicit.yaml"
+    p.write_text(
+        "schema_version: 1\n"
+        "graph:\n  edges: [[2, 1, 0.5], [3, 2, 1]]\n"
+        "  sources: [[1, 1.0]]\n  normalize: true\n"
+        "plant:\n  kind: explicit\n  agents:\n"
+        + "".join(f"    - {a}\n" for a in agents)
+        + "control: {ell_p: [0.1, 0.2, 0.3], setpoint: [[0, 1], [2.5, 2]]}\n"
+        "sim: {T: 5, h: 1.0e-3, seed: 7, fault: {magnitude: 5.75}}\n")
+    fast = parse_scenario(p)
+    monkeypatch.setattr(cli, "_YAML_LOADER", yaml.SafeLoader)
+    assert parse_scenario(p) == fast
+    assert fast.m == 3 and fast.ell_p == (0.1, 0.2, 0.3)
+
+
 def test_missing_file_is_validation_exit(tmp_path):
     code = main(["synth", "-s", str(tmp_path / "nope.yaml"),
                  "-o", str(tmp_path)])
@@ -274,6 +300,23 @@ def test_synth_margin_above_the_cap_exits_at_once(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "agent 1 " in err and "provably infeasible" in err
     assert err.rstrip().endswith("caps the margin at 9.000e-02")
+
+
+def test_synth_reports_the_stalled_agent_of_five(tmp_path, capsys):
+    """Five motors at delta = 0.3 on a ring: agent 5's base observer solve
+    stalls, and synth names it with the gap its iteration stalled at."""
+    ring = [[i, i % 5 + 1, 0.3] for i in range(1, 6)]
+    ring += [[j, i, w] for i, j, w in ring]
+    p = tmp_path / "m5.yaml"
+    p.write_text(f"graph: {{edges: {ring}, "
+                 f"sources: {[[i, 0.4] for i in range(1, 6)]}, "
+                 "normalize: true}\nplant: {m: 5}\n")
+    code = main(["synth", "-s", str(p), "-o", str(tmp_path / "gains")])
+    assert code == cli.EXIT_INFEASIBLE
+    assert capsys.readouterr().err == (
+        "synthesis failed: observer LMI infeasible for agent 5 at "
+        "delta=0.3: projection iteration stagnated (residual gap "
+        "8.876e-03); no strictly feasible point found\n")
 
 
 def test_nonpositive_motor_resistance_rejected(tmp_path, capsys):

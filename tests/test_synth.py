@@ -12,14 +12,16 @@ import pytest
 import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import is_negative_definite, place_poles_gain
+from oracles import (is_negative_definite, place_poles_gain,
+                     solve_lmi_reference)
 
 from coopftc import synth
 from coopftc.cli import save_matrix
 from coopftc.errors import (AlphaNonPositiveError, DeltaNonPositiveError,
                             InfeasibleError)
 from coopftc.linalg import is_hurwitz, sym_eigendecomp
-from coopftc.plant import AgentModel, stack_network
+from coopftc.plant import (AgentModel, augment_network, dc_motor_agent,
+                           stack_network)
 from coopftc.synth import (LmiProblem, VariableSpec, gamma_bound, solve_lmi,
                            synth_controller, synth_observer)
 
@@ -102,6 +104,142 @@ def test_margin_above_the_cap_raises_before_iterating(monkeypatch):
         solve_lmi(_capped_problem(), 0.5 + 1e-12)
 
 
+# --- lockstep kernel against the single-problem reference ------------------
+
+def _random_observer_problem(rng, n, delta):
+    """An agent-sized observer LMI (decay block appended) on a random
+    stable plant: feasible for large ``delta``, infeasible or capped for
+    small."""
+    A = 0.5 * rng.normal(size=(n, n)) - 2.0 * np.eye(n)
+    E = rng.normal(size=(1, n))
+    D = rng.normal(size=(n, 1))
+    return LmiProblem(
+        [VariableSpec("P", n, n, symmetric=True, positive_definite=True),
+         VariableSpec("H", n, 1)],
+        lambda v: synth.observer_inequality(v["P"], v["H"], A, E, D, delta,
+                                            decay=True))
+
+
+def _reference_outcome(*args):
+    """The reference's assignment, or the InfeasibleError it raises."""
+    try:
+        return solve_lmi_reference(*args)
+    except InfeasibleError as exc:
+        return exc
+
+
+def _outcome_kind(result):
+    if not isinstance(result, InfeasibleError):
+        return "feasible"
+    for kind in ("cap", "stagnated", "budget"):
+        if kind in str(result):
+            return kind
+    return "other"
+
+
+ALL_OUTCOMES = {"feasible", "cap", "stagnated", "budget"}
+
+#: (seed, margin, max_iterations, warm start, outcomes reached): each
+#: stack mixes agents of two sizes with deltas 0.02, 0.1, 0.3 and 1.0,
+#: plus one constant problem.
+KERNEL_CASES = [
+    (0, 0.01, 1500, False, ALL_OUTCOMES),
+    (1, 1e-6, 40, False, {"feasible", "budget"}),
+    (2, 0.01, 800, True, ALL_OUTCOMES),  # a rung above the base solutions
+]
+
+
+@pytest.mark.parametrize("seed, margin, max_iterations, warm, kinds",
+                         KERNEL_CASES)
+def test_lockstep_kernel_matches_the_reference(seed, margin, max_iterations,
+                                               warm, kinds, monkeypatch):
+    """Every problem of a stack ends exactly as it does alone in the
+    reference loop: at the same step, with the same assignment bit for
+    bit or the same InfeasibleError message."""
+    rng = np.random.default_rng(seed)
+    problems = [_random_observer_problem(rng, n, delta)
+                for n in (2, 3) for _ in range(3)
+                for delta in (0.02, 0.1, 0.3, 1.0)]
+    problems.append(LmiProblem([], lambda v: -np.eye(2)))
+    initials = [None] * len(problems)
+    if warm:
+        initials = [_reference_outcome(problem, MARGIN, 400)
+                    for problem in problems]
+        initials = [None if isinstance(initial, InfeasibleError)
+                    else initial for initial in initials]
+
+    outcomes = synth._solve_batch(problems, margin, max_iterations, initials)
+    # the reference takes one eigvalsh per block and step
+    eigvalsh, calls = np.linalg.eigvalsh, [0]
+
+    def counted_eigvalsh(*args, **kwargs):
+        calls[0] += 1
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    for problem, initial, (result, steps) in zip(problems, initials,
+                                                 outcomes):
+        calls[0] = 0
+        expected = _reference_outcome(problem, margin, max_iterations,
+                                      initial)
+        assert calls[0] == steps * len(problem.block_sizes)
+        if isinstance(expected, InfeasibleError):
+            assert isinstance(result, InfeasibleError)
+            assert str(result) == str(expected)
+        else:
+            assert result.keys() == expected.keys()
+            for name in expected:
+                assert np.array_equal(result[name], expected[name])
+    assert {_outcome_kind(result) for result, _ in outcomes} == kinds
+
+
+def test_ladder_reports_the_first_failing_agent(monkeypatch):
+    """Agents 2 and 4 fail their base solve (agent 4 at once, above its
+    cap; agent 2 only after its iteration stalls): the error names agent
+    2, and no rung runs for the others."""
+    rng = np.random.default_rng(3)
+    deltas = (1.0, 0.1, 0.3, 0.05)
+    problems = [_random_observer_problem(rng, 2, delta) for delta in deltas]
+    expected = f"agent 2 of 4: {_reference_outcome(problems[1], 0.01, 1500)}"
+    assert "stagnated" in expected
+    with pytest.raises(InfeasibleError, match="provably infeasible"):
+        solve_lmi_reference(problems[3], 0.01, 1500)
+
+    log = _logged_solves(monkeypatch)
+    with pytest.raises(InfeasibleError) as excinfo:
+        synth._solve_block(problems, 0.01, 1500, "agent {} of 4",
+                           [None] * 4)
+    assert str(excinfo.value) == expected
+    assert [entry[1] for entry in log] == [0.01] * 4  # the base solve only
+
+
+def _reference_batch(problems, margin, max_iterations, initials):
+    """``synth._solve_batch`` with every problem solved alone by the
+    reference loop."""
+    return [(_reference_outcome(problem, margin, max_iterations, initial),
+             None) for problem, initial in zip(problems, initials)]
+
+
+def test_mixed_layout_controller_matches_per_agent_solves(benchmark_net,
+                                                          monkeypatch):
+    """Agents 2 and 4 get no anchor, so the controller's solve holds two
+    block layouts (anchored, and strip-boxed with two more blocks): the
+    gains equal those of solving every agent alone, bit for bit."""
+    slow_anchor, calls = synth._slow_anchor, []
+
+    def every_other_anchor(*args):
+        calls.append(1)
+        return slow_anchor(*args) if len(calls) % 2 else None
+
+    monkeypatch.setattr(synth, "_slow_anchor", every_other_anchor)
+    batched = synth_controller(benchmark_net, 0.2, 0.3)
+    calls.clear()
+    monkeypatch.setattr(synth, "_solve_batch", _reference_batch)
+    alone = synth_controller(benchmark_net, 0.2, 0.3)
+    for name in ("R", "G", "K"):
+        assert np.array_equal(getattr(batched, name), getattr(alone, name))
+
+
 # --- observer stage ---------------------------------------------------------
 
 def test_observer_benchmark_feasible(benchmark_aug, benchmark_net,
@@ -122,74 +260,73 @@ def test_observer_probes_each_agent_block_once(benchmark_aug, benchmark_net,
                                               monkeypatch):
     """Each agent's affine family is probed once (at zero and at each
     scalar coordinate of P and H), however many ladder rungs it climbs."""
-    probes, solves = [], []
-    inequality, solve = synth.observer_inequality, synth.solve_lmi
+    probes = []
+    inequality = synth.observer_inequality
 
     def counted_inequality(*args, decay=False):
         if decay:  # the per-agent expression; re-verification has none
             probes.append(args[0].shape[0])
         return inequality(*args, decay=decay)
 
-    def counted_solve(*args, **kwargs):
-        solves.append(1)
-        return solve(*args, **kwargs)
-
     monkeypatch.setattr(synth, "observer_inequality", counted_inequality)
-    monkeypatch.setattr(synth, "solve_lmi", counted_solve)
+    log = _logged_solves(monkeypatch)
     synth_observer(benchmark_aug, benchmark_net, 0.3)
 
     net = benchmark_net
     n = benchmark_aug.n_aug // net.m
     coordinates = n * (n + 1) // 2 + n * net.n_y
     assert probes == [n] * (net.m * (1 + coordinates))
-    assert len(solves) > net.m  # rungs were climbed beyond the base solves
+    assert len(log) > net.m  # rungs were climbed beyond the base solves
 
 
 def _logged_solves(monkeypatch):
-    """Patch ``solve_lmi`` to log ``(margin, cap, eigvalsh calls, ok)``
-    per call; the solver takes one ``eigvalsh`` per block and iteration."""
-    log, calls = [], [0]
-    eigvalsh, solve = np.linalg.eigvalsh, synth.solve_lmi
+    """Patch the batched solve to log ``(problem, margin, cap, iterations,
+    ok)`` per problem and call, from the kernel's own outcome."""
+    log = []
+    solve_batch = synth._solve_batch
 
-    def counted_eigvalsh(*args, **kwargs):
-        calls[0] += 1
-        return eigvalsh(*args, **kwargs)
+    def logged(problems, margin, *args):
+        outcomes = solve_batch(problems, margin, *args)
+        log.extend((problem, margin, problem.margin_cap, iterations,
+                    not isinstance(result, InfeasibleError))
+                   for problem, (result, iterations) in zip(problems,
+                                                            outcomes))
+        return outcomes
 
-    def logged_solve(problem, margin, *args, **kwargs):
-        before, ok = calls[0], False
-        try:
-            sol = solve(problem, margin, *args, **kwargs)
-            ok = True
-            return sol
-        finally:
-            log.append((margin, problem.margin_cap, calls[0] - before, ok))
-
-    monkeypatch.setattr(synth.np.linalg, "eigvalsh", counted_eigvalsh)
-    monkeypatch.setattr(synth, "solve_lmi", logged_solve)
+    monkeypatch.setattr(synth, "_solve_batch", logged)
     return log
+
+
+def _per_agent(log):
+    """``(margin, cap, iterations, ok)`` per solve, grouped by agent (in
+    the order the agents were first solved) and rung."""
+    agents = {}
+    for problem, *entry in log:
+        agents.setdefault(problem, []).append(tuple(entry))
+    return [entry for entries in agents.values() for entry in entries]
 
 
 def test_observer_skips_rungs_above_the_cap(benchmark_aug, benchmark_net,
                                             monkeypatch, tmp_path):
     """The constant -delta^2 I block caps every agent's margin at
-    delta^2 = 0.09: the 0.1 rung raises without iterating, the rungs
-    below it run as before, and the ladder stops where it always did, so
-    the gain files keep their bytes."""
-    log = _logged_solves(monkeypatch)
+    delta^2 = 0.09: the 0.1 rung fails without iterating, the rungs
+    below it run as before, and each agent's ladder stops where it always
+    did, so the gain files keep their bytes."""
+    logged = _logged_solves(monkeypatch)
     s = synth_observer(benchmark_aug, benchmark_net, 0.3)
+    log = _per_agent(logged)
 
-    blocks = 2  # the expression and the -P block
     assert {cap for _, cap, _, _ in log} == {0.3 ** 2}
     assert [(margin, ok) for margin, _, _, ok in log] == \
         [(MARGIN, True), (0.03, True), (0.1, False)] * 3 \
         + [(MARGIN, True), (0.03, False)]
-    for margin, cap, calls, ok in log:
+    for margin, cap, iterations, ok in log:
         if margin > cap:
-            assert calls == 0
+            assert iterations == 0
         elif ok:
-            assert calls == blocks  # one iteration
+            assert iterations == 1
         else:  # motor 4's 0.03 rung stalls
-            assert calls >= 500 * blocks
+            assert iterations >= 500
 
     digests = []
     for name, M in (("gain", s.Lgain), ("storage", s.P)):
@@ -197,6 +334,39 @@ def test_observer_skips_rungs_above_the_cap(benchmark_aug, benchmark_net,
         digests.append(hashlib.md5((tmp_path / name).read_bytes()).hexdigest())
     assert digests == ["79b7a6dd0458f97d7eaa147e82d8ab6b",
                        "74c54572d7fb4bf6cca789a6aa33f911"]
+
+
+def test_observer_rungs_iterate_in_lockstep(monkeypatch):
+    """On an 8-agent fleet (motors 1-4 twice) each solve call makes one
+    stacked ``eigh`` per block and step of its longest-running agent, not
+    one per agent and step: the batching shows as an operation count,
+    which wall time on a shared host cannot pin.  Only stacked (3-D)
+    calls are counted; the re-verification's 2-D ones are not."""
+    net = stack_network([dc_motor_agent(i % 4 + 1) for i in range(8)])
+    calls = []
+    solve_batch = synth._solve_batch
+
+    def logged(problems, *args):
+        outcomes = solve_batch(problems, *args)
+        calls.append([iterations for _, iterations in outcomes])
+        return outcomes
+
+    stacked = [0]
+    eigh = np.linalg.eigh
+
+    def counted_eigh(a, *args, **kwargs):
+        stacked[0] += np.ndim(a) == 3
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(synth, "_solve_batch", logged)
+    monkeypatch.setattr(synth.np.linalg, "eigh", counted_eigh)
+    synth_observer(augment_network(net), net, 0.3)
+
+    blocks = 2  # the expression and the -P block
+    assert [len(c) for c in calls] == [8, 8, 6]  # base, 0.03, 0.1
+    assert stacked[0] == blocks * sum(max(c) for c in calls)
+    assert max(calls[1]) >= 500  # the two motor-4 stalls run side by side
+    assert stacked[0] < blocks * sum(sum(c) for c in calls) / 1.5
 
 
 def test_observer_rejects_nonpositive_delta(benchmark_aug, benchmark_net):
@@ -282,7 +452,7 @@ def test_controller_margin_cap(benchmark_net, monkeypatch, alpha, cap):
     margin at min(1, alpha, delta^2)."""
     log = _logged_solves(monkeypatch)
     synth_controller(benchmark_net, alpha, 0.3)
-    assert {entry[1] for entry in log} == {cap}
+    assert {entry[2] for entry in log} == {cap}
 
 
 @settings(max_examples=60, deadline=None)
