@@ -155,6 +155,33 @@ def _is_number(value) -> bool:
         return False
 
 
+def _not_a_number(key: str, value) -> str:
+    """The message for a ``key`` whose ``value`` is not a finite number.
+
+    YAML 1.1 reads exponent notation as a number only with a dot and a
+    signed exponent (``1.0e-1``, ``1.0e+3``); it reads ``1e-1`` or
+    ``1.0e3`` as a string.  For a string that Python reads as a finite
+    number, the message says how to write it so that it parses."""
+    message = f"{key} must be a finite number, got {value!r}"
+    if not isinstance(value, str):
+        return message
+    try:
+        if not math.isfinite(float(value)):
+            return message
+    except ValueError:
+        return message
+    mantissa, e, exponent = value.lower().partition("e")
+    if e:
+        if "." not in mantissa:
+            mantissa += ".0"
+        if exponent[0] not in "+-":
+            exponent = "+" + exponent
+    written = f"{mantissa}{e}{exponent}"
+    if written == value.lower():
+        return f"{message}; a quoted number is a string, write it unquoted"
+    return f"{message}; YAML reads {value} as a string, write {written}"
+
+
 def _is_index(value) -> bool:
     """An integral number: an int, or a float with no fractional part."""
     return _is_number(value) and float(value).is_integer()
@@ -189,8 +216,7 @@ def _number(minimum: float, strict: bool):
     """A finite number at least, or if ``strict`` above, ``minimum``."""
     def read(key: str, value) -> float:
         if not _is_number(value):
-            raise ValidationError(
-                f"{key} must be a finite number, got {value!r}")
+            raise ValidationError(_not_a_number(key, value))
         value = float(value)
         if value < minimum or (strict and value == minimum):
             raise ValidationError(f"{key} must be {'>' if strict else '>='} "
@@ -248,10 +274,14 @@ def _matrix(where: str, value) -> tuple:
             or not all(isinstance(row, list) and row for row in value)):
         raise ValidationError(f"{where} must be a list of rows")
     width = len(value[0])
-    for row in value:
-        if len(row) != width or not all(map(_is_number, row)):
+    for i, row in enumerate(value, start=1):
+        if len(row) != width:
             raise ValidationError(f"{where} rows must be equal-length "
                                   "lists of finite numbers")
+        for j, entry in enumerate(row, start=1):
+            if not _is_number(entry):
+                raise ValidationError(_not_a_number(f"{where}[{i}][{j}]",
+                                                    entry))
     return tuple(tuple(float(v) for v in row) for row in value)
 
 

@@ -55,8 +55,12 @@ iteration at the slowest gain the inequality can certify: a small
 bisection over pole-placement speed, with feasibility decided by an
 algebraic Riccati equation equivalent to the inequality at fixed gain,
 yields a strictly feasible starting point that the projection step
-accepts essentially unchanged.  Each candidate gain places the poles by
-one Sylvester solve (:func:`_placing_gain`).  When no anchor can be
+accepts essentially unchanged.  The bisection runs in lockstep over the
+agents, each with its own bracket: every probe round places the poles
+of all agents still probing by one stacked solve per pole
+(:func:`_placing_gains`), then tests the placing gains by one stacked
+Hamiltonian eigendecomposition (:func:`_anchor_riccati`), so each agent
+makes the probes a bisection of its own would.  When no anchor can be
 built for an agent, its solve falls back to a cold-started search boxed
 by affine eigenvalue-strip blocks (closed-loop decay rates between
 ``CONTROLLER_DECAY`` and ``CONTROLLER_MAX_RATE``); either way the
@@ -603,108 +607,171 @@ def synth_observer(aug: AugmentedModel, net: NetworkModel, delta: float,
 
 # --- state-feedback synthesis -----------------------------------------------
 
+def _placing_gains(A, B, poles):
+    """Gains ``K0`` with ``A + B K0 = X diag(poles) X^{-1}``, one per
+    agent of the stacks ``A`` (k, n, n) and ``B`` (k, n, n_u), for
+    distinct real ``poles`` (k, n) off each agent's spectrum.
+
+    Returns ``(ok, K0)``: ``ok`` (k,) is False where ``X`` is singular,
+    not finite or has condition number above 1e12, and ``K0`` holds the
+    gains of the ``ok`` agents only.  Column ``j`` of ``X`` solves
+    ``(A - p_j I) x_j = -B w_j``, so ``X`` is one stacked solve over
+    agents and poles, and ``K0 = W X^{-1}``.  Column ``j`` of ``W`` is
+    the unit vector ``e_(j mod n_u)``: pole ``j`` is steered through
+    input ``j mod n_u``.  With one input ``W`` is all ones and ``K0`` is
+    the unique placing gain; with more inputs this ``W`` may fail to
+    place a controllable pair, and an agent no speed can place falls
+    back to the strip search.
+    """
+    n, n_u = B.shape[1:]
+    W = np.eye(n_u)[:, np.arange(n) % n_u]
+    shifted = A[:, None] - poles[:, :, None, None] * np.eye(n)
+    rhs = -(B @ W).mT[..., None]
+    try:
+        X = np.linalg.solve(shifted, rhs)
+    except np.linalg.LinAlgError:  # a pole on some agent's spectrum
+        X = np.full(rhs.shape, np.nan)
+        for row in range(len(X)):
+            try:
+                X[row] = np.linalg.solve(shifted[row], rhs[row])
+            except np.linalg.LinAlgError:
+                pass
+    X = X[..., 0].mT
+    ok = np.isfinite(X).all(axis=(1, 2))
+    ok[ok] = np.linalg.cond(X[ok]) <= 1e12
+    return ok, np.linalg.solve(X[ok].mT, W.T).mT
+
+
 def _anchor_riccati(Acl, NNt):
     """Stabilizing ``Q > 0`` solving the fixed-gain Riccati equation
 
-        Q Acl + Acl' Q + Q NNt Q + (1 + ANCHOR_INFLATION) I = 0,
+        Q Acl + Acl' Q + Q NNt Q + (1 + ANCHOR_INFLATION) I = 0
 
-    or None when no such solution exists.  Existence is exactly strict
-    feasibility of the fixed-gain feedback inequality (Schur), so this
-    doubles as a cheap feasibility oracle over candidate gains.
+    for each agent of the stacks ``Acl`` and ``NNt`` (k, n, n), by the
+    stable eigenvectors of its Hamiltonian (Laub's method).  Returns
+    ``(ok, Q)``: ``ok`` (k,) is False where no such solution exists, and
+    ``Q`` holds the solutions of the ``ok`` agents only.  Existence is
+    exactly strict feasibility of the fixed-gain feedback inequality
+    (Schur), so this doubles as a cheap feasibility oracle over
+    candidate gains.
     """
-    n = Acl.shape[0]
-    ham = np.block([[Acl, NNt],
-                    [-(1.0 + ANCHOR_INFLATION) * np.eye(n), -Acl.T]])
+    k, n = Acl.shape[:2]
+    ham = np.empty((k, 2 * n, 2 * n))
+    ham[:, :n, :n], ham[:, :n, n:] = Acl, NNt
+    ham[:, n:, :n] = -(1.0 + ANCHOR_INFLATION) * np.eye(n)
+    ham[:, n:, n:] = -Acl.mT
     ev, V = np.linalg.eig(ham)
-    scale = max(1.0, np.abs(ev).max())
-    if np.min(np.abs(ev.real)) < 1e-8 * scale:
-        return None  # eigenvalue on the imaginary axis: boundary case
+    scale = np.maximum(1.0, np.abs(ev).max(axis=1))
     stable = ev.real < 0
-    if int(stable.sum()) != n:
-        return None
-    Vs = V[:, stable]
-    X1, X2 = Vs[:n, :], Vs[n:, :]
-    if np.linalg.cond(X1) > 1e12:
-        return None
-    Q = np.real(X2 @ np.linalg.inv(X1))
-    Q = 0.5 * (Q + Q.T)
-    if np.linalg.eigvalsh(Q)[0] <= 0.0:
-        return None
-    resid = Q @ Acl + Acl.T @ Q + Q @ NNt @ Q + np.eye(n)
-    if np.linalg.eigvalsh(0.5 * (resid + resid.T))[-1] >= 0.0:
-        return None
-    return Q
+    # an eigenvalue on the imaginary axis is a boundary case
+    ok = ~(np.abs(ev.real).min(axis=1) < 1e-8 * scale)
+    ok &= stable.sum(axis=1) == n
+    rows = np.flatnonzero(ok)
+    # the stable eigenvectors, in the order eig returns them
+    order = np.argsort(~stable[rows], axis=1, kind="stable")[:, :n]
+    Vs = np.take_along_axis(V[rows], order[:, None, :], axis=2)
+    # eig of one matrix returns real vectors when its spectrum is real;
+    # such an agent keeps real arithmetic here, as it would alone
+    real = (ev[rows].imag == 0).all(axis=1)
+    Q = np.empty((len(rows), n, n))
+    well = np.zeros(len(rows), dtype=bool)
+    for group, X in ((real, Vs.real), (~real, Vs)):
+        at = np.flatnonzero(group)
+        X = X[at]
+        fine = np.linalg.cond(X[:, :n]) <= 1e12
+        at, X = at[fine], X[fine]
+        well[at] = True
+        Q[at] = np.real(X[:, n:] @ np.linalg.inv(X[:, :n]))
+    rows, Q = rows[well], Q[well]
+    Q = 0.5 * (Q + Q.mT)
+    positive = np.linalg.eigvalsh(Q)[:, 0] > 0.0
+    rows, Q = rows[positive], Q[positive]
+    Acl, NNt = Acl[rows], NNt[rows]
+    resid = Q @ Acl + Acl.mT @ Q + Q @ NNt @ Q + np.eye(n)
+    negative = np.linalg.eigvalsh(0.5 * (resid + resid.mT))[:, -1] < 0.0
+    ok[:] = False
+    ok[rows[negative]] = True
+    return ok, Q[negative]
 
 
-def _placing_gain(A, B, poles):
-    """Gain ``K0`` with ``A + B K0 = X diag(poles) X^{-1}`` for distinct
-    real ``poles`` off the spectrum of ``A``, or None when ``X`` is not
-    finite or has condition number above 1e12.
-
-    One Sylvester solve ``A X - X diag(poles) = -B W`` gives ``X``, and
-    ``K0 = W X^{-1}``.  Column ``k`` of ``W`` is the unit vector
-    ``e_(k mod n_u)``: pole ``k`` is steered through input ``k mod n_u``.
-    With one input ``W`` is all ones and ``K0`` is the unique placing
-    gain; with more inputs this ``W`` may fail to place a controllable
-    pair, and an agent no speed can place falls back to the strip search.
-    """
-    n, n_u = B.shape
-    W = np.eye(n_u)[:, np.arange(n) % n_u]
-    X = scipy.linalg.solve_sylvester(A, -np.diag(poles), -B @ W)
-    if not np.isfinite(X).all() or np.linalg.cond(X) > 1e12:
-        return None
-    return np.linalg.solve(X.T, W.T).T
+def _anchor_probe(A, B, NNt, poles):
+    """One probe of each agent of a stack: place its poles, then test
+    the placing gain with the Riccati oracle.  Returns ``(ok, K0, Q)``:
+    ``ok`` (k,) marks the agents that pass both, and ``K0`` and ``Q``
+    hold their gains and Riccati solutions."""
+    ok, K0 = _placing_gains(A, B, poles)
+    riccati, Q = _anchor_riccati(A[ok] + B[ok] @ K0, NNt[ok])
+    ok[ok] = riccati
+    return ok, K0[riccati], Q
 
 
-def _anchor_from_poles(A, B, D, alpha, delta, poles):
-    """Feasible ``(R, G)`` whose recovered gain places ``A+BK`` at
-    ``poles``, or None when placement fails or the Riccati oracle
-    rejects the speed."""
-    K0 = _placing_gain(A, B, poles)
-    if K0 is None:
-        return None
-    NNt = B @ B.T / alpha + D @ D.T / delta ** 2
-    Q = _anchor_riccati(A + B @ K0, NNt)
-    if Q is None:
-        return None
-    R0 = np.linalg.inv(Q)
-    R0 = 0.5 * (R0 + R0.T)
-    return {"R": R0, "G": K0 @ R0}
-
-
-def _slow_anchor(A, B, D, alpha, delta):
+def _slow_anchors(A, B, D, alpha, delta):
     """Anchor ``(R, G)`` of the slowest certifiable pole family
-    ``-s * CONTROLLER_POLE_RATIO**j``: a bisection over the speed ``s``,
-    then ``CONTROLLER_POLE_SLACK`` faster; None when even fast anchors
-    fail."""
-    n = A.shape[0]
+    ``-s * CONTROLLER_POLE_RATIO**j`` for each agent of the stacks
+    ``A``, ``B`` and ``D``: a bisection over the speed ``s``, then
+    ``CONTROLLER_POLE_SLACK`` faster; None for an agent even fast
+    anchors fail.
+
+    The bisection runs in lockstep over the agents.  Each agent keeps
+    its own bracket, but every probe round is one stacked placement
+    (:func:`_placing_gains`) and one stacked Riccati test
+    (:func:`_anchor_riccati`) over the agents still probing.  Each
+    agent makes the probes a bisection of its own would make.
+    """
+    n = A.shape[1]
     pattern = -(CONTROLLER_POLE_RATIO ** np.arange(n))
+    NNt = B @ B.mT / alpha + D @ D.mT / delta ** 2
 
-    def feasible(speed):
-        return _anchor_from_poles(A, B, D, alpha, delta, speed * pattern)
+    def probe(rows, speeds):
+        return _anchor_probe(A[rows], B[rows], NNt[rows],
+                             speeds[:, None] * pattern)
 
-    hi = 1.0 + float(np.abs(np.linalg.eigvals(A)).max())
-    tries = 0
-    while feasible(hi) is None:
-        hi *= 1.5
-        tries += 1
-        if tries > 24:
-            return None
+    def feasible(rows, speeds):
+        return probe(rows, speeds)[0]
+
+    # bracket from above: raise each speed until its probe passes, at
+    # most 24 times; then lower it while probes keep passing
+    hi = 1.0 + np.abs(np.linalg.eigvals(A)).max(axis=1)
+    found = feasible(np.arange(len(A)), hi)
+    for _ in range(24):
+        rows = np.flatnonzero(~found)
+        if not rows.size:
+            break
+        hi[rows] *= 1.5
+        found[rows] = feasible(rows, hi[rows])
     lo = hi / 1.5
-    while lo > 1e-3 and feasible(lo) is not None:
-        hi = lo
-        lo /= 1.5
+    rows = np.flatnonzero(found & (lo > 1e-3))
+    while rows.size:
+        rows = rows[feasible(rows, lo[rows])]
+        hi[rows] = lo[rows]
+        lo[rows] /= 1.5
+        rows = rows[lo[rows] > 1e-3]
+
+    rows = np.flatnonzero(found)
     for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid) is not None:
-            hi = mid
-        else:
-            lo = mid
-    for speed in (CONTROLLER_POLE_SLACK * hi, hi, 1.5 * hi):
-        anchor = feasible(speed)
-        if anchor is not None:
-            return anchor
-    return None
+        mid = 0.5 * (lo[rows] + hi[rows])
+        ok = feasible(rows, mid)
+        hi[rows[ok]] = mid[ok]
+        lo[rows[~ok]] = mid[~ok]
+
+    anchors = [None] * len(A)
+    for factor in (CONTROLLER_POLE_SLACK, 1.0, 1.5):
+        if not rows.size:
+            break
+        ok, K0, Q = probe(rows, factor * hi[rows])
+        R0 = np.linalg.inv(Q)
+        R0 = 0.5 * (R0 + R0.mT)
+        for i, R, G in zip(rows[ok], R0, K0 @ R0):
+            anchors[i] = {"R": R, "G": G}
+        rows = rows[~ok]
+    return anchors
+
+
+def _agent_blocks(M, m):
+    """The ``m`` diagonal blocks of a block-diagonal network matrix, as
+    one (m, rows, cols) stack."""
+    rows, cols = M.shape[0] // m, M.shape[1] // m
+    return M.reshape(m, rows, m, cols)[np.arange(m), :, np.arange(m)]
 
 
 @dataclass(frozen=True)
@@ -750,17 +817,10 @@ def synth_controller(net: NetworkModel, alpha: float, delta: float,
         raise AlphaNonPositiveError(f"alpha must be > 0, got {alpha}")
 
     nbx = net.nbar_x
-    indices, problems, anchors = [], [], []
-    for i in range(net.m):
-        xi = np.arange(i * net.n_x, (i + 1) * net.n_x)
-        ui = np.arange(i * net.n_u, (i + 1) * net.n_u)
-        vi = np.arange(i * net.n_v, (i + 1) * net.n_v)
-        Ai = net.A[np.ix_(xi, xi)]
-        Bi = net.B[np.ix_(xi, ui)]
-        Di = net.D[np.ix_(xi, vi)]
-        anchor = _slow_anchor(Ai, Bi, Di, alpha, delta)
-        indices.append((xi, ui))
-        anchors.append(anchor)
+    A, B, D = (_agent_blocks(M, net.m) for M in (net.A, net.B, net.D))
+    anchors = _slow_anchors(A, B, D, alpha, delta)
+    problems = []
+    for Ai, Bi, Di, anchor in zip(A, B, D, anchors):
         problems.append(LmiProblem(
             [VariableSpec("R", net.n_x, net.n_x, symmetric=True,
                           positive_definite=True),
@@ -773,11 +833,8 @@ def synth_controller(net: NetworkModel, alpha: float, delta: float,
         problems, margin, max_iterations,
         f"feedback LMI infeasible for agent {{}} at alpha={alpha:g}, "
         f"delta={delta:g}", anchors)
-    R = np.zeros((nbx, nbx))
-    G = np.zeros((net.nbar_u, nbx))
-    for (xi, ui), sol in zip(indices, solutions):
-        R[np.ix_(xi, xi)] = sol["R"]
-        G[np.ix_(ui, xi)] = sol["G"]
+    R = scipy.linalg.block_diag(*(sol["R"] for sol in solutions))
+    G = scipy.linalg.block_diag(*(sol["G"] for sol in solutions))
 
     K = solve_linear(R, G.T).T  # K R = G with R symmetric
 

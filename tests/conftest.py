@@ -10,6 +10,7 @@ trace.
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from coopftc.control import ClosedLoopState, ControlLaw, build_closed_loop
 from coopftc.estimator import build_observer
@@ -19,6 +20,11 @@ from coopftc.plant import augment_network, dc_motor_agent, stack_network
 from coopftc.sim import (SignalSchedule, run_experiment,
                          sample_initial_state, step_schedule)
 from coopftc.synth import synth_controller, synth_observer
+
+# Every property test draws the same examples on every run; a test's own
+# @settings still sets its example count.
+settings.register_profile("coopftc", derandomize=True)
+settings.load_profile("coopftc")
 
 # Benchmark configuration shared across the suite.
 DELTA = 0.3

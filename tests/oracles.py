@@ -7,7 +7,8 @@ from scipy.interpolate import CubicHermiteSpline, CubicSpline
 from coopftc.errors import DimensionMismatchError, InfeasibleError
 from coopftc.linalg import sym_eigendecomp
 from coopftc.sim import integrate
-from coopftc.synth import PD_MARGIN
+from coopftc.synth import (ANCHOR_INFLATION, CONTROLLER_POLE_RATIO,
+                           CONTROLLER_POLE_SLACK, PD_MARGIN)
 
 
 def virtual_observer_oracle(aug, net, synth, times, x_a, x_a_dot, u,
@@ -96,7 +97,7 @@ def kronecker_lyapunov(Phi, Q):
 def place_poles_gain(A, B, poles):
     """Gain ``K`` placing the eigenvalues of ``A + B K`` at ``poles``, by
     ``scipy.signal.place_poles``: the reference for
-    :func:`coopftc.synth._placing_gain`.  ``scipy.signal`` is imported
+    :func:`coopftc.synth._placing_gains`.  ``scipy.signal`` is imported
     here, never by the package, whose import it would slow."""
     return -scipy.signal.place_poles(A, B, np.sort(poles)).gain_matrix
 
@@ -186,3 +187,118 @@ def solve_lmi_reference(problem, margin, max_iterations=6000, initial=None):
         f"iteration budget ({max_iterations}) exhausted with "
         f"lambda_max excess {worst:.3e}; no strictly feasible point found"
     )
+
+
+def anchor_riccati(Acl, NNt):
+    """Stabilizing ``Q > 0`` solving the fixed-gain Riccati equation
+
+        Q Acl + Acl' Q + Q NNt Q + (1 + ANCHOR_INFLATION) I = 0,
+
+    or None when no such solution exists: one agent's form of
+    :func:`coopftc.synth._anchor_riccati`.
+    """
+    n = Acl.shape[0]
+    ham = np.block([[Acl, NNt],
+                    [-(1.0 + ANCHOR_INFLATION) * np.eye(n), -Acl.T]])
+    ev, V = np.linalg.eig(ham)
+    scale = max(1.0, np.abs(ev).max())
+    if np.min(np.abs(ev.real)) < 1e-8 * scale:
+        return None  # eigenvalue on the imaginary axis: boundary case
+    stable = ev.real < 0
+    if int(stable.sum()) != n:
+        return None
+    Vs = V[:, stable]
+    X1, X2 = Vs[:n, :], Vs[n:, :]
+    if np.linalg.cond(X1) > 1e12:
+        return None
+    Q = np.real(X2 @ np.linalg.inv(X1))
+    Q = 0.5 * (Q + Q.T)
+    if np.linalg.eigvalsh(Q)[0] <= 0.0:
+        return None
+    resid = Q @ Acl + Acl.T @ Q + Q @ NNt @ Q + np.eye(n)
+    if np.linalg.eigvalsh(0.5 * (resid + resid.T))[-1] >= 0.0:
+        return None
+    return Q
+
+
+def placing_gain(A, B, poles):
+    """Gain ``K0`` with ``A + B K0 = X diag(poles) X^{-1}``, or None when
+    ``X`` is singular, not finite or has condition number above 1e12:
+    one agent's form of :func:`coopftc.synth._placing_gains`, one pole
+    at a time.
+
+    Column ``j`` of ``X`` solves ``(A - p_j I) x_j = -B w_j``, the
+    ``j``-th column of the Sylvester equation ``A X - X diag(poles) =
+    -B W``.  ``scipy.linalg.solve_sylvester`` solves the same equation
+    with other rounding, and the anchor bisection amplifies rounding:
+    where its bound is set by Hamiltonian eigenvalues meeting the
+    imaginary axis, rounding decides the probes near the bound, and even
+    a one-ulp change of ``A`` moves the anchor far more than 1e-12.  So
+    the reference makes the same column solves, agent by agent.
+    """
+    n, n_u = B.shape
+    W = np.eye(n_u)[:, np.arange(n) % n_u]
+    X = np.empty((n, n))
+    for j, pole in enumerate(poles):
+        try:
+            X[:, j] = np.linalg.solve(A - pole * np.eye(n), -B @ W[:, j])
+        except np.linalg.LinAlgError:  # the pole is on the spectrum of A
+            return None
+    if not np.isfinite(X).all() or np.linalg.cond(X) > 1e12:
+        return None
+    return np.linalg.solve(X.T, W.T).T
+
+
+def anchor_from_poles(A, B, D, alpha, delta, poles):
+    """Feasible ``(R, G)`` whose recovered gain places ``A+BK`` at
+    ``poles``, or None when placement fails or the Riccati oracle
+    rejects the speed."""
+    K0 = placing_gain(A, B, poles)
+    if K0 is None:
+        return None
+    NNt = B @ B.T / alpha + D @ D.T / delta ** 2
+    Q = anchor_riccati(A + B @ K0, NNt)
+    if Q is None:
+        return None
+    R0 = np.linalg.inv(Q)
+    R0 = 0.5 * (R0 + R0.T)
+    return {"R": R0, "G": K0 @ R0}
+
+
+def slow_anchor(A, B, D, alpha, delta):
+    """One agent's anchor bisection, probe by probe: the reference for
+    the lockstep :func:`coopftc.synth._slow_anchors`.
+
+    Anchor ``(R, G)`` of the slowest certifiable pole family
+    ``-s * CONTROLLER_POLE_RATIO**j``: a bisection over the speed ``s``,
+    then ``CONTROLLER_POLE_SLACK`` faster; None when even fast anchors
+    fail.
+    """
+    n = A.shape[0]
+    pattern = -(CONTROLLER_POLE_RATIO ** np.arange(n))
+
+    def feasible(speed):
+        return anchor_from_poles(A, B, D, alpha, delta, speed * pattern)
+
+    hi = 1.0 + float(np.abs(np.linalg.eigvals(A)).max())
+    tries = 0
+    while feasible(hi) is None:
+        hi *= 1.5
+        tries += 1
+        if tries > 24:
+            return None
+    lo = hi / 1.5
+    while lo > 1e-3 and feasible(lo) is not None:
+        hi = lo
+        lo /= 1.5
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        if feasible(mid) is not None:
+            hi = mid
+        else:
+            lo = mid
+    for speed in (CONTROLLER_POLE_SLACK * hi, hi, 1.5 * hi):
+        anchor = feasible(speed)
+        if anchor is not None:
+            return anchor
+    return None

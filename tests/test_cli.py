@@ -207,6 +207,31 @@ def test_libyaml_and_python_loaders_agree(tmp_path, monkeypatch):
     assert fast.m == 3 and fast.ell_p == (0.1, 0.2, 0.3)
 
 
+@pytest.mark.parametrize("document, field, hint", [
+    ("graph:\n  edges: [[2, 1, 0.5]]\n  sources: [[1, 1.0]]\n"
+     "plant:\n  kind: explicit\n  agents:\n"
+     "    - {A: [[-10.0, 1.0], [-0.02, -2.0]], B: [[0.0], [2.0]], "
+     "C: [[1.0, 0.0]], D: [[0.1], [1e-1]]}\n"
+     "    - {A: [[-11.0, 1.0], [-0.02, -1.9]], B: [[0.0], [1.9]], "
+     "C: [[1.0, 0.0]], D: [[0.2], [0.2]]}\n",
+     "plant.agents[1].D[2][1] must be a finite number, got '1e-1'",
+     "write 1.0e-1"),
+    ("sim: {h: 1e-3}\n", "sim.h must be a finite number, got '1e-3'",
+     "write 1.0e-3"),
+], ids=["matrix-entry", "number"])
+def test_yaml_exponent_without_dot_names_the_entry(tmp_path, capsys,
+                                                   document, field, hint):
+    """YAML 1.1 reads 1e-1 (no dot) as a string: the error names the
+    entry and says how to write the number so that it parses."""
+    p = tmp_path / "exponent.yaml"
+    p.write_text(document)
+    code = main(["synth", "-s", str(p), "-o", str(tmp_path / "out")])
+    assert code == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert field in err and hint in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_file_is_validation_exit(tmp_path):
     code = main(["synth", "-s", str(tmp_path / "nope.yaml"),
                  "-o", str(tmp_path)])

@@ -12,8 +12,8 @@ import pytest
 import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import (is_negative_definite, place_poles_gain,
-                     solve_lmi_reference)
+from oracles import (anchor_from_poles, anchor_riccati, is_negative_definite,
+                     place_poles_gain, slow_anchor, solve_lmi_reference)
 
 from coopftc import synth
 from coopftc.cli import save_matrix
@@ -225,15 +225,18 @@ def test_mixed_layout_controller_matches_per_agent_solves(benchmark_net,
     """Agents 2 and 4 get no anchor, so the controller's solve holds two
     block layouts (anchored, and strip-boxed with two more blocks): the
     gains equal those of solving every agent alone, bit for bit."""
-    slow_anchor, calls = synth._slow_anchor, []
+    slow_anchors = synth._slow_anchors
 
     def every_other_anchor(*args):
-        calls.append(1)
-        return slow_anchor(*args) if len(calls) % 2 else None
+        return [anchor if i % 2 == 0 else None
+                for i, anchor in enumerate(slow_anchors(*args))]
 
-    monkeypatch.setattr(synth, "_slow_anchor", every_other_anchor)
+    monkeypatch.setattr(synth, "_slow_anchors", every_other_anchor)
+    log = _logged_solves(monkeypatch)
     batched = synth_controller(benchmark_net, 0.2, 0.3)
-    calls.clear()
+    base = [problem for problem, margin, *_ in log if margin == MARGIN]
+    # the strip's two diagonal blocks grow Lambda from 6 to 10 rows
+    assert [problem.block_sizes for problem in base] == [[6, 2], [10, 2]] * 2
     monkeypatch.setattr(synth, "_solve_batch", _reference_batch)
     alone = synth_controller(benchmark_net, 0.2, 0.3)
     for name in ("R", "G", "K"):
@@ -438,7 +441,8 @@ def test_controller_rejects_nonpositive_alpha(benchmark_net):
 def test_controller_fast_pole_policy(benchmark_net, monkeypatch):
     """With no pole anchor every agent falls back to the cold-started
     search, boxed by the eigenvalue strip (-8, -2)."""
-    monkeypatch.setattr(synth, "_slow_anchor", lambda *a: None)
+    monkeypatch.setattr(synth, "_slow_anchors",
+                        lambda A, *args: [None] * len(A))
     s = synth_controller(benchmark_net, 0.2, 0.3)
     lam = _feedback_block(benchmark_net, s.R, s.G, s.alpha, s.delta)
     assert sym_eigendecomp(lam).eigenvalues[-1] <= -MARGIN
@@ -458,10 +462,10 @@ def test_controller_margin_cap(benchmark_net, monkeypatch, alpha, cap):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10_000), st.integers(1, 4))
 def test_placing_gain_matches_place_poles(seed, n):
-    """Single input: the placing gain is unique, so the Sylvester solve
-    and ``scipy.signal.place_poles`` agree.  Checked by hand on every
-    seed: the gains differ by at most 7.9e-11 relative and the placed
-    eigenvalues by 2.4e-8 relative, on 35,514 drawn pairs."""
+    """Single input: the placing gain is unique, so the stacked column
+    solves and ``scipy.signal.place_poles`` agree.  Checked by hand on
+    every seed: the gains differ by at most 1.1e-10 relative and the
+    placed eigenvalues by 3.5e-8 relative, on 35,514 drawn pairs."""
     rng = np.random.default_rng(seed)
     A = rng.normal(size=(n, n))
     B = rng.normal(size=(n, 1))
@@ -470,12 +474,123 @@ def test_placing_gain_matches_place_poles(seed, n):
     assume(np.linalg.cond(ctrb) < 100.0)
     assume(np.abs(np.linalg.eigvals(A)[:, None] - poles).min() > 0.1)
 
-    K0 = synth._placing_gain(A, B, poles)
+    ok, (K0,) = synth._placing_gains(A[None], B[None], poles[None])
+    assert ok.tolist() == [True]
     placed = np.sort_complex(np.linalg.eigvals(A + B @ K0))
     scale = np.abs(poles).max()
     assert np.abs(placed - np.sort(poles)).max() <= 1e-6 * scale
     expected = place_poles_gain(A, B, poles)
     assert np.abs(K0 - expected).max() <= 1e-9 * np.abs(expected).max()
+
+
+@st.composite
+def _agent_stacks(draw):
+    """A stack of 1-4 random controllable agents of one shape (n_x 1-4,
+    n_u 1-2, one disturbance channel of drawn scale), with alpha and
+    delta; about a third of such agents get no anchor."""
+    n, n_u, k = (draw(st.integers(1, 4)), draw(st.integers(1, 2)),
+                 draw(st.integers(1, 4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    A = rng.normal(size=(k, n, n))
+    B = rng.normal(size=(k, n, n_u))
+    D = rng.normal(size=(k, n, 1)) * rng.choice([0.0, 0.1, 1.0, 10.0],
+                                                size=(k, 1, 1))
+    for Ai, Bi in zip(A, B):
+        ctrb = np.hstack([np.linalg.matrix_power(Ai, j) @ Bi
+                          for j in range(n)])
+        assume(np.linalg.cond(ctrb) < 1e8)
+    return (A, B, D, draw(st.sampled_from([0.05, 0.2, 1.0])),
+            draw(st.sampled_from([0.1, 0.3, 1.0])))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_agent_stacks())
+def test_anchor_bisection_matches_the_reference(stack):
+    """Every agent of a stack gets the anchor of its own per-agent
+    bisection in ``tests/oracles.py``: no anchor for the same agents, and
+    R and G within 1e-12 relative.  (They agree bit for bit here: the
+    stacked LAPACK calls compute each agent as the single calls do.)"""
+    A, B, D, alpha, delta = stack
+    anchors = synth._slow_anchors(A, B, D, alpha, delta)
+    expected = [slow_anchor(*agent, alpha, delta) for agent in zip(A, B, D)]
+    assert [a is None for a in anchors] == [e is None for e in expected]
+    for anchor, reference in zip(anchors, expected):
+        if reference is not None:
+            for name in ("R", "G"):
+                error = np.abs(anchor[name] - reference[name]).max()
+                assert error <= 1e-12 * np.abs(reference[name]).max()
+
+
+def test_anchor_probe_rejects_a_pole_on_the_spectrum():
+    """A pole exactly on an eigenvalue of agent 2's A makes its placement
+    singular: agent 2 fails the probe, without an error for the stack,
+    and agents 1 and 3 get the results of probing them alone.  Moved
+    off that eigenvalue, agent 2 passes."""
+    A = np.array([[[0.0, 1.0], [-6.0, -1.0]],
+                  [[-2.0, 1.0], [0.0, -1.0]],  # eigenvalue -2
+                  [[1.0, 0.5], [0.0, -1.0]]])
+    B = np.array([[[0.0], [1.0]], [[1.0], [1.0]], [[0.2], [1.0]]])
+    D = np.full((3, 2, 1), 0.1)
+    alpha, delta = 0.2, 0.3
+    NNt = B @ B.mT / alpha + D @ D.mT / delta ** 2
+    poles = np.array([[-2.0, -3.4]] * 3)
+
+    ok, K0, Q = synth._anchor_probe(A, B, NNt, poles)
+    assert ok.tolist() == [True, False, True]
+    assert anchor_from_poles(A[1], B[1], D[1], alpha, delta, poles[1]) is None
+    for row, i in enumerate((0, 2)):
+        solo = synth._anchor_probe(A[i:i + 1], B[i:i + 1], NNt[i:i + 1],
+                                   poles[i:i + 1])
+        assert solo[0].tolist() == [True]
+        assert np.array_equal(K0[row], solo[1][0])
+        assert np.array_equal(Q[row], solo[2][0])
+    A[1, 0, 0] = -2.0001
+    assert synth._anchor_probe(A, B, NNt, poles)[0].tolist() == [True] * 3
+
+
+def test_riccati_test_of_an_agent_does_not_depend_on_its_stack():
+    """The Hamiltonian of agent 1 has a real spectrum, that of agent 2 a
+    complex one, so their stacked ``eig`` returns complex vectors for
+    both.  Each agent's Riccati solution is still the one it gets alone
+    (agent 1's in real arithmetic), bit for bit."""
+    Acl = np.array([[[-3.3, 0.1], [-0.4, -3.1]],
+                    [[-4.1, -0.4], [2.3, -3.1]]])
+    NNt = np.array([[[0.29, -0.69], [-0.69, 1.7]],
+                    [[0.85, 0.03], [0.03, 0.1]]])
+    ok, Q = synth._anchor_riccati(Acl, NNt)
+    assert ok.tolist() == [True, True]
+    for i in range(2):
+        alone = synth._anchor_riccati(Acl[i:i + 1], NNt[i:i + 1])[1][0]
+        assert np.array_equal(Q[i], alone)
+        assert np.array_equal(Q[i], anchor_riccati(Acl[i], NNt[i]))
+
+
+def test_anchor_bisection_runs_in_lockstep(monkeypatch):
+    """On an 8-agent fleet (motors 1-4 twice) the bisection makes one
+    stacked Hamiltonian ``eig`` per probe round: as many as the slowest
+    agent's probes, not one per agent and probe.  The stacks hold every
+    probe the per-agent reference makes, each once."""
+    net = stack_network([dc_motor_agent(i % 4 + 1) for i in range(8)])
+    A, B, D = (synth._agent_blocks(M, 8) for M in (net.A, net.B, net.D))
+    eig, shapes = np.linalg.eig, []
+
+    def counted_eig(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eig(a, *args, **kwargs)
+
+    monkeypatch.setattr(synth.np.linalg, "eig", counted_eig)
+    per_agent = []
+    for agent in zip(A, B, D):
+        shapes.clear()
+        slow_anchor(*agent, 0.2, 0.3)
+        per_agent.append(len(shapes))
+    shapes.clear()
+    synth_controller(net, 0.2, 0.3)
+
+    stacks = [shape[0] for shape in shapes if len(shape) == 3]
+    assert sum(per_agent) == 356
+    assert sum(stacks) == sum(per_agent)
+    assert len(stacks) == max(per_agent) == 45
 
 
 def test_two_input_agent_gain_from_the_anchor(monkeypatch):
@@ -489,13 +604,13 @@ def test_two_input_agent_gain_from_the_anchor(monkeypatch):
     net = stack_network([AgentModel(A=A, B=B, C=np.array([[1.0, 0.0, 0.0]]),
                                     D=D, F=np.eye(1))])
     anchors = []
-    slow_anchor = synth._slow_anchor
+    slow_anchors = synth._slow_anchors
 
     def recorded(*args):
-        anchors.append(slow_anchor(*args))
-        return anchors[-1]
+        anchors.extend(slow_anchors(*args))
+        return anchors
 
-    monkeypatch.setattr(synth, "_slow_anchor", recorded)
+    monkeypatch.setattr(synth, "_slow_anchors", recorded)
     s = synth_controller(net, 0.2, 0.3)
 
     (anchor,) = anchors
