@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import ControlLaw
+from .control import ControlLaw, control_input
 from .errors import (
     DimensionMismatchError,
     IdentityCheckFailedError,
@@ -207,26 +207,16 @@ def iss_certificate(g: NetworkGraph, net: NetworkModel,
 def _theta_star(trace: SimTrace, law: ControlLaw) -> np.ndarray:
     """Row-wise stacked input ``[v; vartheta]`` reconstructed from a trace.
 
-    ``vartheta`` is the deviation of the applied input from pure state
-    feedback: the estimation spillover ``K (x - x_hat)`` plus the outer
-    PI correction.  The composition is cross-checked against the
-    identity ``vartheta = K x - u``, which must hold to roundoff for a
-    trace produced by this package's closed loop.
+    ``vartheta = K x - u*`` is the deviation of the law's input ``u*``
+    from pure state feedback: the estimation spillover ``K (x - x_hat)``
+    plus the outer PI correction.  ``u*`` is recomputed from the trace's
+    estimates, error and integral, and ``vartheta`` is cross-checked
+    against ``K x - u`` of the recorded input, which must agree to
+    roundoff for a trace produced by this package's closed loop.
     """
-    K = law.K
-    m = law.graph.m
-    if K.shape[0] % m:
-        raise DimensionMismatchError(
-            f"gain rows {K.shape[0]} not divisible by agent count {m}")
-    n_u = K.shape[0] // m
-    if trace.e_bar.shape[1] != m * n_u:
-        raise DimensionMismatchError(
-            "outer-loop channels do not match input channels "
-            f"({trace.e_bar.shape[1]} vs {m * n_u})")
-    lp = np.repeat(law.ell_p, n_u)
-    li = np.repeat(law.ell_i, n_u)
-    vartheta = (trace.x - trace.x_hat) @ K.T + lp * trace.e_bar + li * trace.q
-    direct = trace.x @ K.T - trace.u
+    Kx = trace.x @ law.K.T
+    vartheta = Kx - control_input(law, trace.x_hat, trace.e_bar, trace.q)
+    direct = Kx - trace.u
     scale = max(1.0, float(np.abs(direct).max()))
     dev = float(np.abs(vartheta - direct).max())
     if dev > 1e-9 * scale:

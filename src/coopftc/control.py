@@ -22,16 +22,16 @@ the consensus point.
 
 :func:`in_neighbor_setpoint`, :func:`cooperative_error` and
 :func:`control_input` take one stacked vector or a 2-D array with one
-row per sample (the stacked dimension last), so the reference
-right-hand side and the reconstruction of a whole simulated trace call
-the same functions.
+row per sample (the stacked dimension last).
 
-:func:`closed_loop_rhs` wires plant, observer, and outer loop into one
-derivative over the canonical stacked state ``[x; eta; q]``, driven by
-the exogenous signals of a :class:`SignalSchedule` table;
-:func:`closed_loop_maps` probes that derivative once to extract the
-(affine) matrix realization used for fast simulation and for
-eigenvalue/Lyapunov analysis of the loop.
+The wiring of plant, observer, and outer loop into one derivative over
+the canonical stacked state ``[x; eta; q]`` is written once, for one
+state or one state per row.  :func:`closed_loop_rhs` evaluates it for
+one state under the signals of a :class:`SignalSchedule` table;
+:func:`closed_loop_maps` evaluates it once on a stacked probe to extract
+the affine realization used for fast simulation and for
+eigenvalue/Lyapunov analysis; the simulator evaluates it once on a
+whole trace to reconstruct the trace's other columns.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ import numpy as np
 from .errors import DimensionMismatchError, IdentityCheckFailedError
 from .estimator import ObserverRealization, extract_estimates, observer_derivative
 from .graph import NetworkGraph
+from .linalg import _as_rows
 from .plant import AugmentedModel, NetworkModel
 
 __all__ = [
@@ -92,21 +93,22 @@ class ControlLaw:
 
 @dataclass(frozen=True)
 class ClosedLoopState:
-    """Canonical stacked state ``[x; eta; q]`` of one rollout."""
+    """Canonical stacked state ``[x; eta; q]`` of one rollout: one vector
+    per part, or one row per sample in each part."""
 
     x: np.ndarray
     eta: np.ndarray
     q: np.ndarray
 
     def packed(self) -> np.ndarray:
-        return np.concatenate([self.x, self.eta, self.q])
+        return np.concatenate([self.x, self.eta, self.q], axis=-1)
 
     @staticmethod
     def unpack(vec: np.ndarray, nbar_x: int, n_aug: int) -> "ClosedLoopState":
         vec = np.asarray(vec, dtype=float)
-        return ClosedLoopState(x=vec[:nbar_x],
-                               eta=vec[nbar_x:nbar_x + n_aug],
-                               q=vec[nbar_x + n_aug:])
+        return ClosedLoopState(x=vec[..., :nbar_x],
+                               eta=vec[..., nbar_x:nbar_x + n_aug],
+                               q=vec[..., nbar_x + n_aug:])
 
 
 @dataclass(frozen=True)
@@ -164,26 +166,16 @@ class ClosedLoop:
         return self.net.nbar_x + self.aug.n_aug + self.net.nbar_y
 
 
-def _check_rows(name, rows, n):
-    """One stacked vector of size ``n``, or one such row per sample."""
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim not in (1, 2) or rows.shape[-1] != n:
-        raise DimensionMismatchError(
-            f"{name} has shape {rows.shape}, expected ({n},) or (N, {n})")
-    return rows
-
-
 def _output_rows(g: NetworkGraph, y_hat, y0):
     """Check ``y_hat`` against ``m`` blocks of the width of ``y0``, one
     per-agent row or one row per row of ``y_hat``; also return that
     width."""
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
     n_y = y0.shape[-1]
-    y_hat = _check_rows("y_hat", y_hat, g.m * n_y)
-    if y0.ndim > 1 and y0.shape[:-1] != y_hat.shape[:-1]:
-        raise DimensionMismatchError(
-            f"y0 has shape {y0.shape}, expected ({n_y},) or one row per "
-            f"row of y_hat {y_hat.shape}")
+    if y0.ndim == 1:
+        [y_hat] = _as_rows(("y_hat", y_hat, g.m * n_y))
+    else:
+        y_hat, y0 = _as_rows(("y_hat", y_hat, g.m * n_y), ("y0", y0, n_y))
     return y_hat, y0, n_y
 
 
@@ -243,13 +235,8 @@ def control_input(law: ControlLaw, x_hat: np.ndarray, e_bar: np.ndarray,
     if rem:
         raise DimensionMismatchError(
             f"K has {law.K.shape[0]} rows, not divisible by m={m}")
-    x_hat = _check_rows("x_hat", x_hat, law.K.shape[1])
-    e_bar = _check_rows("e_bar", e_bar, m * n_u)
-    q = _check_rows("q", q, m * n_u)
-    if not x_hat.shape[:-1] == e_bar.shape[:-1] == q.shape[:-1]:
-        raise DimensionMismatchError(
-            f"x_hat, e_bar and q have shapes {x_hat.shape}, {e_bar.shape} "
-            f"and {q.shape}, not the same number of rows")
+    x_hat, e_bar, q = _as_rows(("x_hat", x_hat, law.K.shape[1]),
+                               ("e_bar", e_bar, m * n_u), ("q", q, m * n_u))
     return (x_hat @ law.K.T
             - np.repeat(law.ell_p, n_u) * e_bar
             - np.repeat(law.ell_i, n_u) * q)
@@ -273,6 +260,31 @@ def build_closed_loop(net: NetworkModel, aug: AugmentedModel,
     return ClosedLoop(net=net, aug=aug, obs=obs, law=law)
 
 
+def _wire(loop: ClosedLoop, state: ClosedLoopState, v, f_s, y0):
+    """The networked loop's wiring, for one state or one state per row
+    (the signals then one row per row of the state).
+
+    The order mirrors the information flow: measure, estimate, compare,
+    actuate.  Returns ``(y_f, estimates, e_bar, u, derivative)``, the last
+    a function that forms the state derivative, so a caller that needs
+    only the signals (a whole trace's worth of rows) does not pay for it.
+    """
+    net, obs, law = loop.net, loop.obs, loop.law
+    v, f_s = _as_rows(("disturbance", v, net.nbar_v),
+                      ("fault", f_s, net.nbar_y))
+    y_f = state.x @ net.C.T + f_s @ net.F.T
+    est = extract_estimates(obs, state.eta, y_f)
+    e_bar = cooperative_error(law.graph, est.x_hat @ net.C.T, y0)
+    u = control_input(law, est.x_hat, e_bar, state.q)
+
+    def derivative() -> ClosedLoopState:
+        dx = state.x @ net.A.T + u @ net.B.T + v @ net.D.T
+        deta = observer_derivative(obs, state.eta, y_f, u)
+        return ClosedLoopState(x=dx, eta=deta, q=e_bar)
+
+    return y_f, est, e_bar, u, derivative
+
+
 def closed_loop_rhs(t: float, state: ClosedLoopState, loop: ClosedLoop,
                     signals) -> ClosedLoopState:
     """One evaluation of the complete networked loop.
@@ -280,30 +292,14 @@ def closed_loop_rhs(t: float, state: ClosedLoopState, loop: ClosedLoop,
     ``signals.sample(t)`` must return the stacked disturbance, the
     stacked sensor-fault vector and the shared source output at ``t``,
     as a :class:`SignalSchedule` does.
-
-    The wiring order mirrors the information flow: measure, estimate,
-    share, compare, actuate.
     """
-    net, obs, law = loop.net, loop.obs, loop.law
-    v, f_s, y0 = signals.sample(t)
-    v = _check_rows("disturbance", v, net.nbar_v)
-    f_s = _check_rows("fault", f_s, net.nbar_y)
-
-    y_f = net.C @ state.x + net.F @ f_s
-    est = extract_estimates(obs, state.eta, y_f)
-    y_hat = net.C @ est.x_hat
-    e_bar = cooperative_error(law.graph, y_hat, y0)
-    u = control_input(law, est.x_hat, e_bar, state.q)
-
-    dx = net.A @ state.x + net.B @ u + net.D @ v
-    deta = observer_derivative(obs, state.eta, y_f, u)
-    return ClosedLoopState(x=dx, eta=deta, q=e_bar)
+    return _wire(loop, state, *signals.sample(t))[-1]()
 
 
 @dataclass(frozen=True)
 class ClosedLoopMaps:
     """Affine realization ``z' = M z + B_v v + B_f f_s + B_r y0`` of the
-    closed loop, obtained by probing :func:`closed_loop_rhs`."""
+    closed loop, obtained by probing its wiring."""
 
     M: np.ndarray
     B_v: np.ndarray
@@ -314,39 +310,21 @@ class ClosedLoopMaps:
 def closed_loop_maps(loop: ClosedLoop) -> ClosedLoopMaps:
     """Extract the linear realization by unit-vector probing.
 
-    Probing the actual right-hand side (rather than re-deriving the
-    block formulas) guarantees the fast path and the readable path
-    cannot drift apart.
+    One evaluation of the wiring on a stacked probe: row 0 is the
+    origin, which must map to zero, and each later row is one unit
+    vector of ``[z | v | f_s | y0]``.  Probing the actual wiring (rather
+    than re-deriving the block formulas) guarantees the fast path and
+    the readable path cannot drift apart.
     """
     net = loop.net
-    dim = loop.dim
-    nbx, na = net.nbar_x, loop.aug.n_aug
-
-    def f(z, v, fs, r):
-        s = ClosedLoopState.unpack(z, nbx, na)
-        signals = SignalSchedule(times=(0.0,), v=v[None], f_s=fs[None],
-                                 y0=r[None])
-        return closed_loop_rhs(0.0, s, loop, signals).packed()
-
-    z0 = np.zeros(dim)
-    v0 = np.zeros(net.nbar_v)
-    f0 = np.zeros(net.nbar_y)
-    r0 = np.zeros(net.n_y)
-    base = f(z0, v0, f0, r0)
-    if np.abs(base).max() > 0.0:
+    cuts = np.cumsum([loop.dim, net.nbar_v, net.nbar_y])
+    width = cuts[-1] + net.n_y
+    probe = np.vstack([np.zeros(width), np.eye(width)])
+    z, v, f_s, y0 = np.split(probe, cuts, axis=1)
+    state = ClosedLoopState.unpack(z, net.nbar_x, loop.aug.n_aug)
+    out = _wire(loop, state, v, f_s, y0)[-1]().packed()
+    if np.abs(out[0]).max() > 0.0:
         raise IdentityCheckFailedError("closed loop is not affine-zero "
                                        "at the origin")
-
-    def probe(n, mk):
-        cols = np.empty((dim, n))
-        for k in range(n):
-            e = np.zeros(n)
-            e[k] = 1.0
-            cols[:, k] = mk(e) - base
-        return cols
-
-    M = probe(dim, lambda e: f(e, v0, f0, r0))
-    B_v = probe(net.nbar_v, lambda e: f(z0, e, f0, r0))
-    B_f = probe(net.nbar_y, lambda e: f(z0, v0, e, r0))
-    B_r = probe(net.n_y, lambda e: f(z0, v0, f0, e))
+    M, B_v, B_f, B_r = np.split((out[1:] - out[0]).T, cuts, axis=1)
     return ClosedLoopMaps(M=M, B_v=B_v, B_f=B_f, B_r=B_r)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, NotHurwitzError
-from .linalg import is_hurwitz
+from .linalg import _as_rows, is_hurwitz
 from .plant import AugmentedModel, NetworkModel
 from .synth import ObserverSynthesis
 
@@ -90,20 +90,13 @@ def build_observer(aug: AugmentedModel, net: NetworkModel,
 
 def observer_derivative(obs: ObserverRealization, eta: np.ndarray,
                         y_f: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Right-hand side ``A_obs eta + B_u u + B_y y_f``."""
-    eta = np.asarray(eta, dtype=float)
-    y_f = np.asarray(y_f, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if eta.shape != (obs.n_aug,):
-        raise DimensionMismatchError(
-            f"eta has shape {eta.shape}, expected ({obs.n_aug},)")
-    if y_f.shape != (obs.nbar_y,):
-        raise DimensionMismatchError(
-            f"y_f has shape {y_f.shape}, expected ({obs.nbar_y},)")
-    if u.shape != (obs.B_u.shape[1],):
-        raise DimensionMismatchError(
-            f"u has shape {u.shape}, expected ({obs.B_u.shape[1]},)")
-    return obs.A_obs @ eta + obs.B_u @ u + obs.B_y @ y_f
+    """Right-hand side ``A_obs eta + B_u u + B_y y_f``.
+
+    ``eta``, ``y_f`` and ``u`` are one vector each or one row per sample.
+    """
+    eta, y_f, u = _as_rows(("eta", eta, obs.n_aug), ("y_f", y_f, obs.nbar_y),
+                           ("u", u, obs.B_u.shape[1]))
+    return eta @ obs.A_obs.T + u @ obs.B_u.T + y_f @ obs.B_y.T
 
 
 def extract_estimates(obs: ObserverRealization, eta: np.ndarray,
@@ -113,16 +106,7 @@ def extract_estimates(obs: ObserverRealization, eta: np.ndarray,
 
     ``eta`` and ``y_f`` are one vector each or one row per sample.
     """
-    eta = np.asarray(eta, dtype=float)
-    y_f = np.asarray(y_f, dtype=float)
-    for name, rows, n in (("eta", eta, obs.n_aug), ("y_f", y_f, obs.nbar_y)):
-        if rows.ndim not in (1, 2) or rows.shape[-1] != n:
-            raise DimensionMismatchError(
-                f"{name} has shape {rows.shape}, expected ({n},) or (N, {n})")
-    if eta.shape[:-1] != y_f.shape[:-1]:
-        raise DimensionMismatchError(
-            f"eta and y_f have shapes {eta.shape} and {y_f.shape}, not the "
-            "same number of rows")
+    eta, y_f = _as_rows(("eta", eta, obs.n_aug), ("y_f", y_f, obs.nbar_y))
     x_o = eta + y_f @ obs.F2.T
     return EstimateSplit(x_hat=x_o[..., :obs.nbar_x],
                          f_hat=x_o[..., obs.nbar_x:])

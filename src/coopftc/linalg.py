@@ -55,6 +55,24 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def _as_rows(*specs) -> list[np.ndarray]:
+    """Each ``(name, array, n)`` as one stacked vector of size ``n`` or one
+    such row per sample, all with the same number of rows."""
+    arrays = []
+    for name, rows, n in specs:
+        rows = np.asarray(rows, dtype=float)
+        if rows.ndim not in (1, 2) or rows.shape[-1] != n:
+            raise DimensionMismatchError(
+                f"{name} has shape {rows.shape}, expected ({n},) or (N, {n})")
+        arrays.append(rows)
+    if len({rows.shape[:-1] for rows in arrays}) > 1:
+        names = ", ".join(name for name, _, _ in specs).rsplit(", ", 1)
+        raise DimensionMismatchError(
+            f"{' and '.join(names)} have shapes "
+            f"{[rows.shape for rows in arrays]}, not the same number of rows")
+    return arrays
+
+
 @dataclass(frozen=True)
 class SymEig:
     """Eigendecomposition of a symmetric matrix.

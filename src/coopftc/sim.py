@@ -14,17 +14,18 @@ step.
 The closed loop is linear and its inputs are piecewise constant, so one
 RK4 step is exactly one affine map
 ``z+ = Phi z + G0 w(t) + Gh w(t + h/2) + G1 w(t + h)`` of the stacked
-state and signals.  :func:`run_experiment` probes the affine realization
-from :func:`~coopftc.control.closed_loop_maps` once, spot-checks it
-against the readable :func:`~coopftc.control.closed_loop_rhs` wiring at
-a random state (so the fast path cannot silently diverge from the
-reference path), builds the step map by applying the RK4 formula to
-identity columns (:func:`rk4_step_maps`) and advances the whole grid
-with one small matrix-vector product per step (:func:`propagate`).
-:func:`integrate` is the generic RK4 integrator the step map is
-checked against.  The remaining trace columns (estimates, cooperative
-error, control) come from the functions ``closed_loop_rhs`` itself
-calls, applied once to the whole trace with one row per sample.
+state and signals.  :func:`run_experiment` takes the affine realization
+from :func:`~coopftc.control.closed_loop_maps` (one evaluation of the
+loop's wiring on a stacked probe), spot-checks it against the readable
+:func:`~coopftc.control.closed_loop_rhs` at a random state (so the
+probe's affinity assumption and the fast path are verified), builds the
+step map by applying the RK4 formula to identity columns
+(:func:`rk4_step_maps`) and advances the whole grid with one small
+matrix-vector product per step (:func:`propagate`).  :func:`integrate`
+is the generic RK4 integrator the step map is checked against.  The
+remaining trace columns (measured outputs, estimates, cooperative
+error, control) come from one evaluation of the same wiring on the
+whole trace, one row per sample.
 """
 
 from __future__ import annotations
@@ -36,11 +37,10 @@ from typing import Callable
 import numpy as np
 
 from .control import (ClosedLoop, ClosedLoopMaps, ClosedLoopState,
-                      SignalSchedule, closed_loop_maps, closed_loop_rhs,
-                      control_input, cooperative_error)
+                      SignalSchedule, _wire, closed_loop_maps,
+                      closed_loop_rhs)
 from .errors import (DimensionMismatchError, IdentityCheckFailedError,
                      NonFiniteStateError, SchemaError)
-from .estimator import extract_estimates
 from .plant import AugmentedModel, NetworkModel, aug_indices
 
 __all__ = [
@@ -235,6 +235,16 @@ def sample_initial_state(net: NetworkModel, aug: AugmentedModel, seed,
                            q=np.zeros(net.nbar_y))
 
 
+def _uneven_step(t: np.ndarray):
+    """Index of the first step of the time grid ``t`` (two or more
+    points) that is not positive or differs from the median step by
+    more than ``1e-9`` of it; ``None`` on a uniform grid."""
+    steps = np.diff(t)
+    h = np.median(steps)
+    bad = np.flatnonzero((steps <= 0) | (np.abs(steps - h) > 1e-9 * h))
+    return int(bad[0]) if bad.size else None
+
+
 @dataclass(frozen=True)
 class SimTrace:
     """Dense log of one experiment, one row per time step."""
@@ -266,10 +276,9 @@ class SimTrace:
             if not np.all(np.isfinite(arr)):
                 raise NonFiniteStateError(f"trace column {name} contains "
                                           "non-finite values")
-        steps = np.diff(self.t)
-        if steps.size and (steps.min() <= 0 or
-                           steps.max() - steps.min() > 1e-9 * steps.max()):
-            raise ValueError("trace time grid is not uniform")
+        if n < 2 or _uneven_step(self.t) is not None:
+            raise ValueError("trace time grid is not uniform with at "
+                             "least two points")
 
     @property
     def h(self) -> float:
@@ -282,43 +291,29 @@ def run_experiment(loop: ClosedLoop, schedule: SignalSchedule,
     """Integrate a closed loop and log the full trace.
 
     The loop's affine realization is probed once and verified against
-    the reference wiring at one random state; a disagreement raises
-    :class:`IdentityCheckFailedError`.  The states then come from
-    :func:`propagate`, one precomputed RK4 step map per step.  The
-    estimates, the cooperative error and the control of every sample
-    are computed by the same law functions as the reference wiring, on
-    the whole trace at once.
+    :func:`~coopftc.control.closed_loop_rhs` at one random state; a
+    disagreement raises :class:`IdentityCheckFailedError`.  The states
+    then come from :func:`propagate`, and the other columns from one
+    evaluation of the loop's wiring on the whole trace.
     """
-    net, aug, obs, law = loop.net, loop.aug, loop.obs, loop.law
+    net, aug = loop.net, loop.aug
     maps = closed_loop_maps(loop)
-    rhs = _affine_rhs(maps, schedule)
-
-    check_rng = np.random.default_rng(0)
-    z_chk = check_rng.normal(size=loop.dim)
+    z_chk = np.random.default_rng(0).normal(size=loop.dim)
     t_chk = 0.37 * T
     ref = closed_loop_rhs(t_chk, ClosedLoopState.unpack(
         z_chk, net.nbar_x, aug.n_aug), loop, schedule).packed()
-    fast = rhs(t_chk, z_chk)
+    fast = _affine_rhs(maps, schedule)(t_chk, z_chk)
     if np.abs(ref - fast).max() > 1e-9 * max(1.0, np.abs(ref).max()):
         raise IdentityCheckFailedError(
             "affine fast path disagrees with reference right-hand side")
 
     times, Z = propagate(maps, schedule, s0.packed(), h, T)
-    nbx, na = net.nbar_x, aug.n_aug
-    x = Z[:, :nbx]
-    eta = Z[:, nbx:nbx + na]
-    q = Z[:, nbx + na:]
-
+    state = ClosedLoopState.unpack(Z, net.nbar_x, aug.n_aug)
     v, f_s, y0 = schedule.sample(times)
-
-    y_f = x @ net.C.T + f_s @ net.F.T
-    est = extract_estimates(obs, eta, y_f)
-    e_bar = cooperative_error(law.graph, est.x_hat @ net.C.T, y0)
-    u = control_input(law, est.x_hat, e_bar, q)
-
-    return SimTrace(t=times, x=x, eta=eta, q=q, x_hat=est.x_hat,
-                    f_hat=est.f_hat, u=u, y_f=y_f, e_bar=e_bar, v=v,
-                    f_s=f_s, y0=y0)
+    y_f, est, e_bar, u, _ = _wire(loop, state, v, f_s, y0)
+    return SimTrace(t=times, x=state.x, eta=state.eta, q=state.q,
+                    x_hat=est.x_hat, f_hat=est.f_hat, u=u, y_f=y_f,
+                    e_bar=e_bar, v=v, f_s=f_s, y0=y0)
 
 
 # --- text tables ------------------------------------------------------------
@@ -427,7 +422,9 @@ def trace_to_csv(trace: SimTrace, net: NetworkModel, path) -> None:
 
 def trace_from_csv(path, net: NetworkModel) -> SimTrace:
     """Read a trace written by :func:`trace_to_csv`, undoing the
-    per-agent observer-state grouping."""
+    per-agent observer-state grouping.  Fewer than two rows, or a time
+    column off a uniform grid, raises :class:`SchemaError` naming the
+    file (and the first line whose step differs)."""
     columns = _trace_columns(net)
     expected = [label for _, labels in columns for label in labels]
     header, table = read_rows(path, ",")
@@ -437,6 +434,12 @@ def trace_from_csv(path, net: NetworkModel) -> SimTrace:
     if table.shape[1] != len(expected):
         raise SchemaError(f"{path}: {table.shape[1]} columns, expected "
                           f"{len(expected)}")
+    if len(table) < 2:
+        raise SchemaError(f"{path}: {len(table)} row below the header "
+                          "line; a trace needs at least two")
+    k = _uneven_step(table[:, 0])
+    if k is not None:
+        raise SchemaError(f"{path}: line {k + 3}: time grid is not uniform")
     cuts = np.cumsum([len(labels) for _, labels in columns])[:-1]
     parts = dict(zip([name for name, _ in columns],
                      np.split(table, cuts, axis=1)))

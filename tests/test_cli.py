@@ -706,13 +706,20 @@ def _tamper(lines, kind):
         cells.pop()
     elif kind == "nan":
         cells[3] = "nan"
+    elif kind == "nudged-time":
+        cells[0] = f"{float(cells[0]) + 1e-7:.17g}"
+    elif kind == "duplicated-row":
+        return lines[:5] + lines[4:]
+    elif kind == "one-row":
+        return lines[:2]
     else:  # header only
         return lines[:1]
     return lines[:5] + [",".join(cells)] + lines[6:]
 
 
 @pytest.mark.parametrize("kind", ["non-numeric", "short-row", "nan",
-                                  "header-only"])
+                                  "header-only", "one-row", "nudged-time",
+                                  "duplicated-row"])
 def test_verify_rejects_malformed_trace(tmp_path, short_scenario, gains_dir,
                                         capsys, kind):
     assert main(["simulate", "-s", str(short_scenario), "-o", str(tmp_path),
@@ -728,10 +735,12 @@ def test_verify_rejects_malformed_trace(tmp_path, short_scenario, gains_dir,
     assert code == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
     assert str(path) in err and "Traceback" not in err
-    if kind != "header-only":
+    if kind not in ("header-only", "one-row"):
         assert f"{path}: line 6: " in err
     if kind == "nan":
         assert "non-finite" in err
+    if kind in ("nudged-time", "duplicated-row"):
+        assert "not uniform" in err
 
 
 def test_verify_flags_tampered_trace(tmp_path, short_scenario, gains_dir,

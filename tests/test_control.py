@@ -10,12 +10,15 @@ import numpy.testing as npt
 import pytest
 
 from conftest import quiet_schedule, random_reachable_graph
-from coopftc.control import (ClosedLoopState, closed_loop_maps,
+from coopftc.control import (ClosedLoopState, ControlLaw, SignalSchedule,
+                             build_closed_loop, closed_loop_maps,
                              closed_loop_rhs, control_input,
                              cooperative_error, in_neighbor_setpoint)
 from coopftc.errors import DimensionMismatchError
-from coopftc.estimator import extract_estimates
+from coopftc.estimator import ObserverRealization, extract_estimates
+from coopftc.graph import build_graph, normalize_weights
 from coopftc.linalg import is_hurwitz, solve_linear
+from coopftc.plant import AgentModel, augment_network, stack_network
 
 
 def test_star_neighbor_setpoint_is_source(star_graph):
@@ -192,6 +195,66 @@ def test_affine_maps_match_reference_rhs(loops):
     v, f_s, y0 = sched.sample(0.0)
     fast = maps.M @ z + maps.B_v @ v + maps.B_f @ f_s + maps.B_r @ y0
     npt.assert_allclose(fast, ref, atol=1e-12)
+
+
+def _unit_probe_maps(loop):
+    """The reference for :func:`closed_loop_maps`: one
+    :func:`closed_loop_rhs` call per unit vector of ``[z | v | f_s | y0]``,
+    each with its own one-row schedule, as ``[M, B_v, B_f, B_r]``."""
+    net = loop.net
+    cuts = np.cumsum([loop.dim, net.nbar_v, net.nbar_y])
+    cols = []
+    for e in np.eye(cuts[-1] + net.n_y):
+        z, v, f_s, y0 = np.split(e, cuts)
+        signals = SignalSchedule(times=(0.0,), v=v[None], f_s=f_s[None],
+                                 y0=y0[None])
+        state = ClosedLoopState.unpack(z, net.nbar_x, loop.aug.n_aug)
+        cols.append(closed_loop_rhs(0.0, state, loop, signals).packed())
+    return np.split(np.array(cols).T, cuts, axis=1)
+
+
+def _random_explicit_loop(rng, m=3, n_x=3):
+    """Random single-channel agents, a dense random observer and random
+    gains: no block structure for the probe to lean on."""
+    agents = [AgentModel(A=rng.normal(size=(n_x, n_x)),
+                         B=rng.normal(size=(n_x, 1)),
+                         C=rng.normal(size=(1, n_x)),
+                         D=rng.normal(size=(n_x, 1)), F=np.eye(1))
+              for _ in range(m)]
+    net = stack_network(agents)
+    aug = augment_network(net)
+    obs = ObserverRealization(
+        A_obs=rng.normal(size=(aug.n_aug, aug.n_aug)),
+        B_u=rng.normal(size=(aug.n_aug, m)),
+        B_y=rng.normal(size=(aug.n_aug, m)),
+        F2=rng.normal(size=(aug.n_aug, m)),
+        n_aug=aug.n_aug, nbar_x=net.nbar_x, nbar_y=net.nbar_y)
+    g = normalize_weights(build_graph(
+        m, [(2, 1, 0.7), (3, 2, 1.2), (1, 3, 0.4)], [(1, 1.5)]))
+    law = ControlLaw(graph=g, K=rng.normal(size=(m, net.nbar_x)),
+                     ell_p=rng.uniform(0.1, 1.0, m),
+                     ell_i=rng.uniform(1.0, 10.0, m))
+    return build_closed_loop(net, aug, obs, law)
+
+
+def test_maps_equal_unit_vector_probes(loops):
+    """The one stacked evaluation of ``closed_loop_maps`` gives, bit for
+    bit, the columns of one ``closed_loop_rhs`` call per unit vector on
+    the benchmark loop.  On a dense random loop the stacked products
+    (BLAS gemm) and the one-state products (gemv) may round differently,
+    so there the columns agree to a few ulps of the block's scale: 200
+    seeds deviate by at most 2.8 eps."""
+    maps = closed_loop_maps(loops["star"])
+    for got, want in zip((maps.M, maps.B_v, maps.B_f, maps.B_r),
+                         _unit_probe_maps(loops["star"])):
+        npt.assert_array_equal(got, want)
+    loop = _random_explicit_loop(np.random.default_rng(48))
+    maps = closed_loop_maps(loop)
+    eps = np.finfo(float).eps
+    for got, want in zip((maps.M, maps.B_v, maps.B_f, maps.B_r),
+                         _unit_probe_maps(loop)):
+        npt.assert_allclose(got, want, rtol=0,
+                            atol=16 * eps * np.abs(want).max())
 
 
 def test_zero_error_equivalent_to_consensus():

@@ -66,11 +66,29 @@ def test_derivative_matches_matrix_arithmetic(observer):
     npt.assert_allclose(out, ref, atol=0)
 
 
+def test_derivative_rows_match_vectors(observer):
+    """An (N, .) stack gives what N row-by-row calls give, to the few
+    ulps by which BLAS gemm and gemv may round apart."""
+    rng = np.random.default_rng(7)
+    eta = rng.normal(size=(6, 12))
+    y_f = rng.normal(size=(6, 4))
+    u = rng.normal(size=(6, 4))
+    out = observer_derivative(observer, eta, y_f, u)
+    assert out.shape == (6, 12)
+    rows = [observer_derivative(observer, eta[k], y_f[k], u[k])
+            for k in range(6)]
+    npt.assert_allclose(out, rows, rtol=0,
+                        atol=16 * np.finfo(float).eps * np.abs(out).max())
+
+
 def test_derivative_dimension_checks(observer):
     with pytest.raises(DimensionMismatchError):
         observer_derivative(observer, np.zeros(11), np.zeros(4), np.zeros(4))
     with pytest.raises(DimensionMismatchError):
         observer_derivative(observer, np.zeros(12), np.zeros(3), np.zeros(4))
+    with pytest.raises(DimensionMismatchError, match="eta, y_f and u"):
+        observer_derivative(observer, np.zeros((3, 12)), np.zeros((3, 4)),
+                            np.zeros((2, 4)))
 
 
 def test_extract_zero(observer):
