@@ -84,6 +84,7 @@ from .plant import (
     stack_network,
 )
 from .sim import (
+    _WRITE_BLOCK_CELLS,
     SignalSchedule,
     read_rows,
     run_experiment,
@@ -589,20 +590,35 @@ def _obtain_gains(sc: Scenario, aug: AugmentedModel, net: NetworkModel,
 
 
 def _write_series(path, curves) -> None:
-    """Write gnuplot-style two-column blocks, one block per curve."""
+    """Write gnuplot-style two-column blocks, one block per curve.  The
+    bytes are those of :func:`~coopftc.sim.write_rows` on each curve's
+    ``[t, values]``.  The curves of one file share their time column, so
+    its text is formatted once: one format string per block of rows,
+    each line the time's text and a slot for the curve's value."""
+    rows = _WRITE_BLOCK_CELLS // 2
+    t_last = lines = None
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# two-column series; blank lines separate curves\n")
         for label, t, values in curves:
+            if t is not t_last:
+                t_last, lines = t, [
+                    " %.17g\n".join(["%.17g" % v for v in block]) + " %.17g\n"
+                    for block in (t[lo:lo + rows].tolist()
+                                  for lo in range(0, len(t), rows))]
             fh.write(f"# curve={label}\n")
-            write_rows(fh, [t, values], " ")
+            for lo, line in zip(range(0, len(values), rows), lines):
+                fh.write(line % tuple(values[lo:lo + rows].tolist()))
             fh.write("\n")
 
 
 def _emit_plots(outdir, suffix: str, trace, net: NetworkModel) -> list[str]:
     m = net.m
-    dx = (trace.x - trace.x_hat).reshape(-1, m, net.n_x)
-    df = (trace.f_s - trace.f_hat).reshape(-1, m, net.n_y)
-    err = np.sqrt(np.sum(dx ** 2, axis=2) + np.sum(df ** 2, axis=2))
+    # one expression, so no difference outlives it while the files are
+    # written
+    err = np.sqrt(
+        np.sum(((trace.x - trace.x_hat) ** 2).reshape(-1, m, net.n_x), axis=2)
+        + np.sum(((trace.f_s - trace.f_hat) ** 2).reshape(-1, m, net.n_y),
+                 axis=2))
     y = trace.x @ net.C.T
     err_curves = [(f"agent{i + 1}", trace.t, err[:, i]) for i in range(m)]
     out_curves = [(f"agent{i + 1}", trace.t, y[:, i]) for i in range(m)]

@@ -26,12 +26,36 @@ is the generic RK4 integrator the step map is checked against.  The
 remaining trace columns (measured outputs, estimates, cooperative
 error, control) come from one evaluation of the same wiring on the
 whole trace, one row per sample.
+
+Every numeric text file goes through :func:`write_rows` and
+:func:`read_rows`.  A table of more than ``_SPLIT_CELLS`` cells is
+formatted or parsed by one process per CPU this process may use
+(``os.sched_getaffinity``), at most ``_SPLIT_WAYS_MAX``.  Only this
+process forks (``os.fork``, in :func:`_fork_jobs`), and it keeps the
+first row range for itself.  A child formats or parses its own
+contiguous range into a part file next to the file, unlinked as soon as
+it is made, which this process then copies in.  A child touches no BLAS
+and no Python stdio, turns warnings into errors, and leaves by
+``os._exit``.  The parent reaps every child in a ``finally``.  If any
+range fails, it reruns the serial path, so the bytes, the table and
+every error text are the serial path's.  On one CPU, without
+``os.fork``, or while any other Python thread runs, nothing forks.
+Python >= 3.12 warns when a process with threads forks.  That warning
+is silenced around the fork call only, by its message: no other Python
+thread runs then (checked before each split), the only native threads
+are OpenBLAS's pool, which OpenBLAS's own fork handler stops before the
+fork, and no child calls BLAS.
 """
 
 from __future__ import annotations
 
+import io
+import os
+import signal
+import threading
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -324,24 +348,297 @@ def run_experiment(loop: ClosedLoop, schedule: SignalSchedule,
 #: 1024-row blocks of a 24-agent trace (338 columns) by 16 MB.
 _WRITE_BLOCK_CELLS = 2048
 
+#: Tables of more cells than this are formatted and parsed by several
+#: processes.  On a 2-CPU host, in a process holding 60 MB more than
+#: numpy, a split write plus read of 2- and 33-column tables (median of
+#: 7) was slower up to 100k cells, and 27-48% faster at 200k and 400k.
+#: Every benchmark trace is far above it (1.3M cells or more), every
+#: gains file far below.
+_SPLIT_CELLS = 200_000
+
+#: The most processes one table is split over: the widest host the split
+#: has been measured on has two CPUs, and each fork copies the page
+#: tables of the whole process, one child after another.
+_SPLIT_WAYS_MAX = 2
+
+#: Bytes of whole lines one split reader parses per call.
+_READ_BLOCK_BYTES = 1 << 20
+
+
+def _split_ways(cells: int) -> int:
+    """How many processes share a table of ``cells`` cells: one per CPU
+    this process may run on, up to ``_SPLIT_WAYS_MAX``.  1 for a small
+    table, on one CPU, where the platform cannot fork, and while any
+    other Python thread runs: a lock it held at the fork would stay held
+    in the child, which could then wait for it for ever."""
+    if (cells <= _SPLIT_CELLS or not hasattr(os, "fork")
+            or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() != 1):
+        return 1
+    return min(_SPLIT_WAYS_MAX, len(os.sched_getaffinity(0)))
+
+
+def _fork() -> int:
+    with warnings.catch_warnings():
+        # Python >= 3.12 warns when a process with threads forks.  No
+        # other Python thread runs here (``_split_ways`` checks), the
+        # only native threads are OpenBLAS's pool, which OpenBLAS's own
+        # fork handler stops before the fork, and a child calls no BLAS;
+        # so the warning is silenced for this call only.
+        warnings.filterwarnings("ignore", r"This process .*multi-threaded",
+                                DeprecationWarning)
+        return os.fork()
+
+
+def _fork_jobs(jobs) -> bool:
+    """Run ``jobs[0]`` here and each later job in a forked child, all at
+    once; True when every job returned.
+
+    A job runs with warnings turned into errors, so a warning fails it
+    rather than being printed.  A child leaves by ``os._exit``: it runs
+    no exit handler and flushes no buffer it inherited, so its only
+    effects are what its job writes to files.  A child's job must touch
+    no BLAS and no Python stdio.  Every child is reaped before this
+    returns, and one still running after a failure is killed first.  On
+    False the caller reruns its serial path, so the result, or the
+    error, is the serial path's."""
+    def run(job):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            job()
+
+    pids: list[int] = []
+    try:
+        try:
+            for job in jobs[1:]:
+                pid = _fork()
+                if pid == 0:
+                    code = 1
+                    try:
+                        run(job)
+                        code = 0
+                    finally:
+                        os._exit(code)
+                pids.append(pid)
+            run(jobs[0])
+            while pids:
+                status = os.waitpid(pids[0], 0)[1]
+                del pids[0]
+                if status:
+                    return False
+        except Exception:
+            return False
+        return True
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _width(columns) -> int:
+    return sum(np.shape(c)[1] if np.ndim(c) == 2 else 1 for c in columns)
+
+
+def _row_text(columns, sep: str, lo: int, hi: int):
+    """The text of rows ``lo:hi`` of ``columns``, a block at a time."""
+    width = _width(columns)
+    rows = max(1, _WRITE_BLOCK_CELLS // width)
+    line = sep.join(["%.17g"] * width) + "\n"
+    for start in range(lo, hi, rows):
+        block = np.column_stack([c[start:min(start + rows, hi)]
+                                 for c in columns])
+        yield (line * len(block)) % tuple(block.ravel().tolist())
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _read_all(fd: int, out: np.ndarray) -> None:
+    """Fill ``out`` with the bytes of the file ``fd``, from its start."""
+    view = memoryview(out.reshape(-1).view(np.uint8))
+    os.lseek(fd, 0, os.SEEK_SET)
+    while view:
+        got = os.readv(fd, [view])
+        if not got:
+            raise ValueError("part file is short")
+        view = view[got:]
+
+
+def _write_part(fd: int, columns, sep: str, lo: int, hi: int) -> None:
+    for text in _row_text(columns, sep, lo, hi):
+        _write_all(fd, text.encode())
+
+
+def _part_files(name: str, count: int) -> list[int] | None:
+    """``count`` new files next to ``name``, open and already unlinked,
+    so that only the descriptors (which children inherit) reach them and
+    nothing is left behind; None where they cannot be made."""
+    fds: list[int] = []
+    try:
+        for k in range(1, count + 1):
+            part = f"{name}.{os.getpid()}.{k}.part"
+            fds.append(os.open(part, os.O_RDWR | os.O_CREAT | os.O_EXCL,
+                               0o600))
+            os.unlink(part)
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        return None
+    return fds
+
+
+def _write_split(fh, columns, sep: str, ways: int) -> bool:
+    """Write ``columns`` as ``ways`` row ranges at once, if ``fh`` is a
+    named, seekable UTF-8 file; False, with ``fh`` as it was, otherwise
+    or when any range fails."""
+    name = getattr(fh, "name", None)
+    if (not isinstance(name, str) or getattr(fh, "encoding", None) != "utf-8"
+            or not fh.seekable()):
+        return False
+    parts = _part_files(name, ways - 1)
+    if parts is None:
+        return False
+    n = len(columns[0])
+    bounds = [n * k // ways for k in range(ways + 1)]
+    start = fh.tell()
+    try:
+        jobs = [partial(fh.writelines, _row_text(columns, sep, 0, bounds[1]))]
+        jobs += [partial(_write_part, fd, columns, sep, bounds[k],
+                         bounds[k + 1]) for k, fd in enumerate(parts, 1)]
+        if not _fork_jobs(jobs):
+            fh.seek(start)
+            fh.truncate()
+            return False
+        fh.flush()
+        for fd in parts:
+            pos = 0
+            while chunk := os.pread(fd, _READ_BLOCK_BYTES, pos):
+                fh.buffer.write(chunk)
+                pos += len(chunk)
+        return True
+    finally:
+        for fd in parts:
+            os.close(fd)
+
 
 def write_rows(fh, columns, sep: str) -> None:
     """Write the arrays ``columns`` side by side (1-D: one column) to the
     text handle ``fh``, a few rows at a time, so the whole table is never
     copied.  The bytes equal ``np.savetxt``'s: 17 significant digits
-    per cell, exact on reading back, cells joined by ``sep``, LF endings."""
-    width = sum(np.shape(c)[1] if np.ndim(c) == 2 else 1 for c in columns)
-    rows = max(1, _WRITE_BLOCK_CELLS // width)
-    line = sep.join(["%.17g"] * width) + "\n"
-    for lo in range(0, len(columns[0]), rows):
-        block = np.column_stack([c[lo:lo + rows] for c in columns])
-        fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+    per cell, exact on reading back, cells joined by ``sep``, LF endings.
+
+    A table of more than ``_SPLIT_CELLS`` cells going to a named,
+    seekable UTF-8 file is cut into contiguous row ranges, one per CPU
+    this process may use, up to ``_SPLIT_WAYS_MAX`` (:func:`_split_ways`,
+    :func:`_fork_jobs`).  This process formats the
+    first range into ``fh``.  Each forked child formats its range into
+    its own part file next to the output, unlinked once created; this
+    process then appends the parts in order.  If any range fails, what
+    was written is truncated and the serial path below runs, so the
+    bytes and any error are the serial path's.  On one CPU, without
+    ``os.fork``, or while another Python thread runs, nothing forks."""
+    n = len(columns[0])
+    ways = min(_split_ways(n * _width(columns)), n)
+    if ways > 1 and _write_split(fh, columns, sep, ways):
+        return
+    fh.writelines(_row_text(columns, sep, 0, n))
 
 
-def read_rows(path, sep: str) -> tuple[str, np.ndarray]:
-    """The header line and the table :func:`write_rows` wrote below it.
-    A non-numeric cell, a ragged row, an empty body or a non-finite cell
-    raises :class:`SchemaError` naming the file and the line."""
+def _scan(fd: int, sep: str, ways: int):
+    """The header line, the first row's cell count and the body cut into
+    blocks of whole lines, ``(offset, length, rows)`` each: at least
+    ``ways`` blocks where the body allows, of at most about
+    ``_READ_BLOCK_BYTES``.  None for a file only the serial reader may
+    judge: no header line, a carriage return in it, or no final
+    newline."""
+    size = os.fstat(fd).st_size
+    head = os.pread(fd, _READ_BLOCK_BYTES, 0)
+    end = head.find(b"\n") + 1
+    if not end or b"\r" in head[:end]:
+        return None
+    step = max(1, min(_READ_BLOCK_BYTES, (size - end) // ways))
+    blocks, cols, pos = [], 0, end
+    while pos < size:
+        chunk = os.pread(fd, step, pos)
+        cut = chunk.rfind(b"\n") + 1
+        while not cut and pos + len(chunk) < size:  # a line longer than step
+            chunk += os.pread(fd, step, pos + len(chunk))
+            cut = chunk.rfind(b"\n") + 1
+        if not cut:
+            return None
+        if not blocks:
+            cols = chunk[:chunk.find(b"\n")].count(sep.encode()) + 1
+        lines = np.frombuffer(chunk, dtype=np.uint8, count=cut)
+        blocks.append((pos, cut, int(np.count_nonzero(lines == 10))))
+        pos += cut
+    return head[:end - 1].decode("utf-8"), cols, blocks
+
+
+def _read_split(path, sep: str):
+    """``(header, table)`` parsed by one process per CPU, or None where
+    the serial reader must run: a small table, one CPU, a file that does
+    not cut into whole lines, or any block that does not parse into as
+    many rows of the first row's width as it has lines."""
+    try:
+        fd = os.open(path, os.O_RDONLY)
+    except OSError:
+        return None
+    parts = None
+    try:
+        # a cell takes at least two bytes, its text and a separator
+        ways = _split_ways(os.fstat(fd).st_size // 2)
+        scan = _scan(fd, sep, ways) if ways > 1 else None
+        if scan is None:
+            return None
+        header, cols, blocks = scan
+        rows = np.cumsum([0] + [count for _, _, count in blocks])
+        if _split_ways(int(rows[-1]) * cols) < 2:
+            return None
+        parts = _part_files(os.fspath(path), ways - 1)
+        if parts is None:
+            return None
+        # each process takes the blocks that start in its share of bytes
+        offsets = np.array([offset for offset, _, _ in blocks])
+        body = blocks[-1][0] + blocks[-1][1] - offsets[0]
+        edges = np.searchsorted(
+            offsets, offsets[0] + body * np.arange(ways + 1) // ways)
+        table = np.empty((int(rows[-1]), cols))
+
+        def parse(lo: int, hi: int, part_fd: int | None = None) -> None:
+            """Blocks ``lo:hi`` into the table, or as float64 bytes into
+            the part file ``part_fd``."""
+            for (offset, length, count), r in zip(blocks[lo:hi], rows[lo:hi]):
+                # decoded as the serial reader decodes the whole file
+                data = io.BytesIO(os.pread(fd, length, offset))
+                part = np.loadtxt(io.TextIOWrapper(data, encoding="utf-8"),
+                                  delimiter=sep, comments=None, ndmin=2)
+                if part.shape != (count, cols):
+                    raise ValueError("rows differ from the lines")
+                if part_fd is None:
+                    table[r:r + count] = part
+                else:
+                    _write_all(part_fd, part.tobytes())
+
+        jobs = [partial(parse, 0, edges[1])]
+        jobs += [partial(parse, edges[k], edges[k + 1], part_fd)
+                 for k, part_fd in enumerate(parts, 1)]
+        if not _fork_jobs(jobs):
+            return None
+        for k, part_fd in enumerate(parts, 1):
+            _read_all(part_fd, table[rows[edges[k]]:rows[edges[k + 1]]])
+        return header, table
+    except (OSError, ValueError):  # a header that is not UTF-8 included
+        return None
+    finally:
+        for part_fd in parts or ():
+            os.close(part_fd)
+        os.close(fd)
+
+
+def _read_serial(path, sep: str) -> tuple[str, np.ndarray]:
     line = 1
 
     def body(fh):  # numpy pulls one line at a time: ``line`` is its number
@@ -361,6 +658,29 @@ def read_rows(path, sep: str) -> tuple[str, np.ndarray]:
             # numpy counts rows its own way; the file line replaces that
             detail = str(exc).split(" at row")[0]
             raise SchemaError(f"{path}: line {line}: {detail}") from exc
+    return first, table
+
+
+def read_rows(path, sep: str) -> tuple[str, np.ndarray]:
+    """The header line and the table :func:`write_rows` wrote below it.
+    A non-numeric cell, a ragged row, an empty body or a non-finite cell
+    raises :class:`SchemaError` naming the file and the line.
+
+    A table of more than ``_SPLIT_CELLS`` cells is cut into byte ranges
+    of whole lines, one per CPU this process may use, up to
+    ``_SPLIT_WAYS_MAX`` (:func:`_split_ways`, :func:`_fork_jobs`).
+    This process parses the first range into the table.  Each forked
+    child parses its own and writes the rows' float64 bytes to a part
+    file next to ``path``, unlinked once made; this process reads them
+    into the table.  The table is an ordinary array, so a long-lived
+    process can build it in memory it freed before (rows in shared
+    memory could not reuse that).  Any range that fails, or that parses
+    to other rows than its line count, and any part file that cannot be
+    made, sends the whole file through the serial reader, so the table
+    and every error text are the serial reader's.  On one CPU, without
+    ``os.fork``, or while another Python thread runs, nothing forks."""
+    split = _read_split(path, sep)
+    first, table = split if split is not None else _read_serial(path, sep)
     if table.size == 0:
         raise SchemaError(f"{path}: no rows below the header line")
     bad = np.flatnonzero(~np.isfinite(table).all(axis=1))

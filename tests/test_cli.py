@@ -7,7 +7,11 @@ full 40-second benchmark.
 """
 
 import dataclasses
+import hashlib
 import io
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -375,6 +379,45 @@ def test_simulate_deterministic_bytes(tmp_path, short_scenario, gains_dir):
         assert main(["simulate", "-s", str(short_scenario), "-o", str(out),
                      "--gains", str(gains_dir)]) == 0
     assert (a / "trace.csv").read_bytes() == (b / "trace.csv").read_bytes()
+
+
+_PINNED_RUN = """
+import os, sys
+from coopftc.cli import main
+scenario, gains, out, pin = sys.argv[1:]
+if pin == "1":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+assert main(["simulate", "-s", scenario, "-o", out, "--gains", gains]) == 0
+trace = os.path.join(out, "trace.csv")
+assert main(["verify", "-s", scenario, "--trace", trace,
+             "--gains", gains]) == 0
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="needs os.sched_setaffinity")
+def test_one_cpu_run_writes_the_same_bytes(tmp_path, gains_dir):
+    """``simulate`` then ``verify`` in a process pinned to one CPU write
+    and print what an unpinned run does.  The 12 s horizon makes the trace
+    large enough to be split where several CPUs are usable."""
+    scenario = tmp_path / "s.yaml"
+    scenario.write_text("sim:\n  T: 12.0\n")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    digests = []
+    for pin in ("0", "1"):
+        out = tmp_path / f"pin{pin}"
+        run = subprocess.run(
+            [sys.executable, "-c", _PINNED_RUN, str(scenario),
+             str(gains_dir), str(out), pin],
+            env=env, capture_output=True, timeout=120, check=True)
+        files = {p.name: hashlib.md5(p.read_bytes()).hexdigest()
+                 for p in sorted(out.iterdir())}
+        digests.append((files, run.stdout, run.stderr))
+    assert sorted(digests[0][0]) == ["plot_estimation_errors.dat",
+                                     "plot_outputs.dat", "summary.txt",
+                                     "trace.csv"]
+    assert digests[0] == digests[1]
 
 
 def _savetxt_series(curves) -> bytes:

@@ -3,6 +3,8 @@ trace CSV round trip."""
 
 import dataclasses
 import io
+import os
+import threading
 
 import numpy as np
 import numpy.testing as npt
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import benchmark_schedule, quiet_schedule
+from coopftc import sim
 from coopftc.control import ClosedLoopMaps, closed_loop_maps
 from coopftc.errors import (DimensionMismatchError, NonFiniteStateError,
                             SchemaError)
@@ -336,6 +339,218 @@ def test_table_bytes_and_round_trip(tmp_path_factory, rows, sep):
     assert first == "header line"
     assert back.shape == rows.shape
     npt.assert_array_equal(back.view(np.uint64), rows.view(np.uint64))
+
+
+# --- text tables on several processes --------------------------------------
+
+def _split_over(mp, ways: int) -> list[int]:
+    """Split every table over ``ways`` processes; the list that is
+    returned grows by one at each fork."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+    mp.setattr(sim, "_SPLIT_CELLS", 0)
+    mp.setattr(sim, "_SPLIT_WAYS_MAX", ways)
+    mp.setattr(os, "sched_getaffinity", lambda pid: set(range(ways)))
+    mp.setattr(os, "fork", counted)
+    return forks
+
+
+def _assert_tidy(directory, *names):
+    """No child process is left, and no file but ``names`` (no part)."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert sorted(os.listdir(directory)) == sorted(names)
+
+
+def _write_file(path, columns, sep):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("header line\n")
+        write_rows(fh, columns, sep)
+
+
+_EDGES = np.array([[0.0, -0.0, 5e-324], [-5e-324, 1e308, -1e308],
+                   [2.2250738585072014e-308, 1 / 3, -1.5]])
+
+
+@settings(max_examples=20, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 30), st.integers(1, 4)),
+              elements=st.floats(allow_nan=False, allow_infinity=False)),
+       st.sampled_from([",", " "]), st.integers(1, 3))
+@example(_EDGES, ",", 3)
+@example(_EDGES[:2], ",", 3)  # fewer rows than processes
+@example(_EDGES.reshape(-1, 1), " ", 2)  # width 1
+@example(np.arange(6001.0).reshape(-1, 1) / 7, ",", 2)  # several blocks
+def test_split_table_matches_serial(tmp_path_factory, rows, sep, ways):
+    """Written by 1, 2 or 3 processes, the bytes are ``np.savetxt``'s and
+    the serial writer's, and the split reader returns the serial table
+    bit for bit."""
+    oracle, serial = io.StringIO(), io.StringIO()
+    np.savetxt(oracle, rows, fmt="%.17g", delimiter=sep)
+    write_rows(serial, [rows], sep)  # an unnamed handle: never split
+    assert serial.getvalue() == oracle.getvalue()
+    directory = tmp_path_factory.mktemp("split")
+    path = directory / "t.txt"
+    with pytest.MonkeyPatch.context() as mp:
+        forks = _split_over(mp, ways)
+        _write_file(path, [rows[:, :1], rows[:, 1:]], sep)
+        first, back = read_rows(path, sep)
+    assert path.read_text() == "header line\n" + oracle.getvalue()
+    assert first == "header line"
+    _, serial_back = read_rows(path, sep)
+    npt.assert_array_equal(back.view(np.uint64), serial_back.view(np.uint64))
+    npt.assert_array_equal(back.view(np.uint64), rows.view(np.uint64))
+    assert len(forks) == (0 if ways == 1 else
+                          min(ways, len(rows)) - 1 + ways - 1)
+    _assert_tidy(directory, "t.txt")
+
+
+@pytest.mark.parametrize("bad", ["1,x,3", "1,2", "1,inf,3"],
+                         ids=["non-numeric", "ragged", "non-finite"])
+def test_split_read_errors_are_the_serial_errors(tmp_path, bad):
+    """A bad row in the last process's range gives the serial reader's
+    error: the same text, file and line."""
+    lines = ["header line"] + [",".join("%.17g" % v for v in row)
+                               for row in np.arange(180).reshape(60, 3) / 7]
+    lines[-2] = bad
+    path = tmp_path / "t.csv"
+    path.write_text("\n".join(lines) + "\n")
+    errors = []
+    for ways in (1, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            forks = _split_over(mp, ways)
+            with pytest.raises(SchemaError) as exc:
+                read_rows(path, ",")
+        assert len(forks) == ways - 1
+        errors.append(str(exc.value))
+        _assert_tidy(tmp_path, "t.csv")
+    assert errors[0] == errors[1]
+    assert errors[0].startswith(f"{path}: line {len(lines) - 1}: ")
+
+
+def _reading(path):
+    """What ``read_rows`` gives: the header and rows, or the error text."""
+    try:
+        first, table = read_rows(path, ",")
+    except SchemaError as exc:
+        return str(exc)
+    return first, table.tolist()
+
+
+@pytest.mark.parametrize("text", [
+    "h\n1\n2\n3\n\n4\n",
+    "h\r\n1\r\n2\r\n3\r\n4\r\n",
+    "h\n1\n2\n3\n4",
+    # a blank line hides a row with the cells of two from a line count
+    "h\n1,2\n3,4\n5,6\n1,2,3,4\n\n",
+], ids=["blank-line", "crlf", "no-final-newline", "wide-row"])
+def test_split_read_of_odd_lines_is_the_serial_reading(tmp_path, text):
+    """Lines the byte cuts cannot count as rows read as serially, and
+    fail as serially."""
+    path = tmp_path / "t.txt"
+    path.write_bytes(text.encode())
+    serial = _reading(path)
+    with pytest.MonkeyPatch.context() as mp:
+        _split_over(mp, 3)
+        assert _reading(path) == serial
+    _assert_tidy(tmp_path, "t.txt")
+
+
+def test_split_write_failure_gives_the_serial_error(tmp_path):
+    """A cell only a child meets that cannot be formatted: the file and the
+    error are the serial writer's."""
+    column = (np.arange(60.0) / 7).astype(object)
+    column[-2] = "x"
+    results = []
+    for ways in (1, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            forks = _split_over(mp, ways)
+            with pytest.raises(TypeError) as exc:
+                _write_file(tmp_path / "t.txt", [column], ",")
+        assert len(forks) == ways - 1
+        results.append((str(exc.value), (tmp_path / "t.txt").read_bytes()))
+        _assert_tidy(tmp_path, "t.txt")
+    assert results[0] == results[1]
+
+
+def test_failing_child_falls_back_to_serial_bytes(tmp_path):
+    rows = np.arange(300.0).reshape(100, 3) / 7
+    oracle = io.StringIO()
+    np.savetxt(oracle, rows, fmt="%.17g", delimiter=",")
+
+    def fail(*args):
+        raise OSError("no space left in the part file")
+    with pytest.MonkeyPatch.context() as mp:
+        forks = _split_over(mp, 3)
+        mp.setattr(sim, "_write_part", fail)
+        _write_file(tmp_path / "t.txt", [rows], ",")
+    assert len(forks) == 2
+    assert (tmp_path / "t.txt").read_text() == ("header line\n"
+                                                + oracle.getvalue())
+    _assert_tidy(tmp_path, "t.txt")
+
+
+@pytest.mark.parametrize("one_core", ["one-cpu", "no-fork"])
+def test_one_core_path_forks_nothing(tmp_path, monkeypatch, one_core):
+    """With one usable CPU, or no ``os.fork``, nothing forks and the file
+    and the table equal a split run's."""
+    rows = np.arange(600.0).reshape(200, 3) / 7
+    with pytest.MonkeyPatch.context() as mp:
+        _split_over(mp, 2)
+        _write_file(tmp_path / "split.txt", [rows], ",")
+        _, split = read_rows(tmp_path / "split.txt", ",")
+
+    class Forked(BaseException):
+        """Not an ``Exception``, so no serial fallback can swallow it."""
+
+    def refuse(*args):
+        raise Forked
+    _split_over(monkeypatch, 1 if one_core == "one-cpu" else 2)
+    if one_core == "one-cpu":
+        monkeypatch.setattr(os, "fork", refuse)
+    else:
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.setattr(sim, "_fork_jobs", refuse)
+    _write_file(tmp_path / "one.txt", [rows], ",")
+    _, table = read_rows(tmp_path / "one.txt", ",")
+    assert ((tmp_path / "one.txt").read_bytes()
+            == (tmp_path / "split.txt").read_bytes())
+    npt.assert_array_equal(table.view(np.uint64), split.view(np.uint64))
+
+
+def test_split_is_capped_and_waits_for_no_thread(tmp_path, monkeypatch):
+    """On eight CPUs a table is split over ``_SPLIT_WAYS_MAX`` processes.
+    While another Python thread runs nothing forks, since a lock it held
+    at the fork would stay held in the child; the bytes stay the same."""
+    rows = np.arange(600.0).reshape(200, 3) / 7
+    forks = _split_over(monkeypatch, 8)
+    monkeypatch.setattr(sim, "_SPLIT_WAYS_MAX", 2)
+    _write_file(tmp_path / "split.txt", [rows], ",")
+    _, split = read_rows(tmp_path / "split.txt", ",")
+    assert len(forks) == 2  # one for the write, one for the read
+
+    class Forked(BaseException):
+        """Not an ``Exception``, so no serial fallback can swallow it."""
+
+    def refuse(*args):
+        raise Forked
+    monkeypatch.setattr(os, "fork", refuse)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        _write_file(tmp_path / "threaded.txt", [rows], ",")
+        _, table = read_rows(tmp_path / "threaded.txt", ",")
+    finally:
+        release.set()
+        thread.join()
+    assert ((tmp_path / "threaded.txt").read_bytes()
+            == (tmp_path / "split.txt").read_bytes())
+    npt.assert_array_equal(table.view(np.uint64), split.view(np.uint64))
+    _assert_tidy(tmp_path, "split.txt", "threaded.txt")
 
 
 # --- CSV round trip ---------------------------------------------------------
