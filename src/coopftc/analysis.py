@@ -39,7 +39,7 @@ cancellation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -93,6 +93,12 @@ def _fmt(value) -> str:
     if isinstance(value, np.ndarray):
         return "[" + ",".join(f"{float(v):.12g}" for v in value.ravel()) + "]"
     return str(value)
+
+
+def _lines(prefix: str, report) -> list[str]:
+    """``prefix.field=value`` for every field of a report, in order."""
+    return [f"{prefix}.{f.name}={_fmt(getattr(report, f.name))}"
+            for f in fields(report)]
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +292,6 @@ class IssBoundReport:
                 f"violation:{_fmt(w.max_relative_violation)}")
         return lines
 
-    def __str__(self) -> str:
-        return "\n".join(self.as_lines())
-
 
 def verify_iss_bound(trace: SimTrace, cert: IssCertificate,
                      net: NetworkModel, law: ControlLaw) -> IssBoundReport:
@@ -365,17 +368,7 @@ class DissipationReport:
     tol: float
 
     def as_lines(self) -> list[str]:
-        return [
-            f"dissipation.passed={_fmt(self.passed)}",
-            f"dissipation.max_interior_value={_fmt(self.max_interior_value)}",
-            f"dissipation.max_fd_deviation={_fmt(self.max_fd_deviation)}",
-            f"dissipation.n_checked={self.n_checked}",
-            f"dissipation.n_excluded={self.n_excluded}",
-            f"dissipation.tol={_fmt(self.tol)}",
-        ]
-
-    def __str__(self) -> str:
-        return "\n".join(self.as_lines())
+        return _lines("dissipation", self)
 
 
 def dissipation_check(trace: SimTrace, aug: AugmentedModel,
@@ -454,17 +447,7 @@ class ConsensusReport:
     t_last_setpoint: float
 
     def as_lines(self) -> list[str]:
-        return [
-            f"consensus.settling_time={_fmt(self.settling_time)}",
-            f"consensus.final_offset={_fmt(self.final_offset)}",
-            f"consensus.max_pairwise_final={_fmt(self.max_pairwise_final)}",
-            f"consensus.ebar_y_final={_fmt(self.ebar_y_final)}",
-            f"consensus.band={_fmt(self.band)}",
-            f"consensus.t_last_setpoint={_fmt(self.t_last_setpoint)}",
-        ]
-
-    def __str__(self) -> str:
-        return "\n".join(self.as_lines())
+        return _lines("consensus", self)
 
 
 def consensus_report(trace: SimTrace, net: NetworkModel,
@@ -528,9 +511,6 @@ class L2GainReport:
             f"l2.state={_fmt(self.state_l2)}",
             f"l2.input={_fmt(self.input_l2)}",
         ]
-
-    def __str__(self) -> str:
-        return "\n".join(self.as_lines())
 
 
 def empirical_l2_ratio(trace: SimTrace, law: ControlLaw) -> L2GainReport:

@@ -95,6 +95,7 @@ from .sim import (
     write_rows,
 )
 from .synth import (
+    ControllerSynthesis,
     ObserverSynthesis,
     observer_inequality,
     synth_controller,
@@ -533,8 +534,24 @@ def _require_single_channel(sc: Scenario) -> None:
                 "(n_u = n_y = n_v = 1)")
 
 
+def _require_grid_in_memory(sc: Scenario) -> None:
+    """``simulate`` holds the loop state ``(x, eta, q)`` at every point of
+    the time grid.  A grid whose states alone exceed physical memory
+    would fail to allocate after synthesis; it is rejected before."""
+    steps = sc.T / sc.h
+    rows = round(steps) + 1 if math.isfinite(steps) else math.inf
+    n_x = len(sc.agents[0][0]) if sc.agents else dc_motor_agent(1).n_x
+    need = rows * sc.m * (2 * n_x + 2) * 8  # single-channel agents
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > memory:
+        raise ValidationError(
+            f"sim.T / sim.h gives {rows:.4g} time points, whose loop states "
+            f"need {need / 2**30:.4g} GiB, more than the {memory / 2**30:.4g} "
+            "GiB of physical memory; raise sim.h or lower sim.T")
+
+
 # ---------------------------------------------------------------------------
-# gains files
+# gains files and assembly
 
 
 def save_matrix(path, M: np.ndarray) -> None:
@@ -575,14 +592,38 @@ def _load_gains(sc: Scenario, aug: AugmentedModel, net: NetworkModel,
     return so, K
 
 
-def _obtain_gains(sc: Scenario, aug: AugmentedModel, net: NetworkModel,
-                  gains_dir) -> tuple[ObserverSynthesis, np.ndarray]:
-    """Load gains from files, or synthesize them in-process."""
-    if gains_dir is not None:
-        return _load_gains(sc, aug, net, gains_dir)
-    so = synth_observer(aug, net, sc.delta, margin=sc.margin)
-    ctrl = synth_controller(net, sc.alpha, sc.delta, margin=sc.margin)
-    return so, ctrl.K
+@dataclass(frozen=True)
+class _Assembly:
+    """A scenario built for a command: one control law per graph, keyed by
+    topology name; ``ctrl`` is None when the gains were loaded."""
+
+    net: NetworkModel
+    aug: AugmentedModel
+    laws: dict[str, ControlLaw]
+    so: ObserverSynthesis
+    ctrl: ControllerSynthesis | None
+
+
+def _assemble(sc: Scenario, gains_dir=None, sweep: bool = False) -> _Assembly:
+    """The plant, then every graph (the named topologies if ``sweep``),
+    then the gains, loaded from ``gains_dir`` or synthesized: a graph that
+    does not fit the plant fails before the expensive work."""
+    net = build_plant(sc)
+    runs = ([replace(sc, topology=name, graph_edges=(), graph_sources=())
+             for name in sorted(BENCHMARK_TOPOLOGIES)] if sweep else [sc])
+    graphs = {run.topology or "custom": build_interaction(run, net)
+              for run in runs}
+    aug = augment_network(net)
+    ctrl = None
+    if gains_dir is None:
+        so = synth_observer(aug, net, sc.delta, margin=sc.margin)
+        ctrl = synth_controller(net, sc.alpha, sc.delta, margin=sc.margin)
+        K = ctrl.K
+    else:
+        so, K = _load_gains(sc, aug, net, gains_dir)
+    laws = {name: ControlLaw(graph=g, K=K, ell_p=sc.ell_p, ell_i=sc.ell_i)
+            for name, g in graphs.items()}
+    return _Assembly(net=net, aug=aug, laws=laws, so=so, ctrl=ctrl)
 
 
 # ---------------------------------------------------------------------------
@@ -636,14 +677,8 @@ def _emit_plots(outdir, suffix: str, trace, net: NetworkModel) -> list[str]:
 
 def cmd_synth(sc: Scenario, outdir) -> int:
     """Run both synthesis stages and write gains plus a certificate."""
-    net = build_plant(sc)
-    # Synthesis does not read the graph, but simulate and verify do: a
-    # graph they would reject fails here, before the expensive work.
-    build_interaction(sc, net)
-    aug = augment_network(net)
-    so = synth_observer(aug, net, sc.delta, margin=sc.margin)
-    ctrl = synth_controller(net, sc.alpha, sc.delta, margin=sc.margin)
-
+    built = _assemble(sc)
+    so, ctrl = built.so, built.ctrl
     os.makedirs(outdir, exist_ok=True)
     save_matrix(os.path.join(outdir, OBSERVER_GAIN_FILE), so.Lgain)
     save_matrix(os.path.join(outdir, FEEDBACK_GAIN_FILE), ctrl.K)
@@ -668,51 +703,42 @@ def cmd_synth(sc: Scenario, outdir) -> int:
     return EXIT_OK
 
 
-def _run_one(sc: Scenario, net: NetworkModel, aug: AugmentedModel,
-             obs: ObserverRealization, K: np.ndarray, g: NetworkGraph,
-             schedule: SignalSchedule, s0: ClosedLoopState):
-    law = ControlLaw(graph=g, K=K, ell_p=sc.ell_p, ell_i=sc.ell_i)
-    loop = build_closed_loop(net, aug, obs, law)
+def _run_one(sc: Scenario, built: _Assembly, law: ControlLaw,
+             obs: ObserverRealization, schedule: SignalSchedule,
+             s0: ClosedLoopState):
+    loop = build_closed_loop(built.net, built.aug, obs, law)
     return run_experiment(loop, schedule, s0, h=sc.h, T=sc.T)
 
 
 def cmd_simulate(sc: Scenario, outdir, gains_dir=None,
                  sweep: bool = False) -> int:
     """Simulate the scenario (or all named topologies) and write artifacts."""
-    net = build_plant(sc)
     _require_single_channel(sc)
-    aug = augment_network(net)
-    runs = ([replace(sc, topology=name, graph_edges=(), graph_sources=())
-             for name in sorted(BENCHMARK_TOPOLOGIES)] if sweep else [sc])
-    # Every graph is built before synthesis, so a graph that does not fit
-    # the plant fails before the expensive work.
-    graphs = {run.topology or "custom": build_interaction(run, net)
-              for run in runs}
-    so, K = _obtain_gains(sc, aug, net, gains_dir)
+    _require_grid_in_memory(sc)
+    built = _assemble(sc, gains_dir, sweep)
+    net = built.net
     # The topologies of a sweep share the gains, the signals and the
     # initial state, so the observer realization is built once.
-    obs = build_observer(aug, net, so)
+    obs = build_observer(built.aug, net, built.so)
     schedule = build_schedule(sc, net)
-    s0 = sample_initial_state(net, aug, sc.seed, sc.init_bounds)
+    s0 = sample_initial_state(net, built.aug, sc.seed, sc.init_bounds)
     os.makedirs(outdir, exist_ok=True)
 
     summary: list[str] = []
-    for name, g in graphs.items():
-        trace = _run_one(sc, net, aug, obs, K, g, schedule, s0)
+    for name, law in built.laws.items():
+        trace = _run_one(sc, built, law, obs, schedule, s0)
         suffix = f"_{name}" if sweep else ""
         trace_name = f"trace{suffix}.csv"
         trace_to_csv(trace, net, os.path.join(outdir, trace_name))
         plot_names = _emit_plots(outdir, suffix, trace, net)
-        report = consensus_report(trace, net, g)
+        lines = [f"topology={name}", f"trace.rows={trace.t.size}",
+                 f"trace.file={trace_name}",
+                 *(f"plot.file={f}" for f in plot_names),
+                 *consensus_report(trace, net, law.graph).as_lines()]
         prefix = f"{name}." if sweep else ""
-        summary.append(f"{prefix}topology={name}")
-        summary.append(f"{prefix}trace.rows={trace.t.size}")
-        summary.append(f"{prefix}trace.file={trace_name}")
-        for f in plot_names:
-            summary.append(f"{prefix}plot.file={f}")
-        summary.extend(f"{prefix}{line}" for line in report.as_lines())
+        summary.extend(f"{prefix}{line}" for line in lines)
     if sweep:
-        summary.append("sweep.topologies=" + ",".join(graphs))
+        summary.append("sweep.topologies=" + ",".join(built.laws))
 
     with open(os.path.join(outdir, "summary.txt"), "w",
               encoding="utf-8") as fh:
@@ -748,50 +774,40 @@ def _agreement_identity(g: NetworkGraph) -> tuple[bool, list[str]]:
 
 def cmd_verify(sc: Scenario, trace_path, gains_dir=None) -> int:
     """Re-run every certificate check against a recorded trace."""
-    net = build_plant(sc)
     _require_single_channel(sc)
-    aug = augment_network(net)
-    g = build_interaction(sc, net)
-    so, K = _obtain_gains(sc, aug, net, gains_dir)
-    law = ControlLaw(graph=g, K=K, ell_p=sc.ell_p, ell_i=sc.ell_i)
+    built = _assemble(sc, gains_dir)
+    net, aug, so = built.net, built.aug, built.so
+    [law] = built.laws.values()
     trace = trace_from_csv(trace_path, net)
 
-    failures: list[str] = []
-    lines: list[str] = []
-
-    ok, agreement_lines = _agreement_identity(g)
-    lines.extend(agreement_lines)
-    if not ok:
-        failures.append("agreement-identity")
-
+    ok, lines = _agreement_identity(law.graph)
+    checks = [("agreement-identity", ok)]
     if so.margin <= 0.0:
         lines.append(f"observer.margin={so.margin:.12g}")
-        failures.append("observer-certificate")
+        checks.append(("observer-certificate", False))
 
     dis = dissipation_check(trace, aug, net, so)
-    lines.extend(dis.as_lines())
-    if not dis.passed:
-        failures.append("dissipation")
+    lines += dis.as_lines()
+    checks.append(("dissipation", dis.passed))
 
     try:
-        cert = iss_certificate(g, net, K)
+        cert = iss_certificate(law.graph, net, law.K)
         iss = verify_iss_bound(trace, cert, net, law)
-        lines.extend(iss.as_lines())
-        if not iss.passed:
-            failures.append("iss-bound")
+        lines += iss.as_lines()
+        checks.append(("iss-bound", iss.passed))
     except (NotPositiveStableError, NotHurwitzError) as exc:
         lines.append(f"iss.error={exc}")
-        failures.append("iss-bound")
+        checks.append(("iss-bound", False))
 
-    report = consensus_report(trace, net, g)
-    lines.extend(report.as_lines())
+    report = consensus_report(trace, net, law.graph)
     tracking_ok = (np.all(np.isfinite(report.settling_time))
                    and float(report.final_offset.max()) <= OFFSET_TOL)
-    lines.append(f"consensus.passed={'true' if tracking_ok else 'false'}")
-    if not tracking_ok:
-        failures.append("consensus")
+    lines += [*report.as_lines(),
+              f"consensus.passed={'true' if tracking_ok else 'false'}"]
+    checks.append(("consensus", tracking_ok))
 
     print("\n".join(lines))
+    failures = [name for name, passed in checks if not passed]
     if failures:
         print(f"certificate failed: {failures[0]}", file=sys.stderr)
         return EXIT_CERTIFICATE

@@ -40,6 +40,7 @@ __all__ = [
     "stack_network",
     "augment_network",
     "aug_indices",
+    "agent_permutation",
 ]
 
 #: Singular values below this (relative to the largest) do not count
@@ -269,9 +270,16 @@ def aug_indices(net: NetworkModel, agent: int) -> np.ndarray:
 
     The canonical layout keeps all plant states first and all fault
     states last, so one agent's augmented coordinates are not
-    contiguous; synthesis uses this map to scatter per-agent solutions
-    into network-level matrices.
+    contiguous.
     """
     x_part = np.arange(agent * net.n_x, (agent + 1) * net.n_x)
     f_part = net.nbar_x + np.arange(agent * net.n_y, (agent + 1) * net.n_y)
     return np.concatenate([x_part, f_part])
+
+
+def agent_permutation(net: NetworkModel) -> np.ndarray:
+    """Canonical augmented layout -> per-agent grouping, as indices: each
+    agent's states, then its fault components, agent after agent.  The
+    observer synthesis cuts its per-agent blocks in this order, and the
+    trace CSV stores the observer state in it."""
+    return np.concatenate([aug_indices(net, i) for i in range(net.m)])

@@ -65,7 +65,7 @@ from .control import (ClosedLoop, ClosedLoopMaps, ClosedLoopState,
                       closed_loop_rhs)
 from .errors import (DimensionMismatchError, IdentityCheckFailedError,
                      NonFiniteStateError, SchemaError)
-from .plant import AugmentedModel, NetworkModel, aug_indices
+from .plant import AugmentedModel, NetworkModel, agent_permutation
 
 __all__ = [
     "SignalSchedule",
@@ -718,17 +718,12 @@ def _trace_columns(net: NetworkModel) -> list[tuple[str, list[str]]]:
     ]
 
 
-def _agent_permutation(net: NetworkModel) -> np.ndarray:
-    """Canonical augmented layout -> per-agent grouping, as indices."""
-    return np.concatenate([aug_indices(net, i) for i in range(net.m)])
-
-
 def trace_to_csv(trace: SimTrace, net: NetworkModel, path) -> None:
     """Write one row per step; header names every column.  The observer
     state is stored per agent (states then fault component) even though
     it lives in the canonical stacked layout in memory."""
     columns = _trace_columns(net)
-    parts = [trace.eta[:, _agent_permutation(net)] if name == "eta"
+    parts = [trace.eta[:, agent_permutation(net)] if name == "eta"
              else getattr(trace, name) for name, _ in columns]
     names = [label for _, labels in columns for label in labels]
     width = sum(part.size for part in parts) // trace.t.size
@@ -764,5 +759,5 @@ def trace_from_csv(path, net: NetworkModel) -> SimTrace:
     parts = dict(zip([name for name, _ in columns],
                      np.split(table, cuts, axis=1)))
     parts["t"] = parts["t"][:, 0]
-    parts["eta"] = parts["eta"][:, np.argsort(_agent_permutation(net))]
+    parts["eta"] = parts["eta"][:, np.argsort(agent_permutation(net))]
     return SimTrace(**parts)

@@ -86,7 +86,7 @@ from .errors import (
     InfeasibleError,
 )
 from .linalg import is_hurwitz, solve_linear, sym_eigendecomp
-from .plant import AugmentedModel, NetworkModel, aug_indices
+from .plant import AugmentedModel, NetworkModel, agent_permutation
 
 __all__ = [
     "VariableSpec",
@@ -542,7 +542,7 @@ def synth_observer(aug: AugmentedModel, net: NetworkModel, delta: float,
     """Synthesize the augmented-state observer gain for a network.
 
     One small problem is solved per agent and the solutions are
-    scattered into network-level ``(P, H)``; block-diagonality of the
+    assembled into network-level ``(P, H)``; block-diagonality of the
     plant makes the assembly exact, and the full network inequality is
     re-verified on the assembled matrices regardless.
 
@@ -566,16 +566,13 @@ def synth_observer(aug: AugmentedModel, net: NetworkModel, delta: float,
 
     F1A = aug.F1 @ aug.A_a
     F1D = aug.F1 @ net.D
-    indices, problems = [], []
-    for i in range(net.m):
-        ai = aug_indices(net, i)
-        yi = np.arange(i * net.n_y, (i + 1) * net.n_y)
-        vi = np.arange(i * net.n_v, (i + 1) * net.n_v)
-        F1Ai = F1A[np.ix_(ai, ai)]
-        E2i = aug.E2[np.ix_(yi, ai)]
-        F1Di = F1D[np.ix_(ai, vi)]
-        n = len(ai)
-        indices.append((ai, yi))
+    # grouped per agent, the augmented matrices are block-diagonal
+    perm = agent_permutation(net)
+    blocks = (_agent_blocks(M, net.m)
+              for M in (F1A[np.ix_(perm, perm)], aug.E2[:, perm], F1D[perm]))
+    n = aug.n_aug // net.m
+    problems = []
+    for F1Ai, E2i, F1Di in zip(*blocks):
         problems.append(LmiProblem(
             [VariableSpec("P", n, n, symmetric=True, positive_definite=True),
              VariableSpec("H", n, net.n_y)],
@@ -585,11 +582,10 @@ def synth_observer(aug: AugmentedModel, net: NetworkModel, delta: float,
         problems, margin, max_iterations,
         f"observer LMI infeasible for agent {{}} at delta={delta:g}",
         [None] * net.m)
-    P = np.zeros((aug.n_aug, aug.n_aug))
-    H = np.zeros((aug.n_aug, net.nbar_y))
-    for (ai, yi), sol in zip(indices, solutions):
-        P[np.ix_(ai, ai)] = sol["P"]
-        H[np.ix_(ai, yi)] = sol["H"]
+    P, H = (scipy.linalg.block_diag(*(sol[name] for sol in solutions))
+            for name in ("P", "H"))
+    back = np.argsort(perm)
+    P, H = P[np.ix_(back, back)], H[back]
 
     Lgain = solve_linear(P, H)
 

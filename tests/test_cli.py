@@ -684,6 +684,74 @@ def test_explicit_agent_count_must_match_plant_m(tmp_path, monkeypatch,
     assert "plant.m" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra, named", [
+    (["synth"], "graph has 4 units but the plant has 2 agents"),
+    (["simulate"], "plant.agents[1] has n_u=1, n_y=2"),
+    (["verify", "--trace", "never-read.csv"],
+     "plant.agents[1] has n_u=1, n_y=2"),
+], ids=["synth", "simulate", "verify"])
+def test_commands_share_one_check_order(tmp_path, monkeypatch, capsys,
+                                        extra, named):
+    # two-output agents on the default four-unit star: both the channel
+    # count and the graph are wrong, and the channel check comes first
+    monkeypatch.setattr(cli, "synth_observer", _no_synthesis)
+    agent = ("{A: [[-1.0, 0.0], [0.0, -2.0]], B: [[1.0], [1.0]], "
+             "C: [[1.0, 0.0], [0.0, 1.0]], D: [[1.0], [0.0]]}")
+    p = tmp_path / "two_outputs_star.yaml"
+    p.write_text(f"plant: {{kind: explicit, agents: [{agent}, {agent}]}}\n")
+    argv = extra[:1] + ["-s", str(p)] + extra[1:]
+    if extra[0] != "verify":
+        argv += ["-o", str(tmp_path / "out")]
+    assert main(argv) == cli.EXIT_VALIDATION
+    assert named in capsys.readouterr().err
+
+
+def test_each_command_assembles_once(tmp_path, short_scenario, gains_dir,
+                                     monkeypatch):
+    calls, assemble = [], cli._assemble
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:] + tuple(kwargs.values()))
+        return assemble(*args, **kwargs)
+    monkeypatch.setattr(cli, "_assemble", counted)
+    s, out, gains = str(short_scenario), str(tmp_path), str(gains_dir)
+    assert main(["synth", "-s", s, "-o", str(tmp_path / "gains")]) == 0
+    assert main(["simulate", "-s", s, "-o", out, "--gains", gains,
+                 "--sweep"]) == 0
+    # the two-second run has not settled: the consensus check fails
+    assert main(["verify", "-s", s, "--trace", f"{out}/trace_star.csv",
+                 "--gains", gains]) == cli.EXIT_CERTIFICATE
+    assert calls == [(), (gains, True), (gains,)]
+
+
+@pytest.mark.parametrize("sim", ["{h: 1.0e-9}", "{T: 1.0e+300, h: 1.0e-10}"],
+                         ids=["fine_step", "overflowing_step_count"])
+def test_unallocatable_grid_rejected_before_synthesis(tmp_path, monkeypatch,
+                                                      capsys, sim):
+    monkeypatch.setattr(cli, "synth_observer", _no_synthesis)
+    p = tmp_path / "fine.yaml"
+    p.write_text(f"sim: {sim}\n")
+    assert main(["simulate", "-s", str(p), "-o", str(tmp_path / "out")]) \
+        == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "sim.T" in err and "sim.h" in err and "physical memory" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_grid_memory_bound_is_the_loop_states():
+    # the benchmark: 40,001 rows of 4 agents x (2 + 3 + 1) states
+    need = 40_001 * 24 * 8
+    for memory, accepted in ((need, True), (need - 1, False)):
+        sizes = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": memory}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(os, "sysconf", sizes.__getitem__)
+            if accepted:
+                cli._require_grid_in_memory(Scenario())
+            else:
+                with pytest.raises(ValidationError, match="sim.T / sim.h"):
+                    cli._require_grid_in_memory(Scenario())
+
+
 @pytest.mark.parametrize("target", ["closed_loop_maps"])
 def test_fast_path_mismatch_is_identity_failure(tmp_path, short_scenario,
                                                 gains_dir, monkeypatch,
