@@ -32,9 +32,8 @@ equilibrium offset solves ``Phi e_star = -phi_0`` with
 ``-(A_0 (x) I) x_bar_0`` and the *shifted* error is exactly
 ``(L (x) I) x_bar`` -- independent of which designated state the
 caller picks.  We still compute ``e_star`` by solving the linear
-system rather than assuming it away, so a wrong ``Phi`` or an
-unbalanced graph surfaces as a failed check instead of a silent
-cancellation.
+system rather than assuming it away, so a wrong ``Phi`` surfaces as a
+failed check instead of a silent cancellation.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .control import ControlLaw, control_input
+from .control import ControlLaw, control_input, cooperative_error
 from .errors import (
     DimensionMismatchError,
     IdentityCheckFailedError,
@@ -62,12 +61,10 @@ __all__ = [
     "IssWindow",
     "DissipationReport",
     "ConsensusReport",
-    "L2GainReport",
     "iss_certificate",
     "verify_iss_bound",
     "dissipation_check",
     "consensus_report",
-    "empirical_l2_ratio",
 ]
 
 #: Relative slack allowed when checking the ISS bound pointwise.
@@ -319,9 +316,6 @@ def verify_iss_bound(trace: SimTrace, cert: IssCertificate,
     theta = _theta_star(trace, law)
     theta_norm = np.linalg.norm(theta, axis=1)
 
-    Lk = np.kron(cert.graph.L, np.eye(cert.n_x))
-    A0k = np.kron(cert.graph.A_0, np.eye(cert.n_x))
-
     starts = _window_starts(trace.y0)
     bounds = np.concatenate([starts, [trace.t.size]])
     windows = []
@@ -329,11 +323,12 @@ def verify_iss_bound(trace: SimTrace, cert: IssCertificate,
     for k0, k1 in zip(bounds[:-1], bounds[1:]):
         t_w = trace.t[k0:k1]
         x0 = _lift_setpoint(net, trace.y0[k0, 0])
-        xbar0 = np.tile(x0, cert.graph.m)
-        phi0 = cert.Phi @ (A0k @ xbar0)
-        e_star = solve_linear(cert.Phi, -phi0)
-        e_x = trace.x[k0:k1] @ Lk.T - (A0k @ xbar0)
-        tilde = e_x - e_star
+        # the error at x = 0 is -(A_0 (x) I) x_bar_0, so Phi times it is
+        # -phi_0
+        at_zero = cooperative_error(cert.graph, np.zeros(trace.x.shape[1]),
+                                    x0)
+        e_star = solve_linear(cert.Phi, cert.Phi @ at_zero)
+        tilde = cooperative_error(cert.graph, trace.x[k0:k1], x0) - e_star
         lhs = np.linalg.norm(tilde, axis=1)
         sup_theta = np.maximum.accumulate(theta_norm[k0:k1])
         rhs = (cert.c1 * np.exp(-cert.c2 * (t_w - t_w[0])) * lhs[0]
@@ -485,46 +480,9 @@ def consensus_report(trace: SimTrace, net: NetworkModel,
 
     y_fin = y[-1]
     max_pair = float(np.abs(y_fin[:, None] - y_fin[None, :]).max())
-    e_y = g.L @ y_fin - g.A_0 @ np.full(m, y0_final)
+    e_y = cooperative_error(g, y_fin, y0_final)
     return ConsensusReport(
         settling_time=settle, final_offset=dev[-1].copy(),
         max_pairwise_final=max_pair, ebar_y_final=float(np.linalg.norm(e_y)),
         band=float(band), t_last_setpoint=float(trace.t[k_last]),
     )
-
-
-# ---------------------------------------------------------------------------
-# empirical attenuation ratio
-
-
-@dataclass(frozen=True)
-class L2GainReport:
-    """Rectangle-rule energy ratio of state to combined input."""
-
-    ratio: float
-    state_l2: float
-    input_l2: float
-
-    def as_lines(self) -> list[str]:
-        return [
-            f"l2.ratio={_fmt(self.ratio)}",
-            f"l2.state={_fmt(self.state_l2)}",
-            f"l2.input={_fmt(self.input_l2)}",
-        ]
-
-
-def empirical_l2_ratio(trace: SimTrace, law: ControlLaw) -> L2GainReport:
-    """Measured energy amplification from ``theta`` to the stacked state.
-
-    Uses left-endpoint rectangle sums ``sqrt(h * sum ||row||^2)`` over
-    all but the last sample.  On a run started from zero state the
-    ratio must stay below the synthesized attenuation level; that
-    comparison lives with the caller, this function only measures.
-    """
-    theta = _theta_star(trace, law)
-    h = trace.h
-    state_l2 = float(np.sqrt(h * np.sum(trace.x[:-1] ** 2)))
-    input_l2 = float(np.sqrt(h * np.sum(theta[:-1] ** 2)))
-    ratio = state_l2 / input_l2 if input_l2 > 0.0 else np.inf
-    return L2GainReport(ratio=float(ratio), state_l2=state_l2,
-                        input_l2=input_l2)

@@ -47,7 +47,12 @@ from .analysis import (
     iss_certificate,
     verify_iss_bound,
 )
-from .control import ClosedLoopState, ControlLaw, build_closed_loop
+from .control import (
+    ClosedLoopState,
+    ControlLaw,
+    build_closed_loop,
+    cooperative_error,
+)
 from .errors import (
     BadEdgeError,
     DimensionMismatchError,
@@ -70,6 +75,7 @@ from .graph import (
     NetworkGraph,
     benchmark_topology,
     build_graph,
+    check_balance,
     check_source_reachability,
     is_positive_stable,
     normalize_weights,
@@ -138,8 +144,7 @@ CERTIFICATE_FILE = "certificate.txt"
 #: disturbance (the estimation floor is well below this).
 OFFSET_TOL = 1e-2
 
-#: Tolerances of the graph agreement-identity check.
-BALANCE_TOL = 1e-12
+#: Tolerance of the graph agreement-identity check.
 AGREEMENT_TOL = 1e-8
 
 
@@ -488,8 +493,9 @@ def build_interaction(sc: Scenario, net: NetworkModel) -> NetworkGraph:
     named topology as the benchmark defines it (normalized), or the
     explicit graph, normalized if ``sc.normalize``.
 
-    The graph must fit the plant and the source must reach every unit,
-    else the scenario is rejected before any synthesis.
+    The graph must fit the plant, the source must reach every unit, and
+    every unit's in-weights must sum to one, else the scenario is
+    rejected before any synthesis.
     """
     if sc.topology is not None:
         g = benchmark_topology(sc.topology)
@@ -507,6 +513,12 @@ def build_interaction(sc: Scenario, net: NetworkModel) -> NetworkGraph:
             "source; pin one of them or add an edge from a reached unit")
     if sc.topology is None and sc.normalize:
         g = normalize_weights(g)
+    _, unbalanced = check_balance(g)
+    if unbalanced:
+        raise ValidationError(
+            f"graph.normalize: the in-weights (edges plus source) of units "
+            f"{unbalanced} do not sum to 1; set graph.normalize: true or "
+            "rescale graph.edges and graph.sources")
     return g
 
 
@@ -751,16 +763,16 @@ def _agreement_identity(g: NetworkGraph) -> tuple[bool, list[str]]:
     """Zero cooperative error if and only if every output equals the
     setpoint: checked as row balance, positive stability, and both
     implication directions on the graph matrices."""
-    balance = float(np.abs(g.A_m.sum(axis=1) + np.diag(g.A_0) - 1.0).max())
+    balance, unbalanced = check_balance(g)
     positive = is_positive_stable(g.L)
     ones = np.ones(g.m)
-    forward = float(np.abs(g.L @ ones - g.A_0 @ ones).max())
+    forward = float(np.abs(cooperative_error(g, ones, 1.0)).max())
     try:
         y_sol = solve_linear(g.L, g.A_0 @ ones)
         converse = float(np.abs(y_sol - ones).max())
     except SingularMatrixError:
         converse = np.inf
-    ok = (balance <= BALANCE_TOL and positive
+    ok = (not unbalanced and positive
           and forward <= AGREEMENT_TOL and converse <= AGREEMENT_TOL)
     lines = [
         f"agreement.balance_deviation={balance:.12g}",

@@ -14,15 +14,14 @@ network; of a two-element outer gain, the large element belongs on the
 integral channel.  Setting ``ell_p = 0`` gives pure distributed
 integral action.
 
-The cooperative error has two algebraically equal forms on a balanced
-graph (row sums of neighbor plus source weights equal one); both are
-computed and cross-checked on every call, so a forgotten
-``normalize_weights`` surfaces immediately instead of silently skewing
-the consensus point.
+A control law takes the paper's normalized weights only: a balanced
+graph, on which every unit's in-weights sum to one
+(:func:`~coopftc.graph.check_balance`).  That is decided once, when the
+law is built, not on every evaluation.
 
-:func:`in_neighbor_setpoint`, :func:`cooperative_error` and
-:func:`control_input` take one stacked vector or a 2-D array with one
-row per sample (the stacked dimension last).
+:func:`cooperative_error` and :func:`control_input` take one stacked
+vector or a 2-D array with one row per sample (the stacked dimension
+last).
 
 The wiring of plant, observer, and outer loop into one derivative over
 the canonical stacked state ``[x; eta; q]`` is written once, for one
@@ -42,7 +41,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, IdentityCheckFailedError
 from .estimator import ObserverRealization, extract_estimates, observer_derivative
-from .graph import NetworkGraph
+from .graph import NetworkGraph, check_balance
 from .linalg import _as_rows
 from .plant import AugmentedModel, NetworkModel
 
@@ -52,16 +51,12 @@ __all__ = [
     "ClosedLoop",
     "ClosedLoopMaps",
     "SignalSchedule",
-    "in_neighbor_setpoint",
     "cooperative_error",
     "control_input",
     "build_closed_loop",
     "closed_loop_rhs",
     "closed_loop_maps",
 ]
-
-#: Agreement tolerance between the two cooperative-error routes.
-ERROR_IDENTITY_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -70,6 +65,11 @@ class ControlLaw:
 
     ``ell_p`` and ``ell_i`` may be given as scalars (shared by all
     agents) or per-agent arrays of length ``graph.m``.
+
+    Raises
+    ------
+    IdentityCheckFailedError
+        When the graph is not balanced (run ``normalize_weights`` first).
     """
 
     graph: NetworkGraph
@@ -78,6 +78,12 @@ class ControlLaw:
     ell_i: np.ndarray
 
     def __post_init__(self):
+        dev, units = check_balance(self.graph)
+        if units:
+            raise IdentityCheckFailedError(
+                f"graph is not balanced: the in-weights of units {units} "
+                f"do not sum to 1 (largest deviation {dev:.3e}); run "
+                "normalize_weights first")
         K = np.asarray(self.K, dtype=float)
         if K.ndim != 2 or not np.all(np.isfinite(K)):
             raise DimensionMismatchError("K must be a finite 2-D matrix")
@@ -166,60 +172,25 @@ class ClosedLoop:
         return self.net.nbar_x + self.aug.n_aug + self.net.nbar_y
 
 
-def _output_rows(g: NetworkGraph, y_hat, y0):
-    """Check ``y_hat`` against ``m`` blocks of the width of ``y0``, one
-    per-agent row or one row per row of ``y_hat``; also return that
-    width."""
+def cooperative_error(g: NetworkGraph, y_hat: np.ndarray,
+                      y0: np.ndarray) -> np.ndarray:
+    """Cooperative tracking error ``e = (L kron I) y_hat - (A_0 kron I)
+    (1 kron y0)``, for ``y_hat`` of ``m`` blocks of the width of ``y0``:
+    one vector, or one row per sample with ``y0`` one vector or one row
+    per row.
+
+    The block size is the width of ``y0``, so a per-agent state in
+    place of ``y0`` gives the state-level error of stacked states.
+    """
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
     n_y = y0.shape[-1]
     if y0.ndim == 1:
         [y_hat] = _as_rows(("y_hat", y_hat, g.m * n_y))
     else:
         y_hat, y0 = _as_rows(("y_hat", y_hat, g.m * n_y), ("y0", y0, n_y))
-    return y_hat, y0, n_y
-
-
-def in_neighbor_setpoint(g: NetworkGraph, y_hat: np.ndarray,
-                         y0: np.ndarray) -> np.ndarray:
-    """Weighted reference each unit compares itself against:
-    ``z = (A_m kron I) y_hat + (A_0 kron I) (1 kron y0)``."""
-    y_hat, y0, n_y = _output_rows(g, y_hat, y0)
-    Am = np.kron(g.A_m, np.eye(n_y))
-    A0 = np.kron(g.A_0, np.eye(n_y))
-    return y_hat @ Am.T + np.tile(y0, g.m) @ A0.T
-
-
-def cooperative_error(g: NetworkGraph, y_hat: np.ndarray,
-                      y0: np.ndarray) -> np.ndarray:
-    """Cooperative tracking error ``e = (L kron I) y_hat - (A_0 kron I)
-    (1 kron y0)``.
-
-    The block size is the width of ``y0``, so a per-agent state in
-    place of ``y0`` gives the state-level error of stacked states.
-
-    The equal route ``y_hat - z`` (with ``z`` the in-neighbor setpoint)
-    is evaluated as well and both must agree to ``1e-12`` -- an
-    identity that holds exactly when the graph is balanced.
-
-    Raises
-    ------
-    IdentityCheckFailedError
-        When the two routes disagree, i.e. the graph was not
-        normalized.
-    """
-    y_hat, y0, n_y = _output_rows(g, y_hat, y0)
     Lk = np.kron(g.L, np.eye(n_y))
     A0 = np.kron(g.A_0, np.eye(n_y))
-    e = y_hat @ Lk.T - np.tile(y0, g.m) @ A0.T
-    e_alt = y_hat - in_neighbor_setpoint(g, y_hat, y0)
-    scale = max(1.0, float(np.abs(y_hat).max(initial=0.0)),
-                float(np.abs(y0).max(initial=0.0)))
-    if np.abs(e - e_alt).max() > ERROR_IDENTITY_ATOL * scale:
-        raise IdentityCheckFailedError(
-            "cooperative-error routes disagree by "
-            f"{np.abs(e - e_alt).max():.3e}; the graph is not balanced "
-            "(run normalize_weights first)")
-    return e
+    return y_hat @ Lk.T - np.tile(y0, g.m) @ A0.T
 
 
 def control_input(law: ControlLaw, x_hat: np.ndarray, e_bar: np.ndarray,

@@ -54,8 +54,9 @@ class ModelValidationError(ToolkitError):
 class IdentityCheckFailedError(ToolkitError):
     """An exact identity does not hold to tolerance: the selector and
     embedding identities of the augmented plant (inconsistent
-    dimensions upstream), or a fast path of the simulation against its
-    reference."""
+    dimensions upstream), a fast path of the simulation against its
+    reference, or the unit in-weights of a control law's graph against
+    one."""
 
 
 # --- synthesis -------------------------------------------------------------

@@ -8,14 +8,12 @@ directed edges; a subset of units additionally receives the source
 * ``A_m[i, j]`` -- weight of the information unit ``i+1`` receives from
   unit ``j+1`` (zero diagonal),
 * ``A_0`` -- diagonal source pinning weights,
-* ``D_m = diag(A_m @ 1)`` -- in-degree matrix,
-* ``W = D_m + A_0`` -- total in-weight,
-* ``L_m = D_m - A_m`` -- graph Laplacian,
-* ``L = L_m + A_0`` -- pinned Laplacian used by the cooperative layer.
+* ``W = diag(A_m @ 1) + A_0`` -- total in-weight,
+* ``L = W - A_m`` -- pinned Laplacian used by the cooperative layer.
 
-After :func:`normalize_weights` each row of ``A_m + A_0`` sums to one
-(``W = I``), which is the balance the cooperative error computations
-rely on.
+A graph is balanced when every unit's in-weights sum to one (``W = I``);
+:func:`normalize_weights` makes it so, and :func:`check_balance` is the
+one test of it, made where a graph enters a control law.
 """
 
 from __future__ import annotations
@@ -31,11 +29,16 @@ __all__ = [
     "NetworkGraph",
     "build_graph",
     "normalize_weights",
+    "check_balance",
+    "BALANCE_TOL",
     "check_source_reachability",
     "is_positive_stable",
     "benchmark_topology",
     "BENCHMARK_TOPOLOGIES",
 ]
+
+#: Largest ``|W[i, i] - 1|`` a balanced graph may have.
+BALANCE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -45,9 +48,7 @@ class NetworkGraph:
     m: int
     A_m: np.ndarray
     A_0: np.ndarray
-    D_m: np.ndarray = field(repr=False)
     W: np.ndarray = field(repr=False)
-    L_m: np.ndarray = field(repr=False)
     L: np.ndarray = field(repr=False)
 
 
@@ -107,9 +108,7 @@ def build_graph(m, unit_edges, source_weights) -> NetworkGraph:
 
 def _finalize(m: int, A_m: np.ndarray, A_0: np.ndarray) -> NetworkGraph:
     D_m = np.diag(A_m.sum(axis=1))
-    W = D_m + A_0
-    L_m = D_m - A_m
-    return NetworkGraph(m=m, A_m=A_m, A_0=A_0, D_m=D_m, W=W, L_m=L_m, L=L_m + A_0)
+    return NetworkGraph(m=m, A_m=A_m, A_0=A_0, W=D_m + A_0, L=D_m - A_m + A_0)
 
 
 def normalize_weights(g: NetworkGraph) -> NetworkGraph:
@@ -129,6 +128,16 @@ def normalize_weights(g: NetworkGraph) -> NetworkGraph:
         bad = [int(i) + 1 for i in np.flatnonzero(w <= 0)]
         raise IsolatedUnitError(f"units {bad} have zero total in-weight")
     return _finalize(g.m, g.A_m / w[:, None], g.A_0 / w[:, None])
+
+
+def check_balance(g: NetworkGraph) -> tuple[float, list[int]]:
+    """The largest ``|W[i, i] - 1|`` over the units, and the units
+    (1-based) whose in-weights, neighbors and source together, miss one
+    by more than ``BALANCE_TOL``; the list is empty on a balanced graph.
+    """
+    dev = np.abs(np.diag(g.W) - 1.0)
+    units = [int(i) + 1 for i in np.flatnonzero(dev > BALANCE_TOL)]
+    return float(dev.max()), units
 
 
 def check_source_reachability(g: NetworkGraph) -> list[int]:

@@ -39,7 +39,6 @@ __all__ = [
     "dc_motor_agent",
     "stack_network",
     "augment_network",
-    "aug_indices",
     "agent_permutation",
 ]
 
@@ -265,21 +264,12 @@ def augment_network(net: NetworkModel) -> AugmentedModel:
                           A_a=A_a, E1=E1, E2=E2, F1=F1, F2=F2)
 
 
-def aug_indices(net: NetworkModel, agent: int) -> np.ndarray:
-    """Augmented-state indices owned by ``agent`` (0-based).
-
-    The canonical layout keeps all plant states first and all fault
-    states last, so one agent's augmented coordinates are not
-    contiguous.
-    """
-    x_part = np.arange(agent * net.n_x, (agent + 1) * net.n_x)
-    f_part = net.nbar_x + np.arange(agent * net.n_y, (agent + 1) * net.n_y)
-    return np.concatenate([x_part, f_part])
-
-
 def agent_permutation(net: NetworkModel) -> np.ndarray:
     """Canonical augmented layout -> per-agent grouping, as indices: each
     agent's states, then its fault components, agent after agent.  The
     observer synthesis cuts its per-agent blocks in this order, and the
-    trace CSV stores the observer state in it."""
-    return np.concatenate([aug_indices(net, i) for i in range(net.m)])
+    trace CSV stores the observer state in it.  (The canonical layout
+    keeps all plant states first and all fault states last.)"""
+    x_part = np.arange(net.nbar_x).reshape(net.m, net.n_x)
+    f_part = net.nbar_x + np.arange(net.nbar_y).reshape(net.m, net.n_y)
+    return np.hstack([x_part, f_part]).ravel()

@@ -492,11 +492,12 @@ def _part_files(name: str, count: int) -> list[int] | None:
 
 def _write_split(fh, columns, sep: str, ways: int) -> bool:
     """Write ``columns`` as ``ways`` row ranges at once, if ``fh`` is a
-    named, seekable UTF-8 file; False, with ``fh`` as it was, otherwise
-    or when any range fails."""
+    named, seekable UTF-8 file and the platform can copy between files in
+    the kernel; False, with ``fh`` as it was, otherwise or when any range
+    or any copy fails."""
     name = getattr(fh, "name", None)
     if (not isinstance(name, str) or getattr(fh, "encoding", None) != "utf-8"
-            or not fh.seekable()):
+            or not fh.seekable() or not hasattr(os, "copy_file_range")):
         return False
     parts = _part_files(name, ways - 1)
     if parts is None:
@@ -508,17 +509,22 @@ def _write_split(fh, columns, sep: str, ways: int) -> bool:
         jobs = [partial(fh.writelines, _row_text(columns, sep, 0, bounds[1]))]
         jobs += [partial(_write_part, fd, columns, sep, bounds[k],
                          bounds[k + 1]) for k, fd in enumerate(parts, 1)]
-        if not _fork_jobs(jobs):
-            fh.seek(start)
-            fh.truncate()
-            return False
-        fh.flush()
-        for fd in parts:
-            pos = 0
-            while chunk := os.pread(fd, _READ_BLOCK_BYTES, pos):
-                fh.buffer.write(chunk)
-                pos += len(chunk)
-        return True
+        if _fork_jobs(jobs):
+            fh.flush()
+            try:
+                for fd in parts:  # appended at the descriptor's offset
+                    pos = 0
+                    while sent := os.copy_file_range(fd, fh.fileno(),
+                                                     1 << 30, pos):
+                        pos += sent
+            except OSError:
+                pass
+            else:
+                fh.seek(0, os.SEEK_END)  # past what the handle did not write
+                return True
+        fh.seek(start)
+        fh.truncate()
+        return False
     finally:
         for fd in parts:
             os.close(fd)
@@ -536,7 +542,8 @@ def write_rows(fh, columns, sep: str) -> None:
     :func:`_fork_jobs`).  This process formats the
     first range into ``fh``.  Each forked child formats its range into
     its own part file next to the output, unlinked once created; this
-    process then appends the parts in order.  If any range fails, what
+    process then appends the parts in order, copied in the kernel
+    (``os.copy_file_range``).  If any range fails, what
     was written is truncated and the serial path below runs, so the
     bytes and any error are the serial path's.  On one CPU, without
     ``os.fork``, or while another Python thread runs, nothing forks."""

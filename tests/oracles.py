@@ -4,6 +4,7 @@ import numpy as np
 import scipy.signal
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
+from coopftc.analysis import _theta_star
 from coopftc.errors import DimensionMismatchError, InfeasibleError
 from coopftc.linalg import sym_eigendecomp
 from coopftc.sim import integrate
@@ -302,3 +303,17 @@ def slow_anchor(A, B, D, alpha, delta):
         if anchor is not None:
             return anchor
     return None
+
+
+def l2_ratio(trace, law):
+    """Measured energy amplification from ``theta = [v; vartheta]`` to the
+    stacked state, with the input energy: ``(ratio, input_l2)``.
+
+    Uses left-endpoint rectangle sums ``sqrt(h * sum ||row||^2)`` over
+    all but the last sample.  On a run started from zero state the ratio
+    must stay below the synthesized attenuation level.
+    """
+    theta = _theta_star(trace, law)
+    state_l2 = float(np.sqrt(trace.h * np.sum(trace.x[:-1] ** 2)))
+    input_l2 = float(np.sqrt(trace.h * np.sum(theta[:-1] ** 2)))
+    return (state_l2 / input_l2 if input_l2 > 0.0 else np.inf), input_l2

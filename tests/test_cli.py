@@ -556,6 +556,23 @@ def test_unreached_units_rejected_before_synthesis(tmp_path, monkeypatch,
     assert "graph.sources" in err and "[3, 4]" in err
 
 
+@pytest.mark.parametrize("extra", [["synth"], ["simulate"],
+                                   ["verify", "--trace", "never-read.csv"]])
+def test_unbalanced_graph_rejected_before_synthesis(tmp_path, monkeypatch,
+                                                    capsys, extra):
+    # unit 2 hears unit 1 at weight 0.5 and nothing else
+    monkeypatch.setattr(cli, "synth_observer", _no_synthesis)
+    p = tmp_path / "unbalanced.yaml"
+    p.write_text("graph: {edges: [[2, 1, 0.5], [3, 2, 1.0], [4, 3, 1.0]], "
+                 "sources: [[1, 1.0]], normalize: false}\n")
+    argv = extra[:1] + ["-s", str(p)] + extra[1:]
+    if extra[0] != "verify":
+        argv += ["-o", str(tmp_path / "out")]
+    assert main(argv) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "graph.normalize" in err and "units [2]" in err
+
+
 def test_empty_edge_graph_is_the_star(tmp_path):
     p = tmp_path / "star.yaml"
     p.write_text("graph: {edges: [], sources: [[1, 1.0], [2, 1.0], "

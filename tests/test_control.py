@@ -13,33 +13,12 @@ from conftest import quiet_schedule, random_reachable_graph
 from coopftc.control import (ClosedLoopState, ControlLaw, SignalSchedule,
                              build_closed_loop, closed_loop_maps,
                              closed_loop_rhs, control_input,
-                             cooperative_error, in_neighbor_setpoint)
-from coopftc.errors import DimensionMismatchError
+                             cooperative_error)
+from coopftc.errors import DimensionMismatchError, IdentityCheckFailedError
 from coopftc.estimator import ObserverRealization, extract_estimates
 from coopftc.graph import build_graph, normalize_weights
 from coopftc.linalg import is_hurwitz, solve_linear
 from coopftc.plant import AgentModel, augment_network, stack_network
-
-
-def test_star_neighbor_setpoint_is_source(star_graph):
-    y_hat = np.array([3.0, -1.0, 2.0, 0.5])
-    z = in_neighbor_setpoint(star_graph, y_hat, np.array([1.5]))
-    npt.assert_allclose(z, 1.5 * np.ones(4))
-
-
-def test_cyclic_neighbor_setpoint_weights(graphs):
-    z = in_neighbor_setpoint(graphs["cyclic"],
-                             np.array([1.0, 2.0, 3.0, 4.0]),
-                             np.array([0.0]))
-    # unit 1 hears units 2 and 4 at weight 0.3 each
-    npt.assert_allclose(z[0], 1.8)
-
-
-def test_balanced_consensus_passthrough():
-    g = random_reachable_graph(np.random.default_rng(42))
-    y0 = np.array([0.7])
-    z = in_neighbor_setpoint(g, 0.7 * np.ones(g.m), y0)
-    npt.assert_allclose(z, 0.7 * np.ones(g.m), atol=1e-12)
 
 
 def test_cooperative_error_zero_at_consensus():
@@ -63,8 +42,30 @@ def test_cooperative_error_identity_paths():
     direct = np.kron(g.L, np.eye(1)) @ y_hat \
         - np.kron(g.A_0, np.eye(1)) @ np.repeat(y0, g.m)
     npt.assert_allclose(e, direct, atol=1e-12)
-    z = in_neighbor_setpoint(g, y_hat, y0)
-    npt.assert_allclose(e, y_hat - z, atol=1e-12)
+
+
+def _unbalanced_chain():
+    """A chain pinned at unit 1 whose unit 2 has in-weight 0.5."""
+    return build_graph(4, [(2, 1, 0.5), (3, 2, 1.0), (4, 3, 1.0)], [(1, 1.0)])
+
+
+def test_control_law_refuses_unbalanced_graph():
+    with pytest.raises(IdentityCheckFailedError, match=r"units \[2\]"):
+        ControlLaw(graph=_unbalanced_chain(), K=np.zeros((4, 8)),
+                   ell_p=0.1, ell_i=90.0)
+
+
+def test_cooperative_error_on_unbalanced_graph_is_the_formula():
+    """Balance is the control law's concern: the error itself is the
+    paper's formula on any weights, and zero at consensus on any pinned
+    graph, since L 1 = A_0 1."""
+    g = _unbalanced_chain()
+    rng = np.random.default_rng(45)
+    y_hat, y0 = rng.normal(size=4), rng.normal(size=1)
+    direct = g.L @ y_hat - g.A_0 @ np.repeat(y0, 4)
+    npt.assert_allclose(cooperative_error(g, y_hat, y0), direct, atol=1e-12)
+    npt.assert_allclose(cooperative_error(g, np.repeat(y0, 4), y0), 0.0,
+                        atol=1e-12)
 
 
 def test_cooperative_error_dimension_check(star_graph):

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from conftest import random_reachable_graph
 from coopftc.errors import BadEdgeError, IsolatedUnitError
 from coopftc.graph import (BENCHMARK_TOPOLOGIES, benchmark_topology,
-                           build_graph, check_source_reachability,
-                           is_positive_stable, normalize_weights)
+                           build_graph, check_balance,
+                           check_source_reachability, is_positive_stable,
+                           normalize_weights)
 
 
 def test_star_is_identity_laplacian():
@@ -51,10 +52,12 @@ def test_path_normalization_splits_inner_weights():
     raw = benchmark_topology("path", normalize=False)
     # unit 2 hears unit 1 and unit 3 with raw weight 1.0 each
     assert raw.W[1, 1] == 2.0
+    assert check_balance(raw) == (1.0, [1, 2, 3])
     g = normalize_weights(raw)
     npt.assert_allclose(g.A_m[1, 0], 0.5)
     npt.assert_allclose(g.A_m[1, 2], 0.5)
     npt.assert_allclose(np.diag(g.W), np.ones(4), atol=1e-15)
+    assert check_balance(g)[1] == []
 
 
 def test_normalize_leaves_balanced_star_unchanged():

@@ -493,6 +493,36 @@ def test_failing_child_falls_back_to_serial_bytes(tmp_path):
     _assert_tidy(tmp_path, "t.txt")
 
 
+@pytest.mark.parametrize("copy", ["raises", "missing"])
+def test_failed_part_copy_falls_back_to_serial_bytes(tmp_path, copy):
+    """Where the kernel copy of a part fails, after the first part is
+    copied, or the platform has none, the file is the serial writer's and
+    no part or child is left."""
+    rows = np.arange(300.0).reshape(100, 3) / 7
+    oracle = io.StringIO()
+    np.savetxt(oracle, rows, fmt="%.17g", delimiter=",")
+    calls, copy_file_range = [], getattr(os, "copy_file_range", None)
+
+    def copy_once(*args):
+        calls.append(args)
+        if len(calls) > 1:
+            raise OSError("copy_file_range: operation not supported")
+        return copy_file_range(*args)
+    with pytest.MonkeyPatch.context() as mp:
+        forks = _split_over(mp, 3)
+        if copy == "raises":
+            mp.setattr(os, "copy_file_range", copy_once)
+        else:
+            mp.delattr(os, "copy_file_range", raising=False)
+        _write_file(tmp_path / "t.txt", [rows], ",")
+    # without the call, nothing is formatted twice
+    assert len(forks) == (2 if copy == "raises" else 0)
+    assert len(calls) == (2 if copy == "raises" else 0)
+    assert (tmp_path / "t.txt").read_text() == ("header line\n"
+                                                + oracle.getvalue())
+    _assert_tidy(tmp_path, "t.txt")
+
+
 @pytest.mark.parametrize("one_core", ["one-cpu", "no-fork"])
 def test_one_core_path_forks_nothing(tmp_path, monkeypatch, one_core):
     """With one usable CPU, or no ``os.fork``, nothing forks and the file

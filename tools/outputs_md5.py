@@ -4,9 +4,10 @@ Runs ``synth``, ``simulate`` and ``verify`` in-process through
 ``coopftc.cli.main`` on the benchmark scenarios of
 ``perfbench/workloads.py`` (bench4, fleet24, the bench4 ``--sweep`` and
 infeasible-m5) and on scenarios the commands reject (a graph that does
-not fit the plant, a unit the source cannot reach, agents with two
-outputs on a graph that fits them and on the default star, an
-attenuation level of 1e-9).  For each command it prints the exit code
+not fit the plant, a unit the source cannot reach, an unnormalized
+graph whose in-weights do not sum to one, agents with two outputs on a
+graph that fits them and on the default star, an attenuation level of
+1e-9).  For each command it prints the exit code
 and the md5 of its stdout and stderr, then the md5 of every file left
 in the work directory.
 
@@ -42,6 +43,10 @@ FAILING = {
     "misfit_graph.yaml": "plant: {m: 3}\n",
     "unreached.yaml": ("graph: {edges: [[2, 1, 1.0], [3, 4, 1.0], "
                        "[4, 3, 1.0]], sources: [[1, 1.0]]}\n"),
+    # unit 2's in-weights sum to 0.5
+    "unbalanced.yaml": ("graph: {edges: [[2, 1, 0.5], [3, 2, 1.0], "
+                        "[4, 3, 1.0]], sources: [[1, 1.0]], "
+                        "normalize: false}\n"),
     "two_outputs.yaml": ("graph: {edges: [[2, 1, 1.0]], sources: [[1, 1.0]]}\n"
                          "plant: {kind: explicit, agents: "
                          f"[{TWO_OUTPUTS}, {TWO_OUTPUTS}]}}\n"),
