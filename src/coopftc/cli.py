@@ -90,7 +90,6 @@ from .plant import (
     stack_network,
 )
 from .sim import (
-    _WRITE_BLOCK_CELLS,
     SignalSchedule,
     read_rows,
     run_experiment,
@@ -189,6 +188,20 @@ def _not_a_number(key: str, value) -> str:
     return f"{message}; YAML reads {value} as a string, write {written}"
 
 
+def _finite(key: str, value) -> float:
+    """``value`` as a float if it is a finite number, else the error
+    naming ``key``, with the hint of :func:`_not_a_number`."""
+    if not _is_number(value):
+        raise ValidationError(_not_a_number(key, value))
+    return float(value)
+
+
+def _elements(key: str, values) -> tuple:
+    """Each of the list ``values`` through :func:`_finite`, named
+    ``key[1]``, ``key[2]``, ..."""
+    return tuple(_finite(f"{key}[{i}]", v) for i, v in enumerate(values, 1))
+
+
 def _is_index(value) -> bool:
     """An integral number: an int, or a float with no fractional part."""
     return _is_number(value) and float(value).is_integer()
@@ -222,9 +235,7 @@ def _integer(minimum: int):
 def _number(minimum: float, strict: bool):
     """A finite number at least, or if ``strict`` above, ``minimum``."""
     def read(key: str, value) -> float:
-        if not _is_number(value):
-            raise ValidationError(_not_a_number(key, value))
-        value = float(value)
+        value = _finite(key, value)
         if value < minimum or (strict and value == minimum):
             raise ValidationError(f"{key} must be {'>' if strict else '>='} "
                                   f"{minimum:g}, got {value}")
@@ -238,22 +249,22 @@ _positive = _number(0.0, strict=True)
 def _per_agent(key: str, value):
     """One number for every agent, or a list of one number per agent
     (its length is checked against ``plant.m`` once that is known)."""
-    if _is_number(value):
-        return float(value)
-    if isinstance(value, list) and value and all(map(_is_number, value)):
-        return tuple(float(v) for v in value)
-    raise ValidationError(f"{key} must be a finite number or a list of "
-                          f"finite numbers, got {value!r}")
+    if isinstance(value, list) and value:
+        return _elements(key, value)
+    if not _is_number(value):
+        raise ValidationError(f"{key} must be a finite number or a list of "
+                              f"finite numbers, got {value!r}")
+    return float(value)
 
 
 def _bounds(key: str, value) -> tuple:
-    if (not isinstance(value, list) or len(value) != 2
-            or not all(map(_is_number, value))
-            or float(value[0]) > float(value[1])):
+    bounds = (_elements(key, value)
+              if isinstance(value, list) and len(value) == 2 else None)
+    if bounds is None or bounds[0] > bounds[1]:
         raise ValidationError(
             f"{key} must be [lo, hi] of finite numbers with lo <= hi, "
             f"got {value!r}")
-    return (float(value[0]), float(value[1]))
+    return bounds
 
 
 def _index_rows(pattern: str, n_index: int):
@@ -263,15 +274,14 @@ def _index_rows(pattern: str, n_index: int):
         if not isinstance(value, list):
             raise ValidationError(f"{key} must be a list of {pattern} rows")
         rows = []
-        for item in value:
+        for row, item in enumerate(value, start=1):
             if (not isinstance(item, list) or len(item) != n_index + 1
-                    or not all(map(_is_index, item[:n_index]))
-                    or not _is_number(item[n_index])):
+                    or not all(map(_is_index, item[:n_index]))):
                 raise ValidationError(
                     f"{key} entries must be {pattern} with integral "
                     f"indices, got {item!r}")
-            rows.append(tuple(map(int, item[:n_index]))
-                        + (float(item[n_index]),))
+            weight = _finite(f"{key}[{row}][{n_index + 1}]", item[n_index])
+            rows.append(tuple(map(int, item[:n_index])) + (weight,))
         return tuple(rows)
     return read
 
@@ -281,15 +291,13 @@ def _matrix(where: str, value) -> tuple:
             or not all(isinstance(row, list) and row for row in value)):
         raise ValidationError(f"{where} must be a list of rows")
     width = len(value[0])
+    rows = []
     for i, row in enumerate(value, start=1):
         if len(row) != width:
             raise ValidationError(f"{where} rows must be equal-length "
                                   "lists of finite numbers")
-        for j, entry in enumerate(row, start=1):
-            if not _is_number(entry):
-                raise ValidationError(_not_a_number(f"{where}[{i}][{j}]",
-                                                    entry))
-    return tuple(tuple(float(v) for v in row) for row in value)
+        rows.append(_elements(f"{where}[{i}]", row))
+    return tuple(rows)
 
 
 def _agents(key: str, value) -> tuple:
@@ -314,12 +322,11 @@ def _setpoints(key: str, value) -> tuple:
         raise ValidationError(
             f"{key} must be a non-empty list of [time, value] pairs")
     pairs = []
-    for item in value:
-        if (not isinstance(item, list) or len(item) != 2
-                or not all(map(_is_number, item))):
+    for i, item in enumerate(value, start=1):
+        if not isinstance(item, list) or len(item) != 2:
             raise ValidationError(
                 f"{key} entries must be [time, value], got {item!r}")
-        pairs.append((float(item[0]), float(item[1])))
+        pairs.append(_elements(f"{key}[{i}]", item))
     times = [t for t, _ in pairs]
     if times[0] != 0.0:
         raise ValidationError(f"{key} must start at time 0")
@@ -616,10 +623,12 @@ class _Assembly:
     ctrl: ControllerSynthesis | None
 
 
-def _assemble(sc: Scenario, gains_dir=None, sweep: bool = False) -> _Assembly:
+def _assemble(sc: Scenario, gains_dir=None, sweep: bool = False,
+              trace=None) -> _Assembly:
     """The plant, then every graph (the named topologies if ``sweep``),
     then the gains, loaded from ``gains_dir`` or synthesized: a graph that
-    does not fit the plant fails before the expensive work."""
+    does not fit the plant fails before the expensive work, and so does a
+    ``trace`` file the command will read that cannot be opened."""
     net = build_plant(sc)
     runs = ([replace(sc, topology=name, graph_edges=(), graph_sources=())
              for name in sorted(BENCHMARK_TOPOLOGIES)] if sweep else [sc])
@@ -628,6 +637,8 @@ def _assemble(sc: Scenario, gains_dir=None, sweep: bool = False) -> _Assembly:
     aug = augment_network(net)
     ctrl = None
     if gains_dir is None:
+        if trace is not None:
+            open(trace, "rb").close()
         so = synth_observer(aug, net, sc.delta, margin=sc.margin)
         ctrl = synth_controller(net, sc.alpha, sc.delta, margin=sc.margin)
         K = ctrl.K
@@ -643,24 +654,13 @@ def _assemble(sc: Scenario, gains_dir=None, sweep: bool = False) -> _Assembly:
 
 
 def _write_series(path, curves) -> None:
-    """Write gnuplot-style two-column blocks, one block per curve.  The
-    bytes are those of :func:`~coopftc.sim.write_rows` on each curve's
-    ``[t, values]``.  The curves of one file share their time column, so
-    its text is formatted once: one format string per block of rows,
-    each line the time's text and a slot for the curve's value."""
-    rows = _WRITE_BLOCK_CELLS // 2
-    t_last = lines = None
+    """Write gnuplot-style two-column blocks, one block per curve, each
+    ``[t, values]`` through :func:`~coopftc.sim.write_rows`."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# two-column series; blank lines separate curves\n")
         for label, t, values in curves:
-            if t is not t_last:
-                t_last, lines = t, [
-                    " %.17g\n".join(["%.17g" % v for v in block]) + " %.17g\n"
-                    for block in (t[lo:lo + rows].tolist()
-                                  for lo in range(0, len(t), rows))]
             fh.write(f"# curve={label}\n")
-            for lo, line in zip(range(0, len(values), rows), lines):
-                fh.write(line % tuple(values[lo:lo + rows].tolist()))
+            write_rows(fh, [t, values], " ")
             fh.write("\n")
 
 
@@ -787,7 +787,7 @@ def _agreement_identity(g: NetworkGraph) -> tuple[bool, list[str]]:
 def cmd_verify(sc: Scenario, trace_path, gains_dir=None) -> int:
     """Re-run every certificate check against a recorded trace."""
     _require_single_channel(sc)
-    built = _assemble(sc, gains_dir)
+    built = _assemble(sc, gains_dir, trace=trace_path)
     net, aug, so = built.net, built.aug, built.so
     [law] = built.laws.values()
     trace = trace_from_csv(trace_path, net)

@@ -28,8 +28,16 @@ error, control) come from one evaluation of the same wiring on the
 whole trace, one row per sample.
 
 Every numeric text file goes through :func:`write_rows` and
-:func:`read_rows`.  A table of more than ``_SPLIT_CELLS`` cells is
-formatted or parsed by one process per CPU this process may use
+:func:`read_rows`.  A cell is written as ``'%.17g' % x`` writes it, by
+a numpy kernel (:class:`~coopftc.cell_text.CellText`) that finds the 17
+correctly rounded digits of a block of cells at once and lays out their
+text with one gather.  A cell whose digits it cannot prove (an exact or
+near tie, a nonzero magnitude outside [1e-280, 1e17), a value that is
+not a finite double) is formatted by Python's own ``'%.17g' %`` and
+spliced into its place, so the bytes are always Python's.
+
+A table of more than ``_SPLIT_CELLS`` cells is formatted or parsed by
+one process per CPU this process may use
 (``os.sched_getaffinity``), at most ``_SPLIT_WAYS_MAX``.  Only this
 process forks (``os.fork``, in :func:`_fork_jobs`), and it keeps the
 first row range for itself.  A child formats or parses its own
@@ -60,6 +68,7 @@ from typing import Callable
 
 import numpy as np
 
+from .cell_text import CellText
 from .control import (ClosedLoop, ClosedLoopMaps, ClosedLoopState,
                       SignalSchedule, _wire, closed_loop_maps,
                       closed_loop_rhs)
@@ -342,19 +351,24 @@ def run_experiment(loop: ClosedLoop, schedule: SignalSchedule,
 
 # --- text tables ------------------------------------------------------------
 
-#: Cells formatted per call: enough that the call overhead vanishes, few
-#: enough that the text stays a small allocation.  4096-row plot blocks
-#: raised the peak memory of repeated runs in one process by up to 20 MB,
-#: 1024-row blocks of a 24-agent trace (338 columns) by 16 MB.
-_WRITE_BLOCK_CELLS = 2048
+#: Cells formatted per kernel call.  The kernel holds about 330 bytes a
+#: cell (157 in work arrays reused from block to block, the rest in
+#: temporaries and the block's text), 1.3 MB at 4096.  On a 2-CPU host
+#: (one process per size, 5 runs each) ``simulate`` of the default
+#: scenario peaked at 91.6, 91.4, 93.3 and 97.6 MB with blocks of 2048,
+#: 4096, 8192 and 16384 cells, and the 24-agent fleet at 87.2, 86.7 and
+#: 88.6 MB for the first three; 4096 was 6-13% faster than 2048, and
+#: 8192 at most 6% faster than 4096.
+_WRITE_BLOCK_CELLS = 4096
 
 #: Tables of more cells than this are formatted and parsed by several
-#: processes.  On a 2-CPU host, in a process holding 60 MB more than
-#: numpy, a split write plus read of 2- and 33-column tables (median of
-#: 7) was slower up to 100k cells, and 27-48% faster at 200k and 400k.
-#: Every benchmark trace is far above it (1.3M cells or more), every
-#: gains file far below.
-_SPLIT_CELLS = 200_000
+#: processes.  On a 2-CPU host, in a process holding 60 MB more than the
+#: CLI's imports, a split write plus read (medians of 7 and of 9) took
+#: 1.26-1.50x the serial time at 100k cells, 1.19-1.26x for 2 columns but
+#: 0.78-0.85x for 33 at 200k, 0.86-0.98x and 0.72-0.82x at 400k, and
+#: 0.58-0.80x at 800k.  Every benchmark trace is far above it (1.3M
+#: cells or more), every plot curve and gains file far below.
+_SPLIT_CELLS = 400_000
 
 #: The most processes one table is split over: the widest host the split
 #: has been measured on has two CPUs, and each fork copies the page
@@ -440,14 +454,20 @@ def _width(columns) -> int:
 
 
 def _row_text(columns, sep: str, lo: int, hi: int):
-    """The text of rows ``lo:hi`` of ``columns``, a block at a time."""
+    """The text of rows ``lo:hi`` of ``columns``, a block at a time.  A
+    float64 block goes through the kernel; any other block, or any
+    separator the kernel cannot write, is formatted by Python."""
     width = _width(columns)
-    rows = max(1, _WRITE_BLOCK_CELLS // width)
+    rows = max(1, min(_WRITE_BLOCK_CELLS // width, hi - lo))
+    kernel = CellText(rows * width, width, sep) if CellText.fits(sep) else None
     line = sep.join(["%.17g"] * width) + "\n"
     for start in range(lo, hi, rows):
         block = np.column_stack([c[start:min(start + rows, hi)]
                                  for c in columns])
-        yield (line * len(block)) % tuple(block.ravel().tolist())
+        if kernel is not None and block.dtype == np.float64:
+            yield kernel(block)
+        else:
+            yield (line * len(block)) % tuple(block.ravel().tolist())
 
 
 def _write_all(fd: int, data: bytes) -> None:
@@ -535,6 +555,8 @@ def write_rows(fh, columns, sep: str) -> None:
     text handle ``fh``, a few rows at a time, so the whole table is never
     copied.  The bytes equal ``np.savetxt``'s: 17 significant digits
     per cell, exact on reading back, cells joined by ``sep``, LF endings.
+    The cells are formatted by :class:`~coopftc.cell_text.CellText`,
+    and those it cannot prove by Python's ``'%.17g' %``.
 
     A table of more than ``_SPLIT_CELLS`` cells going to a named,
     seekable UTF-8 file is cut into contiguous row ranges, one per CPU

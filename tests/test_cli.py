@@ -222,7 +222,20 @@ def test_libyaml_and_python_loaders_agree(tmp_path, monkeypatch):
      "write 1.0e-1"),
     ("sim: {h: 1e-3}\n", "sim.h must be a finite number, got '1e-3'",
      "write 1.0e-3"),
-], ids=["matrix-entry", "number"])
+    ("sim: {init_bounds: [-1.0e18, 1.0e18]}\n",
+     "sim.init_bounds[1] must be a finite number, got '-1.0e18'",
+     "write -1.0e+18"),
+    ("sim: {disturbance: [0.1, 0.2, 2e-1, 0.3]}\n",
+     "sim.disturbance[3] must be a finite number, got '2e-1'",
+     "write 2.0e-1"),
+    ("control: {setpoint: [[0, 1.0], [1.0e1, 2.0]]}\n",
+     "control.setpoint[2][1] must be a finite number, got '1.0e1'",
+     "write 1.0e+1"),
+    ("graph: {edges: [[2, 1, 5e-1]], sources: [[1, 1.0]]}\n",
+     "graph.edges[1][3] must be a finite number, got '5e-1'",
+     "write 5.0e-1"),
+], ids=["matrix-entry", "number", "bounds", "per-agent", "setpoints",
+        "edge-weight"])
 def test_yaml_exponent_without_dot_names_the_entry(tmp_path, capsys,
                                                    document, field, hint):
     """YAML 1.1 reads 1e-1 (no dot) as a string: the error names the
@@ -723,6 +736,18 @@ def test_commands_share_one_check_order(tmp_path, monkeypatch, capsys,
     assert named in capsys.readouterr().err
 
 
+def test_verify_opens_the_trace_before_synthesis(tmp_path, monkeypatch,
+                                                 capsys, short_scenario):
+    """A trace that cannot be opened is reported before the gains are
+    synthesized, with the error and exit code of reading it."""
+    monkeypatch.setattr(cli, "synth_observer", _no_synthesis)
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "-s", str(short_scenario), "--trace",
+                 "missing.csv"]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "error: [Errno 2] No such file or directory: 'missing.csv'\n")
+
+
 def test_each_command_assembles_once(tmp_path, short_scenario, gains_dir,
                                      monkeypatch):
     calls, assemble = [], cli._assemble
@@ -736,9 +761,10 @@ def test_each_command_assembles_once(tmp_path, short_scenario, gains_dir,
     assert main(["simulate", "-s", s, "-o", out, "--gains", gains,
                  "--sweep"]) == 0
     # the two-second run has not settled: the consensus check fails
-    assert main(["verify", "-s", s, "--trace", f"{out}/trace_star.csv",
+    trace = f"{out}/trace_star.csv"
+    assert main(["verify", "-s", s, "--trace", trace,
                  "--gains", gains]) == cli.EXIT_CERTIFICATE
-    assert calls == [(), (gains, True), (gains,)]
+    assert calls == [(), (gains, True), (gains, trace)]
 
 
 @pytest.mark.parametrize("sim", ["{h: 1.0e-9}", "{T: 1.0e+300, h: 1.0e-10}"],

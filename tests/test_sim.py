@@ -2,9 +2,11 @@
 trace CSV round trip."""
 
 import dataclasses
+import decimal
 import io
 import os
 import threading
+from fractions import Fraction
 
 import numpy as np
 import numpy.testing as npt
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import benchmark_schedule, quiet_schedule
-from coopftc import sim
+from coopftc import cell_text, sim
 from coopftc.control import ClosedLoopMaps, closed_loop_maps
 from coopftc.errors import (DimensionMismatchError, NonFiniteStateError,
                             SchemaError)
@@ -318,6 +320,28 @@ def test_quiet_run_errors_vanish(quiet_traces):
 _TABLES = arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 4)),
                  elements=st.floats(allow_nan=False, allow_infinity=False))
 
+#: Exact ties at 17 digits: 1e15 + 0.75 is 1000000000000000.75, and
+#: 3 * 2**-24 is 1.78813934326171875e-07.
+_TIES = np.array([1e15 + 0.75, 3 * 2.0**-24])
+
+
+def _kernel_edge_cells() -> np.ndarray:
+    """Cells at the edges of the write kernel, both signs: each power of
+    ten from 1e-20 to 1e20 and its neighbours (9.9999999999999991e-05,
+    below 1e-4, is where %g's notation changes); 1e-5; the ends of the
+    kernel's range, 1e16, 1e17 and 1e-280, with their neighbours;
+    three-digit exponents, subnormals, zero and the largest double; the
+    exact ties."""
+    special = np.array([1e-5, 1e16, 1e17, 1e-280, *10.0 ** np.arange(-20, 21)])
+    cells = np.concatenate([
+        special, np.nextafter(special, np.inf), np.nextafter(special, -np.inf),
+        [1e-100, 1.5e-300, 5e-324, 2.2250738585072014e-308, 1e-310, 0.0,
+         np.finfo(float).max], _TIES])
+    return np.concatenate([cells, -cells])
+
+
+_KERNEL_EDGES = _kernel_edge_cells()
+
 
 @settings(max_examples=40, deadline=None)
 @given(_TABLES, st.sampled_from([",", " "]))
@@ -326,6 +350,8 @@ _TABLES = arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 4)),
 @example(np.array([[-0.0], [5e-324], [1e300], [-1e300]]), " ")
 @example(np.arange(3001.0).reshape(-1, 1) / 7, " ")  # several blocks
 @example(np.arange(4200.0).reshape(2, -1) / 7, ",")  # rows wider than a block
+@example(_KERNEL_EDGES.reshape(-1, 1), ",")
+@example(_KERNEL_EDGES.reshape(-1, 2), " ")
 def test_table_bytes_and_round_trip(tmp_path_factory, rows, sep):
     """Every finite float64 reads back bit-exactly, and the bytes are
     those of ``np.savetxt`` with the same format."""
@@ -339,6 +365,46 @@ def test_table_bytes_and_round_trip(tmp_path_factory, rows, sep):
     assert first == "header line"
     assert back.shape == rows.shape
     npt.assert_array_equal(back.view(np.uint64), rows.view(np.uint64))
+
+
+def test_random_doubles_are_python_s_bytes():
+    """10**5 doubles of random bits (every exponent, both signs,
+    subnormals), cell by cell against Python's ``'%.17g' %``."""
+    bits = np.random.default_rng(18).integers(0, 2**64, 10**5,
+                                              dtype=np.uint64)
+    cells = bits.view(np.float64)[np.isfinite(bits.view(np.float64))]
+    written = io.StringIO()
+    write_rows(written, [cells], ",")
+    assert written.getvalue().splitlines() == ["%.17g" % v
+                                               for v in cells.tolist()]
+
+
+def _is_tie(value: float) -> bool:
+    """Whether ``value`` lies exactly halfway between two 17-digit
+    decimals."""
+    exponent = decimal.Decimal(value).adjusted()
+    return (abs(Fraction(value)) * Fraction(10) ** (16 - exponent)
+            ).denominator == 2
+
+
+def test_only_unprovable_cells_take_python_s_formatter(monkeypatch):
+    """Python formats exactly the cells outside the kernel's range
+    (1e-280 <= |x| < 1e17, and zero) and the exact ties."""
+    assert all(map(_is_tie, _TIES))
+    seen, python_cells = [], cell_text.python_cells
+
+    def spy(values):
+        seen.extend(values.tolist())
+        return python_cells(values)
+    monkeypatch.setattr(cell_text, "python_cells", spy)
+    written = io.StringIO()
+    write_rows(written, [_KERNEL_EDGES.reshape(-1, 1)], ",")
+    size = np.abs(_KERNEL_EDGES)
+    outside = (size >= 1e17) | ((size > 0) & (size < 1e-280))
+    ties = [v for v in _KERNEL_EDGES[~outside].tolist() if v and _is_tie(v)]
+    assert sorted(seen) == sorted(_KERNEL_EDGES[outside].tolist() + ties)
+    assert written.getvalue().splitlines() == [
+        "%.17g" % v for v in _KERNEL_EDGES.tolist()]
 
 
 # --- text tables on several processes --------------------------------------
@@ -384,6 +450,7 @@ _EDGES = np.array([[0.0, -0.0, 5e-324], [-5e-324, 1e308, -1e308],
 @example(_EDGES[:2], ",", 3)  # fewer rows than processes
 @example(_EDGES.reshape(-1, 1), " ", 2)  # width 1
 @example(np.arange(6001.0).reshape(-1, 1) / 7, ",", 2)  # several blocks
+@example(_KERNEL_EDGES.reshape(-1, 2), ",", 2)
 def test_split_table_matches_serial(tmp_path_factory, rows, sep, ways):
     """Written by 1, 2 or 3 processes, the bytes are ``np.savetxt``'s and
     the serial writer's, and the split reader returns the serial table
@@ -406,6 +473,21 @@ def test_split_table_matches_serial(tmp_path_factory, rows, sep, ways):
     assert len(forks) == (0 if ways == 1 else
                           min(ways, len(rows)) - 1 + ways - 1)
     _assert_tidy(directory, "t.txt")
+
+
+def test_split_write_of_edge_cells_needs_no_serial_rerun(tmp_path,
+                                                         monkeypatch):
+    """Both processes format the kernel's edge cells with warnings turned
+    into errors: no numpy warning sends the table to the serial path."""
+    results, fork_jobs = [], sim._fork_jobs
+
+    def recorded(jobs):
+        results.append(fork_jobs(jobs))
+        return results[-1]
+    _split_over(monkeypatch, 2)
+    monkeypatch.setattr(sim, "_fork_jobs", recorded)
+    _write_file(tmp_path / "t.txt", [_KERNEL_EDGES.reshape(-1, 2)], ",")
+    assert results == [True]
 
 
 @pytest.mark.parametrize("bad", ["1,x,3", "1,2", "1,inf,3"],

@@ -3,11 +3,12 @@
 Runs ``synth``, ``simulate`` and ``verify`` in-process through
 ``coopftc.cli.main`` on the benchmark scenarios of
 ``perfbench/workloads.py`` (bench4, fleet24, the bench4 ``--sweep`` and
-infeasible-m5) and on scenarios the commands reject (a graph that does
-not fit the plant, a unit the source cannot reach, an unnormalized
-graph whose in-weights do not sum to one, agents with two outputs on a
-graph that fits them and on the default star, an attenuation level of
-1e-9).  For each command it prints the exit code
+infeasible-m5), on a short run whose initial states reach 1e18, so that
+the trace prints in exponential notation, and on scenarios the commands
+reject (a graph that does not fit the plant, a unit the source cannot
+reach, an unnormalized graph whose in-weights do not sum to one, agents
+with two outputs on a graph that fits them and on the default star, an
+attenuation level of 1e-9).  For each command it prints the exit code
 and the md5 of its stdout and stderr, then the md5 of every file left
 in the work directory.
 
@@ -19,7 +20,7 @@ Two trees give the same results exactly when their manifests are equal::
 
 The commands run in a fresh temporary directory with relative paths, so
 no message carries a path that differs between runs.  A run takes about
-10 s on a 2-vCPU host and writes about 300 MB, removed on exit.
+7 s on a 2-vCPU host and writes about 300 MB, removed on exit.
 """
 
 from __future__ import annotations
@@ -37,6 +38,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 TWO_OUTPUTS = ("{A: [[-1.0, 0.0], [0.0, -2.0]], B: [[1.0], [1.0]], "
                "C: [[1.0, 0.0], [0.0, 1.0]], D: [[1.0], [0.0]]}")
+
+#: Initial states up to 1e18 in magnitude: ``simulate`` writes cells of
+#: every notation ``'%.17g'`` uses, and ``verify`` fails on consensus.
+WIDE_RANGE = {"wide_range.yaml": ("sim: {T: 0.5, init_bounds: "
+                                  "[-1.0e+18, 1.0e+18]}\n")}
 
 #: Scenarios the commands reject: file name -> text.
 FAILING = {
@@ -91,6 +97,12 @@ def _commands() -> list[tuple[str, list[str]]]:
                                   "bench4_warm_out"]),
         ("bench4_warm.verify", ["verify", "-s", "bench4_warm.yaml", "--trace",
                                 "bench4_warm_out/trace.csv"]),
+        ("bench4_warm.missing_trace", ["verify", "-s", "bench4_warm.yaml",
+                                       "--trace", "missing.csv"]),
+        ("wide_range.simulate", ["simulate", "-s", "wide_range.yaml", "-o",
+                                 "wide_range_out"]),
+        ("wide_range.verify", ["verify", "-s", "wide_range.yaml", "--trace",
+                               "wide_range_out/trace.csv"]),
         ("infeasible_m5.synth", ["synth", "-s", "infeasible_m5.yaml", "-o",
                                  "infeasible_m5_gains"]),
     ]
@@ -100,8 +112,9 @@ def _commands() -> list[tuple[str, list[str]]]:
             (f"{stem}.synth", ["synth", "-s", name, "-o", f"{stem}_gains"]),
             (f"{stem}.simulate", ["simulate", "-s", name, "-o",
                                   f"{stem}_out"]),
+            # an existing trace: a missing one is reported first
             (f"{stem}.verify", ["verify", "-s", name, "--trace",
-                                "never-read.csv"]),
+                                "bench4_out/trace.csv"]),
         ]
     return commands
 
@@ -127,7 +140,8 @@ def manifest(seed: int) -> list[str]:
 
     lines = []
     with tempfile.TemporaryDirectory(prefix="outputs_md5_") as work:
-        scenarios = dict(_workloads().scenario_files(seed), **FAILING)
+        scenarios = dict(_workloads().scenario_files(seed), **WIDE_RANGE,
+                         **FAILING)
         for name, text in scenarios.items():
             with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
                 fh.write(text)
