@@ -64,8 +64,11 @@ class IdentityCheckFailedError(ToolkitError):
 class InfeasibleError(ToolkitError):
     """No feasible point found for a matrix-inequality problem.
 
-    The message distinguishes a provably infeasible (constant) problem
-    from an exhausted iteration budget.
+    The message names one of three verdicts: *provably infeasible* (a
+    constant problem, or a margin above the cap that a constant diagonal
+    entry sets), *certified infeasible* (a Farkas certificate rules out
+    every assignment below a stated radius), or *gave up* (the solver
+    stalled or exhausted its iteration budget with no certificate).
     """
 
 

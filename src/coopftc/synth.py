@@ -47,6 +47,19 @@ once instead of running to the stall cutoff.  Every accepted solution
 is re-verified from scratch through plain eigendecompositions,
 independent of the iteration that produced it.
 
+A failed solve ends in one of three verdicts.  *Provably infeasible*:
+the expression is constant, or the margin is above the cap; no
+iteration runs.  *Certified infeasible*: the displacement ``v - u`` of
+the splitting converges, on an infeasible problem, to the minimal gap
+vector between the affine family and the cone (Bauschke, Combettes &
+Luke, J. Approx. Theory 127 (2004); Banjac, Goulart, Stellato & Boyd,
+JOTA 183 (2019)), which is a Farkas certificate; a stalled problem is
+tested for one every ``FARKAS_EVERY`` steps (:func:`_farkas_radius`)
+and retires at the first that rules out every assignment with
+``|y| < FARKAS_RADIUS``.  *Gave up*: the stall cutoff or the iteration
+budget ends the solve with no certificate.  The test only reads the
+iterates, so every accepted assignment is the one found without it.
+
 Feasible sets here are large, and different feasible gains behave very
 differently in closed loop: an over-fast inner loop starves the
 cooperative outer loop of DC gain, which slows source tracking on
@@ -114,6 +127,15 @@ CONTROLLER_DECAY = 2.0
 #: (eigenvalue strip); see the module docstring on why over-fast inner
 #: loops are undesirable.
 CONTROLLER_MAX_RATE = 8.0
+#: Cadence of the infeasibility test: every FARKAS_EVERY steps, each
+#: problem whose gap has not improved for FARKAS_EVERY steps is tested
+#: (see :func:`_douglas_rachford`).
+FARKAS_EVERY = 10
+#: A Farkas certificate retires its problem when it rules out every
+#: assignment with ``|y|`` below this radius.
+FARKAS_RADIUS = 1e6
+#: Relative rounding allowance of the certificate's radius.
+FARKAS_ROUNDING = 1e-12
 #: Margin ladder used to push solutions off the feasibility boundary.
 MARGIN_LADDER = (0.03, 0.1, 0.3, 1.0)
 #: Pole spacing of the anchored gain family: targets -s, -s*ratio, ...
@@ -257,12 +279,15 @@ def solve_lmi(problem: LmiProblem, margin: float = MARGIN,
     Raises
     ------
     InfeasibleError
-        If no feasible point is found.  Two cases are provably infeasible
-        and raise before any iteration: a constant expression whose
-        ``lambda_max`` exceeds ``-margin``, and a margin above
-        ``problem.margin_cap``; the message gives the cap.  Otherwise the
-        message says whether the iteration budget or the stagnation
-        cutoff was hit.
+        If no feasible point is found, with one of three verdicts.
+        *Provably infeasible*, before any iteration: a constant
+        expression whose ``lambda_max`` exceeds ``-margin``, or a margin
+        above ``problem.margin_cap`` (the message gives the cap).
+        *Certified infeasible*: a stalled iteration yielded a Farkas
+        certificate; the message gives the step, the radius ``Y`` below
+        which no assignment meets the inequality, and the residual gap.
+        *Gave up*: the stagnation cutoff or the iteration budget was hit
+        with no certificate; the message says which.
     """
     ((result, _),) = _solve_batch([problem], margin, max_iterations,
                                   [initial])
@@ -320,8 +345,38 @@ def _douglas_rachford(problems, t, max_iterations, initials):
     test.  Stacked ``eigh``, ``eigvalsh`` and ``matmul`` compute each
     matrix as the single-matrix calls do, so each problem follows the
     iterates it would follow alone.  A problem keeps its own stall
-    counter and leaves the stack when it converges or stalls; the stack
-    is compacted only then.
+    counter and leaves the stack when it converges, is certified
+    infeasible or stalls; the stack is compacted only then.
+
+    Every ``FARKAS_EVERY`` steps, each problem whose gap has not
+    improved for ``FARKAS_EVERY`` steps is tested for a Farkas
+    certificate, built from its displacement ``r = v - u``
+    (:func:`_farkas_radius`, one more stacked ``eigh`` per block over
+    the problems tested).  The certificate is taken against ``floor0``,
+    the family's constant term at the required floors (``t`` and
+    ``PD_MARGIN``), not at the internal targets of ``g0``, so its
+    verdict is about the problem as posed.  A problem whose certificate
+    rules out every assignment with ``|y| < FARKAS_RADIUS`` retires as
+    certified infeasible; one that converges on the same step retires
+    as converged.  A feasible problem cannot be certified beyond the
+    norm of its feasible points, and every accepted assignment on the
+    default scenario and the 24-motor fleet has ``|y| <= 156``.
+
+    The constants were chosen on the two stalls of the benchmark
+    scenarios, testing every step: the radius first exceeds ``1e6`` at
+    step 278 on agent 5 of the five-motor ring (delta 0.3; it then
+    levels off at 1.1e8, and the stall cutoff came at step 721) and at
+    step 887 on motor 4's 0.03 rung (level 6.4e6; cutoff at 1,178).
+    ``FARKAS_RADIUS = 1e6`` is 6,400 times the largest accepted ``|y|``
+    and below both levels.  With ``FARKAS_EVERY = 10`` they retire at
+    steps 280 and 890, at most nine steps late, for one test per ten
+    steps of a stalled problem.  Testing every step retires agent 5 at
+    step 278 but made its observer stage 0.048 s against 0.031 s
+    (medians of seven calls, 2-vCPU host); testing every 50 steps
+    retires it at step 300.  The levels are set by
+    ``FARKAS_ROUNDING = 1e-12``, a hundred times the rounding of these
+    problems' inner products (58 stacked entries, blocks of at most 7
+    rows); without it they read 3.4e10 and 3.7e8.
     """
     first = problems[0]
     spans = [(first.offsets[b], first.offsets[b + 1], nb)
@@ -341,8 +396,11 @@ def _douglas_rachford(problems, t, max_iterations, initials):
     A = np.stack([p.A for p in problems])
     pinv = np.stack([p.pinv for p in problems])
     g0 = np.stack([p.base for p in problems])[:, :, None]
-    for Gb, target in zip(block_views(g0), targets):
+    floor0 = g0.copy()
+    for Gb, Fb, target, floor in zip(block_views(g0), block_views(floor0),
+                                     targets, floors):
         Gb += target * np.eye(Gb.shape[-1])
+        Fb += floor * np.eye(Fb.shape[-1])
     y = np.zeros((len(problems), len(first.coords), 1))
     for row, (problem, initial) in enumerate(zip(problems, initials)):
         if initial is not None:
@@ -388,14 +446,25 @@ def _douglas_rachford(problems, t, max_iterations, initials):
         improved = gap < threshold
         np.multiply(gap, 1.0 - 1e-9, out=threshold, where=improved)
         improved_at[improved] = iteration
+        # every FARKAS_EVERY steps, a problem idle for as long is tested
+        # for a certificate; the test only reads the iterates
+        radius = np.zeros(len(live))
+        if iteration % FARKAS_EVERY == 0:
+            idle = np.flatnonzero(improved_at <= iteration - FARKAS_EVERY)
+            if idle.size:
+                radius[idle] = _farkas_radius(A[idle], pinv[idle],
+                                              floor0[idle],
+                                              r[idle, :, None], spans)
+        certified = radius > FARKAS_RADIUS
         # a problem stalls after 500 steps without improvement; the
         # deadline is a lower bound, refreshed only once it is reached
         if iteration >= deadline:
             deadline = improved_at.min() + 500
-        if np.minimum.reduce(worst) > 0.0 and iteration < deadline:
+        if (np.minimum.reduce(worst) > 0.0 and iteration < deadline
+                and not certified.any()):
             continue
         converged = worst <= 0.0
-        retired = converged | (improved_at <= iteration - 500)
+        retired = converged | certified | (improved_at <= iteration - 500)
         if not retired.any():  # a NaN excess
             continue
         for row in np.flatnonzero(retired):
@@ -403,6 +472,12 @@ def _douglas_rachford(problems, t, max_iterations, initials):
             if converged[row]:
                 outcomes[j] = (problems[j].assignment(y_v[row, :, 0]),
                                iteration)
+            elif certified[row]:
+                outcomes[j] = (InfeasibleError(
+                    f"certified infeasible at step {iteration}: a Farkas "
+                    "certificate rules out every point with |y| < "
+                    f"{radius[row]:.3e} at margin {t:.3e} (residual gap "
+                    f"{gap[row]:.3e})"), iteration)
             else:
                 outcomes[j] = (InfeasibleError(
                     "projection iteration stagnated (residual gap "
@@ -411,8 +486,8 @@ def _douglas_rachford(problems, t, max_iterations, initials):
         keep = ~retired
         if not keep.any():
             return outcomes
-        live, A, pinv, g0, z, threshold, improved_at, worst = (
-            x[keep] for x in (live, A, pinv, g0, z, threshold,
+        live, A, pinv, g0, floor0, z, threshold, improved_at, worst = (
+            x[keep] for x in (live, A, pinv, g0, floor0, z, threshold,
                               improved_at, worst))
         u, v = np.empty_like(z), np.empty_like(z)
         views = block_views(z), block_views(u), block_views(v)
@@ -422,6 +497,41 @@ def _douglas_rachford(problems, t, max_iterations, initials):
             f"lambda_max excess {excess:.3e}; no strictly feasible point "
             "found"), max_iterations)
     return outcomes
+
+
+def _farkas_radius(A, pinv, floor0, r, spans):
+    """Radius ``Y`` of the Farkas certificate built from each
+    displacement of the stack ``r`` (k, length, 1): no assignment with
+    ``|y| < Y`` meets the floors (``nan`` or ``Y <= 0`` certifies
+    nothing).
+
+    ``r`` is projected onto ``null(A')`` with ``pinv``, and each block
+    is replaced by its PSD part, giving ``D``.  Every ``X = floor0 + A y``
+    that meets the floors is NSD blockwise, so ``<X, D> <= 0``, while
+    ``<X, D> = <floor0, D> + <y, A'D>``; hence
+    ``|y| >= <floor0, D> / |A'D|``.  ``FARKAS_ROUNDING`` times
+    ``|floor0| |D|`` comes off the numerator and times ``|A| |D|`` goes
+    on the denominator.  That covers the rounding of both products and
+    the few ulps of ``|D|`` by which a reconstructed block may miss PSD
+    (which move ``<X, D>`` by at most as much times ``|X|``), so a
+    radius never rests on rounding.
+    """
+    d = r - A @ (pinv @ r)
+    for lo, hi, nb in spans:
+        Db = d[:, lo:hi].reshape(-1, nb, nb)
+        w, V = np.linalg.eigh(0.5 * (Db + Db.mT))
+        np.matmul(V * np.maximum(w, 0.0)[:, None, :], V.mT, out=Db)
+    def norm(x):
+        return np.sqrt(np.vecdot(x, x))
+
+    leak = (A.mT @ d)[:, :, 0]  # A'D, zero for an exact certificate
+    d, floor0 = d[:, :, 0], floor0[:, :, 0]
+    size = norm(d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return ((np.vecdot(floor0, d)
+                 - FARKAS_ROUNDING * norm(floor0) * size)
+                / (norm(leak)
+                   + FARKAS_ROUNDING * norm(A.reshape(len(A), -1)) * size))
 
 
 def _solve_block(problems, margin, max_iterations, prefix, anchors):

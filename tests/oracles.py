@@ -9,7 +9,8 @@ from coopftc.errors import DimensionMismatchError, InfeasibleError
 from coopftc.linalg import sym_eigendecomp
 from coopftc.sim import integrate
 from coopftc.synth import (ANCHOR_INFLATION, CONTROLLER_POLE_RATIO,
-                           CONTROLLER_POLE_SLACK, PD_MARGIN)
+                           CONTROLLER_POLE_SLACK, FARKAS_EVERY,
+                           FARKAS_RADIUS, FARKAS_ROUNDING, PD_MARGIN)
 
 
 def virtual_observer_oracle(aug, net, synth, times, x_a, x_a_dot, u,
@@ -111,14 +112,17 @@ def is_negative_definite(S, margin: float = 0.0) -> bool:
     return bool(w[-1] < -margin)
 
 
-def solve_lmi_reference(problem, margin, max_iterations=6000, initial=None):
+def solve_lmi_reference(problem, margin, max_iterations=6000, initial=None,
+                        certify=True):
     """One problem's Douglas-Rachford iteration, block by block: the
     reference for the lockstep kernel behind :func:`coopftc.synth.solve_lmi`.
 
     Same contract as ``solve_lmi``: returns the accepted assignment or
     raises :class:`InfeasibleError` with the same message.  Every step
     is the per-problem form of the kernel's stacked step, so the two
-    agree bit for bit.
+    agree bit for bit.  With ``certify=False`` no Farkas certificate is
+    tested, as before the kernel tested them: an infeasible problem
+    runs to the stall cutoff or the budget.
     """
     t = float(margin)
     if t < 0:
@@ -143,9 +147,11 @@ def solve_lmi_reference(problem, margin, max_iterations=6000, initial=None):
     floors = [t] + [PD_MARGIN] * n_pd
     targets = [1.05 * t + 1e-9] + [2.0 * PD_MARGIN + 1e-12] * n_pd
     slacks = [target - floor for target, floor in zip(targets, floors)]
-    g0 = problem.base.copy()
-    for Gb, target in zip(problem.blocks(g0), targets):
+    g0, floor0 = problem.base.copy(), problem.base.copy()
+    for Gb, Fb, target, floor in zip(problem.blocks(g0),
+                                     problem.blocks(floor0), targets, floors):
         Gb += target * np.eye(len(Gb))
+        Fb += floor * np.eye(len(Fb))
 
     if initial is not None:
         y = np.array([initial[name][i, j] for name, i, j in problem.coords])
@@ -159,11 +165,22 @@ def solve_lmi_reference(problem, margin, max_iterations=6000, initial=None):
             clipped.append((V * np.minimum(w, 0.0)) @ V.T)
         return np.concatenate([Z.ravel() for Z in clipped])
 
+    def farkas_radius(r):
+        d = r - problem.A @ (problem.pinv @ r)
+        for Db in problem.blocks(d):
+            w, V = np.linalg.eigh(0.5 * (Db + Db.T))
+            Db[...] = (V * np.maximum(w, 0.0)) @ V.T
+        size = np.linalg.norm(d)
+        return ((np.dot(floor0, d)
+                 - FARKAS_ROUNDING * np.linalg.norm(floor0) * size)
+                / (np.linalg.norm(problem.A.T @ d)
+                   + FARKAS_ROUNDING * np.linalg.norm(problem.A) * size))
+
     z = g0 + problem.A @ y
     best_gap = np.inf
     stall = 0
     worst = np.nan
-    for _ in range(max_iterations):
+    for step in range(1, max_iterations + 1):
         u = project_cone(z)
         y_v = problem.pinv @ (2.0 * u - z - g0)
         v = g0 + problem.A @ y_v
@@ -179,15 +196,61 @@ def solve_lmi_reference(problem, margin, max_iterations=6000, initial=None):
             best_gap, stall = gap, 0
         else:
             stall += 1
-            if stall >= 500:
+        if certify and step % FARKAS_EVERY == 0 and stall >= FARKAS_EVERY:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                radius = farkas_radius(v - u)
+            if radius > FARKAS_RADIUS:
                 raise InfeasibleError(
-                    "projection iteration stagnated (residual gap "
-                    f"{gap:.3e}); no strictly feasible point found"
+                    f"certified infeasible at step {step}: a Farkas "
+                    "certificate rules out every point with |y| < "
+                    f"{radius:.3e} at margin {t:.3e} (residual gap "
+                    f"{gap:.3e})"
                 )
+        if stall >= 500:
+            raise InfeasibleError(
+                "projection iteration stagnated (residual gap "
+                f"{gap:.3e}); no strictly feasible point found"
+            )
     raise InfeasibleError(
         f"iteration budget ({max_iterations}) exhausted with "
         f"lambda_max excess {worst:.3e}; no strictly feasible point found"
     )
+
+
+def farkas_check(problem, margin, r):
+    """Re-verify from scratch the Farkas certificate the kernel builds
+    from the displacement ``r`` of a solve at ``margin``: the reference
+    for :func:`coopftc.synth._farkas_radius`, with other arithmetic.
+
+    Returns ``(radius, psd)``.  ``radius`` is ``Y``: every assignment
+    ``y`` whose expression meets the floors (``lambda_max <= -margin``,
+    each PD variable ``>= PD_MARGIN``) has ``|y| >= Y``.  ``psd`` is the
+    smallest eigenvalue of a certificate block relative to its norm.
+    """
+    floors = [margin] + [PD_MARGIN] * (len(problem.block_sizes) - 1)
+    floor0 = np.concatenate([
+        (block + floor * np.eye(len(block))).ravel()
+        for block, floor in zip(problem.blocks(problem.base), floors)])
+
+    # what is left of r after its least-squares fit by the columns of A
+    # is orthogonal to every direction of the family
+    fit = np.linalg.lstsq(problem.A, r, rcond=None)[0]
+    residual = r - problem.A @ fit
+    blocks = []
+    for block in problem.blocks(residual):
+        w, V = np.linalg.eigh(0.5 * (block + block.T))
+        blocks.append(V @ np.diag(np.clip(w, 0.0, None)) @ V.T)
+    psd = min(np.linalg.eigvalsh(0.5 * (D + D.T))[0] / np.linalg.norm(D)
+              for D in blocks if np.linalg.norm(D) > 0.0)
+    D = np.concatenate([block.ravel() for block in blocks])
+
+    # for X = floor0 + A y meeting the floors, 0 >= <X, D> =
+    # <floor0, D> + <A'D, y> >= <floor0, D> - |A'D| |y|
+    size = np.linalg.norm(D)
+    lower = float(floor0 @ D) - FARKAS_ROUNDING * np.linalg.norm(floor0) * size
+    upper = (np.linalg.norm(problem.A.T @ D)
+             + FARKAS_ROUNDING * np.linalg.norm(problem.A) * size)
+    return lower / upper, psd
 
 
 def anchor_riccati(Acl, NNt):

@@ -10,6 +10,7 @@ import dataclasses
 import hashlib
 import io
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -346,7 +347,10 @@ def test_synth_margin_above_the_cap_exits_at_once(tmp_path, capsys):
 
 def test_synth_reports_the_stalled_agent_of_five(tmp_path, capsys):
     """Five motors at delta = 0.3 on a ring: agent 5's base observer solve
-    stalls, and synth names it with the gap its iteration stalled at."""
+    stalls, and synth names it with the step at which a Farkas
+    certificate proved it infeasible, the certificate's radius and the
+    gap.  Without the certificate it ran to the stall cutoff at step
+    721."""
     ring = [[i, i % 5 + 1, 0.3] for i in range(1, 6)]
     ring += [[j, i, w] for i, j, w in ring]
     p = tmp_path / "m5.yaml"
@@ -355,10 +359,13 @@ def test_synth_reports_the_stalled_agent_of_five(tmp_path, capsys):
                  "normalize: true}\nplant: {m: 5}\n")
     code = main(["synth", "-s", str(p), "-o", str(tmp_path / "gains")])
     assert code == cli.EXIT_INFEASIBLE
-    assert capsys.readouterr().err == (
+    err = capsys.readouterr().err
+    assert err == (
         "synthesis failed: observer LMI infeasible for agent 5 at "
-        "delta=0.3: projection iteration stagnated (residual gap "
-        "8.876e-03); no strictly feasible point found\n")
+        "delta=0.3: certified infeasible at step 280: a Farkas certificate "
+        "rules out every point with |y| < 1.307e+06 at margin 1.000e-06 "
+        "(residual gap 8.876e-03)\n")
+    assert int(re.search(r"at step (\d+):", err).group(1)) <= 300
 
 
 def test_nonpositive_motor_resistance_rejected(tmp_path, capsys):

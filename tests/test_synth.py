@@ -6,14 +6,16 @@ do not trust the solver's own bookkeeping.
 """
 
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import (anchor_from_poles, anchor_riccati, is_negative_definite,
-                     place_poles_gain, slow_anchor, solve_lmi_reference)
+from oracles import (anchor_from_poles, anchor_riccati, farkas_check,
+                     is_negative_definite, place_poles_gain, slow_anchor,
+                     solve_lmi_reference)
 
 from coopftc import synth
 from coopftc.cli import save_matrix
@@ -106,11 +108,11 @@ def test_margin_above_the_cap_raises_before_iterating(monkeypatch):
 
 # --- lockstep kernel against the single-problem reference ------------------
 
-def _random_observer_problem(rng, n, delta):
+def _random_observer_problem(rng, n, delta, shift=2.0):
     """An agent-sized observer LMI (decay block appended) on a random
-    stable plant: feasible for large ``delta``, infeasible or capped for
-    small."""
-    A = 0.5 * rng.normal(size=(n, n)) - 2.0 * np.eye(n)
+    plant ``0.5 N - shift I``: feasible for large ``delta`` and
+    ``shift``, infeasible or capped for small."""
+    A = 0.5 * rng.normal(size=(n, n)) - shift * np.eye(n)
     E = rng.normal(size=(1, n))
     D = rng.normal(size=(n, 1))
     return LmiProblem(
@@ -131,21 +133,23 @@ def _reference_outcome(*args):
 def _outcome_kind(result):
     if not isinstance(result, InfeasibleError):
         return "feasible"
-    for kind in ("cap", "stagnated", "budget"):
+    for kind in ("certified", "cap", "stagnated", "budget"):
         if kind in str(result):
             return kind
     return "other"
 
 
-ALL_OUTCOMES = {"feasible", "cap", "stagnated", "budget"}
+ALL_OUTCOMES = {"feasible", "cap", "certified", "stagnated", "budget"}
 
 #: (seed, margin, max_iterations, warm start, outcomes reached): each
 #: stack mixes agents of two sizes with deltas 0.02, 0.1, 0.3 and 1.0,
 #: plus one constant problem.
 KERNEL_CASES = [
-    (0, 0.01, 1500, False, ALL_OUTCOMES),
+    (0, 0.01, 1500, False, ALL_OUTCOMES - {"certified"}),
     (1, 1e-6, 40, False, {"feasible", "budget"}),
-    (2, 0.01, 800, True, ALL_OUTCOMES),  # a rung above the base solutions
+    # a rung above the base solutions
+    (2, 0.01, 800, True, ALL_OUTCOMES - {"certified"}),
+    (11, 0.01, 1500, False, ALL_OUTCOMES),
 ]
 
 
@@ -155,7 +159,8 @@ def test_lockstep_kernel_matches_the_reference(seed, margin, max_iterations,
                                                warm, kinds, monkeypatch):
     """Every problem of a stack ends exactly as it does alone in the
     reference loop: at the same step, with the same assignment bit for
-    bit or the same InfeasibleError message."""
+    bit or the same InfeasibleError message.  The stack makes as many
+    Farkas tests as its problems make alone."""
     rng = np.random.default_rng(seed)
     problems = [_random_observer_problem(rng, n, delta)
                 for n in (2, 3) for _ in range(3)
@@ -168,21 +173,40 @@ def test_lockstep_kernel_matches_the_reference(seed, margin, max_iterations,
         initials = [None if isinstance(initial, InfeasibleError)
                     else initial for initial in initials]
 
+    tested = [0]
+    farkas_radius = synth._farkas_radius
+
+    def counted_radius(*args):
+        radius = farkas_radius(*args)
+        tested[0] += len(radius)
+        return radius
+
+    monkeypatch.setattr(synth, "_farkas_radius", counted_radius)
     outcomes = synth._solve_batch(problems, margin, max_iterations, initials)
-    # the reference takes one eigvalsh per block and step
-    eigvalsh, calls = np.linalg.eigvalsh, [0]
+    # the reference takes one eigvalsh per block and step, and one eigh
+    # per block and step and per Farkas test
+    calls = {}
 
-    def counted_eigvalsh(*args, **kwargs):
-        calls[0] += 1
-        return eigvalsh(*args, **kwargs)
+    def counted(name):
+        function = getattr(np.linalg, name)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return call
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    farkas_tests = 0
     for problem, initial, (result, steps) in zip(problems, initials,
                                                  outcomes):
-        calls[0] = 0
+        calls.update(eigh=0, eigvalsh=0)
         expected = _reference_outcome(problem, margin, max_iterations,
                                       initial)
-        assert calls[0] == steps * len(problem.block_sizes)
+        blocks = len(problem.block_sizes)
+        assert calls["eigvalsh"] == steps * blocks
+        if steps:
+            farkas_tests += calls["eigh"] // blocks - steps
         if isinstance(expected, InfeasibleError):
             assert isinstance(result, InfeasibleError)
             assert str(result) == str(expected)
@@ -190,7 +214,50 @@ def test_lockstep_kernel_matches_the_reference(seed, margin, max_iterations,
             assert result.keys() == expected.keys()
             for name in expected:
                 assert np.array_equal(result[name], expected[name])
+    assert tested[0] == farkas_tests
     assert {_outcome_kind(result) for result, _ in outcomes} == kinds
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 3),
+       st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.sampled_from([0.1, 0.3]),
+       st.sampled_from([MARGIN, 0.01]))
+def test_farkas_certificates_verify_and_spare_solvable_problems(
+        seed, n, shift, delta, margin):
+    """A problem the reference solves without Farkas tests is never
+    certified, and keeps its assignment bit for bit.  A certified
+    problem's certificate re-verifies from scratch (``farkas_check``):
+    its blocks are PSD and its radius clears ``FARKAS_RADIUS``, equal to
+    the reported one.  Of the 20 examples 2 certify and 3 are solved;
+    checked by hand over 400 random examples with 1,500-step budgets,
+    19 certified (the check agreeing to 3e-8 relative) and 117 solved,
+    none of them certified."""
+    problem = _random_observer_problem(np.random.default_rng(seed), n,
+                                       delta, shift)
+    plain = _reference_outcome(problem, margin, 800, None, False)
+    tested = []
+    farkas_radius = synth._farkas_radius
+
+    def recorded(A, pinv, floor0, r, spans):
+        radius = farkas_radius(A, pinv, floor0, r, spans)
+        tested.append((r[0, :, 0].copy(), radius[0]))
+        return radius
+
+    with mock.patch.object(synth, "_farkas_radius", recorded):
+        ((result, steps),) = synth._solve_batch([problem], margin, 800,
+                                                [None])
+    if not isinstance(plain, InfeasibleError):
+        assert result.keys() == plain.keys()
+        for name in plain:
+            assert np.array_equal(result[name], plain[name])
+    if _outcome_kind(result) == "certified":
+        r, radius = tested[-1]
+        assert f"at step {steps}: " in str(result)
+        assert f"|y| < {radius:.3e} " in str(result)
+        check, psd = farkas_check(problem, margin, r)
+        assert psd >= -1e-13
+        assert check > synth.FARKAS_RADIUS
+        assert check == pytest.approx(radius, rel=1e-6)
 
 
 def test_ladder_reports_the_first_failing_agent(monkeypatch):
@@ -343,8 +410,10 @@ def test_observer_rungs_iterate_in_lockstep(monkeypatch):
     """On an 8-agent fleet (motors 1-4 twice) each solve call makes one
     stacked ``eigh`` per block and step of its longest-running agent, not
     one per agent and step: the batching shows as an operation count,
-    which wall time on a shared host cannot pin.  Only stacked (3-D)
-    calls are counted; the re-verification's 2-D ones are not."""
+    which wall time on a shared host cannot pin.  Each Farkas test
+    makes one more stacked ``eigh`` per block, over the problems it
+    tests.  Only stacked (3-D) calls are counted; the
+    re-verification's 2-D ones are not."""
     net = stack_network([dc_motor_agent(i % 4 + 1) for i in range(8)])
     calls = []
     solve_batch = synth._solve_batch
@@ -361,13 +430,21 @@ def test_observer_rungs_iterate_in_lockstep(monkeypatch):
         stacked[0] += np.ndim(a) == 3
         return eigh(a, *args, **kwargs)
 
+    tests = [0]
+    farkas_radius = synth._farkas_radius
+
+    def counted_radius(*args):
+        tests[0] += 1
+        return farkas_radius(*args)
+
     monkeypatch.setattr(synth, "_solve_batch", logged)
     monkeypatch.setattr(synth.np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(synth, "_farkas_radius", counted_radius)
     synth_observer(augment_network(net), net, 0.3)
 
     blocks = 2  # the expression and the -P block
     assert [len(c) for c in calls] == [8, 8, 6]  # base, 0.03, 0.1
-    assert stacked[0] == blocks * sum(max(c) for c in calls)
+    assert stacked[0] == blocks * (sum(max(c) for c in calls) + tests[0])
     assert max(calls[1]) >= 500  # the two motor-4 stalls run side by side
     assert stacked[0] < blocks * sum(sum(c) for c in calls) / 1.5
 
