@@ -30,29 +30,29 @@ whole trace, one row per sample.
 Every numeric text file goes through :func:`write_rows` and
 :func:`read_rows`.  A cell is written as ``'%.17g' % x`` writes it, by
 a numpy kernel (:class:`~coopftc.cell_text.CellText`) that finds the 17
-correctly rounded digits of a block of cells at once and lays out their
-text with one gather.  A cell whose digits it cannot prove (an exact or
-near tie, a nonzero magnitude outside [1e-280, 1e17), a value that is
-not a finite double) is formatted by Python's own ``'%.17g' %`` and
-spliced into its place, so the bytes are always Python's.
+correctly rounded digits of a block of float64 cells at once and lays
+out their text with one gather.  A cell whose digits it cannot prove
+(an exact or near tie, a nonzero magnitude outside [1e-280, 1e17), a
+value that is not a finite double) is formatted by Python's own
+``'%.17g' %`` and spliced into its place, so the bytes are always
+Python's.
 
-A table of more than ``_SPLIT_CELLS`` cells is formatted or parsed by
-one process per CPU this process may use
-(``os.sched_getaffinity``), at most ``_SPLIT_WAYS_MAX``.  Only this
-process forks (``os.fork``, in :func:`_fork_jobs`), and it keeps the
-first row range for itself.  A child formats or parses its own
-contiguous range into a part file next to the file, unlinked as soon as
-it is made, which this process then copies in.  A child touches no BLAS
+A table of more than ``_SPLIT_CELLS`` cells, on a process that may use
+more than one CPU (``os.sched_getaffinity``), is formatted or parsed in
+two halves at once: this process keeps the first half, and one child
+it forks (``os.fork``, in :func:`_fork_half`) formats or parses the
+second into one part file next to the file, unlinked as soon as it is
+made, which this process then copies in.  The child touches no BLAS
 and no Python stdio, turns warnings into errors, and leaves by
-``os._exit``.  The parent reaps every child in a ``finally``.  If any
-range fails, it reruns the serial path, so the bytes, the table and
+``os._exit``.  The parent reaps it in a ``finally``.  If either half
+fails, the parent reruns the serial path, so the bytes, the table and
 every error text are the serial path's.  On one CPU, without
 ``os.fork``, or while any other Python thread runs, nothing forks.
 Python >= 3.12 warns when a process with threads forks.  That warning
 is silenced around the fork call only, by its message: no other Python
 thread runs then (checked before each split), the only native threads
 are OpenBLAS's pool, which OpenBLAS's own fork handler stops before the
-fork, and no child calls BLAS.
+fork, and the child calls no BLAS.
 """
 
 from __future__ import annotations
@@ -361,7 +361,7 @@ def run_experiment(loop: ClosedLoop, schedule: SignalSchedule,
 #: 8192 at most 6% faster than 4096.
 _WRITE_BLOCK_CELLS = 4096
 
-#: Tables of more cells than this are formatted and parsed by several
+#: Tables of more cells than this are formatted and parsed by two
 #: processes.  On a 2-CPU host, in a process holding 60 MB more than the
 #: CLI's imports, a split write plus read (medians of 7 and of 9) took
 #: 1.26-1.50x the serial time at 100k cells, 1.19-1.26x for 2 columns but
@@ -370,83 +370,87 @@ _WRITE_BLOCK_CELLS = 4096
 #: cells or more), every plot curve and gains file far below.
 _SPLIT_CELLS = 400_000
 
-#: The most processes one table is split over: the widest host the split
-#: has been measured on has two CPUs, and each fork copies the page
-#: tables of the whole process, one child after another.
-_SPLIT_WAYS_MAX = 2
-
 #: Bytes of whole lines one split reader parses per call.
 _READ_BLOCK_BYTES = 1 << 20
 
 
-def _split_ways(cells: int) -> int:
-    """How many processes share a table of ``cells`` cells: one per CPU
-    this process may run on, up to ``_SPLIT_WAYS_MAX``.  1 for a small
-    table, on one CPU, where the platform cannot fork, and while any
-    other Python thread runs: a lock it held at the fork would stay held
-    in the child, which could then wait for it for ever."""
-    if (cells <= _SPLIT_CELLS or not hasattr(os, "fork")
-            or not hasattr(os, "sched_getaffinity")
-            or threading.active_count() != 1):
-        return 1
-    return min(_SPLIT_WAYS_MAX, len(os.sched_getaffinity(0)))
+def _splits(cells: int) -> bool:
+    """Whether a table of ``cells`` cells is split over this process and
+    one forked child: more than ``_SPLIT_CELLS`` cells, more than one CPU
+    this process may run on, a platform that can fork, and no other
+    Python thread running, since a lock it held at the fork would stay
+    held in the child, which could then wait for it for ever.  One child
+    is as wide as the split goes: the widest host it has been measured
+    on has two CPUs, and a fork copies the page tables of the whole
+    process."""
+    return (cells > _SPLIT_CELLS and hasattr(os, "fork")
+            and hasattr(os, "sched_getaffinity")
+            and threading.active_count() == 1
+            and len(os.sched_getaffinity(0)) > 1)
 
 
 def _fork() -> int:
     with warnings.catch_warnings():
         # Python >= 3.12 warns when a process with threads forks.  No
-        # other Python thread runs here (``_split_ways`` checks), the
-        # only native threads are OpenBLAS's pool, which OpenBLAS's own
-        # fork handler stops before the fork, and a child calls no BLAS;
-        # so the warning is silenced for this call only.
+        # other Python thread runs here (``_splits`` checks), the only
+        # native threads are OpenBLAS's pool, which OpenBLAS's own fork
+        # handler stops before the fork, and the child calls no BLAS; so
+        # the warning is silenced for this call only.
         warnings.filterwarnings("ignore", r"This process .*multi-threaded",
                                 DeprecationWarning)
         return os.fork()
 
 
-def _fork_jobs(jobs) -> bool:
-    """Run ``jobs[0]`` here and each later job in a forked child, all at
-    once; True when every job returned.
+def _strict(job, *args) -> None:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        job(*args)
 
-    A job runs with warnings turned into errors, so a warning fails it
-    rather than being printed.  A child leaves by ``os._exit``: it runs
-    no exit handler and flushes no buffer it inherited, so its only
-    effects are what its job writes to files.  A child's job must touch
-    no BLAS and no Python stdio.  Every child is reaped before this
-    returns, and one still running after a failure is killed first.  On
-    False the caller reruns its serial path, so the result, or the
-    error, is the serial path's."""
-    def run(job):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            job()
 
-    pids: list[int] = []
+def _fork_half(name: str, mine, theirs) -> int | None:
+    """Run ``mine()`` here and ``theirs(fd)`` in one forked child at once,
+    ``fd`` being a new part file next to ``name``, open and already
+    unlinked, so that only the descriptor (which the child inherits)
+    reaches it and nothing is left behind.  Returns ``fd`` when both
+    halves returned; None, with the part closed, when it cannot be made
+    or either half failed.
+
+    Both halves run with warnings turned into errors, so a warning fails
+    a half rather than being printed.  The child leaves by ``os._exit``:
+    it runs no exit handler and flushes no buffer it inherited, so its
+    only effects are what ``theirs`` writes to files.  ``theirs`` must
+    touch no BLAS and no Python stdio.  The child is reaped before this
+    returns, and killed first if this process's half failed.  On None
+    the caller reruns its serial path, so the result, or the error, is
+    the serial path's."""
+    part = f"{name}.{os.getpid()}.part"
     try:
-        try:
-            for job in jobs[1:]:
-                pid = _fork()
-                if pid == 0:
-                    code = 1
-                    try:
-                        run(job)
-                        code = 0
-                    finally:
-                        os._exit(code)
-                pids.append(pid)
-            run(jobs[0])
-            while pids:
-                status = os.waitpid(pids[0], 0)[1]
-                del pids[0]
-                if status:
-                    return False
-        except Exception:
-            return False
-        return True
+        fd = os.open(part, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o600)
+    except OSError:
+        return None
+    pid, done = 0, False
+    try:
+        os.unlink(part)
+        pid = _fork()
+        if pid == 0:
+            code = 1
+            try:
+                _strict(theirs, fd)
+                code = 0
+            finally:
+                os._exit(code)
+        _strict(mine)
+        status = os.waitpid(pid, 0)[1]
+        pid, done = 0, status == 0
+    except Exception:
+        pass
     finally:
-        for pid in pids:
+        if pid:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+        if not done:
+            os.close(fd)
+    return fd if done else None
 
 
 def _width(columns) -> int:
@@ -454,20 +458,15 @@ def _width(columns) -> int:
 
 
 def _row_text(columns, sep: str, lo: int, hi: int):
-    """The text of rows ``lo:hi`` of ``columns``, a block at a time.  A
-    float64 block goes through the kernel; any other block, or any
-    separator the kernel cannot write, is formatted by Python."""
+    """The text of rows ``lo:hi`` of ``columns``, a block at a time, each
+    block converted to float64 and formatted by the kernel."""
     width = _width(columns)
     rows = max(1, min(_WRITE_BLOCK_CELLS // width, hi - lo))
-    kernel = CellText(rows * width, width, sep) if CellText.fits(sep) else None
-    line = sep.join(["%.17g"] * width) + "\n"
+    kernel = CellText(rows * width, width, sep)
     for start in range(lo, hi, rows):
         block = np.column_stack([c[start:min(start + rows, hi)]
                                  for c in columns])
-        if kernel is not None and block.dtype == np.float64:
-            yield kernel(block)
-        else:
-            yield (line * len(block)) % tuple(block.ravel().tolist())
+        yield kernel(block.astype(np.float64, copy=False))
 
 
 def _write_all(fd: int, data: bytes) -> None:
@@ -476,78 +475,44 @@ def _write_all(fd: int, data: bytes) -> None:
         view = view[os.write(fd, view):]
 
 
-def _read_all(fd: int, out: np.ndarray) -> None:
-    """Fill ``out`` with the bytes of the file ``fd``, from its start."""
-    view = memoryview(out.reshape(-1).view(np.uint8))
-    os.lseek(fd, 0, os.SEEK_SET)
-    while view:
-        got = os.readv(fd, [view])
-        if not got:
-            raise ValueError("part file is short")
-        view = view[got:]
-
-
 def _write_part(fd: int, columns, sep: str, lo: int, hi: int) -> None:
     for text in _row_text(columns, sep, lo, hi):
         _write_all(fd, text.encode())
 
 
-def _part_files(name: str, count: int) -> list[int] | None:
-    """``count`` new files next to ``name``, open and already unlinked,
-    so that only the descriptors (which children inherit) reach them and
-    nothing is left behind; None where they cannot be made."""
-    fds: list[int] = []
-    try:
-        for k in range(1, count + 1):
-            part = f"{name}.{os.getpid()}.{k}.part"
-            fds.append(os.open(part, os.O_RDWR | os.O_CREAT | os.O_EXCL,
-                               0o600))
-            os.unlink(part)
-    except OSError:
-        for fd in fds:
-            os.close(fd)
-        return None
-    return fds
-
-
-def _write_split(fh, columns, sep: str, ways: int) -> bool:
-    """Write ``columns`` as ``ways`` row ranges at once, if ``fh`` is a
+def _write_split(fh, columns, sep: str) -> bool:
+    """Write the two row halves of ``columns`` at once, if ``fh`` is a
     named, seekable UTF-8 file and the platform can copy between files in
-    the kernel; False, with ``fh`` as it was, otherwise or when any range
-    or any copy fails."""
+    the kernel; False, with ``fh`` as it was, otherwise or when either
+    half or the copy fails."""
     name = getattr(fh, "name", None)
     if (not isinstance(name, str) or getattr(fh, "encoding", None) != "utf-8"
             or not fh.seekable() or not hasattr(os, "copy_file_range")):
         return False
-    parts = _part_files(name, ways - 1)
-    if parts is None:
-        return False
     n = len(columns[0])
-    bounds = [n * k // ways for k in range(ways + 1)]
+    half = n // 2
     start = fh.tell()
-    try:
-        jobs = [partial(fh.writelines, _row_text(columns, sep, 0, bounds[1]))]
-        jobs += [partial(_write_part, fd, columns, sep, bounds[k],
-                         bounds[k + 1]) for k, fd in enumerate(parts, 1)]
-        if _fork_jobs(jobs):
+    part = _fork_half(name,
+                      lambda: fh.writelines(_row_text(columns, sep, 0, half)),
+                      lambda fd: _write_part(fd, columns, sep, half, n))
+    if part is not None:
+        try:
             fh.flush()
-            try:
-                for fd in parts:  # appended at the descriptor's offset
-                    pos = 0
-                    while sent := os.copy_file_range(fd, fh.fileno(),
-                                                     1 << 30, pos):
-                        pos += sent
+            try:  # appended at the descriptor's offset
+                pos = 0
+                while sent := os.copy_file_range(part, fh.fileno(), 1 << 30,
+                                                 pos):
+                    pos += sent
             except OSError:
                 pass
             else:
                 fh.seek(0, os.SEEK_END)  # past what the handle did not write
                 return True
-        fh.seek(start)
-        fh.truncate()
-        return False
-    finally:
-        for fd in parts:
-            os.close(fd)
+        finally:
+            os.close(part)
+    fh.seek(start)
+    fh.truncate()
+    return False
 
 
 def write_rows(fh, columns, sep: str) -> None:
@@ -555,40 +520,45 @@ def write_rows(fh, columns, sep: str) -> None:
     text handle ``fh``, a few rows at a time, so the whole table is never
     copied.  The bytes equal ``np.savetxt``'s: 17 significant digits
     per cell, exact on reading back, cells joined by ``sep``, LF endings.
-    The cells are formatted by :class:`~coopftc.cell_text.CellText`,
-    and those it cannot prove by Python's ``'%.17g' %``.
+    Each block of cells is converted to float64 and formatted by
+    :class:`~coopftc.cell_text.CellText`, and the cells it cannot prove
+    by Python's ``'%.17g' %``.  A separator the kernel cannot write, one
+    that is not a single ASCII character other than NUL, raises
+    ``ValueError``.
 
     A table of more than ``_SPLIT_CELLS`` cells going to a named,
-    seekable UTF-8 file is cut into contiguous row ranges, one per CPU
-    this process may use, up to ``_SPLIT_WAYS_MAX`` (:func:`_split_ways`,
-    :func:`_fork_jobs`).  This process formats the
-    first range into ``fh``.  Each forked child formats its range into
-    its own part file next to the output, unlinked once created; this
-    process then appends the parts in order, copied in the kernel
-    (``os.copy_file_range``).  If any range fails, what
-    was written is truncated and the serial path below runs, so the
-    bytes and any error are the serial path's.  On one CPU, without
-    ``os.fork``, or while another Python thread runs, nothing forks."""
+    seekable UTF-8 file is cut into two row halves (:func:`_splits`,
+    :func:`_fork_half`).  This process formats the first half into
+    ``fh``.  One forked child formats the second into one part file next
+    to the output, unlinked once created; this process then appends the
+    part, copied in the kernel (``os.copy_file_range``).  If either half
+    fails, what was written is truncated and the serial path below runs,
+    so the bytes and any error are the serial path's.  On one CPU,
+    without ``os.fork``, or while another Python thread runs, nothing
+    forks."""
+    if not CellText.fits(sep):
+        raise ValueError(f"separator {sep!r} is not one ASCII character "
+                         "other than NUL")
     n = len(columns[0])
-    ways = min(_split_ways(n * _width(columns)), n)
-    if ways > 1 and _write_split(fh, columns, sep, ways):
+    split = n > 1 and _splits(n * _width(columns))
+    if split and _write_split(fh, columns, sep):
         return
     fh.writelines(_row_text(columns, sep, 0, n))
 
 
-def _scan(fd: int, sep: str, ways: int):
+def _scan(fd: int, sep: str):
     """The header line, the first row's cell count and the body cut into
-    blocks of whole lines, ``(offset, length, rows)`` each: at least
-    ``ways`` blocks where the body allows, of at most about
-    ``_READ_BLOCK_BYTES``.  None for a file only the serial reader may
-    judge: no header line, a carriage return in it, or no final
-    newline."""
+    blocks of whole lines, ``(offset, length, rows)`` each: at least two
+    where the body allows, so that this process and the one child each
+    get some, of at most about ``_READ_BLOCK_BYTES``.  None for a file
+    only the serial reader may judge: no header line, a carriage return
+    in it, or no final newline."""
     size = os.fstat(fd).st_size
     head = os.pread(fd, _READ_BLOCK_BYTES, 0)
     end = head.find(b"\n") + 1
     if not end or b"\r" in head[:end]:
         return None
-    step = max(1, min(_READ_BLOCK_BYTES, (size - end) // ways))
+    step = max(1, min(_READ_BLOCK_BYTES, (size - end) // 2))
     blocks, cols, pos = [], 0, end
     while pos < size:
         chunk = os.pread(fd, step, pos)
@@ -607,34 +577,25 @@ def _scan(fd: int, sep: str, ways: int):
 
 
 def _read_split(path, sep: str):
-    """``(header, table)`` parsed by one process per CPU, or None where
-    the serial reader must run: a small table, one CPU, a file that does
-    not cut into whole lines, or any block that does not parse into as
-    many rows of the first row's width as it has lines."""
+    """``(header, table)`` parsed in two halves at once, or None where the
+    serial reader must run: a small table, one CPU, a file that does not
+    cut into whole lines, or any block that does not parse into as many
+    rows of the first row's width as it has lines."""
     try:
         fd = os.open(path, os.O_RDONLY)
     except OSError:
         return None
-    parts = None
     try:
         # a cell takes at least two bytes, its text and a separator
-        ways = _split_ways(os.fstat(fd).st_size // 2)
-        scan = _scan(fd, sep, ways) if ways > 1 else None
+        scan = _scan(fd, sep) if _splits(os.fstat(fd).st_size // 2) else None
         if scan is None:
             return None
         header, cols, blocks = scan
         rows = np.cumsum([0] + [count for _, _, count in blocks])
-        if _split_ways(int(rows[-1]) * cols) < 2:
+        if not _splits(int(rows[-1]) * cols):
             return None
-        parts = _part_files(os.fspath(path), ways - 1)
-        if parts is None:
-            return None
-        # each process takes the blocks that start in its share of bytes
-        offsets = np.array([offset for offset, _, _ in blocks])
-        body = blocks[-1][0] + blocks[-1][1] - offsets[0]
-        edges = np.searchsorted(
-            offsets, offsets[0] + body * np.arange(ways + 1) // ways)
         table = np.empty((int(rows[-1]), cols))
+        half = len(blocks) // 2
 
         def parse(lo: int, hi: int, part_fd: int | None = None) -> None:
             """Blocks ``lo:hi`` into the table, or as float64 bytes into
@@ -651,19 +612,19 @@ def _read_split(path, sep: str):
                 else:
                     _write_all(part_fd, part.tobytes())
 
-        jobs = [partial(parse, 0, edges[1])]
-        jobs += [partial(parse, edges[k], edges[k + 1], part_fd)
-                 for k, part_fd in enumerate(parts, 1)]
-        if not _fork_jobs(jobs):
+        child_rows = _fork_half(os.fspath(path), partial(parse, 0, half),
+                                partial(parse, half, len(blocks)))
+        if child_rows is None:
             return None
-        for k, part_fd in enumerate(parts, 1):
-            _read_all(part_fd, table[rows[edges[k]]:rows[edges[k + 1]]])
+        with open(child_rows, "rb") as part:
+            part.seek(0)
+            rest = table[rows[half]:]
+            if part.readinto(rest) != rest.nbytes:
+                raise ValueError("part file is short")
         return header, table
     except (OSError, ValueError):  # a header that is not UTF-8 included
         return None
     finally:
-        for part_fd in parts or ():
-            os.close(part_fd)
         os.close(fd)
 
 
@@ -695,19 +656,20 @@ def read_rows(path, sep: str) -> tuple[str, np.ndarray]:
     A non-numeric cell, a ragged row, an empty body or a non-finite cell
     raises :class:`SchemaError` naming the file and the line.
 
-    A table of more than ``_SPLIT_CELLS`` cells is cut into byte ranges
-    of whole lines, one per CPU this process may use, up to
-    ``_SPLIT_WAYS_MAX`` (:func:`_split_ways`, :func:`_fork_jobs`).
-    This process parses the first range into the table.  Each forked
-    child parses its own and writes the rows' float64 bytes to a part
-    file next to ``path``, unlinked once made; this process reads them
-    into the table.  The table is an ordinary array, so a long-lived
+    A table of more than ``_SPLIT_CELLS`` cells is cut into blocks of
+    whole lines (:func:`_scan`), and the blocks into two halves
+    (:func:`_splits`, :func:`_fork_half`).  This process parses the
+    first half into the table.  One forked child parses the second and
+    writes the rows' float64 bytes to one part file next to ``path``,
+    unlinked once made; this process reads them into the table.  The
+    table is an ordinary array of its exact size, so a long-lived
     process can build it in memory it freed before (rows in shared
-    memory could not reuse that).  Any range that fails, or that parses
-    to other rows than its line count, and any part file that cannot be
-    made, sends the whole file through the serial reader, so the table
-    and every error text are the serial reader's.  On one CPU, without
-    ``os.fork``, or while another Python thread runs, nothing forks."""
+    memory could not reuse that).  A half that fails, or a block that
+    parses to other rows than its line count, and a part file that
+    cannot be made, send the whole file through the serial reader, so
+    the table and every error text are the serial reader's.  On one
+    CPU, without ``os.fork``, or while another Python thread runs,
+    nothing forks."""
     split = _read_split(path, sep)
     first, table = split if split is not None else _read_serial(path, sep)
     if table.size == 0:

@@ -5,6 +5,8 @@ import dataclasses
 import decimal
 import io
 import os
+import re
+import signal
 import threading
 from fractions import Fraction
 
@@ -379,6 +381,16 @@ def test_random_doubles_are_python_s_bytes():
                                                for v in cells.tolist()]
 
 
+@pytest.mark.parametrize("sep", [", ", "\t\t", "\0", "\u00a0", ""])
+def test_separator_the_kernel_cannot_write_is_refused(sep):
+    """Only one ASCII character other than NUL separates cells; any
+    other separator is named in a ``ValueError`` and nothing is written."""
+    written = io.StringIO()
+    with pytest.raises(ValueError, match=re.escape(repr(sep))):
+        write_rows(written, [np.arange(3.0)], sep)
+    assert written.getvalue() == ""
+
+
 def _is_tie(value: float) -> bool:
     """Whether ``value`` lies exactly halfway between two 17-digit
     decimals."""
@@ -409,9 +421,9 @@ def test_only_unprovable_cells_take_python_s_formatter(monkeypatch):
 
 # --- text tables on several processes --------------------------------------
 
-def _split_over(mp, ways: int) -> list[int]:
-    """Split every table over ``ways`` processes; the list that is
-    returned grows by one at each fork."""
+def _split_over(mp, cpus: int) -> list[int]:
+    """Split every table of two or more rows, as on ``cpus`` CPUs; the
+    list that is returned grows by one at each fork."""
     forks = []
     fork = os.fork
 
@@ -419,8 +431,7 @@ def _split_over(mp, ways: int) -> list[int]:
         forks.append(1)
         return fork()
     mp.setattr(sim, "_SPLIT_CELLS", 0)
-    mp.setattr(sim, "_SPLIT_WAYS_MAX", ways)
-    mp.setattr(os, "sched_getaffinity", lambda pid: set(range(ways)))
+    mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     mp.setattr(os, "fork", counted)
     return forks
 
@@ -445,16 +456,17 @@ _EDGES = np.array([[0.0, -0.0, 5e-324], [-5e-324, 1e308, -1e308],
 @settings(max_examples=20, deadline=None)
 @given(arrays(np.float64, st.tuples(st.integers(1, 30), st.integers(1, 4)),
               elements=st.floats(allow_nan=False, allow_infinity=False)),
-       st.sampled_from([",", " "]), st.integers(1, 3))
-@example(_EDGES, ",", 3)
-@example(_EDGES[:2], ",", 3)  # fewer rows than processes
+       st.sampled_from([",", " "]), st.integers(1, 2))
+@example(_EDGES, ",", 2)
+@example(_EDGES[:1], ",", 2)  # one row on two CPUs
 @example(_EDGES.reshape(-1, 1), " ", 2)  # width 1
 @example(np.arange(6001.0).reshape(-1, 1) / 7, ",", 2)  # several blocks
 @example(_KERNEL_EDGES.reshape(-1, 2), ",", 2)
-def test_split_table_matches_serial(tmp_path_factory, rows, sep, ways):
-    """Written by 1, 2 or 3 processes, the bytes are ``np.savetxt``'s and
-    the serial writer's, and the split reader returns the serial table
-    bit for bit."""
+def test_split_table_matches_serial(tmp_path_factory, rows, sep, cpus):
+    """Written on 1 or 2 CPUs, the bytes are ``np.savetxt``'s and the
+    serial writer's, and the split reader returns the serial table bit
+    for bit.  On two CPUs the write forks one child unless the table has
+    one row, and the read forks one child."""
     oracle, serial = io.StringIO(), io.StringIO()
     np.savetxt(oracle, rows, fmt="%.17g", delimiter=sep)
     write_rows(serial, [rows], sep)  # an unnamed handle: never split
@@ -462,7 +474,7 @@ def test_split_table_matches_serial(tmp_path_factory, rows, sep, ways):
     directory = tmp_path_factory.mktemp("split")
     path = directory / "t.txt"
     with pytest.MonkeyPatch.context() as mp:
-        forks = _split_over(mp, ways)
+        forks = _split_over(mp, cpus)
         _write_file(path, [rows[:, :1], rows[:, 1:]], sep)
         first, back = read_rows(path, sep)
     assert path.read_text() == "header line\n" + oracle.getvalue()
@@ -470,8 +482,7 @@ def test_split_table_matches_serial(tmp_path_factory, rows, sep, ways):
     _, serial_back = read_rows(path, sep)
     npt.assert_array_equal(back.view(np.uint64), serial_back.view(np.uint64))
     npt.assert_array_equal(back.view(np.uint64), rows.view(np.uint64))
-    assert len(forks) == (0 if ways == 1 else
-                          min(ways, len(rows)) - 1 + ways - 1)
+    assert len(forks) == (0 if cpus == 1 else (len(rows) > 1) + 1)
     _assert_tidy(directory, "t.txt")
 
 
@@ -479,34 +490,34 @@ def test_split_write_of_edge_cells_needs_no_serial_rerun(tmp_path,
                                                          monkeypatch):
     """Both processes format the kernel's edge cells with warnings turned
     into errors: no numpy warning sends the table to the serial path."""
-    results, fork_jobs = [], sim._fork_jobs
+    results, fork_half = [], sim._fork_half
 
-    def recorded(jobs):
-        results.append(fork_jobs(jobs))
+    def recorded(*args):
+        results.append(fork_half(*args))
         return results[-1]
     _split_over(monkeypatch, 2)
-    monkeypatch.setattr(sim, "_fork_jobs", recorded)
+    monkeypatch.setattr(sim, "_fork_half", recorded)
     _write_file(tmp_path / "t.txt", [_KERNEL_EDGES.reshape(-1, 2)], ",")
-    assert results == [True]
+    assert len(results) == 1 and results[0] is not None
 
 
 @pytest.mark.parametrize("bad", ["1,x,3", "1,2", "1,inf,3"],
                          ids=["non-numeric", "ragged", "non-finite"])
 def test_split_read_errors_are_the_serial_errors(tmp_path, bad):
-    """A bad row in the last process's range gives the serial reader's
-    error: the same text, file and line."""
+    """A bad row in the child's half gives the serial reader's error:
+    the same text, file and line."""
     lines = ["header line"] + [",".join("%.17g" % v for v in row)
                                for row in np.arange(180).reshape(60, 3) / 7]
     lines[-2] = bad
     path = tmp_path / "t.csv"
     path.write_text("\n".join(lines) + "\n")
     errors = []
-    for ways in (1, 3):
+    for cpus in (1, 2):
         with pytest.MonkeyPatch.context() as mp:
-            forks = _split_over(mp, ways)
+            forks = _split_over(mp, cpus)
             with pytest.raises(SchemaError) as exc:
                 read_rows(path, ",")
-        assert len(forks) == ways - 1
+        assert len(forks) == cpus - 1
         errors.append(str(exc.value))
         _assert_tidy(tmp_path, "t.csv")
     assert errors[0] == errors[1]
@@ -536,23 +547,23 @@ def test_split_read_of_odd_lines_is_the_serial_reading(tmp_path, text):
     path.write_bytes(text.encode())
     serial = _reading(path)
     with pytest.MonkeyPatch.context() as mp:
-        _split_over(mp, 3)
+        _split_over(mp, 2)
         assert _reading(path) == serial
     _assert_tidy(tmp_path, "t.txt")
 
 
 def test_split_write_failure_gives_the_serial_error(tmp_path):
-    """A cell only a child meets that cannot be formatted: the file and the
-    error are the serial writer's."""
+    """A cell only the child meets that cannot be converted to float64:
+    the file and the error are the serial writer's."""
     column = (np.arange(60.0) / 7).astype(object)
     column[-2] = "x"
     results = []
-    for ways in (1, 3):
+    for cpus in (1, 2):
         with pytest.MonkeyPatch.context() as mp:
-            forks = _split_over(mp, ways)
-            with pytest.raises(TypeError) as exc:
+            forks = _split_over(mp, cpus)
+            with pytest.raises(ValueError) as exc:
                 _write_file(tmp_path / "t.txt", [column], ",")
-        assert len(forks) == ways - 1
+        assert len(forks) == cpus - 1
         results.append((str(exc.value), (tmp_path / "t.txt").read_bytes()))
         _assert_tidy(tmp_path, "t.txt")
     assert results[0] == results[1]
@@ -566,20 +577,75 @@ def test_failing_child_falls_back_to_serial_bytes(tmp_path):
     def fail(*args):
         raise OSError("no space left in the part file")
     with pytest.MonkeyPatch.context() as mp:
-        forks = _split_over(mp, 3)
+        forks = _split_over(mp, 2)
         mp.setattr(sim, "_write_part", fail)
         _write_file(tmp_path / "t.txt", [rows], ",")
-    assert len(forks) == 2
+    assert len(forks) == 1
     assert (tmp_path / "t.txt").read_text() == ("header line\n"
                                                 + oracle.getvalue())
     _assert_tidy(tmp_path, "t.txt")
 
 
+def _spy_kill(mp) -> list[int]:
+    """Pass every ``os.kill`` on; the list that is returned gathers the
+    signals sent."""
+    signals, kill = [], os.kill
+
+    def spy(pid, sig):
+        signals.append(sig)
+        kill(pid, sig)
+    mp.setattr(os, "kill", spy)
+    return signals
+
+
+def test_failing_write_half_here_kills_the_child(tmp_path):
+    """A cell in this process's half, after a whole block, that cannot be
+    converted to float64: the child is killed and reaped, and the file
+    and the error are the serial writer's."""
+    column = (np.arange(10000.0) / 7).astype(object)
+    column[4500] = "x"
+    results = []
+    for cpus in (1, 2):
+        with pytest.MonkeyPatch.context() as mp:
+            forks, kills = _split_over(mp, cpus), _spy_kill(mp)
+            with pytest.raises(ValueError) as exc:
+                _write_file(tmp_path / "t.txt", [column], ",")
+        assert len(forks) == cpus - 1
+        assert kills == [signal.SIGKILL] * (cpus - 1)
+        results.append((str(exc.value), (tmp_path / "t.txt").read_bytes()))
+        _assert_tidy(tmp_path, "t.txt")
+    assert results[0] == results[1]
+    assert results[0][1].count(b"\n") == 1 + 4096  # the first block
+
+
+def test_failing_read_half_here_kills_the_child(tmp_path):
+    """A bad row in this process's half: the child is killed and reaped,
+    and the error is the serial reader's."""
+    lines = ["header line"] + [",".join("%.17g" % v for v in row)
+                               for row in np.arange(180).reshape(60, 3) / 7]
+    lines[2] = "1,x,3"
+    path = tmp_path / "t.csv"
+    path.write_text("\n".join(lines) + "\n")
+    text, errors = path.read_bytes(), []
+    for cpus in (1, 2):
+        with pytest.MonkeyPatch.context() as mp:
+            forks, kills = _split_over(mp, cpus), _spy_kill(mp)
+            with pytest.raises(SchemaError) as exc:
+                read_rows(path, ",")
+        assert len(forks) == cpus - 1
+        assert kills == [signal.SIGKILL] * (cpus - 1)
+        errors.append(str(exc.value))
+        _assert_tidy(tmp_path, "t.csv")
+    assert errors[0] == errors[1]
+    assert errors[0].startswith(f"{path}: line 3: ")
+    assert path.read_bytes() == text
+
+
 @pytest.mark.parametrize("copy", ["raises", "missing"])
 def test_failed_part_copy_falls_back_to_serial_bytes(tmp_path, copy):
-    """Where the kernel copy of a part fails, after the first part is
-    copied, or the platform has none, the file is the serial writer's and
-    no part or child is left."""
+    """Where the kernel copy of the part fails, after a first call that
+    copied it, or the platform has none, the file is the serial writer's
+    and no part or child is left."""
     rows = np.arange(300.0).reshape(100, 3) / 7
     oracle = io.StringIO()
     np.savetxt(oracle, rows, fmt="%.17g", delimiter=",")
@@ -591,14 +657,14 @@ def test_failed_part_copy_falls_back_to_serial_bytes(tmp_path, copy):
             raise OSError("copy_file_range: operation not supported")
         return copy_file_range(*args)
     with pytest.MonkeyPatch.context() as mp:
-        forks = _split_over(mp, 3)
+        forks = _split_over(mp, 2)
         if copy == "raises":
             mp.setattr(os, "copy_file_range", copy_once)
         else:
             mp.delattr(os, "copy_file_range", raising=False)
         _write_file(tmp_path / "t.txt", [rows], ",")
     # without the call, nothing is formatted twice
-    assert len(forks) == (2 if copy == "raises" else 0)
+    assert len(forks) == (1 if copy == "raises" else 0)
     assert len(calls) == (2 if copy == "raises" else 0)
     assert (tmp_path / "t.txt").read_text() == ("header line\n"
                                                 + oracle.getvalue())
@@ -625,7 +691,7 @@ def test_one_core_path_forks_nothing(tmp_path, monkeypatch, one_core):
         monkeypatch.setattr(os, "fork", refuse)
     else:
         monkeypatch.delattr(os, "fork")
-        monkeypatch.setattr(sim, "_fork_jobs", refuse)
+        monkeypatch.setattr(sim, "_fork_half", refuse)
     _write_file(tmp_path / "one.txt", [rows], ",")
     _, table = read_rows(tmp_path / "one.txt", ",")
     assert ((tmp_path / "one.txt").read_bytes()
@@ -634,12 +700,12 @@ def test_one_core_path_forks_nothing(tmp_path, monkeypatch, one_core):
 
 
 def test_split_is_capped_and_waits_for_no_thread(tmp_path, monkeypatch):
-    """On eight CPUs a table is split over ``_SPLIT_WAYS_MAX`` processes.
-    While another Python thread runs nothing forks, since a lock it held
-    at the fork would stay held in the child; the bytes stay the same."""
+    """On eight CPUs a table is still split over two processes, one child
+    each way.  While another Python thread runs nothing forks, since a
+    lock it held at the fork would stay held in the child; the bytes stay
+    the same."""
     rows = np.arange(600.0).reshape(200, 3) / 7
     forks = _split_over(monkeypatch, 8)
-    monkeypatch.setattr(sim, "_SPLIT_WAYS_MAX", 2)
     _write_file(tmp_path / "split.txt", [rows], ",")
     _, split = read_rows(tmp_path / "split.txt", ",")
     assert len(forks) == 2  # one for the write, one for the read

@@ -12,6 +12,14 @@ attenuation level of 1e-9).  For each command it prints the exit code
 and the md5 of its stdout and stderr, then the md5 of every file left
 in the work directory.
 
+bench4's ``simulate`` and ``verify`` run twice: as the benchmark runs
+them, where the trace is written and read by two processes on a host of
+two or more CPUs, and with this process pinned to one CPU
+(``bench4_one_cpu``), where nothing is split.  The two traces
+(``bench4_out/trace.csv`` and ``bench4_one_cpu_out/trace.csv``) and the
+two ``verify`` stdouts must have the same md5; where they do not, the
+tool says so on stderr and exits 1.
+
 Two trees give the same results exactly when their manifests are equal::
 
     python3 tools/outputs_md5.py > change.txt
@@ -20,7 +28,7 @@ Two trees give the same results exactly when their manifests are equal::
 
 The commands run in a fresh temporary directory with relative paths, so
 no message carries a path that differs between runs.  A run takes about
-7 s on a 2-vCPU host and writes about 300 MB, removed on exit.
+10 s on a 2-vCPU host and writes about 350 MB, removed on exit.
 """
 
 from __future__ import annotations
@@ -62,6 +70,21 @@ FAILING = {
     "tiny_delta.yaml": "synthesis: {delta: 1.0e-9}\n",
 }
 
+#: Commands run with this process pinned to one CPU, so that no table
+#: is split.
+ONE_CPU = {
+    "bench4_one_cpu.simulate": ["simulate", "-s", "bench4.yaml", "-o",
+                                "bench4_one_cpu_out", "--gains",
+                                "bench4_gains"],
+    "bench4_one_cpu.verify": ["verify", "-s", "bench4.yaml", "--trace",
+                              "bench4_one_cpu_out/trace.csv", "--gains",
+                              "bench4_gains"],
+}
+
+#: Manifest lines that the split and the one-CPU runs must share.
+SAME = [("file bench4_out/trace.csv", "file bench4_one_cpu_out/trace.csv"),
+        ("bench4.verify stdout", "bench4_one_cpu.verify stdout")]
+
 
 def _workloads():
     """``perfbench/workloads.py``, loaded by path; it imports only the
@@ -92,6 +115,7 @@ def _commands() -> list[tuple[str, list[str]]]:
         ("bench4.sweep", ["simulate", "-s", "bench4.yaml", "-o",
                           "bench4_sweep", "--gains", "bench4_gains",
                           "--sweep"]),
+        *ONE_CPU.items(),
         # synthesis in-process, on the short warm-up scenario
         ("bench4_warm.simulate", ["simulate", "-s", "bench4_warm.yaml", "-o",
                                   "bench4_warm_out"]),
@@ -123,11 +147,24 @@ def _md5(data: bytes) -> str:
     return hashlib.md5(data).hexdigest()
 
 
-def _run(main, argv) -> tuple[str, str, str]:
+@contextlib.contextmanager
+def _one_cpu():
+    """This process pinned to one of the CPUs it may use, and then given
+    back the CPUs it had."""
+    cpus = os.sched_getaffinity(os.getpid())
+    os.sched_setaffinity(os.getpid(), {min(cpus)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(os.getpid(), cpus)
+
+
+def _run(main, argv, one_cpu: bool) -> tuple[str, str, str]:
     """Exit code (or the name of an exception ``main`` let through),
-    stdout and stderr of one command."""
+    stdout and stderr of one command, run on one CPU if ``one_cpu``."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+          _one_cpu() if one_cpu else contextlib.nullcontext()):
         try:
             code = str(main(argv))
         except BaseException as exc:  # noqa: BLE001 - reported, not raised
@@ -149,7 +186,7 @@ def manifest(seed: int) -> list[str]:
         os.chdir(work)
         try:
             for label, argv in _commands():
-                code, out, err = _run(main, argv)
+                code, out, err = _run(main, argv, label in ONE_CPU)
                 lines += [f"{label} exit {code}",
                           f"{label} stdout {_md5(out.encode())}",
                           f"{label} stderr {_md5(err.encode())}"]
@@ -173,8 +210,13 @@ def main(argv=None) -> int:
                         help="sim.seed written into the benchmark scenarios")
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
-    print("\n".join(manifest(args.seed)))
-    return 0
+    lines = manifest(args.seed)
+    print("\n".join(lines))
+    digests = dict(line.rsplit(" ", 1) for line in lines)
+    differ = [pair for pair in SAME if digests[pair[0]] != digests[pair[1]]]
+    for split, serial in differ:
+        print(f"{split} and {serial} differ", file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
