@@ -486,12 +486,15 @@ def build_plant(sc: Scenario) -> NetworkModel:
     if sc.plant_kind == "dc_motor":
         return stack_network(dc_motor_agent(i) for i in range(1, sc.m + 1))
     agents = []
-    for A, B, C, D in sc.agents:
+    for k, (A, B, C, D) in enumerate(sc.agents, start=1):
         C_arr = np.asarray(C, dtype=float)
-        agents.append(AgentModel(A=np.asarray(A, float),
-                                 B=np.asarray(B, float),
-                                 C=C_arr, D=np.asarray(D, float),
-                                 F=np.eye(C_arr.shape[0])))
+        try:
+            agents.append(AgentModel(A=np.asarray(A, float),
+                                     B=np.asarray(B, float),
+                                     C=C_arr, D=np.asarray(D, float),
+                                     F=np.eye(C_arr.shape[0])))
+        except ModelValidationError as exc:
+            raise ModelValidationError(f"plant.agents[{k}]: {exc}") from exc
     return stack_network(agents)
 
 

@@ -1,9 +1,11 @@
 """Dense linear-algebra kernel used by every other module.
 
-Thin, contract-checked wrappers around LAPACK (via numpy/scipy): pivoted
-LU solves, symmetric eigendecomposition, Lyapunov equations by the
-Bartels-Stewart method (a real Schur form and LAPACK ``trsyl``; O(n^3)
-time, O(n^2) memory), and the Hurwitz predicate built on top of them.
+Contract-checked wrappers around numpy's LAPACK: block-diagonal
+assembly, pivoted LU solves guarded by a condition-number test,
+symmetric eigendecomposition, Lyapunov equations by the Newton
+iteration for the matrix sign function (Roberts, Int. J. Control 32,
+1980; Byers, Lin. Alg. Appl. 85, 1987), and the Hurwitz predicate built
+on top of them.  numpy is the only numerical library they use.
 
 All routines work on float64 ``numpy.ndarray`` and validate finiteness
 of their inputs; failures raise the typed exceptions from
@@ -12,11 +14,9 @@ of their inputs; failures raise the typed exceptions from
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatchError,
@@ -28,21 +28,33 @@ from .errors import (
 __all__ = [
     "SymEig",
     "as_matrix",
+    "block_diag",
     "solve_linear",
     "sym_eigendecomp",
     "solve_lyapunov",
     "is_hurwitz",
 ]
 
-#: Relative pivot threshold below which an LU factorization is declared
-#: singular.
-PIVOT_RTOL = 1e-12
+#: Largest 1-norm condition number of a coefficient matrix that
+#: :func:`solve_linear` accepts.
+COND_MAX = 1e12
 
 #: Relative asymmetry tolerated by symmetric-only routines.
 SYMMETRY_RTOL = 1e-10
 
 #: Relative residual accepted for a Lyapunov solve.
 LYAPUNOV_RTOL = 1e-8
+
+#: Steps after which the sign iteration gives up.  With determinant
+#: scaling it converges in about 5-10 steps on well-separated spectra,
+#: and in under 40 when the spectral abscissa is 1e-11 of the norm.
+SIGN_MAX_STEPS = 50
+
+#: Leading steps of the sign iteration that use determinant scaling.
+SIGN_SCALED_STEPS = 8
+
+#: Relative 1-norm change of the sign iterate at which it has converged.
+SIGN_RTOL = 1e-12
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -53,6 +65,20 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
     return m
+
+
+def block_diag(*blocks) -> np.ndarray:
+    """The blocks on the diagonal of a zero matrix, in order, like
+    ``scipy.linalg.block_diag``: a scalar is a 1 x 1 block and a 1-D
+    array one row."""
+    blocks = [np.atleast_2d(b) for b in blocks]
+    rows, cols = np.sum([b.shape for b in blocks], axis=0)
+    out = np.zeros((rows, cols), dtype=np.result_type(*blocks))
+    r = c = 0
+    for b in blocks:
+        out[r:r + b.shape[0], c:c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return out
 
 
 def _as_rows(*specs) -> list[np.ndarray]:
@@ -87,7 +113,8 @@ class SymEig:
 
 
 def solve_linear(A, B):
-    """Solve ``A @ X = B`` by LU factorization with partial pivoting.
+    """Solve ``A @ X = B`` by LU factorization with partial pivoting
+    (``numpy.linalg.solve``, LAPACK ``gesv``).
 
     Parameters
     ----------
@@ -101,8 +128,8 @@ def solve_linear(A, B):
     Raises
     ------
     SingularMatrixError
-        If any pivot magnitude falls below ``PIVOT_RTOL`` relative to
-        the largest entry of ``A``.
+        If ``A`` is singular, or its 1-norm condition number
+        ``||A||_1 ||A^-1||_1`` exceeds ``COND_MAX``.
     """
     A = as_matrix(A, "A")
     n = A.shape[0]
@@ -118,20 +145,18 @@ def solve_linear(A, B):
     if n == 0:
         return b.copy()
 
-    scale = np.abs(A).max()
-    if scale == 0.0:
-        raise SingularMatrixError("coefficient matrix is zero")
-    with warnings.catch_warnings():
-        # singularity is policed by the pivot check below
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
-    pivots = np.abs(np.diag(lu))
-    if pivots.min() < PIVOT_RTOL * scale:
+    try:
+        inverse = np.linalg.inv(A)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"matrix singular: {exc}") from exc
+    with np.errstate(all="ignore"):
+        cond = np.linalg.norm(A, 1) * np.linalg.norm(inverse, 1)
+    if not cond <= COND_MAX:
         raise SingularMatrixError(
-            f"matrix numerically singular: min pivot {pivots.min():.3e} "
-            f"below {PIVOT_RTOL:.0e} * max|A| = {PIVOT_RTOL * scale:.3e}"
+            f"matrix numerically singular: 1-norm condition number "
+            f"{cond:.3e} above {COND_MAX:.0e}"
         )
-    return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
+    return np.linalg.solve(A, b)
 
 
 def sym_eigendecomp(S) -> SymEig:
@@ -154,24 +179,69 @@ def sym_eigendecomp(S) -> SymEig:
     return SymEig(eigenvalues=w, eigenvectors=V)
 
 
-def solve_lyapunov(Phi, Q) -> np.ndarray:
-    """Solve ``Phi.T @ P + P @ Phi = -Q`` for symmetric positive definite P.
+def _sign_lyapunov(Phi, Q) -> np.ndarray:
+    """Half the (1, 2) block of ``sign([[Phi.T, Q], [0, -Phi]])``.
 
-    Solved by Bartels-Stewart (Bartels & Stewart, CACM 15(9), 1972) through
-    ``scipy.linalg.solve_continuous_lyapunov``; the result is symmetrized
-    and then required to be finite, to have a small residual and to be
-    positive definite.  When an eigenvalue pair of ``Phi`` sums to zero
-    the operator is singular: LAPACK then perturbs the problem and returns
-    a meaningless, possibly huge or non-finite P.  Its warning is
-    silenced here and the checks below reject that P.
+    For Hurwitz ``Phi`` that sign is ``[[-I, 2 P], [0, I]]`` with ``P``
+    the solution of ``Phi.T @ P + P @ Phi = -Q``.  The Newton iteration
+    ``Z <- (c Z + (c Z)^-1) / 2`` keeps the block-triangular form, so it
+    runs on the blocks: one inverse of the (1, 1) block a step, with the
+    determinant scaling ``c = |det|^(-1/n)`` on the first
+    ``SIGN_SCALED_STEPS`` steps.  It stops at a relative change of at
+    most ``SIGN_RTOL``, or one step after a change of at most its square
+    root, past which quadratic convergence leaves only rounding.
 
     Raises
     ------
     NotHurwitzError
-        If the solution is not finite, the residual exceeds
-        ``LYAPUNOV_RTOL`` relative to ``||Q||``, or the solution is not
-        positive definite -- each of which certifies that ``Phi`` is not
-        Hurwitz (or the problem is too ill-conditioned to certify).
+        If an iterate is singular, zero or not finite, or the iteration
+        has not converged after ``SIGN_MAX_STEPS`` steps: ``Phi`` then has
+        an eigenvalue on or near the imaginary axis.
+    """
+    n = Phi.shape[0]
+    E, W, previous = Phi, Q, np.inf
+    for step in range(1, SIGN_MAX_STEPS + 1):
+        try:
+            inverse = np.linalg.inv(E)
+        except np.linalg.LinAlgError as exc:
+            raise NotHurwitzError(
+                f"sign iteration broke down at step {step}: {exc}") from exc
+        c = (np.exp(-np.linalg.slogdet(E)[1] / n)
+             if step <= SIGN_SCALED_STEPS else 1.0)
+        E_next = 0.5 * (c * E + inverse / c)
+        W = 0.5 * (c * W + inverse.T @ W @ inverse / c)
+        change = np.linalg.norm(E_next - E, 1) / np.linalg.norm(E_next, 1)
+        if not np.isfinite(change):
+            raise NotHurwitzError(f"sign iteration broke down at step "
+                                  f"{step}: iterate zero or not finite")
+        E = E_next
+        if change <= SIGN_RTOL or previous <= np.sqrt(SIGN_RTOL):
+            return 0.25 * (W + W.T)
+        previous = change
+    raise NotHurwitzError(
+        f"sign iteration did not converge in {SIGN_MAX_STEPS} steps")
+
+
+def solve_lyapunov(Phi, Q) -> np.ndarray:
+    """Solve ``Phi.T @ P + P @ Phi = -Q`` for symmetric positive definite P.
+
+    Solved by the Newton iteration for the matrix sign function
+    (Roberts, Int. J. Control 32, 1980; Byers, Lin. Alg. Appl. 85, 1987)
+    in :func:`_sign_lyapunov`: O(n^3) time a step and O(n^2) memory.
+    When the residual is too large, one step of iterative refinement
+    adds the solution for the residual in place of ``Q``; near the
+    stability boundary the iteration loses digits that this step wins
+    back.  The solution is then required to be finite, to have a small
+    residual and to be positive definite.
+
+    Raises
+    ------
+    NotHurwitzError
+        If the sign iteration breaks down or does not converge, the
+        solution is not finite, the residual exceeds ``LYAPUNOV_RTOL``
+        relative to ``||Q||``, or the solution is not positive definite
+        -- each of which certifies that ``Phi`` is not Hurwitz (or the
+        problem is too ill-conditioned to certify).
     """
     Phi = as_matrix(Phi, "Phi")
     Q = as_matrix(Q, "Q")
@@ -180,15 +250,18 @@ def solve_lyapunov(Phi, Q) -> np.ndarray:
         raise DimensionMismatchError(
             f"Phi and Q must be square and same size, got {Phi.shape}, {Q.shape}"
         )
-    with warnings.catch_warnings(), np.errstate(all="ignore"):
-        # a singular operator is policed by the checks below
-        warnings.simplefilter("ignore", RuntimeWarning)
-        P = scipy.linalg.solve_continuous_lyapunov(Phi.T, -Q)
-        P = 0.5 * (P + P.T)
-        residual = np.linalg.norm(Phi.T @ P + P @ Phi + Q)
+    tolerance = LYAPUNOV_RTOL * max(1.0, np.linalg.norm(Q))
+    with np.errstate(all="ignore"):
+        # an operator near singularity is policed by the checks below
+        P = _sign_lyapunov(Phi, Q)
+        R = Phi.T @ P + P @ Phi + Q
+        if not np.linalg.norm(R) <= tolerance:
+            P = P + _sign_lyapunov(Phi, R)
+            R = Phi.T @ P + P @ Phi + Q
+        residual = np.linalg.norm(R)
     if not np.isfinite(P).all():
         raise NotHurwitzError("Lyapunov operator singular: solution not finite")
-    if not residual <= LYAPUNOV_RTOL * max(1.0, np.linalg.norm(Q)):
+    if not residual <= tolerance:
         raise NotHurwitzError(
             f"Lyapunov residual {residual:.3e} too large to certify"
         )

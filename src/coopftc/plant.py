@@ -24,13 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatchError,
     IdentityCheckFailedError,
     ModelValidationError,
 )
+from .linalg import block_diag
 
 __all__ = [
     "AgentModel",
@@ -206,10 +206,10 @@ def stack_network(agents) -> NetworkModel:
     m = len(agents)
     return NetworkModel(
         m=m, n_x=a0.n_x, n_u=a0.n_u, n_y=a0.n_y, n_v=a0.n_v,
-        A=scipy.linalg.block_diag(*(a.A for a in agents)),
-        B=scipy.linalg.block_diag(*(a.B for a in agents)),
-        C=scipy.linalg.block_diag(*(a.C for a in agents)),
-        D=scipy.linalg.block_diag(*(a.D for a in agents)),
+        A=block_diag(*(a.A for a in agents)),
+        B=block_diag(*(a.B for a in agents)),
+        C=block_diag(*(a.C for a in agents)),
+        D=block_diag(*(a.D for a in agents)),
         F=np.eye(m * a0.n_y),
     )
 

@@ -90,7 +90,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     AlphaNonPositiveError,
@@ -98,7 +97,7 @@ from .errors import (
     DimensionMismatchError,
     InfeasibleError,
 )
-from .linalg import is_hurwitz, solve_linear, sym_eigendecomp
+from .linalg import block_diag, is_hurwitz, solve_linear, sym_eigendecomp
 from .plant import AugmentedModel, NetworkModel, agent_permutation
 
 __all__ = [
@@ -606,7 +605,7 @@ def observer_inequality(P, H, F1A, E2, F1D, delta, decay=False):
     pi = np.block([[core + np.eye(F1A.shape[0]), PD],
                    [PD.T, -delta ** 2 * np.eye(F1D.shape[1])]])
     if decay:
-        return scipy.linalg.block_diag(pi, core + 2.0 * OBSERVER_DECAY * P)
+        return block_diag(pi, core + 2.0 * OBSERVER_DECAY * P)
     return pi
 
 
@@ -627,7 +626,7 @@ def feedback_inequality(R, G, A, B, D, alpha, delta, strip=False):
         [D.T, np.zeros((nv, n)), np.zeros((nv, nu)), -delta ** 2 * np.eye(nv)],
     ])
     if strip:
-        return scipy.linalg.block_diag(
+        return block_diag(
             lam, core + 2.0 * CONTROLLER_DECAY * R,
             -core - 2.0 * CONTROLLER_MAX_RATE * R)
     return lam
@@ -692,7 +691,7 @@ def synth_observer(aug: AugmentedModel, net: NetworkModel, delta: float,
         problems, margin, max_iterations,
         f"observer LMI infeasible for agent {{}} at delta={delta:g}",
         [None] * net.m)
-    P, H = (scipy.linalg.block_diag(*(sol[name] for sol in solutions))
+    P, H = (block_diag(*(sol[name] for sol in solutions))
             for name in ("P", "H"))
     back = np.argsort(perm)
     P, H = P[np.ix_(back, back)], H[back]
@@ -939,8 +938,8 @@ def synth_controller(net: NetworkModel, alpha: float, delta: float,
         problems, margin, max_iterations,
         f"feedback LMI infeasible for agent {{}} at alpha={alpha:g}, "
         f"delta={delta:g}", anchors)
-    R = scipy.linalg.block_diag(*(sol["R"] for sol in solutions))
-    G = scipy.linalg.block_diag(*(sol["G"] for sol in solutions))
+    R = block_diag(*(sol["R"] for sol in solutions))
+    G = block_diag(*(sol["G"] for sol in solutions))
 
     K = solve_linear(R, G.T).T  # K R = G with R symmetric
 

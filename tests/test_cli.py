@@ -721,6 +721,26 @@ def test_explicit_agent_count_must_match_plant_m(tmp_path, monkeypatch,
     assert "plant.m" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad, message", [
+    ("{A: [[0.0, 1.0]], B: [[1.0]], C: [[1.0, 0.0]], D: [[1.0]]}",
+     "plant.agents[2]: A must be square, got (1, 2)"),
+    ("{A: [[-1.0, 0.0], [0.0, -2.0]], B: [[1.0], [0.0]], C: [[1.0, 1.0]], "
+     "D: [[1.0], [0.0]]}",
+     "plant.agents[2]: (A, B) is not controllable"),
+], ids=["non_square_A", "uncontrollable"])
+def test_invalid_explicit_agent_named(tmp_path, monkeypatch, capsys, bad,
+                                      message):
+    monkeypatch.setattr(cli, "synth_observer", _no_synthesis)
+    good = ("{A: [[-1.0, 0.0], [0.0, -2.0]], B: [[1.0], [1.0]], "
+            "C: [[1.0, 1.0]], D: [[1.0], [0.0]]}")
+    p = tmp_path / "explicit.yaml"
+    p.write_text("graph: {edges: [[2, 1, 1.0]], sources: [[1, 1.0]]}\n"
+                 f"plant: {{kind: explicit, agents: [{good}, {bad}]}}\n")
+    assert main(["synth", "-s", str(p), "-o", str(tmp_path / "out")]) \
+        == cli.EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("extra, named", [
     (["synth"], "graph has 4 units but the plant has 2 agents"),
     (["simulate"], "plant.agents[1] has n_u=1, n_y=2"),

@@ -1,19 +1,41 @@
-"""Dense-kernel tests: exact small cases, residual and Kronecker oracles."""
+"""Dense-kernel tests: exact small cases, residual and Kronecker oracles,
+and scipy as the reference for ``block_diag`` and the Lyapunov solver."""
 
 import warnings
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coopftc import linalg
 from coopftc.errors import NotHurwitzError, NotSymmetricError, \
     SingularMatrixError
-from coopftc.linalg import (is_hurwitz, solve_linear, solve_lyapunov,
-                            sym_eigendecomp)
+from coopftc.linalg import (block_diag, is_hurwitz, solve_linear,
+                            solve_lyapunov, sym_eigendecomp)
 from oracles import is_negative_definite, kronecker_lyapunov
+
+
+# --- block_diag -------------------------------------------------------------
+
+_RNG = np.random.default_rng(7)
+
+
+@pytest.mark.parametrize("blocks", [
+    [_RNG.normal(size=(2, 2)), _RNG.normal(size=(3, 3))],
+    [_RNG.normal(size=(4, 4))],
+    [_RNG.normal(size=(3, 3)), -0.5, np.array([[-2.0]]), 1.25],
+    [_RNG.normal(size=(2, 3)), _RNG.normal(size=(2, 3)),
+     _RNG.normal(size=(2, 3))],
+    [_RNG.normal(size=(3, 2)), _RNG.normal(size=(3, 1)),
+     _RNG.normal(size=(1, 2))],
+], ids=["square", "one_block", "scalar_blocks", "n_u2_rows", "rectangular"])
+def test_block_diag_matches_scipy_bitwise(blocks):
+    ours, ref = block_diag(*blocks), scipy.linalg.block_diag(*blocks)
+    assert ours.dtype == ref.dtype and ours.shape == ref.shape
+    assert ours.tobytes() == ref.tobytes()
 
 
 # --- solve_linear -----------------------------------------------------------
@@ -40,6 +62,14 @@ def test_solve_singular_raises():
     A = np.array([[1.0, 2.0], [2.0, 4.0]])
     with pytest.raises(SingularMatrixError):
         solve_linear(A, np.eye(2))
+
+
+@pytest.mark.parametrize("A", [[[1.0, 1.0], [1.0, 1.0 + 1e-14]],
+                               [[0.0, 0.0], [0.0, 0.0]]],
+                         ids=["near_singular", "zero"])
+def test_solve_degenerate_raises(A):
+    with pytest.raises(SingularMatrixError):
+        solve_linear(np.array(A), np.eye(2))
 
 
 def test_solve_vector_rhs():
@@ -106,11 +136,16 @@ def test_lyapunov_rejects_unstable():
 
 
 @pytest.mark.parametrize("Phi", [np.zeros((1, 1)), np.zeros((2, 2)),
-                                 np.diag([-1.0, 1.0])],
-                         ids=["zero-1x1", "zero-2x2", "diag(-1,1)"])
+                                 np.diag([-1.0, 1.0]),
+                                 np.array([[0.0, 1.0], [-1.0, 0.0]]),
+                                 np.array([[0.0, 1.0], [0.0, 0.0]])],
+                         ids=["zero-1x1", "zero-2x2", "diag(-1,1)",
+                              "rotation", "jordan-0"])
 def test_lyapunov_rejects_singular_operator(Phi):
-    # an eigenvalue pair summing to zero: LAPACK perturbs the problem and
-    # warns; the kernel must raise its own error and let no warning out
+    # an eigenvalue pair summing to zero: the sign iteration meets a
+    # singular iterate (zero, rotation, Jordan block) or converges to a
+    # sign other than -I (diag(-1, 1)); the kernel must raise its own
+    # error and let no warning out
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NotHurwitzError):
@@ -136,6 +171,44 @@ def test_lyapunov_matches_kronecker_oracle(seed, n, margin):
     ref = kronecker_lyapunov(Phi, Q)
     P = solve_lyapunov(Phi, Q)
     assert np.linalg.norm(P - ref) <= 1e-9 * np.linalg.norm(ref)
+
+
+# One fixed n = 72 case (fleet24's observer error dynamics have that
+# size) besides the random n <= 12 ones.
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 12), st.floats(0.1, 2.0))
+@example(seed=72, n=72, margin=0.5)
+def test_lyapunov_matches_scipy_bartels_stewart(seed, n, margin):
+    rng = np.random.default_rng(seed)
+    Phi, Q = _random_hurwitz(rng, n, margin), rng.normal(size=(n, n))
+    Q = Q @ Q.T + np.eye(n)
+    ref = scipy.linalg.solve_continuous_lyapunov(Phi.T, -Q)
+    P = solve_lyapunov(Phi, Q)
+    assert np.linalg.norm(P - ref) <= 1e-9 * np.linalg.norm(ref)
+
+
+def test_lyapunov_refines_near_the_stability_boundary():
+    """Spectral abscissa -1e-5: the sign iteration alone leaves a residual
+    above the tolerance, and one refinement step certifies the matrix,
+    as Bartels-Stewart does."""
+    rng = np.random.default_rng(42)
+    Phi = _random_hurwitz(rng, 3, 1e-5)
+    P = linalg._sign_lyapunov(Phi, np.eye(3))
+    tolerance = linalg.LYAPUNOV_RTOL * np.sqrt(3)
+    assert np.linalg.norm(Phi.T @ P + P @ Phi + np.eye(3)) > tolerance
+    P = solve_lyapunov(Phi, np.eye(3))
+    assert np.linalg.norm(Phi.T @ P + P @ Phi + np.eye(3)) <= tolerance
+    ref = scipy.linalg.solve_continuous_lyapunov(Phi.T, -np.eye(3))
+    assert np.linalg.norm(P - ref) <= 1e-6 * np.linalg.norm(ref)
+
+
+def test_sign_iteration_names_its_step_count(monkeypatch):
+    with pytest.raises(NotHurwitzError, match="broke down at step 1"):
+        solve_lyapunov(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.eye(2))
+    monkeypatch.setattr(linalg, "SIGN_MAX_STEPS", 2)
+    Phi = _random_hurwitz(np.random.default_rng(3), 12, 1e-3)
+    with pytest.raises(NotHurwitzError, match="did not converge in 2 steps"):
+        solve_lyapunov(Phi, np.eye(12))
 
 
 def test_lyapunov_assembles_no_kronecker_system(monkeypatch):
