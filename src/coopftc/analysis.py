@@ -50,7 +50,7 @@ from .errors import (
     NotPositiveStableError,
 )
 from .graph import NetworkGraph, is_positive_stable
-from .linalg import solve_linear, solve_lyapunov, sym_eigendecomp
+from .linalg import is_hurwitz, solve_linear, solve_lyapunov, sym_eigvals
 from .plant import AugmentedModel, NetworkModel
 from .sim import SimTrace
 from .synth import ObserverSynthesis
@@ -149,7 +149,9 @@ def iss_certificate(g: NetworkGraph, net: NetworkModel,
     NotPositiveStableError
         If ``g.L`` has an eigenvalue with non-positive real part.
     NotHurwitzError
-        If ``A + B K`` is not Hurwitz, or the Lyapunov solve fails.
+        If the Lyapunov solve on ``Phi`` fails: the message says whether
+        ``A + B K`` is not Hurwitz or ``L (x) I`` is too ill-conditioned
+        to carry its certificate.
     """
     if g.m != net.m:
         raise DimensionMismatchError(
@@ -172,10 +174,16 @@ def iss_certificate(g: NetworkGraph, net: NetworkModel,
 
     Q = np.eye(net.nbar_x)
     # Phi is similar to Acl, so this solve also decides whether Acl is
-    # Hurwitz.
+    # Hurwitz, unless the similarity is too ill-conditioned to carry it.
     try:
         P_e = solve_lyapunov(Phi, Q)
     except NotHurwitzError as exc:
+        if is_hurwitz(Acl):
+            raise NotHurwitzError(
+                "A + B K is Hurwitz, but the transform L (x) I is too "
+                "ill-conditioned to certify (1-norm condition number of L "
+                f"{np.linalg.cond(g.L, 1):.3e}); no ISS certificate ({exc})"
+            ) from exc
         raise NotHurwitzError(
             f"A + B K is not Hurwitz; no ISS certificate ({exc})") from exc
     residual = float(np.abs(Phi.T @ P_e + P_e @ Phi + Q).max())
@@ -184,11 +192,10 @@ def iss_certificate(g: NetworkGraph, net: NetworkModel,
             f"Lyapunov residual {residual:.3e} exceeds tolerance; "
             "certificate rejected")
 
-    p_eigs = sym_eigendecomp(P_e).eigenvalues
+    p_eigs = sym_eigvals(P_e)
     p_min, p_max = float(p_eigs[0]), float(p_eigs[-1])
 
-    M = P_e @ B_phi
-    kappa = float(np.sqrt(max(sym_eigendecomp(M.T @ M).eigenvalues[-1], 0.0)))
+    kappa = float(np.linalg.norm(P_e @ B_phi, 2))
 
     # lambda_min(Q) = 1 drops out of alpha and beta.
     alpha = 1.0 / (2.0 * p_max)

@@ -80,7 +80,7 @@ from .graph import (
     is_positive_stable,
     normalize_weights,
 )
-from .linalg import solve_linear, sym_eigendecomp
+from .linalg import solve_linear, sym_eigvals
 from .plant import (
     AgentModel,
     AugmentedModel,
@@ -608,7 +608,7 @@ def _load_gains(sc: Scenario, aug: AugmentedModel, net: NetworkModel,
     H = P @ Lgain
     pi = observer_inequality(P, H, aug.F1 @ aug.A_a, aug.E2, aug.F1 @ net.D,
                              sc.delta)
-    margin = -float(sym_eigendecomp(pi).eigenvalues[-1])
+    margin = -float(sym_eigvals(pi)[-1])
     so = ObserverSynthesis(delta=sc.delta, P=P, H=H, Lgain=Lgain,
                            margin=margin)
     return so, K

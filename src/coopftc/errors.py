@@ -13,7 +13,8 @@ class ToolkitError(Exception):
 # --- numerical kernel ------------------------------------------------------
 
 class SingularMatrixError(ToolkitError):
-    """Linear solve hit a pivot below the singularity threshold."""
+    """Linear solve on a matrix that is singular, or whose 1-norm
+    condition number exceeds ``linalg.COND_MAX``."""
 
 
 class NotSymmetricError(ToolkitError):

@@ -2,7 +2,7 @@
 
 Contract-checked wrappers around numpy's LAPACK: block-diagonal
 assembly, pivoted LU solves guarded by a condition-number test,
-symmetric eigendecomposition, Lyapunov equations by the Newton
+symmetric eigenvalues, Lyapunov equations by the Newton
 iteration for the matrix sign function (Roberts, Int. J. Control 32,
 1980; Byers, Lin. Alg. Appl. 85, 1987), and the Hurwitz predicate built
 on top of them.  numpy is the only numerical library they use.
@@ -14,8 +14,6 @@ of their inputs; failures raise the typed exceptions from
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
@@ -26,11 +24,11 @@ from .errors import (
 )
 
 __all__ = [
-    "SymEig",
     "as_matrix",
+    "as_symmetric",
     "block_diag",
     "solve_linear",
-    "sym_eigendecomp",
+    "sym_eigvals",
     "solve_lyapunov",
     "is_hurwitz",
 ]
@@ -99,19 +97,6 @@ def _as_rows(*specs) -> list[np.ndarray]:
     return arrays
 
 
-@dataclass(frozen=True)
-class SymEig:
-    """Eigendecomposition of a symmetric matrix.
-
-    ``eigenvalues`` are sorted ascending; ``eigenvectors[:, k]`` is the
-    unit eigenvector for ``eigenvalues[k]`` and the columns form an
-    orthonormal basis.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def solve_linear(A, B):
     """Solve ``A @ X = B`` by LU factorization with partial pivoting
     (``numpy.linalg.solve``, LAPACK ``gesv``).
@@ -159,24 +144,28 @@ def solve_linear(A, B):
     return np.linalg.solve(A, b)
 
 
-def sym_eigendecomp(S) -> SymEig:
-    """Eigendecomposition of a symmetric matrix, eigenvalues ascending.
-
-    The input may deviate from exact symmetry by at most
-    ``SYMMETRY_RTOL`` (relative, Frobenius); it is symmetrized before
-    factorization so the result is exactly that of ``(S + S.T) / 2``.
-    """
-    S = as_matrix(S, "S")
+def as_symmetric(S, name: str = "S") -> np.ndarray:
+    """Coerce ``S`` like :func:`as_matrix` and require it square and
+    symmetric to within ``SYMMETRY_RTOL``: ``||S - S.T|| <= SYMMETRY_RTOL
+    * max(1, ||S||)`` in the Frobenius norm.  The one symmetry test of
+    the package."""
+    S = as_matrix(S, name)
     if S.shape[0] != S.shape[1]:
-        raise DimensionMismatchError(f"S must be square, got {S.shape}")
-    norm = np.linalg.norm(S)
-    if np.linalg.norm(S - S.T) > SYMMETRY_RTOL * max(1.0, norm):
+        raise DimensionMismatchError(f"{name} must be square, got {S.shape}")
+    if np.linalg.norm(S - S.T) > SYMMETRY_RTOL * max(1.0, np.linalg.norm(S)):
         raise NotSymmetricError(
-            "matrix exceeds the relative asymmetry tolerance "
+            f"{name} exceeds the relative asymmetry tolerance "
             f"{SYMMETRY_RTOL:.0e}"
         )
-    w, V = np.linalg.eigh(0.5 * (S + S.T))
-    return SymEig(eigenvalues=w, eigenvectors=V)
+    return S
+
+
+def sym_eigvals(S) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix, ascending: those of
+    ``(S + S.T) / 2`` by ``numpy.linalg.eigvalsh``, after
+    :func:`as_symmetric`.  Every certificate verdict reads them."""
+    S = as_symmetric(S)
+    return np.linalg.eigvalsh(0.5 * (S + S.T))
 
 
 def _sign_lyapunov(Phi, Q) -> np.ndarray:
@@ -265,10 +254,10 @@ def solve_lyapunov(Phi, Q) -> np.ndarray:
         raise NotHurwitzError(
             f"Lyapunov residual {residual:.3e} too large to certify"
         )
-    w = np.linalg.eigvalsh(P)
-    if w.min() <= 0.0:
+    w_min = sym_eigvals(P)[0]
+    if w_min <= 0.0:
         raise NotHurwitzError(
-            f"Lyapunov solution not positive definite (min eig {w.min():.3e})"
+            f"Lyapunov solution not positive definite (min eig {w_min:.3e})"
         )
     return P
 

@@ -94,10 +94,10 @@ import numpy as np
 from .errors import (
     AlphaNonPositiveError,
     DeltaNonPositiveError,
-    DimensionMismatchError,
     InfeasibleError,
 )
-from .linalg import block_diag, is_hurwitz, solve_linear, sym_eigendecomp
+from .linalg import (as_symmetric, block_diag, is_hurwitz, solve_linear,
+                     sym_eigvals)
 from .plant import AugmentedModel, NetworkModel, agent_permutation
 
 __all__ = [
@@ -166,21 +166,14 @@ class VariableSpec:
 
 # --- generic solver ---------------------------------------------------------
 
-def _check_symmetric(M, what):
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DimensionMismatchError(f"{what} must be square, got {M.shape}")
-    if np.abs(M - M.T).max() > 1e-10 * max(1.0, np.abs(M).max()):
-        raise ValueError(f"{what} is not symmetric; the expression must be "
-                         "symmetric for every assignment")
-
-
 class LmiProblem:
     """Feasibility problem: symmetric affine expression strictly < 0.
 
     ``expression`` maps a dict of variable values to one symmetric
     matrix; it must be affine in the variables and symmetric for every
-    assignment.  Feasibility at margin ``t`` means
-    ``lambda_max(expression) <= -t`` with every PD-flagged variable
+    assignment (each probe below passes through
+    :func:`coopftc.linalg.as_symmetric`).  Feasibility at margin ``t``
+    means ``lambda_max(expression) <= -t`` with every PD-flagged variable
     satisfying ``lambda_min >= PD_MARGIN``.
 
     The family is probed once, here: ``expression`` at zero and at each
@@ -203,9 +196,8 @@ class LmiProblem:
             self.coords += [(v.name, i, j) for i in range(v.rows)
                             for j in range(i if v.symmetric else 0, v.cols)]
         n_vars = len(self.coords)
-        M0 = np.asarray(expression(self.assignment(np.zeros(n_vars))),
-                        dtype=float)
-        _check_symmetric(M0, "expression at zero")
+        M0 = as_symmetric(expression(self.assignment(np.zeros(n_vars))),
+                          "expression at zero")
         pd_vars = [v for v in self.variables if v.positive_definite]
         self.block_sizes = [M0.shape[0]] + [v.rows for v in pd_vars]
         self.offsets = np.concatenate(
@@ -220,8 +212,8 @@ class LmiProblem:
         for k in range(n_vars):
             e = np.zeros(n_vars)
             e[k] = 1.0
-            Mk = np.asarray(expression(self.assignment(e)), dtype=float) - M0
-            _check_symmetric(Mk + M0, f"expression response of {self.coords[k]}")
+            Mk = as_symmetric(expression(self.assignment(e)),
+                              f"expression response of {self.coords[k]}") - M0
             A[:Mk.size, k] = Mk.ravel()
             name, i, j = self.coords[k]
             for b, v in enumerate(pd_vars, start=1):
@@ -313,7 +305,7 @@ def _solve_batch(problems, margin, max_iterations, initials):
     layouts = {}
     for j, problem in enumerate(problems):
         if not problem.coords:
-            w = sym_eigendecomp(problem.blocks(problem.base)[0]).eigenvalues
+            w = sym_eigvals(problem.blocks(problem.base)[0])
             outcomes[j] = ({} if w[-1] <= -t else InfeasibleError(
                 f"constant expression has lambda_max = {w[-1]:.3e} > "
                 f"{-t:.3e}: provably infeasible"), 0)
@@ -576,8 +568,8 @@ def _reverify(stage, block, margin, storage_name, storage, gain_form,
     margin at least ``margin``, the storage matrix clears ``PD_MARGIN``
     and the recovered gain solves ``lhs = rhs``.  Returns the margin
     achieved."""
-    achieved = -sym_eigendecomp(block).eigenvalues[-1]
-    s_min = sym_eigendecomp(storage).eigenvalues[0]
+    achieved = -sym_eigvals(block)[-1]
+    s_min = sym_eigvals(storage)[0]
     if achieved < margin or s_min < PD_MARGIN:
         raise InfeasibleError(
             f"{stage} certificate failed re-verification on the assembled "
@@ -961,7 +953,7 @@ def synth_controller(net: NetworkModel, alpha: float, delta: float,
         [(Q @ net.D).T, np.zeros((net.nbar_v, net.nbar_u)),
          -delta ** 2 * np.eye(net.nbar_v)],
     ])
-    if sym_eigendecomp(diss).eigenvalues[-1] >= 0.0:
+    if sym_eigvals(diss)[-1] >= 0.0:
         raise InfeasibleError(
             "feedback gain (Q, K) fails the dissipation inequality"
         )
@@ -972,7 +964,7 @@ def synth_controller(net: NetworkModel, alpha: float, delta: float,
 
 
 def gamma_bound(K, alpha: float, delta: float) -> float:
-    """Combined attenuation level ``sqrt(alpha * lambda_max(K'K) + 1) * delta``.
+    """Combined attenuation level ``sqrt(alpha * ||K||_2^2 + 1) * delta``.
 
     Upper-bounds the realized L2 gain from the total disturbance input
     (external disturbance plus feedback-side estimation spillover) to
@@ -983,6 +975,5 @@ def gamma_bound(K, alpha: float, delta: float) -> float:
         raise DeltaNonPositiveError(f"delta must be > 0, got {delta}")
     if alpha <= 0:
         raise AlphaNonPositiveError(f"alpha must be > 0, got {alpha}")
-    K = np.asarray(K, dtype=float)
-    lam_max = sym_eigendecomp(K.T @ K).eigenvalues[-1]
-    return float(np.sqrt(alpha * lam_max + 1.0) * delta)
+    norm = np.linalg.norm(np.asarray(K, dtype=float), 2)
+    return float(np.sqrt(alpha * norm ** 2 + 1.0) * delta)

@@ -5,8 +5,9 @@ import scipy.signal
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
 from coopftc.analysis import _theta_star
-from coopftc.errors import DimensionMismatchError, InfeasibleError
-from coopftc.linalg import sym_eigendecomp
+from coopftc.errors import (DimensionMismatchError, InfeasibleError,
+                            NotSymmetricError)
+from coopftc.linalg import SYMMETRY_RTOL
 from coopftc.sim import integrate
 from coopftc.synth import (ANCHOR_INFLATION, CONTROLLER_POLE_RATIO,
                            CONTROLLER_POLE_SLACK, FARKAS_EVERY,
@@ -104,12 +105,22 @@ def place_poles_gain(A, B, poles):
     return -scipy.signal.place_poles(A, B, np.sort(poles)).gain_matrix
 
 
+def sym_eigenvalues(S):
+    """Ascending eigenvalues of ``(S + S.T) / 2`` by ``np.linalg.eigh``:
+    the reference for :func:`coopftc.linalg.sym_eigvals`.  Its symmetry
+    test reads the largest entry, not the Frobenius norm, and raises
+    :class:`NotSymmetricError` beyond ``SYMMETRY_RTOL``."""
+    S = np.asarray(S, dtype=float)
+    if np.abs(S - S.T).max() > SYMMETRY_RTOL * max(1.0, np.abs(S).max()):
+        raise NotSymmetricError("matrix is not symmetric")
+    return np.linalg.eigh(0.5 * (S + S.T))[0]
+
+
 def is_negative_definite(S, margin: float = 0.0) -> bool:
     """True iff ``lambda_max(S) < -margin`` (strict, so the zero matrix
     fails even at ``margin=0``): the independent re-check of an accepted
     LMI certificate."""
-    w = sym_eigendecomp(S).eigenvalues
-    return bool(w[-1] < -margin)
+    return bool(sym_eigenvalues(S)[-1] < -margin)
 
 
 def solve_lmi_reference(problem, margin, max_iterations=6000, initial=None,
@@ -129,7 +140,7 @@ def solve_lmi_reference(problem, margin, max_iterations=6000, initial=None,
         raise ValueError(f"margin must be non-negative, got {margin}")
 
     if not problem.coords:
-        w = sym_eigendecomp(problem.blocks(problem.base)[0]).eigenvalues
+        w = sym_eigenvalues(problem.blocks(problem.base)[0])
         if w[-1] <= -t:
             return {}
         raise InfeasibleError(

@@ -84,6 +84,14 @@ def test_certificate_rejects_unstable_closed_loop():
         iss_certificate(_unit_graph(), net, np.zeros((1, 1)))
 
 
+def test_unstable_closed_loop_is_blamed_on_a_plus_b_k():
+    # the transform is the identity here, so only A + B K can fail
+    net = _single_unit_net([[1.0]], [[1.0]], [[1.0]], [[1.0]])
+    with pytest.raises(NotHurwitzError,
+                       match=r"^A \+ B K is not Hurwitz; no ISS certificate"):
+        iss_certificate(_unit_graph(), net, np.zeros((1, 1)))
+
+
 # --- verify_iss_bound -------------------------------------------------------
 
 def test_iss_bound_zero_run(loops, star_cert, benchmark_net):

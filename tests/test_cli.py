@@ -36,6 +36,15 @@ KEYS = {f.name: f.metadata["key"] for f in dataclasses.fields(Scenario)}
 
 SHORT_SCENARIO = "sim:\n  T: 2.0\n"
 
+# A ring closed through unit 1 and pinned with weight 3e-9: A + B K is
+# Hurwitz, but L has 1-norm condition number 4e9, and the Lyapunov solve
+# on (L (x) I)(A + B K)(L (x) I)^-1 cannot certify it.
+ILL_CONDITIONED_SCENARIO = (
+    "graph: {edges: [[2, 1, 1.0], [3, 2, 1.0], [4, 3, 1.0], [1, 2, 1.0]], "
+    "sources: [[1, 3.0e-9]]}\n"
+    "sim: {T: 2.0}\n"
+)
+
 # A setpoint step half a second before the end of the horizon: the loop
 # cannot settle in time, so `verify` must report a consensus failure.
 UNSETTLED_SCENARIO = (
@@ -867,6 +876,27 @@ def test_verify_reports_unsettled_run(tmp_path, gains_dir, capsys):
     assert "dissipation.passed=true" in out.out
     assert "iss.passed=true" in out.out
     assert "certificate failed: consensus" in out.err
+
+
+def test_verify_blames_an_ill_conditioned_transform(tmp_path, capsys):
+    scen = tmp_path / "ill.yaml"
+    scen.write_text(ILL_CONDITIONED_SCENARIO)
+    gains = tmp_path / "gains"
+    assert main(["synth", "-s", str(scen), "-o", str(gains)]) == 0
+    assert "closed_loop_hurwitz=true" in capsys.readouterr().out
+    assert main(["simulate", "-s", str(scen), "-o", str(tmp_path),
+                 "--gains", str(gains)]) == 0
+    capsys.readouterr()
+    code = main(["verify", "-s", str(scen),
+                 "--trace", str(tmp_path / "trace.csv"),
+                 "--gains", str(gains)])
+    assert code == cli.EXIT_CERTIFICATE
+    [line] = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("iss.")]
+    assert line.startswith(
+        "iss.error=A + B K is Hurwitz, but the transform L (x) I is too "
+        "ill-conditioned to certify (1-norm condition number of L "
+        "4.000e+09); no ISS certificate (")
 
 
 def test_verify_rejects_truncated_trace(tmp_path, short_scenario,

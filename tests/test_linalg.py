@@ -14,8 +14,8 @@ from coopftc import linalg
 from coopftc.errors import NotHurwitzError, NotSymmetricError, \
     SingularMatrixError
 from coopftc.linalg import (block_diag, is_hurwitz, solve_linear,
-                            solve_lyapunov, sym_eigendecomp)
-from oracles import is_negative_definite, kronecker_lyapunov
+                            solve_lyapunov, sym_eigvals)
+from oracles import is_negative_definite, kronecker_lyapunov, sym_eigenvalues
 
 
 # --- block_diag -------------------------------------------------------------
@@ -78,32 +78,59 @@ def test_solve_vector_rhs():
     npt.assert_allclose(A @ x, [4.0, 3.0], atol=1e-12)
 
 
-# --- sym_eigendecomp --------------------------------------------------------
+# --- sym_eigvals ------------------------------------------------------------
 
 def test_eig_identity():
-    eig = sym_eigendecomp(np.eye(4))
-    npt.assert_allclose(eig.eigenvalues, np.ones(4), atol=1e-12)
+    npt.assert_allclose(sym_eigvals(np.eye(4)), np.ones(4), atol=1e-12)
 
 
 def test_eig_diagonal_sorted_ascending():
-    eig = sym_eigendecomp(np.diag([3.0, 1.0, 2.0]))
-    npt.assert_allclose(eig.eigenvalues, [1.0, 2.0, 3.0], atol=1e-12)
+    npt.assert_allclose(sym_eigvals(np.diag([3.0, 1.0, 2.0])),
+                        [1.0, 2.0, 3.0], atol=1e-12)
 
 
 def test_eig_reconstruction_random_6x6():
+    # a matrix built from a known spectrum gives that spectrum back
     rng = np.random.default_rng(2)
-    S = rng.normal(size=(6, 6))
-    S = S + S.T
-    eig = sym_eigendecomp(S)
-    recon = eig.eigenvectors @ np.diag(eig.eigenvalues) @ eig.eigenvectors.T
-    assert np.linalg.norm(recon - S) <= 1e-9 * np.linalg.norm(S)
-    assert np.linalg.norm(eig.eigenvectors.T @ eig.eigenvectors
-                          - np.eye(6)) <= 1e-10
+    Q = np.linalg.qr(rng.normal(size=(6, 6)))[0]
+    w = np.sort(rng.normal(size=6))
+    eigenvalues = sym_eigvals(Q @ np.diag(w) @ Q.T)
+    assert np.linalg.norm(eigenvalues - w) <= 1e-9 * np.linalg.norm(w)
 
 
 def test_eig_rejects_asymmetric():
     with pytest.raises(NotSymmetricError):
-        sym_eigendecomp(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        sym_eigvals(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+def _random_symmetric(seed, n):
+    """Gaussian symmetric matrix scaled by 10^k, k drawn from -3..3, so
+    that both sides of the tolerance's floor of 1 are drawn."""
+    rng = np.random.default_rng(seed)
+    S = rng.normal(size=(n, n))
+    return (S + S.T) * 10.0 ** rng.integers(-3, 4), rng
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 12))
+def test_sym_eigvals_match_the_eigh_oracle(seed, n):
+    S, _ = _random_symmetric(seed, n)
+    reference = sym_eigenvalues(S)
+    assert (np.abs(sym_eigvals(S) - reference).max()
+            <= 1e-12 * np.abs(reference).max())
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 10_000), st.integers(2, 12))
+def test_sym_eigvals_symmetry_tolerance_is_sharp(seed, n):
+    # E strictly upper triangular: ||S + E - (S + E)'|| = sqrt(2) ||E||
+    S, rng = _random_symmetric(seed, n)
+    E = np.triu(rng.normal(size=(n, n)), 1)
+    E *= (linalg.SYMMETRY_RTOL * max(1.0, np.linalg.norm(S))
+          / (np.sqrt(2.0) * np.linalg.norm(E)))
+    sym_eigvals(S + 0.99 * E)
+    with pytest.raises(NotSymmetricError):
+        sym_eigvals(S + 1.01 * E)
 
 
 # --- solve_lyapunov ---------------------------------------------------------
@@ -127,7 +154,7 @@ def test_lyapunov_residual_random_hurwitz():
     res = np.linalg.norm(Phi.T @ P + P @ Phi + Q)
     assert res <= 1e-8 * np.linalg.norm(Q)
     npt.assert_allclose(P, P.T, atol=1e-10 * np.abs(P).max())
-    assert sym_eigendecomp(P).eigenvalues[0] > 0
+    assert sym_eigvals(P)[0] > 0
 
 
 def test_lyapunov_rejects_unstable():

@@ -20,8 +20,9 @@ from oracles import (anchor_from_poles, anchor_riccati, farkas_check,
 from coopftc import synth
 from coopftc.cli import save_matrix
 from coopftc.errors import (AlphaNonPositiveError, DeltaNonPositiveError,
-                            InfeasibleError)
-from coopftc.linalg import is_hurwitz, sym_eigendecomp
+                            DimensionMismatchError, InfeasibleError,
+                            NotSymmetricError)
+from coopftc.linalg import is_hurwitz, sym_eigvals
 from coopftc.plant import (AgentModel, augment_network, dc_motor_agent,
                            stack_network)
 from coopftc.synth import (LmiProblem, VariableSpec, gamma_bound, solve_lmi,
@@ -64,7 +65,7 @@ def test_scalar_lmi_hand_checkable():
     )
     sol = solve_lmi(prob)
     value = 2.0 * (sol["p"] - sol["h"]) + np.ones((1, 1))
-    assert sym_eigendecomp(value).eigenvalues[-1] <= -MARGIN
+    assert sym_eigvals(value)[-1] <= -MARGIN
     assert sol["p"][0, 0] > 0
 
 
@@ -72,6 +73,28 @@ def test_constant_lmi_provably_infeasible():
     prob = LmiProblem(variables=[], expression=lambda v: np.ones((1, 1)))
     with pytest.raises(InfeasibleError, match="provably infeasible"):
         solve_lmi(prob)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.integers(2, 6))
+def test_asymmetric_expression_raises_not_symmetric(seed, n):
+    # symmetric at zero, asymmetric in the response of h; or asymmetric
+    # at zero already
+    rng = np.random.default_rng(seed)
+    S = rng.normal(size=(n, n))
+    S = S + S.T
+    U = np.triu(rng.normal(size=(n, n)), 1)
+    h = [VariableSpec("h", 1, 1)]
+    with pytest.raises(NotSymmetricError, match="^expression response"):
+        LmiProblem(h, lambda v: S + v["h"][0, 0] * U)
+    with pytest.raises(NotSymmetricError, match="^expression at zero"):
+        LmiProblem(h, lambda v: S + U + v["h"][0, 0] * np.eye(n))
+
+
+def test_nonsquare_expression_raises_dimension_mismatch():
+    with pytest.raises(DimensionMismatchError, match="must be square"):
+        LmiProblem([VariableSpec("h", 1, 1)],
+                   lambda v: np.hstack([v["h"], -np.ones((1, 1))]))
 
 
 def _capped_problem():
@@ -317,8 +340,8 @@ def test_observer_benchmark_feasible(benchmark_aug, benchmark_net,
     s = observer_synth
     assert s.margin >= MARGIN
     pi = _observer_block(benchmark_aug, benchmark_net, s.P, s.H, s.delta)
-    assert sym_eigendecomp(pi).eigenvalues[-1] <= -MARGIN
-    assert sym_eigendecomp(s.P).eigenvalues[0] > 0
+    assert sym_eigvals(pi)[-1] <= -MARGIN
+    assert sym_eigvals(s.P)[0] > 0
     # gain definition P Lgain = H
     resid = np.abs(s.P @ s.Lgain - s.H).max()
     assert resid <= 1e-9 * max(1.0, np.abs(s.H).max())
@@ -468,8 +491,8 @@ def test_controller_benchmark_feasible(benchmark_net, controller_synth):
     s = controller_synth
     assert s.margin >= MARGIN
     lam = _feedback_block(benchmark_net, s.R, s.G, s.alpha, s.delta)
-    assert sym_eigendecomp(lam).eigenvalues[-1] <= -MARGIN
-    assert sym_eigendecomp(s.R).eigenvalues[0] > 0
+    assert sym_eigvals(lam)[-1] <= -MARGIN
+    assert sym_eigvals(s.R)[0] > 0
     resid = np.abs(s.K @ s.R - s.G).max()
     assert resid <= 1e-9 * max(1.0, np.abs(s.G).max())
     assert is_hurwitz(benchmark_net.A + benchmark_net.B @ s.K)
@@ -477,7 +500,7 @@ def test_controller_benchmark_feasible(benchmark_net, controller_synth):
 
 def test_controller_gamma_consistent(controller_synth):
     s = controller_synth
-    lam_max = sym_eigendecomp(s.K.T @ s.K).eigenvalues[-1]
+    lam_max = sym_eigvals(s.K.T @ s.K)[-1]
     assert s.gamma ** 2 >= (s.alpha * lam_max + 1.0) * s.delta ** 2 - 1e-12
     assert s.gamma >= s.delta
 
@@ -522,7 +545,7 @@ def test_controller_fast_pole_policy(benchmark_net, monkeypatch):
                         lambda A, *args: [None] * len(A))
     s = synth_controller(benchmark_net, 0.2, 0.3)
     lam = _feedback_block(benchmark_net, s.R, s.G, s.alpha, s.delta)
-    assert sym_eigendecomp(lam).eigenvalues[-1] <= -MARGIN
+    assert sym_eigvals(lam)[-1] <= -MARGIN
     rates = np.linalg.eigvals(benchmark_net.A + benchmark_net.B @ s.K).real
     assert np.all((rates > -8.0) & (rates < -2.0))
 

@@ -4,7 +4,10 @@ Runs ``synth``, ``simulate`` and ``verify`` in-process through
 ``coopftc.cli.main`` on the benchmark scenarios of
 ``perfbench/workloads.py`` (bench4, fleet24, the bench4 ``--sweep`` and
 infeasible-m5), on a short run whose initial states reach 1e18, so that
-the trace prints in exponential notation, and on scenarios the commands
+the trace prints in exponential notation, on a ring pinned with weight
+3e-9 (``ill_conditioned``: ``synth`` and ``simulate`` exit 0, and
+``verify`` exits 5 because L has 1-norm condition number 4e9, too large
+for the ISS certificate's transform), and on scenarios the commands
 reject (a graph that does not fit the plant, a unit the source cannot
 reach, an unnormalized graph whose in-weights do not sum to one, agents
 with two outputs on a graph that fits them and on the default star, an
@@ -51,6 +54,12 @@ TWO_OUTPUTS = ("{A: [[-1.0, 0.0], [0.0, -2.0]], B: [[1.0], [1.0]], "
 #: every notation ``'%.17g'`` uses, and ``verify`` fails on consensus.
 WIDE_RANGE = {"wide_range.yaml": ("sim: {T: 0.5, init_bounds: "
                                   "[-1.0e+18, 1.0e+18]}\n")}
+
+#: A ring pinned with weight 3e-9: A + B K is Hurwitz, but the ISS
+#: certificate's transform L (x) I is too ill-conditioned to certify it.
+ILL_CONDITIONED = {"ill_conditioned.yaml": (
+    "graph: {edges: [[2, 1, 1.0], [3, 2, 1.0], [4, 3, 1.0], [1, 2, 1.0]], "
+    "sources: [[1, 3.0e-9]]}\nsim: {T: 2.0}\n")}
 
 #: Scenarios the commands reject: file name -> text.
 FAILING = {
@@ -127,6 +136,14 @@ def _commands() -> list[tuple[str, list[str]]]:
                                  "wide_range_out"]),
         ("wide_range.verify", ["verify", "-s", "wide_range.yaml", "--trace",
                                "wide_range_out/trace.csv"]),
+        ("ill_conditioned.synth", ["synth", "-s", "ill_conditioned.yaml",
+                                   "-o", "ill_conditioned_gains"]),
+        ("ill_conditioned.simulate", ["simulate", "-s", "ill_conditioned.yaml",
+                                      "-o", "ill_conditioned_out", "--gains",
+                                      "ill_conditioned_gains"]),
+        ("ill_conditioned.verify", ["verify", "-s", "ill_conditioned.yaml",
+                                    "--trace", "ill_conditioned_out/trace.csv",
+                                    "--gains", "ill_conditioned_gains"]),
         ("infeasible_m5.synth", ["synth", "-s", "infeasible_m5.yaml", "-o",
                                  "infeasible_m5_gains"]),
     ]
@@ -178,7 +195,7 @@ def manifest(seed: int) -> list[str]:
     lines = []
     with tempfile.TemporaryDirectory(prefix="outputs_md5_") as work:
         scenarios = dict(_workloads().scenario_files(seed), **WIDE_RANGE,
-                         **FAILING)
+                         **ILL_CONDITIONED, **FAILING)
         for name, text in scenarios.items():
             with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
                 fh.write(text)
