@@ -487,15 +487,14 @@ def build_plant(sc: Scenario) -> NetworkModel:
         return stack_network(dc_motor_agent(i) for i in range(1, sc.m + 1))
     agents = []
     for k, (A, B, C, D) in enumerate(sc.agents, start=1):
-        C_arr = np.asarray(C, dtype=float)
         try:
-            agents.append(AgentModel(A=np.asarray(A, float),
-                                     B=np.asarray(B, float),
-                                     C=C_arr, D=np.asarray(D, float),
-                                     F=np.eye(C_arr.shape[0])))
+            agents.append(AgentModel(A=A, B=B, C=C, D=D))
         except ModelValidationError as exc:
             raise ModelValidationError(f"plant.agents[{k}]: {exc}") from exc
-    return stack_network(agents)
+    try:
+        return stack_network(agents)
+    except DimensionMismatchError as exc:
+        raise DimensionMismatchError(f"plant.agents: {exc}") from exc
 
 
 def build_interaction(sc: Scenario, net: NetworkModel) -> NetworkGraph:

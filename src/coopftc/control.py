@@ -243,7 +243,7 @@ def _wire(loop: ClosedLoop, state: ClosedLoopState, v, f_s, y0):
     net, obs, law = loop.net, loop.obs, loop.law
     v, f_s = _as_rows(("disturbance", v, net.nbar_v),
                       ("fault", f_s, net.nbar_y))
-    y_f = state.x @ net.C.T + f_s @ net.F.T
+    y_f = state.x @ net.C.T + f_s
     est = extract_estimates(obs, state.eta, y_f)
     e_bar = cooperative_error(law.graph, est.x_hat @ net.C.T, y0)
     u = control_input(law, est.x_hat, e_bar, state.q)

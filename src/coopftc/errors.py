@@ -53,11 +53,9 @@ class ModelValidationError(ToolkitError):
 
 
 class IdentityCheckFailedError(ToolkitError):
-    """An exact identity does not hold to tolerance: the selector and
-    embedding identities of the augmented plant (inconsistent
-    dimensions upstream), a fast path of the simulation against its
-    reference, or the unit in-weights of a control law's graph against
-    one."""
+    """An exact identity does not hold to tolerance: a fast path of the
+    simulation against its reference, or the unit in-weights of a
+    control law's graph against one."""
 
 
 # --- synthesis -------------------------------------------------------------

@@ -29,8 +29,7 @@ from oracles import l2_ratio
 
 def _single_unit_net(A, B, C, D):
     agent = AgentModel(A=np.atleast_2d(A), B=np.atleast_2d(B),
-                       C=np.atleast_2d(C), D=np.atleast_2d(D),
-                       F=np.eye(np.atleast_2d(C).shape[0]))
+                       C=np.atleast_2d(C), D=np.atleast_2d(D))
     return stack_network([agent])
 
 

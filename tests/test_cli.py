@@ -736,7 +736,12 @@ def test_explicit_agent_count_must_match_plant_m(tmp_path, monkeypatch,
     ("{A: [[-1.0, 0.0], [0.0, -2.0]], B: [[1.0], [0.0]], C: [[1.0, 1.0]], "
      "D: [[1.0], [0.0]]}",
      "plant.agents[2]: (A, B) is not controllable"),
-], ids=["non_square_A", "uncontrollable"])
+    ("{A: [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-1.0, -3.0, -3.0]], "
+     "B: [[0.0], [0.0], [1.0]], C: [[1.0, 0.0, 0.0]], "
+     "D: [[0.0], [0.0], [1.0]]}",
+     "plant.agents: agent 2 has n_x=3, n_u=1, n_y=1, n_v=1, but agent 1 "
+     "has n_x=2, n_u=1, n_y=1, n_v=1"),
+], ids=["non_square_A", "uncontrollable", "mixed_dims"])
 def test_invalid_explicit_agent_named(tmp_path, monkeypatch, capsys, bad,
                                       message):
     monkeypatch.setattr(cli, "synth_observer", _no_synthesis)

@@ -220,7 +220,7 @@ def _random_explicit_loop(rng, m=3, n_x=3):
     agents = [AgentModel(A=rng.normal(size=(n_x, n_x)),
                          B=rng.normal(size=(n_x, 1)),
                          C=rng.normal(size=(1, n_x)),
-                         D=rng.normal(size=(n_x, 1)), F=np.eye(1))
+                         D=rng.normal(size=(n_x, 1)))
               for _ in range(m)]
     net = stack_network(agents)
     aug = augment_network(net)

@@ -4,10 +4,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from coopftc.errors import DimensionMismatchError, ModelValidationError
-from coopftc.plant import (AgentModel, augment_network, dc_motor_agent,
-                           stack_network)
+from coopftc.linalg import block_diag
+from coopftc.plant import (AgentModel, NetworkModel, augment_network,
+                           dc_motor_agent, stack_network)
 
 
 def test_motor_one_exact_entries():
@@ -16,7 +20,6 @@ def test_motor_one_exact_entries():
     npt.assert_allclose(a.B, [[0.0], [2.0]], atol=1e-15)
     npt.assert_allclose(a.C, [[1.0, 0.0]])
     npt.assert_allclose(a.D, 0.1 * np.array([[1.0], [1.0]]))
-    npt.assert_allclose(a.F, [[1.0]])
 
 
 def test_motor_two_parameter_laws():
@@ -30,8 +33,6 @@ def test_motor_two_parameter_laws():
 
 
 def test_motor_rejects_degenerate_inertia():
-    with pytest.raises(ModelValidationError):
-        dc_motor_agent(1, J=0.0)
     with pytest.raises(ModelValidationError):
         dc_motor_agent(0)
 
@@ -51,15 +52,16 @@ def test_motor_fleet_is_controllable_observable():
 def test_agent_rejects_unobservable_pair():
     with pytest.raises(ModelValidationError):
         AgentModel(A=np.diag([-1.0, -2.0]), B=np.array([[1.0], [1.0]]),
-                   C=np.array([[0.0, 0.0]]), D=np.zeros((2, 1)),
-                   F=np.eye(1))
+                   C=np.array([[0.0, 0.0]]), D=np.zeros((2, 1)))
 
 
-def test_agent_rejects_fault_matrix_other_than_identity():
-    motor = dc_motor_agent(1)
-    with pytest.raises(ModelValidationError):
-        AgentModel(A=motor.A, B=motor.B, C=motor.C, D=motor.D,
-                   F=2.0 * np.eye(1))
+@pytest.mark.parametrize("A, B, C, D", [
+    (5.0, [[1.0]], [[1.0]], [[1.0]]),
+    (np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), np.zeros((0, 1))),
+], ids=["scalar_A", "empty_A"])
+def test_agent_rejects_malformed_A(A, B, C, D):
+    with pytest.raises(ModelValidationError, match="A must be a non-empty"):
+        AgentModel(A=A, B=B, C=C, D=D)
 
 
 def test_stack_single_agent_is_the_agent():
@@ -83,7 +85,6 @@ def test_stack_four_motors_block_diagonal():
         off = net.A.copy()
         off[sl, sl] = 0.0
         npt.assert_allclose(off[sl], 0.0)
-    npt.assert_allclose(net.F, np.eye(4))
 
 
 def test_stack_rejects_mixed_dimensions():
@@ -91,10 +92,22 @@ def test_stack_rejects_mixed_dimensions():
     big = AgentModel(A=np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
                                  [-1.0, -3.0, -3.0]]),
                      B=np.array([[0.0], [0.0], [1.0]]),
-                     C=np.array([[1.0, 0.0, 0.0]]), D=np.zeros((3, 1)),
-                     F=np.eye(1))
-    with pytest.raises(DimensionMismatchError):
+                     C=np.array([[1.0, 0.0, 0.0]]), D=np.zeros((3, 1)))
+    with pytest.raises(DimensionMismatchError,
+                       match="agent 2 has n_x=3, n_u=1, n_y=1, n_v=1, but "
+                             "agent 1 has n_x=2, n_u=1, n_y=1, n_v=1"):
         stack_network([small, big])
+
+
+def _assert_selector_identities(aug):
+    """``F1 E1 + F2 E2 = I`` and ``[E1; E2] [F1 F2] = I`` in both orders,
+    bit for bit."""
+    eye = np.eye(aug.n_aug)
+    stacked = np.vstack([aug.E1, aug.E2])
+    wide = np.hstack([aug.F1, aug.F2])
+    npt.assert_array_equal(aug.F1 @ aug.E1 + aug.F2 @ aug.E2, eye)
+    npt.assert_array_equal(stacked @ wide, eye)
+    npt.assert_array_equal(wide @ stacked, eye)
 
 
 def test_augmented_shapes_and_identities(benchmark_net, benchmark_aug):
@@ -103,29 +116,23 @@ def test_augmented_shapes_and_identities(benchmark_net, benchmark_aug):
     assert aug.E1.shape == (8, 12)
     assert aug.E2.shape == (4, 12)
     assert aug.A_a.shape == (8, 12)
-    npt.assert_allclose(aug.F1 @ aug.E1 + aug.F2 @ aug.E2, np.eye(12),
-                        atol=0)
-    stacked = np.vstack([aug.E1, aug.E2])
-    wide = np.hstack([aug.F1, aug.F2])
-    npt.assert_allclose(stacked @ wide, np.eye(12), atol=1e-12)
-    npt.assert_allclose(wide @ stacked, np.eye(12), atol=1e-12)
+    _assert_selector_identities(aug)
 
 
-def test_augmented_identities_random_output_maps():
-    rng = np.random.default_rng(7)
-    for _ in range(5):
-        A = rng.normal(size=(3, 3)) - 3 * np.eye(3)
-        B = rng.normal(size=(3, 2))
-        C = rng.normal(size=(2, 3))
-        agent = AgentModel(A=A, B=B, C=C, D=rng.normal(size=(3, 1)),
-                           F=np.eye(2))
-        aug = augment_network(stack_network([agent, agent]))
-        n = aug.n_aug
-        npt.assert_allclose(aug.F1 @ aug.E1 + aug.F2 @ aug.E2, np.eye(n),
-                            atol=1e-12)
-        stacked = np.vstack([aug.E1, aug.E2])
-        wide = np.hstack([aug.F1, aug.F2])
-        npt.assert_allclose(wide @ stacked, np.eye(n), atol=1e-12)
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(1, 30),
+       st.integers(-8, 8), st.data())
+def test_augmented_identities_random_output_maps(n_x, n_y, m, exponent,
+                                                 data):
+    # the identities need no controllability or observability, so the
+    # network is stacked directly, with the output maps drawn freely
+    Cs = 10.0 ** exponent * data.draw(
+        arrays(float, (m, n_y, n_x), elements=st.floats(-1.0, 1.0)))
+    nx = m * n_x
+    net = NetworkModel(m=m, n_x=n_x, n_u=1, n_y=n_y, n_v=1,
+                       A=-np.eye(nx), B=np.ones((nx, m)),
+                       C=block_diag(*Cs), D=np.ones((nx, m)))
+    _assert_selector_identities(augment_network(net))
 
 
 def test_stacked_flow_matches_independent_agents():

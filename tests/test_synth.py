@@ -523,8 +523,7 @@ def test_controller_schur_equivalence(benchmark_net, controller_synth):
 
 def test_controller_scalar_unstable_plant():
     agent = AgentModel(A=np.array([[1.0]]), B=np.array([[1.0]]),
-                       C=np.array([[1.0]]), D=np.array([[1.0]]),
-                       F=np.eye(1))
+                       C=np.array([[1.0]]), D=np.array([[1.0]]))
     net = stack_network([agent])
     s = synth_controller(net, 0.2, 0.3)
     assert s.K[0, 0] < -1.0
@@ -702,7 +701,7 @@ def test_two_input_agent_gain_from_the_anchor(monkeypatch):
     B = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     D = np.array([[0.0], [0.1], [0.1]])
     net = stack_network([AgentModel(A=A, B=B, C=np.array([[1.0, 0.0, 0.0]]),
-                                    D=D, F=np.eye(1))])
+                                    D=D)])
     anchors = []
     slow_anchors = synth._slow_anchors
 

@@ -11,9 +11,11 @@ for the ISS certificate's transform), and on scenarios the commands
 reject (a graph that does not fit the plant, a unit the source cannot
 reach, an unnormalized graph whose in-weights do not sum to one, agents
 with two outputs on a graph that fits them and on the default star, an
-attenuation level of 1e-9).  For each command it prints the exit code
-and the md5 of its stdout and stderr, then the md5 of every file left
-in the work directory.
+attenuation level of 1e-9).  ``synth`` alone runs on two explicit
+agents of two and three states (``mixed_dims``: exit 2 naming
+``plant.agents`` and each agent's n_x, n_u, n_y and n_v).  For each
+command it prints the exit code and the md5 of its stdout and stderr,
+then the md5 of every file left in the work directory.
 
 bench4's ``simulate`` and ``verify`` run twice: as the benchmark runs
 them, where the trace is written and read by two processes on a host of
@@ -78,6 +80,16 @@ FAILING = {
                               f"[{TWO_OUTPUTS}, {TWO_OUTPUTS}]}}\n"),
     "tiny_delta.yaml": "synthesis: {delta: 1.0e-9}\n",
 }
+
+#: Agents of two and three states: ``synth`` rejects their stack.
+MIXED_DIMS = {"mixed_dims.yaml": (
+    "graph: {edges: [[2, 1, 1.0]], sources: [[1, 1.0]]}\n"
+    "plant: {kind: explicit, agents: ["
+    "{A: [[-1.0, 0.0], [0.0, -2.0]], B: [[1.0], [1.0]], C: [[1.0, 1.0]], "
+    "D: [[1.0], [0.0]]}, "
+    "{A: [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-1.0, -3.0, -3.0]], "
+    "B: [[0.0], [0.0], [1.0]], C: [[1.0, 0.0, 0.0]], "
+    "D: [[0.0], [0.0], [1.0]]}]}\n")}
 
 #: Commands run with this process pinned to one CPU, so that no table
 #: is split.
@@ -146,6 +158,8 @@ def _commands() -> list[tuple[str, list[str]]]:
                                     "--gains", "ill_conditioned_gains"]),
         ("infeasible_m5.synth", ["synth", "-s", "infeasible_m5.yaml", "-o",
                                  "infeasible_m5_gains"]),
+        ("mixed_dims.synth", ["synth", "-s", "mixed_dims.yaml", "-o",
+                              "mixed_dims_gains"]),
     ]
     for name in FAILING:
         stem = name.removesuffix(".yaml")
@@ -195,7 +209,7 @@ def manifest(seed: int) -> list[str]:
     lines = []
     with tempfile.TemporaryDirectory(prefix="outputs_md5_") as work:
         scenarios = dict(_workloads().scenario_files(seed), **WIDE_RANGE,
-                         **ILL_CONDITIONED, **FAILING)
+                         **ILL_CONDITIONED, **MIXED_DIMS, **FAILING)
         for name, text in scenarios.items():
             with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
                 fh.write(text)
