@@ -26,14 +26,11 @@ this pointwise on a recorded trace, restarting the exponential at each
 setpoint change (the derivation assumes the designated state is
 constant over the window).
 
-One algebraic fact keeps the verification honest and simple: the
-equilibrium offset solves ``Phi e_star = -phi_0`` with
-``phi_0 = Phi (A_0 (x) I) x_bar_0``, so ``e_star`` collapses to
-``-(A_0 (x) I) x_bar_0`` and the *shifted* error is exactly
-``(L (x) I) x_bar`` -- independent of which designated state the
-caller picks.  We still compute ``e_star`` by solving the linear
-system rather than assuming it away, so a wrong ``Phi`` surfaces as a
-failed check instead of a silent cancellation.
+The shifted error needs no solve.  The equilibrium offset solves
+``Phi e_star = -phi_0`` with ``phi_0 = Phi (A_0 (x) I) x_bar_0``, so
+``e_star = -(A_0 (x) I) x_bar_0`` for every nonsingular ``Phi``, and the
+shifted error is exactly ``(L (x) I) x_bar``, the graph matrix applied
+to the stacked state, whichever designated state the caller picks.
 """
 
 from __future__ import annotations
@@ -243,17 +240,6 @@ def _window_starts(y0: np.ndarray) -> np.ndarray:
     return np.concatenate([[0], changes])
 
 
-def _lift_setpoint(net: NetworkModel, value: float) -> np.ndarray:
-    """Minimum-norm per-agent state consistent with output ``value``.
-
-    Uses the first agent's output map; the bound is valid for *any*
-    constant designated state, so the particular lift only affects the
-    reported raw cooperative error, never the shifted one.
-    """
-    C1 = net.C[: net.n_y, : net.n_x]
-    return np.linalg.pinv(C1) @ np.atleast_1d(float(value))
-
-
 # ---------------------------------------------------------------------------
 # ISS bound verification
 
@@ -298,13 +284,13 @@ class IssBoundReport:
 
 
 def verify_iss_bound(trace: SimTrace, cert: IssCertificate,
-                     net: NetworkModel, law: ControlLaw) -> IssBoundReport:
+                     law: ControlLaw) -> IssBoundReport:
     """Check the certificate's trajectory bound pointwise on a trace.
 
     The trace is split at setpoint changes (read off the recorded
     setpoint column); within each window the designated state is
-    constant, the equilibrium offset is obtained by solving
-    ``Phi e_star = -phi_0``, and the bound
+    constant, the shifted error is ``(L (x) I) x_bar`` (module
+    docstring), and the bound
 
         ||e_tilde(t)|| <= c1 exp(-c2 (t - t_k)) ||e_tilde(t_k)||
                           + c3 max_{[t_k, t]} ||theta||
@@ -312,10 +298,6 @@ def verify_iss_bound(trace: SimTrace, cert: IssCertificate,
     is evaluated at every sample with a running maximum on the right.
     A sample violates when the left side exceeds the right by more than
     ``ISS_RTOL`` relative to the right side.
-
-    The designated per-agent state of a window is the minimum-norm lift
-    of the recorded setpoint through the first agent's output map; the
-    shifted error does not depend on this choice (see module docstring).
     """
     if cert.graph.m * cert.n_x != trace.x.shape[1]:
         raise DimensionMismatchError(
@@ -323,20 +305,17 @@ def verify_iss_bound(trace: SimTrace, cert: IssCertificate,
     theta = _theta_star(trace, law)
     theta_norm = np.linalg.norm(theta, axis=1)
 
+    # the cooperative error at designated state zero is (L (x) I) x_bar
+    error_norm = np.linalg.norm(
+        cooperative_error(cert.graph, trace.x, np.zeros(cert.n_x)), axis=1)
+
     starts = _window_starts(trace.y0)
     bounds = np.concatenate([starts, [trace.t.size]])
     windows = []
     worst = -np.inf
     for k0, k1 in zip(bounds[:-1], bounds[1:]):
         t_w = trace.t[k0:k1]
-        x0 = _lift_setpoint(net, trace.y0[k0, 0])
-        # the error at x = 0 is -(A_0 (x) I) x_bar_0, so Phi times it is
-        # -phi_0
-        at_zero = cooperative_error(cert.graph, np.zeros(trace.x.shape[1]),
-                                    x0)
-        e_star = solve_linear(cert.Phi, cert.Phi @ at_zero)
-        tilde = cooperative_error(cert.graph, trace.x[k0:k1], x0) - e_star
-        lhs = np.linalg.norm(tilde, axis=1)
+        lhs = error_norm[k0:k1]
         sup_theta = np.maximum.accumulate(theta_norm[k0:k1])
         rhs = (cert.c1 * np.exp(-cert.c2 * (t_w - t_w[0])) * lhs[0]
                + cert.c3 * sup_theta)

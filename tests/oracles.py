@@ -5,6 +5,7 @@ import scipy.signal
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
 from coopftc.analysis import _theta_star
+from coopftc.control import cooperative_error
 from coopftc.errors import (DimensionMismatchError, InfeasibleError,
                             NotSymmetricError)
 from coopftc.linalg import SYMMETRY_RTOL
@@ -391,3 +392,43 @@ def l2_ratio(trace, law):
     state_l2 = float(np.sqrt(trace.h * np.sum(trace.x[:-1] ** 2)))
     input_l2 = float(np.sqrt(trace.h * np.sum(theta[:-1] ** 2)))
     return (state_l2 / input_l2 if input_l2 > 0.0 else np.inf), input_l2
+
+
+def dissipation_block(Q, K, A, B, D, alpha, delta):
+    """Pre-elimination dissipation inequality of the feedback loop at
+    storage ``Q`` and gain ``K``::
+
+        [[Q Acl + Acl' Q + I,  -Q B,      Q D],
+         [*,                 -alpha I,     0 ],
+         [*,                    *,   -delta^2 I]],   Acl = A + B K.
+
+    At ``Q = R^{-1}`` it is ``Lambda(R, K R)`` after a congruence with
+    ``diag(R^{-1}, I, I, I)`` and a Schur complement: the reference for
+    the feedback re-verification of
+    :func:`coopftc.synth.synth_controller`."""
+    Acl = A + B @ K
+    n, nu, nv = A.shape[0], B.shape[1], D.shape[1]
+    QB, QD = Q @ B, Q @ D
+    return np.block([
+        [Q @ Acl + Acl.T @ Q + np.eye(n), -QB, QD],
+        [-QB.T, -alpha * np.eye(nu), np.zeros((nu, nv))],
+        [QD.T, np.zeros((nv, nu)), -delta ** 2 * np.eye(nv)],
+    ])
+
+
+def lift_setpoint(C1, y0):
+    """Minimum-norm per-agent state with output ``y0`` through ``C1``."""
+    return np.linalg.pinv(C1) @ np.atleast_1d(float(y0))
+
+
+def shifted_error_by_phi_solve(g, C1, Phi, x, y0):
+    """Shifted cooperative error of the stacked states ``x`` (one row per
+    sample) in a window with setpoint ``y0``, computed the long way: the
+    designated state is :func:`lift_setpoint` of ``y0``, and the
+    equilibrium offset ``e_star`` solves ``Phi e_star = Phi e(0)``, with
+    ``e(0)`` the cooperative error at ``x = 0``.  The reference for the
+    ``(L (x) I) x`` of :func:`coopftc.analysis.verify_iss_bound`."""
+    x0 = lift_setpoint(C1, y0)
+    at_zero = cooperative_error(g, np.zeros(np.shape(x)[-1]), x0)
+    e_star = np.linalg.solve(Phi, Phi @ at_zero)
+    return cooperative_error(g, x, x0) - e_star

@@ -138,12 +138,10 @@ def test_04_estimator_dissipation_inequality(benchmark_trace, benchmark_aug,
 
 
 def test_05_disagreement_trajectory_bound(quiet_traces, benchmark_trace,
-                                          star_cert, benchmark_net, loops,
-                                          announce):
+                                          star_cert, loops, announce):
     law = loops["star"].law
-    quiet = verify_iss_bound(quiet_traces["star"], star_cert,
-                             benchmark_net, law)
-    full = verify_iss_bound(benchmark_trace, star_cert, benchmark_net, law)
+    quiet = verify_iss_bound(quiet_traces["star"], star_cert, law)
+    full = verify_iss_bound(benchmark_trace, star_cert, law)
     ok = (quiet.passed and full.passed
           and quiet.max_relative_violation <= 0.0
           and full.max_relative_violation <= 0.0)

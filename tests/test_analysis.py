@@ -10,8 +10,10 @@ from dataclasses import replace
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import benchmark_schedule, quiet_schedule
+from conftest import benchmark_schedule, quiet_schedule, random_reachable_graph
 from coopftc.analysis import (consensus_report, dissipation_check,
                               iss_certificate, verify_iss_bound)
 from coopftc.control import (ClosedLoopState, ControlLaw, build_closed_loop,
@@ -24,7 +26,7 @@ from coopftc.plant import (AgentModel, augment_network, dc_motor_agent,
                            stack_network)
 from coopftc.sim import run_experiment, sample_initial_state
 from coopftc.synth import synth_controller, synth_observer
-from oracles import l2_ratio
+from oracles import l2_ratio, lift_setpoint, shifted_error_by_phi_solve
 
 
 def _single_unit_net(A, B, C, D):
@@ -93,41 +95,58 @@ def test_unstable_closed_loop_is_blamed_on_a_plus_b_k():
 
 # --- verify_iss_bound -------------------------------------------------------
 
-def test_iss_bound_zero_run(loops, star_cert, benchmark_net):
+def test_iss_bound_zero_run(loops, star_cert):
     rest = ClosedLoopState(x=np.zeros(8), eta=np.zeros(12), q=np.zeros(4))
     tr = run_experiment(loops["star"], quiet_schedule(4, setpoint=0.0), rest,
                         h=1e-3, T=1.0)
-    report = verify_iss_bound(tr, star_cert, benchmark_net,
-                              loops["star"].law)
+    report = verify_iss_bound(tr, star_cert, loops["star"].law)
     assert report.passed
     assert report.windows[0].sup_error <= 1e-12
     assert report.windows[0].sup_input <= 1e-12
 
 
-def test_iss_bound_disturbance_free_run(quiet_traces, star_cert,
-                                        benchmark_net, loops):
+def test_iss_bound_disturbance_free_run(quiet_traces, star_cert, loops):
     report = verify_iss_bound(quiet_traces["star"], star_cert,
-                              benchmark_net, loops["star"].law)
+                              loops["star"].law)
     assert report.passed
     assert report.max_relative_violation <= 1e-9
     assert len(report.windows) == 1
 
 
-def test_iss_bound_full_benchmark_run(benchmark_trace, star_cert,
-                                      benchmark_net, loops):
-    report = verify_iss_bound(benchmark_trace, star_cert, benchmark_net,
-                              loops["star"].law)
+def test_iss_bound_full_benchmark_run(benchmark_trace, star_cert, loops):
+    report = verify_iss_bound(benchmark_trace, star_cert, loops["star"].law)
     assert report.passed
     assert len(report.windows) == 2  # setpoint step at t=20 splits the trace
     assert report.max_relative_violation <= 1e-9
 
 
 def test_iss_bound_detects_tampered_inputs(benchmark_trace, star_cert,
-                                           benchmark_net, loops):
+                                           loops):
     forged = replace(benchmark_trace, u=np.zeros_like(benchmark_trace.u))
     with pytest.raises(IdentityCheckFailedError):
-        verify_iss_bound(forged, star_cert, benchmark_net,
-                         loops["star"].law)
+        verify_iss_bound(forged, star_cert, loops["star"].law)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_x=st.integers(1, 3),
+       rows=st.integers(1, 4), y0=st.floats(-10.0, 10.0))
+def test_shifted_error_is_the_graph_product(seed, n_x, rows, y0):
+    """The shifted error that ``verify_iss_bound`` once computed per
+    window (a setpoint lift, then a solve of Phi e_star = Phi e(0))
+    equals (L (x) I) x on random graphs, states, setpoints and
+    nonsingular Phi (condition number at most 100)."""
+    rng = np.random.default_rng(seed)
+    g = random_reachable_graph(rng)
+    n = g.m * n_x
+    C1 = rng.uniform(0.5, 2.0, (1, n_x)) * rng.choice([-1.0, 1.0], (1, n_x))
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    Phi = Q * (rng.uniform(0.1, 10.0, n) * rng.choice([-1.0, 1.0], n))
+    x = rng.normal(scale=10.0, size=(rows, n))
+    want = cooperative_error(g, x, np.zeros(n_x))
+    got = shifted_error_by_phi_solve(g, C1, Phi, x, y0)
+    offset = cooperative_error(g, np.zeros(n), lift_setpoint(C1, y0))
+    scale = max(np.abs(want).max(), np.abs(offset).max())
+    npt.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
 
 
 def test_equilibrium_error_reached_by_inner_loop(benchmark_net,

@@ -238,18 +238,32 @@ def _random_explicit_loop(rng, m=3, n_x=3):
     return build_closed_loop(net, aug, obs, law)
 
 
+def _at_origin(loop):
+    """One ``closed_loop_rhs`` call at zero state under zero signals."""
+    net = loop.net
+    signals = SignalSchedule(times=(0.0,), v=np.zeros((1, net.nbar_v)),
+                             f_s=np.zeros((1, net.nbar_y)),
+                             y0=np.zeros((1, net.n_y)))
+    state = ClosedLoopState.unpack(np.zeros(loop.dim), net.nbar_x,
+                                   loop.aug.n_aug)
+    return closed_loop_rhs(0.0, state, loop, signals).packed()
+
+
 def test_maps_equal_unit_vector_probes(loops):
     """The one stacked evaluation of ``closed_loop_maps`` gives, bit for
     bit, the columns of one ``closed_loop_rhs`` call per unit vector on
     the benchmark loop.  On a dense random loop the stacked products
     (BLAS gemm) and the one-state products (gemv) may round differently,
     so there the columns agree to a few ulps of the block's scale: 200
-    seeds deviate by at most 2.8 eps."""
+    seeds deviate by at most 2.8 eps.  On both loops the origin maps to
+    exact zeros, so the probe needs no affine offset."""
     maps = closed_loop_maps(loops["star"])
     for got, want in zip((maps.M, maps.B_v, maps.B_f, maps.B_r),
                          _unit_probe_maps(loops["star"])):
         npt.assert_array_equal(got, want)
+    npt.assert_array_equal(_at_origin(loops["star"]), 0.0)
     loop = _random_explicit_loop(np.random.default_rng(48))
+    npt.assert_array_equal(_at_origin(loop), 0.0)
     maps = closed_loop_maps(loop)
     eps = np.finfo(float).eps
     for got, want in zip((maps.M, maps.B_v, maps.B_f, maps.B_r),

@@ -13,9 +13,9 @@ import pytest
 import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import (anchor_from_poles, anchor_riccati, farkas_check,
-                     is_negative_definite, place_poles_gain, slow_anchor,
-                     solve_lmi_reference)
+from oracles import (anchor_from_poles, anchor_riccati, dissipation_block,
+                     farkas_check, is_negative_definite, place_poles_gain,
+                     slow_anchor, solve_lmi_reference)
 
 from coopftc import synth
 from coopftc.cli import save_matrix
@@ -347,6 +347,10 @@ def test_observer_benchmark_feasible(benchmark_aug, benchmark_net,
     assert resid <= 1e-9 * max(1.0, np.abs(s.H).max())
     A_err = benchmark_aug.F1 @ benchmark_aug.A_a - s.Lgain @ benchmark_aug.E2
     assert is_hurwitz(A_err)
+    # the margin is the one of the block at the returned gain
+    at_gain = _observer_block(benchmark_aug, benchmark_net, s.P,
+                              s.P @ s.Lgain, s.delta)
+    assert s.margin == -sym_eigvals(at_gain)[-1]
 
 
 def test_observer_probes_each_agent_block_once(benchmark_aug, benchmark_net,
@@ -496,6 +500,10 @@ def test_controller_benchmark_feasible(benchmark_net, controller_synth):
     resid = np.abs(s.K @ s.R - s.G).max()
     assert resid <= 1e-9 * max(1.0, np.abs(s.G).max())
     assert is_hurwitz(benchmark_net.A + benchmark_net.B @ s.K)
+    # the margin is the one of the block at the returned gain
+    at_gain = _feedback_block(benchmark_net, s.R, s.K @ s.R, s.alpha,
+                              s.delta)
+    assert s.margin == -sym_eigvals(at_gain)[-1]
 
 
 def test_controller_gamma_consistent(controller_synth):
@@ -506,7 +514,9 @@ def test_controller_gamma_consistent(controller_synth):
 
 
 def test_controller_schur_equivalence(benchmark_net, controller_synth):
-    """Pre-elimination 3x3 form and the 4x4 form agree at the solution."""
+    """Pre-elimination 3x3 form and the 4x4 form agree at the solution,
+    and so do the dissipation inequality at (R^{-1}, K) and the 4x4 form
+    at the returned gain, which the synthesis re-verifies."""
     s = controller_synth
     net = benchmark_net
     core = net.A @ s.R + s.R @ net.A.T + net.B @ s.G + s.G.T @ net.B.T
@@ -519,6 +529,12 @@ def test_controller_schur_equivalence(benchmark_net, controller_synth):
     lam = _feedback_block(net, s.R, s.G, s.alpha, s.delta)
     assert is_negative_definite(pre)
     assert is_negative_definite(lam)
+    Q = np.linalg.inv(s.R)
+    diss = dissipation_block(0.5 * (Q + Q.T), s.K, net.A, net.B, net.D,
+                             s.alpha, s.delta)
+    assert is_negative_definite(diss)
+    assert is_negative_definite(
+        _feedback_block(net, s.R, s.K @ s.R, s.alpha, s.delta))
 
 
 def test_controller_scalar_unstable_plant():
@@ -715,9 +731,9 @@ def test_two_input_agent_gain_from_the_anchor(monkeypatch):
     (anchor,) = anchors
     assert anchor is not None
     np.testing.assert_allclose(s.R, anchor["R"], rtol=1e-12)
-    lam = synth.feedback_inequality(s.R, s.G, A, B, D, 0.2, 0.3)
-    assert synth._reverify("feedback", lam, MARGIN, "R", s.R, "|K R - G|",
-                           s.K @ s.R, s.G) == pytest.approx(s.margin)
+    lam = synth.feedback_inequality(s.R, s.K @ s.R, A, B, D, 0.2, 0.3)
+    assert synth._reverify("feedback", lam, MARGIN, "R",
+                           s.R) == pytest.approx(s.margin)
     assert is_hurwitz(A + B @ s.K)
 
 
