@@ -55,16 +55,17 @@ positive definite storage this one test also proves ``A_o`` and
 
 A failed solve ends in one of three verdicts.  *Provably infeasible*:
 the expression is constant, or the margin is above the cap; no
-iteration runs.  *Certified infeasible*: the displacement ``v - u`` of
-the splitting converges, on an infeasible problem, to the minimal gap
-vector between the affine family and the cone (Bauschke, Combettes &
-Luke, J. Approx. Theory 127 (2004); Banjac, Goulart, Stellato & Boyd,
-JOTA 183 (2019)), which is a Farkas certificate; a stalled problem is
-tested for one every ``FARKAS_EVERY`` steps (:func:`_farkas_radius`)
-and retires at the first that rules out every assignment with
-``|y| < FARKAS_RADIUS``.  *Gave up*: the stall cutoff or the iteration
-budget ends the solve with no certificate.  The test only reads the
-iterates, so every accepted assignment is the one found without it.
+iteration runs.  *Certified infeasible*: before any projection step, a
+primal-dual interior-point solve of ``min lambda`` subject to the
+expression at the floors being ``<= lambda I`` (:func:`_dual_solve`,
+in lockstep over the stack, at most ``DUAL_STEPS`` Newton steps) found
+a dual matrix that is a Farkas certificate, and
+:func:`_farkas_radius` shows that it rules out every assignment with
+``|y| < FARKAS_RADIUS``; the problem retires without iterating.
+*Gave up*: the projection iteration stalled or ran out of budget.  The
+dual solve only decides certificates: every problem it does not
+certify goes to the projection iteration as before, so every accepted
+assignment is the one found without it.
 
 Feasible sets here are large, and different feasible gains behave very
 differently in closed loop: an over-fast inner loop starves the
@@ -131,14 +132,15 @@ CONTROLLER_DECAY = 2.0
 #: (eigenvalue strip); see the module docstring on why over-fast inner
 #: loops are undesirable.
 CONTROLLER_MAX_RATE = 8.0
-#: Cadence of the infeasibility test: every FARKAS_EVERY steps, each
-#: problem whose gap has not improved for FARKAS_EVERY steps is tested
-#: (see :func:`_douglas_rachford`).
-FARKAS_EVERY = 10
+#: Newton-step cap of the dual solve that looks for a Farkas certificate
+#: before the projection iteration (see :func:`_dual_solve`).
+DUAL_STEPS = 40
 #: A Farkas certificate retires its problem when it rules out every
 #: assignment with ``|y|`` below this radius.
 FARKAS_RADIUS = 1e6
-#: Relative rounding allowance of the certificate's radius.
+#: Relative rounding allowance of the certificate's radius: a hundred
+#: times the rounding of the inner products of the problems here (58
+#: stacked entries, blocks of at most 7 rows).
 FARKAS_ROUNDING = 1e-12
 #: Margin ladder used to push solutions off the feasibility boundary.
 MARGIN_LADDER = (0.03, 0.1, 0.3, 1.0)
@@ -279,11 +281,12 @@ def solve_lmi(problem: LmiProblem, margin: float = MARGIN,
         *Provably infeasible*, before any iteration: a constant
         expression whose ``lambda_max`` exceeds ``-margin``, or a margin
         above ``problem.margin_cap`` (the message gives the cap).
-        *Certified infeasible*: a stalled iteration yielded a Farkas
-        certificate; the message gives the step, the radius ``Y`` below
-        which no assignment meets the inequality, and the residual gap.
-        *Gave up*: the stagnation cutoff or the iteration budget was hit
-        with no certificate; the message says which.
+        *Certified infeasible*, before any iteration: the dual solve
+        found a Farkas certificate; the message gives its Newton steps,
+        the radius ``Y`` below which no assignment meets the
+        inequality, and the dual solve's estimate of the best reachable
+        margin.  *Gave up*: the stagnation cutoff or the iteration
+        budget was hit; the message says which.
     """
     ((result, _),) = _solve_batch([problem], margin, max_iterations,
                                   [initial])
@@ -300,8 +303,10 @@ def _solve_batch(problems, margin, max_iterations, initials):
     ``result`` is the accepted assignment or the :class:`InfeasibleError`
     that :func:`solve_lmi` raises for it, and ``iterations`` counts the
     projection steps the problem took (0 when it was decided without
-    iterating).  Problems of one block layout iterate together, in
-    lockstep, in one :func:`_douglas_rachford` stack.
+    iterating).  Problems of one block layout are solved together, in
+    lockstep: first one :func:`_dual_solve` stack, which retires the
+    problems it certifies infeasible, then one :func:`_douglas_rachford`
+    stack of the others.
     """
     t = float(margin)
     if t < 0:
@@ -323,10 +328,25 @@ def _solve_batch(problems, margin, max_iterations, initials):
             layout = (tuple(problem.block_sizes), len(problem.coords))
             layouts.setdefault(layout, []).append(j)
     for members in layouts.values():
-        stacked = _douglas_rachford([problems[j] for j in members], t,
+        records = _dual_solve([problems[j] for j in members], t,
+                              [initials[j] for j in members])
+        undecided = []
+        for j, record in zip(members, records):
+            if record is None or not record[1] > FARKAS_RADIUS:
+                undecided.append(j)
+                continue
+            steps, radius, dual, _ = record
+            outcomes[j] = (InfeasibleError(
+                f"certified infeasible by the dual solve ({steps} Newton "
+                "steps): a Farkas certificate rules out every point with "
+                f"|y| < {radius:.3e} at margin {t:.3e}; best reachable margin "
+                f"about {t - dual:.3e}"), 0)
+        if not undecided:
+            continue
+        stacked = _douglas_rachford([problems[j] for j in undecided], t,
                                     max_iterations,
-                                    [initials[j] for j in members])
-        for j, outcome in zip(members, stacked):
+                                    [initials[j] for j in undecided])
+        for j, outcome in zip(undecided, stacked):
             outcomes[j] = outcome
     return outcomes
 
@@ -340,43 +360,13 @@ def _douglas_rachford(problems, t, max_iterations, initials):
     ``pinv`` and ``A``, one stacked ``eigvalsh`` per block for the stop
     test.  Stacked ``eigh``, ``eigvalsh`` and ``matmul`` compute each
     matrix as the single-matrix calls do, so each problem follows the
-    iterates it would follow alone.  A problem keeps its own stall
-    counter and leaves the stack when it converges, is certified
-    infeasible or stalls; the stack is compacted only then.
-
-    Every ``FARKAS_EVERY`` steps, each problem whose gap has not
-    improved for ``FARKAS_EVERY`` steps is tested for a Farkas
-    certificate, built from its displacement ``r = v - u``
-    (:func:`_farkas_radius`, one more stacked ``eigh`` per block over
-    the problems tested).  The certificate is taken against ``floor0``,
-    the family's constant term at the required floors (``t`` and
-    ``PD_MARGIN``), not at the internal targets of ``g0``, so its
-    verdict is about the problem as posed.  A problem whose certificate
-    rules out every assignment with ``|y| < FARKAS_RADIUS`` retires as
-    certified infeasible; one that converges on the same step retires
-    as converged.  A feasible problem cannot be certified beyond the
-    norm of its feasible points, and every accepted assignment on the
-    default scenario and the 24-motor fleet has ``|y| <= 156``.
-
-    The constants were chosen on the two stalls of the benchmark
-    scenarios, testing every step: the radius first exceeds ``1e6`` at
-    step 278 on agent 5 of the five-motor ring (delta 0.3; it then
-    levels off at 1.1e8, and the stall cutoff came at step 721) and at
-    step 887 on motor 4's 0.03 rung (level 6.4e6; cutoff at 1,178).
-    ``FARKAS_RADIUS = 1e6`` is 6,400 times the largest accepted ``|y|``
-    and below both levels.  With ``FARKAS_EVERY = 10`` they retire at
-    steps 280 and 890, at most nine steps late, for one test per ten
-    steps of a stalled problem.  Testing every step retires agent 5 at
-    step 278 but made its observer stage 0.048 s against 0.031 s
-    (medians of seven calls, 2-vCPU host); testing every 50 steps
-    retires it at step 300.  The levels are set by
-    ``FARKAS_ROUNDING = 1e-12``, a hundred times the rounding of these
-    problems' inner products (58 stacked entries, blocks of at most 7
-    rows); without it they read 3.4e10 and 3.7e8.
+    iterates it would follow alone.  The iteration is purely primal: a
+    problem keeps its own stall counter and leaves the stack when it
+    converges or stalls (500 steps without its gap improving), and the
+    stack is compacted only then.  What is left when the budget runs out
+    gave up too.  Infeasibility is decided before, by :func:`_dual_solve`.
     """
-    first = problems[0]
-    spans = [(first.offsets[b], first.offsets[b + 1], nb)
-             for b, nb in enumerate(first.block_sizes)]
+    spans = _spans(problems[0])
     # Internal targets sit slightly beyond the required floors so the
     # exact requirement is met strictly before full convergence.
     n_pd = len(spans) - 1
@@ -384,24 +374,12 @@ def _douglas_rachford(problems, t, max_iterations, initials):
     targets = [1.05 * t + 1e-9] + [2.0 * PD_MARGIN + 1e-12] * n_pd
     slacks = [target - floor for target, floor in zip(targets, floors)]
 
-    def block_views(x):
-        return [x[:, lo:hi].reshape(-1, nb, nb) for lo, hi, nb in spans]
-
     # every vector is stacked as a (k, length, 1) column, so the products
     # with ``pinv`` and ``A`` are stacked matrix-vector products
     A = np.stack([p.A for p in problems])
     pinv = np.stack([p.pinv for p in problems])
-    g0 = np.stack([p.base for p in problems])[:, :, None]
-    floor0 = g0.copy()
-    for Gb, Fb, target, floor in zip(block_views(g0), block_views(floor0),
-                                     targets, floors):
-        Gb += target * np.eye(Gb.shape[-1])
-        Fb += floor * np.eye(Fb.shape[-1])
-    y = np.zeros((len(problems), len(first.coords), 1))
-    for row, (problem, initial) in enumerate(zip(problems, initials)):
-        if initial is not None:
-            y[row, :, 0] = [initial[name][i, j]
-                            for name, i, j in problem.coords]
+    g0 = _shifted_bases(problems, spans, targets)
+    y = _warm_starts(problems, initials)
 
     # Douglas-Rachford splitting between the affine family and the
     # negative-semidefinite cone; plain alternating projections crawl on
@@ -409,7 +387,7 @@ def _douglas_rachford(problems, t, max_iterations, initials):
     # and v are updated in place through their block views.
     z = g0 + A @ y
     u, v = np.empty_like(z), np.empty_like(z)
-    views = block_views(z), block_views(u), block_views(v)
+    views = _blocks(z, spans), _blocks(u, spans), _blocks(v, spans)
     live = np.arange(len(problems))
     # a step improves when its gap is below the best gap so far times
     # (1 - 1e-9); that product is kept, not recomputed each step
@@ -442,25 +420,14 @@ def _douglas_rachford(problems, t, max_iterations, initials):
         improved = gap < threshold
         np.multiply(gap, 1.0 - 1e-9, out=threshold, where=improved)
         improved_at[improved] = iteration
-        # every FARKAS_EVERY steps, a problem idle for as long is tested
-        # for a certificate; the test only reads the iterates
-        radius = np.zeros(len(live))
-        if iteration % FARKAS_EVERY == 0:
-            idle = np.flatnonzero(improved_at <= iteration - FARKAS_EVERY)
-            if idle.size:
-                radius[idle] = _farkas_radius(A[idle], pinv[idle],
-                                              floor0[idle],
-                                              r[idle, :, None], spans)
-        certified = radius > FARKAS_RADIUS
         # a problem stalls after 500 steps without improvement; the
         # deadline is a lower bound, refreshed only once it is reached
         if iteration >= deadline:
             deadline = improved_at.min() + 500
-        if (np.minimum.reduce(worst) > 0.0 and iteration < deadline
-                and not certified.any()):
+        if np.minimum.reduce(worst) > 0.0 and iteration < deadline:
             continue
         converged = worst <= 0.0
-        retired = converged | certified | (improved_at <= iteration - 500)
+        retired = converged | (improved_at <= iteration - 500)
         if not retired.any():  # a NaN excess
             continue
         for row in np.flatnonzero(retired):
@@ -468,12 +435,6 @@ def _douglas_rachford(problems, t, max_iterations, initials):
             if converged[row]:
                 outcomes[j] = (problems[j].assignment(y_v[row, :, 0]),
                                iteration)
-            elif certified[row]:
-                outcomes[j] = (InfeasibleError(
-                    f"certified infeasible at step {iteration}: a Farkas "
-                    "certificate rules out every point with |y| < "
-                    f"{radius[row]:.3e} at margin {t:.3e} (residual gap "
-                    f"{gap[row]:.3e})"), iteration)
             else:
                 outcomes[j] = (InfeasibleError(
                     "projection iteration stagnated (residual gap "
@@ -482,11 +443,11 @@ def _douglas_rachford(problems, t, max_iterations, initials):
         keep = ~retired
         if not keep.any():
             return outcomes
-        live, A, pinv, g0, floor0, z, threshold, improved_at, worst = (
-            x[keep] for x in (live, A, pinv, g0, floor0, z, threshold,
-                              improved_at, worst))
+        live, A, pinv, g0, z, threshold, improved_at, worst = (
+            x[keep] for x in (live, A, pinv, g0, z, threshold, improved_at,
+                              worst))
         u, v = np.empty_like(z), np.empty_like(z)
-        views = block_views(z), block_views(u), block_views(v)
+        views = _blocks(z, spans), _blocks(u, spans), _blocks(v, spans)
     for j, excess in zip(live, worst):
         outcomes[j] = (InfeasibleError(
             f"iteration budget ({max_iterations}) exhausted with "
@@ -495,11 +456,236 @@ def _douglas_rachford(problems, t, max_iterations, initials):
     return outcomes
 
 
+def _spans(problem):
+    """``(lo, hi, rows)`` of each stacked block of ``problem``."""
+    return [(problem.offsets[b], problem.offsets[b + 1], nb)
+            for b, nb in enumerate(problem.block_sizes)]
+
+
+def _blocks(x, spans):
+    """Square views, one (k, rows, rows) stack per block, of the stacked
+    vectors ``x`` (k, length, 1)."""
+    return [x[:, lo:hi].reshape(-1, nb, nb) for lo, hi, nb in spans]
+
+
+def _shifted_bases(problems, spans, shifts):
+    """The problems' constant terms as (k, length, 1) columns, with
+    ``shifts[b]`` times the identity added to block ``b``."""
+    g = np.stack([p.base for p in problems])[:, :, None]
+    for Gb, shift in zip(_blocks(g, spans), shifts):
+        Gb += shift * np.eye(Gb.shape[-1])
+    return g
+
+
+def _warm_starts(problems, initials):
+    """Coordinates of each warm start (zeros where it is None), stacked
+    as (k, coordinates, 1) columns."""
+    y = np.zeros((len(problems), len(problems[0].coords), 1))
+    for row, (problem, initial) in enumerate(zip(problems, initials)):
+        if initial is not None:
+            y[row, :, 0] = [initial[name][i, j]
+                            for name, i, j in problem.coords]
+    return y
+
+
+def _dual_solve(problems, t, initials):
+    """Look for a Farkas certificate of each of a stack of same-layout
+    problems at margin ``t`` by a primal-dual interior-point solve, in
+    lockstep over the stack; warm starts as in :func:`_solve_batch`.
+
+    With ``floor0`` the family's constant term at the required floors
+    (``t`` on the expression, ``PD_MARGIN`` on each ``-V`` block), each
+    problem is the pair of semidefinite programs
+
+        min  lambda      s.t.  floor0 + A y <= lambda I  (each block),
+        max  <floor0, X>  s.t.  A'X = 0,  tr X = 1,  X >= 0  (each block),
+
+    whose common optimum ``lambda*`` is negative exactly when some ``y``
+    meets the floors strictly.  A dual ``X`` with ``<floor0, X> > 0`` is
+    a Farkas certificate, and :func:`_farkas_radius` gives the radius
+    below which it rules out every assignment.  Each Newton step
+    (:func:`_newton_step`) is elementwise over the stack, so every
+    problem takes the steps a solve of its own would.  A problem retires
+    at the first step whose radius exceeds ``FARKAS_RADIUS``, whose
+    ``lambda`` is negative (a strictly feasible point: there is nothing
+    to certify), whose iterate is not finite, or at ``DUAL_STEPS``.  When
+    LAPACK rejects a matrix of the stack, that step is redone one
+    problem at a time, and a problem it rejects alone retires with a
+    non-finite iterate; nothing raises.
+
+    A feasible problem cannot be certified beyond the norm of its
+    feasible points; every accepted assignment on the default scenario
+    and the 24-motor fleet has ``|y| <= 156``, 6,400 times below
+    ``FARKAS_RADIUS``.  A problem whose warm start already meets the
+    floors is feasible and is not solved.  Returns one entry per problem: None for those, else
+    ``(steps, radius, dual, x)``: the Newton steps taken, the radius of
+    the last iterate's certificate (nan when ``<floor0, X> <= 0``), the
+    dual objective ``<floor0, X>`` (an estimate of ``lambda*``) and
+    ``X`` as a stacked vector.
+    """
+    spans = _spans(problems[0])
+    floor0 = _shifted_bases(problems, spans,
+                            [t] + [PD_MARGIN] * (len(spans) - 1))
+    A = np.stack([p.A for p in problems])
+    records = [None] * len(problems)
+    live = np.array([initial is None for initial in initials])
+    warm = np.flatnonzero(~live)
+    if warm.size:
+        at = floor0[warm] + A[warm] @ _warm_starts(
+            [problems[j] for j in warm], [initials[j] for j in warm])
+        finite = np.isfinite(at).all(axis=(1, 2))
+        live[warm[~finite]] = True
+        live[warm[finite]] = _top_eigenvalue(at[finite], spans) > 0.0
+    live = np.flatnonzero(live)
+    if not live.size:
+        return records
+
+    # the constraint map of the min-lambda problem, (y, lambda) ->
+    # A y - lambda I, as one (length, coordinates + 1) matrix per problem
+    eye = np.zeros((1,) + floor0.shape[1:])
+    for Eb in _blocks(eye, spans):
+        Eb[...] = np.eye(Eb.shape[-1])
+    A, floor0 = A[live], floor0[live]
+    pinv = np.stack([problems[j].pinv for j in live])
+    lifted = np.concatenate([A, np.broadcast_to(-eye, A[:, :, :1].shape)],
+                            axis=2)
+    # start at y = 0, lambda one above the top eigenvalue of floor0, and
+    # X = I / tr I
+    w = np.zeros((len(live), lifted.shape[2], 1))
+    w[:, -1, 0] = _top_eigenvalue(floor0, spans) + 1.0
+    X = np.broadcast_to(eye / eye.sum(), floor0.shape).copy()
+    for step in range(1, DUAL_STEPS + 1):
+        stacks = X, w, A, lifted, pinv, floor0
+        with np.errstate(all="ignore"):
+            try:
+                X, w, dual, radius = _newton_step(*stacks, spans)
+            except np.linalg.LinAlgError:
+                X, w = np.full_like(X, np.nan), np.full_like(w, np.nan)
+                dual, radius = np.full((2, len(X)), np.nan)
+                for row in range(len(X)):
+                    try:
+                        one = _newton_step(*(x[row:row + 1] for x in stacks),
+                                           spans)
+                    except np.linalg.LinAlgError:
+                        continue
+                    for out, value in zip((X, w, dual, radius), one):
+                        out[row] = value[0]
+        finite = (np.isfinite(X).all(axis=(1, 2))
+                  & np.isfinite(w).all(axis=(1, 2)))
+        done = (radius > FARKAS_RADIUS) | (w[:, -1, 0] < 0.0) | ~finite
+        if step == DUAL_STEPS:
+            done[:] = True
+        for row in np.flatnonzero(done):
+            records[live[row]] = (step, radius[row], dual[row], X[row, :, 0])
+        keep = ~done
+        if not keep.any():
+            break
+        live, X, w, A, lifted, pinv, floor0 = (
+            x[keep] for x in (live, X, w, A, lifted, pinv, floor0))
+    return records
+
+
+def _top_eigenvalue(x, spans):
+    """Largest eigenvalue over the blocks of each stacked vector of
+    ``x``."""
+    return np.max([np.linalg.eigvalsh(Xb)[:, -1] for Xb in _blocks(x, spans)],
+                  axis=0)
+
+
+def _newton_step(X, w, A, lifted, pinv, floor0, spans):
+    """One predictor-corrector Newton step of :func:`_dual_solve` on a
+    stack, from the dual matrices ``X`` (k, length, 1) and the primal
+    points ``w = (y, lambda)`` (k, coordinates + 1, 1); returns the new
+    ``X`` and ``w``, the dual objective ``<floor0, X>`` and the radius of
+    its certificate (nan where that objective is not positive).
+
+    The slack ``S = lambda I - floor0 - A y`` is formed from ``w``, so
+    the primal side stays feasible.  The direction is the HKM direction
+    (Helmberg, Rendl, Vanderbei & Wolkowicz, SIAM J. Optim. 6 (1996)):
+    ``dS = -lifted dw``, ``dX = sym((R - X dS) S^-1)``, where ``dw``
+    solves the Schur complement system ``M dw = b - lifted'(X + R S^-1)``
+    (so that ``X + dX`` meets ``A'X = 0`` and ``tr X = 1``), with ``M_ij
+    = tr(a_i X a_j S^-1)`` over the columns ``a_i`` of ``lifted`` and all
+    blocks.  Mehrotra's predictor-corrector (SIAM J. Optim. 2 (1992))
+    takes an affine step (``R = -X S``) to choose the centring ``sigma``,
+    then the corrected step (``R = sigma mu I - X S - dX_a dS_a``), cut
+    to ``0.9 + 0.09 min(affine step lengths)`` of the distance to the
+    boundary of the cone and to at most a full step.
+    """
+    k, n = len(X), sum(nb for _, _, nb in spans)
+    b = np.zeros(w.shape[1:])
+    b[-1] = -1.0  # the objective: maximize -lambda
+    S = -(floor0 + lifted @ w)
+    S_inv = np.empty_like(S)
+    M = np.zeros((k, w.shape[1], w.shape[1]))
+    X_eig, S_eig = [], []
+    for (lo, hi, nb), Xb, Sb, Ib in zip(spans, _blocks(X, spans),
+                                       _blocks(S, spans),
+                                       _blocks(S_inv, spans)):
+        X_eig.append(np.linalg.eigh(Xb))
+        S_eig.append(np.linalg.eigh(Sb))
+        ws, Vs = S_eig[-1]
+        np.matmul(Vs / ws[:, None, :], Vs.mT, out=Ib)
+        # tr(a_i X a_j S^-1) = vec(a_i)' (X kron S^-1) vec(a_j)
+        kron = (Xb[:, :, None, :, None] * Ib[:, None, :, None, :]).reshape(
+            k, nb * nb, nb * nb)
+        M += lifted[:, lo:hi].mT @ kron @ lifted[:, lo:hi]
+    M = 0.5 * (M + M.mT)
+    mu = np.vecdot(X[:, :, 0], S[:, :, 0])[:, None, None] / n
+
+    def product(P, Q, R):  # blockwise P Q R
+        out = np.empty_like(P)
+        for Ob, Pb, Qb, Rb in zip(*(_blocks(F, spans)
+                                    for F in (out, P, Q, R))):
+            np.matmul(Pb @ Qb, Rb, out=Ob)
+        return out
+
+    def reach(eig, D):  # largest step along D that stays in the cone
+        low = np.zeros(k)
+        for (wb, Vb), Db in zip(eig, _blocks(D, spans)):
+            scale = 1.0 / np.sqrt(wb)
+            T = scale[:, :, None] * (Vb.mT @ Db @ Vb) * scale[:, None, :]
+            low = np.minimum(low, np.linalg.eigvalsh(0.5 * (T + T.mT))[:, 0])
+        out = np.full(k, np.inf)
+        np.divide(-1.0, low, out=out, where=low < 0.0)
+        return out[:, None, None]
+
+    def direction(R_S_inv):  # the step to X + dX with A'dX = b - A'X
+        dw = np.linalg.solve(M, b - lifted.mT @ (X + R_S_inv))
+        dS = -(lifted @ dw)
+        dX = R_S_inv - product(X, dS, S_inv)
+        for Db in _blocks(dX, spans):
+            Db[...] = 0.5 * (Db + Db.mT)
+        return dw, dS, dX
+
+    # predictor: the affine-scaling step
+    dw, dS, dX = direction(-X)
+    to_x = np.minimum(1.0, reach(X_eig, dX))
+    to_s = np.minimum(1.0, reach(S_eig, dS))
+    mu_affine = np.vecdot((X + to_x * dX)[:, :, 0],
+                          (S + to_s * dS)[:, :, 0])[:, None, None] / n
+    sigma = np.minimum(1.0, mu_affine / mu) ** 3
+    # corrector: centred, with the second-order term of the predictor
+    second = product(dX, dS, S_inv)
+    dw, dS, dX = direction(sigma * mu * S_inv - X - second)
+    fraction = 0.9 + 0.09 * np.minimum(to_x, to_s)
+    X = X + np.minimum(1.0, fraction * reach(X_eig, dX)) * dX
+    w = w + np.minimum(1.0, fraction * reach(S_eig, dS)) * dw
+
+    dual = np.vecdot(floor0[:, :, 0], X[:, :, 0])
+    radius = np.full(k, np.nan)
+    rows = np.flatnonzero(dual > 0.0)
+    if rows.size:
+        radius[rows] = _farkas_radius(A[rows], pinv[rows], floor0[rows],
+                                      X[rows], spans)
+    return X, w, dual, radius
+
+
 def _farkas_radius(A, pinv, floor0, r, spans):
-    """Radius ``Y`` of the Farkas certificate built from each
-    displacement of the stack ``r`` (k, length, 1): no assignment with
-    ``|y| < Y`` meets the floors (``nan`` or ``Y <= 0`` certifies
-    nothing).
+    """Radius ``Y`` of the Farkas certificate built from each vector of
+    the stack ``r`` (k, length, 1), a dual matrix of :func:`_dual_solve`:
+    no assignment with ``|y| < Y`` meets the floors (``nan`` or
+    ``Y <= 0`` certifies nothing).
 
     ``r`` is projected onto ``null(A')`` with ``pinv``, and each block
     is replaced by its PSD part, giving ``D``.  Every ``X = floor0 + A y``

@@ -11,8 +11,7 @@ from coopftc.errors import (DimensionMismatchError, InfeasibleError,
 from coopftc.linalg import SYMMETRY_RTOL
 from coopftc.sim import integrate
 from coopftc.synth import (ANCHOR_INFLATION, CONTROLLER_POLE_RATIO,
-                           CONTROLLER_POLE_SLACK, FARKAS_EVERY,
-                           FARKAS_RADIUS, FARKAS_ROUNDING, PD_MARGIN)
+                           CONTROLLER_POLE_SLACK, FARKAS_ROUNDING, PD_MARGIN)
 
 
 def virtual_observer_oracle(aug, net, synth, times, x_a, x_a_dot, u,
@@ -124,17 +123,18 @@ def is_negative_definite(S, margin: float = 0.0) -> bool:
     return bool(sym_eigenvalues(S)[-1] < -margin)
 
 
-def solve_lmi_reference(problem, margin, max_iterations=6000, initial=None,
-                        certify=True):
+def solve_lmi_reference(problem, margin, max_iterations=6000, initial=None):
     """One problem's Douglas-Rachford iteration, block by block: the
-    reference for the lockstep kernel behind :func:`coopftc.synth.solve_lmi`.
+    reference for the lockstep kernel :func:`coopftc.synth._douglas_rachford`
+    and for the verdicts :func:`coopftc.synth._solve_batch` reaches
+    without iterating, apart from the dual solve's certificates.
 
-    Same contract as ``solve_lmi``: returns the accepted assignment or
-    raises :class:`InfeasibleError` with the same message.  Every step
-    is the per-problem form of the kernel's stacked step, so the two
-    agree bit for bit.  With ``certify=False`` no Farkas certificate is
-    tested, as before the kernel tested them: an infeasible problem
-    runs to the stall cutoff or the budget.
+    Returns the accepted assignment or raises :class:`InfeasibleError`
+    with the message ``solve_lmi`` gives for every problem that the dual
+    solve does not certify.  Every step is the per-problem form of the
+    kernel's stacked step, so the two agree bit for bit.  The iteration
+    is purely primal: an infeasible problem runs to the stall cutoff or
+    the budget.
     """
     t = float(margin)
     if t < 0:
@@ -159,11 +159,9 @@ def solve_lmi_reference(problem, margin, max_iterations=6000, initial=None,
     floors = [t] + [PD_MARGIN] * n_pd
     targets = [1.05 * t + 1e-9] + [2.0 * PD_MARGIN + 1e-12] * n_pd
     slacks = [target - floor for target, floor in zip(targets, floors)]
-    g0, floor0 = problem.base.copy(), problem.base.copy()
-    for Gb, Fb, target, floor in zip(problem.blocks(g0),
-                                     problem.blocks(floor0), targets, floors):
+    g0 = problem.base.copy()
+    for Gb, target in zip(problem.blocks(g0), targets):
         Gb += target * np.eye(len(Gb))
-        Fb += floor * np.eye(len(Fb))
 
     if initial is not None:
         y = np.array([initial[name][i, j] for name, i, j in problem.coords])
@@ -176,17 +174,6 @@ def solve_lmi_reference(problem, margin, max_iterations=6000, initial=None,
             w, V = np.linalg.eigh(0.5 * (Gb + Gb.T))
             clipped.append((V * np.minimum(w, 0.0)) @ V.T)
         return np.concatenate([Z.ravel() for Z in clipped])
-
-    def farkas_radius(r):
-        d = r - problem.A @ (problem.pinv @ r)
-        for Db in problem.blocks(d):
-            w, V = np.linalg.eigh(0.5 * (Db + Db.T))
-            Db[...] = (V * np.maximum(w, 0.0)) @ V.T
-        size = np.linalg.norm(d)
-        return ((np.dot(floor0, d)
-                 - FARKAS_ROUNDING * np.linalg.norm(floor0) * size)
-                / (np.linalg.norm(problem.A.T @ d)
-                   + FARKAS_ROUNDING * np.linalg.norm(problem.A) * size))
 
     z = g0 + problem.A @ y
     best_gap = np.inf
@@ -208,16 +195,6 @@ def solve_lmi_reference(problem, margin, max_iterations=6000, initial=None,
             best_gap, stall = gap, 0
         else:
             stall += 1
-        if certify and step % FARKAS_EVERY == 0 and stall >= FARKAS_EVERY:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                radius = farkas_radius(v - u)
-            if radius > FARKAS_RADIUS:
-                raise InfeasibleError(
-                    f"certified infeasible at step {step}: a Farkas "
-                    "certificate rules out every point with |y| < "
-                    f"{radius:.3e} at margin {t:.3e} (residual gap "
-                    f"{gap:.3e})"
-                )
         if stall >= 500:
             raise InfeasibleError(
                 "projection iteration stagnated (residual gap "
@@ -230,9 +207,10 @@ def solve_lmi_reference(problem, margin, max_iterations=6000, initial=None,
 
 
 def farkas_check(problem, margin, r):
-    """Re-verify from scratch the Farkas certificate the kernel builds
-    from the displacement ``r`` of a solve at ``margin``: the reference
-    for :func:`coopftc.synth._farkas_radius`, with other arithmetic.
+    """Re-verify from scratch the Farkas certificate built from ``r``, a
+    dual matrix of :func:`coopftc.synth._dual_solve` at ``margin`` as a
+    stacked vector: the reference for :func:`coopftc.synth._farkas_radius`,
+    with other arithmetic.
 
     Returns ``(radius, psd)``.  ``radius`` is ``Y``: every assignment
     ``y`` whose expression meets the floors (``lambda_max <= -margin``,

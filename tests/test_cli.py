@@ -10,7 +10,6 @@ import dataclasses
 import hashlib
 import io
 import os
-import re
 import subprocess
 import sys
 import warnings
@@ -24,7 +23,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopftc import cli, linalg, sim
+from coopftc import cli, linalg, sim, synth
 from coopftc.cli import (Scenario, build_interaction, build_plant,
                          load_matrix, main, parse_scenario, save_matrix)
 from coopftc.errors import NonFiniteStateError, ParseError, ValidationError
@@ -355,27 +354,112 @@ def test_synth_margin_above_the_cap_exits_at_once(tmp_path, capsys):
     assert err.rstrip().endswith("caps the margin at 9.000e-02")
 
 
-def test_synth_reports_the_stalled_agent_of_five(tmp_path, capsys):
-    """Five motors at delta = 0.3 on a ring: agent 5's base observer solve
-    stalls, and synth names it with the step at which a Farkas
-    certificate proved it infeasible, the certificate's radius and the
-    gap.  Without the certificate it ran to the stall cutoff at step
-    721."""
+def _ring_of_five(tmp_path):
+    """Five motors on a ring at the default delta = 0.3: agent 5's
+    observer LMI is infeasible."""
     ring = [[i, i % 5 + 1, 0.3] for i in range(1, 6)]
     ring += [[j, i, w] for i, j, w in ring]
     p = tmp_path / "m5.yaml"
     p.write_text(f"graph: {{edges: {ring}, "
                  f"sources: {[[i, 0.4] for i in range(1, 6)]}, "
                  "normalize: true}\nplant: {m: 5}\n")
+    return p
+
+
+def test_synth_reports_the_stalled_agent_of_five(tmp_path, capsys):
+    """Five motors at delta = 0.3 on a ring: the dual solve certifies
+    agent 5's base observer LMI infeasible in 9 Newton steps, and synth
+    names the agent, the certificate's radius and the best reachable
+    margin.  The projection iteration took 280 steps to find a
+    certificate, and ran to the stall cutoff at step 721 without one."""
+    p = _ring_of_five(tmp_path)
     code = main(["synth", "-s", str(p), "-o", str(tmp_path / "gains")])
     assert code == cli.EXIT_INFEASIBLE
-    err = capsys.readouterr().err
-    assert err == (
+    assert capsys.readouterr().err == (
         "synthesis failed: observer LMI infeasible for agent 5 at "
-        "delta=0.3: certified infeasible at step 280: a Farkas certificate "
-        "rules out every point with |y| < 1.307e+06 at margin 1.000e-06 "
-        "(residual gap 8.876e-03)\n")
-    assert int(re.search(r"at step (\d+):", err).group(1)) <= 300
+        "delta=0.3: certified infeasible by the dual solve (9 Newton "
+        "steps): a Farkas certificate rules out every point with |y| < "
+        "1.489e+07 at margin 1.000e-06; best reachable margin about "
+        "-8.875e-03\n")
+
+
+#: Two identical agents whose observer LMI is infeasible at delta = 0.3,
+#: though the projection iteration's gap keeps improving on it: it never
+#: stalls, and ran its 6,000-step budget to give up.
+NEVER_STALLS_AGENT = ("{A: [[-1.377, 0.294], [-0.077, -0.698]], "
+                      "B: [[0.0], [1.0]], C: [[-0.047, -1.086]], "
+                      "D: [[-0.102], [0.052]]}")
+NEVER_STALLS_SCENARIO = (
+    "graph: {edges: [[2, 1, 0.5]], sources: [[1, 1.0], [2, 0.5]]}\n"
+    f"plant: {{kind: explicit, agents: [{NEVER_STALLS_AGENT}, "
+    f"{NEVER_STALLS_AGENT}]}}\n"
+    "synthesis: {delta: 0.3}\n")
+
+
+def test_synth_certifies_a_problem_that_never_stalls(tmp_path, capsys):
+    """An infeasible problem whose projection gap keeps improving is
+    certified by the dual solve, not run to the end of its budget."""
+    p = tmp_path / "never_stalls.yaml"
+    p.write_text(NEVER_STALLS_SCENARIO)
+    code = main(["synth", "-s", str(p), "-o", str(tmp_path / "gains")])
+    assert code == cli.EXIT_INFEASIBLE
+    assert capsys.readouterr().err == (
+        "synthesis failed: observer LMI infeasible for agent 1 at "
+        "delta=0.3: certified infeasible by the dual solve (12 Newton "
+        "steps): a Farkas certificate rules out every point with |y| < "
+        "1.754e+06 at margin 1.000e-06; best reachable margin about "
+        "-2.689e-01\n")
+
+
+def _counted_solves(monkeypatch):
+    """Patch both solve kernels to log, per call, the stacked projection
+    steps (those of the longest-running problem) and the dual solve's
+    records."""
+    log = {"projection": [], "dual": []}
+    douglas_rachford = synth._douglas_rachford
+    dual_solve = synth._dual_solve
+
+    def projection(*args):
+        outcomes = douglas_rachford(*args)
+        log["projection"].append(max(steps for _, steps in outcomes))
+        return outcomes
+
+    def dual(*args):
+        records = dual_solve(*args)
+        log["dual"].append(records)
+        return records
+
+    monkeypatch.setattr(synth, "_douglas_rachford", projection)
+    monkeypatch.setattr(synth, "_dual_solve", dual)
+    return log
+
+
+def test_synth_projection_steps(tmp_path, monkeypatch):
+    """The stacked projection steps of synth: 3 on the default scenario
+    (892 before the dual solve, of which 890 went to certifying motor
+    4's 0.03 rung) and 1 on the five-motor ring (280 before).  No dual
+    solve takes more than ``DUAL_STEPS`` Newton steps, and no problem
+    whose warm start meets the floors is solved: on the default scenario
+    the anchored controller stack and motors 1-3 on the 0.03 rung make
+    no Newton step."""
+    log = _counted_solves(monkeypatch)
+    assert main(["synth", "-o", str(tmp_path / "bench4")]) == 0
+    assert log["projection"] == [1, 1, 1]  # base, 0.03 rung, controller
+    base, rung, controller = log["dual"]
+    assert all(record is not None for record in base)
+    assert [record is None for record in rung] == [True] * 3 + [False]
+    assert controller == [None] * 4
+    steps = [record[0] for records in log["dual"] for record in records
+             if record is not None]
+    assert max(steps) <= synth.DUAL_STEPS
+
+    log = _counted_solves(monkeypatch)
+    assert main(["synth", "-s", str(_ring_of_five(tmp_path)), "-o",
+                 str(tmp_path / "m5")]) == cli.EXIT_INFEASIBLE
+    assert log["projection"] == [1]
+    ((*_, agent_5),) = log["dual"]
+    assert agent_5[1] > synth.FARKAS_RADIUS
+    assert max(record[0] for record in log["dual"][0]) <= synth.DUAL_STEPS
 
 
 def test_nonpositive_motor_resistance_rejected(tmp_path, capsys):

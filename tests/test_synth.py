@@ -23,8 +23,7 @@ from coopftc.errors import (AlphaNonPositiveError, DeltaNonPositiveError,
                             DimensionMismatchError, InfeasibleError,
                             NotSymmetricError)
 from coopftc.linalg import is_hurwitz, sym_eigvals
-from coopftc.plant import (AgentModel, augment_network, dc_motor_agent,
-                           stack_network)
+from coopftc.plant import AgentModel, dc_motor_agent, stack_network
 from coopftc.synth import (LmiProblem, VariableSpec, gamma_bound, solve_lmi,
                            synth_controller, synth_observer)
 
@@ -168,22 +167,16 @@ ALL_OUTCOMES = {"feasible", "cap", "certified", "stagnated", "budget"}
 #: stack mixes agents of two sizes with deltas 0.02, 0.1, 0.3 and 1.0,
 #: plus one constant problem.
 KERNEL_CASES = [
-    (0, 0.01, 1500, False, ALL_OUTCOMES - {"certified"}),
-    (1, 1e-6, 40, False, {"feasible", "budget"}),
+    (0, 0.01, 1500, False, ALL_OUTCOMES),
+    (1, 1e-6, 40, False, {"feasible", "certified", "budget"}),
     # a rung above the base solutions
-    (2, 0.01, 800, True, ALL_OUTCOMES - {"certified"}),
+    (2, 0.01, 800, True, ALL_OUTCOMES),
     (11, 0.01, 1500, False, ALL_OUTCOMES),
 ]
 
 
-@pytest.mark.parametrize("seed, margin, max_iterations, warm, kinds",
-                         KERNEL_CASES)
-def test_lockstep_kernel_matches_the_reference(seed, margin, max_iterations,
-                                               warm, kinds, monkeypatch):
-    """Every problem of a stack ends exactly as it does alone in the
-    reference loop: at the same step, with the same assignment bit for
-    bit or the same InfeasibleError message.  The stack makes as many
-    Farkas tests as its problems make alone."""
+def _kernel_stack(seed, warm):
+    """The problems and warm starts of a ``KERNEL_CASES`` stack."""
     rng = np.random.default_rng(seed)
     problems = [_random_observer_problem(rng, n, delta)
                 for n in (2, 3) for _ in range(3)
@@ -195,19 +188,33 @@ def test_lockstep_kernel_matches_the_reference(seed, margin, max_iterations,
                     for problem in problems]
         initials = [None if isinstance(initial, InfeasibleError)
                     else initial for initial in initials]
+    return problems, initials
 
-    tested = [0]
-    farkas_radius = synth._farkas_radius
 
-    def counted_radius(*args):
-        radius = farkas_radius(*args)
-        tested[0] += len(radius)
-        return radius
+@pytest.mark.parametrize("seed, margin, max_iterations, warm, kinds",
+                         KERNEL_CASES)
+def test_lockstep_kernel_matches_the_reference(seed, margin, max_iterations,
+                                               warm, kinds, monkeypatch):
+    """Every problem of a stack that the dual solve does not certify ends
+    exactly as it does alone in the reference loop: at the same step,
+    with the same assignment bit for bit or the same InfeasibleError
+    message.  The projection iteration makes no Farkas test: the
+    reference makes one ``eigh`` and one ``eigvalsh`` per block and step,
+    as the kernel does.  A certified problem takes no projection step,
+    and the reference does not solve it."""
+    problems, initials = _kernel_stack(seed, warm)
 
-    monkeypatch.setattr(synth, "_farkas_radius", counted_radius)
+    def no_farkas_test(*args):
+        raise AssertionError("the projection iteration tested a certificate")
+
+    douglas_rachford = synth._douglas_rachford
+
+    def primal_only(*args):
+        with mock.patch.object(synth, "_farkas_radius", no_farkas_test):
+            return douglas_rachford(*args)
+
+    monkeypatch.setattr(synth, "_douglas_rachford", primal_only)
     outcomes = synth._solve_batch(problems, margin, max_iterations, initials)
-    # the reference takes one eigvalsh per block and step, and one eigh
-    # per block and step and per Farkas test
     calls = {}
 
     def counted(name):
@@ -220,16 +227,19 @@ def test_lockstep_kernel_matches_the_reference(seed, margin, max_iterations,
 
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, counted(name))
-    farkas_tests = 0
     for problem, initial, (result, steps) in zip(problems, initials,
                                                  outcomes):
         calls.update(eigh=0, eigvalsh=0)
         expected = _reference_outcome(problem, margin, max_iterations,
                                       initial)
+        if _outcome_kind(result) == "certified":
+            assert steps == 0
+            assert isinstance(expected, InfeasibleError)
+            continue
         blocks = len(problem.block_sizes)
         assert calls["eigvalsh"] == steps * blocks
-        if steps:
-            farkas_tests += calls["eigh"] // blocks - steps
+        if steps:  # a constant problem takes one eigh and no step
+            assert calls["eigh"] == steps * blocks
         if isinstance(expected, InfeasibleError):
             assert isinstance(result, InfeasibleError)
             assert str(result) == str(expected)
@@ -237,8 +247,82 @@ def test_lockstep_kernel_matches_the_reference(seed, margin, max_iterations,
             assert result.keys() == expected.keys()
             for name in expected:
                 assert np.array_equal(result[name], expected[name])
-    assert tested[0] == farkas_tests
     assert {_outcome_kind(result) for result, _ in outcomes} == kinds
+
+
+def _dual_records(problems, margin, initials):
+    """``synth._dual_solve`` on the problems that ``synth._solve_batch``
+    hands it, grouped by layout: one record per problem, None for the
+    problems decided before it."""
+    records = [None] * len(problems)
+    layouts = {}
+    for j, problem in enumerate(problems):
+        if problem.coords and margin <= problem.margin_cap:
+            layouts.setdefault(len(problem.coords), []).append(j)
+    for members in layouts.values():
+        for j, record in zip(members, synth._dual_solve(
+                [problems[j] for j in members], margin,
+                [initials[j] for j in members])):
+            records[j] = record
+    return records
+
+
+def _same_record(a, b):
+    if a is None or b is None:
+        return a is b
+    return (a[0] == b[0]
+            and all(np.array_equal(x, y, equal_nan=True)
+                    for x, y in zip(a[1:], b[1:])))
+
+
+@pytest.mark.parametrize("seed, margin, max_iterations, warm, kinds",
+                         KERNEL_CASES)
+def test_stacked_dual_solve_matches_solves_alone(seed, margin,
+                                                 max_iterations, warm, kinds):
+    """Each problem of a stack gets from the stacked dual solve, bit for
+    bit, the record a dual solve of that problem alone gives: its Newton
+    steps, radius, dual objective and dual matrix.  Every stack holds
+    problems that are certified and problems found feasible; at margin
+    0.01 those with delta 0.1 (cap 0.01) sit on the boundary, and their
+    iterates break down: LAPACK rejects a matrix, the step is redone one
+    problem at a time, and they retire with non-finite iterates.  With
+    warm starts, the problems whose start already meets the floors are
+    not solved."""
+    problems, initials = _kernel_stack(seed, warm)
+    stacked = _dual_records(problems, margin, initials)
+    for j, record in enumerate(stacked):
+        (alone,) = _dual_records([problems[j]], margin, [initials[j]])
+        assert _same_record(record, alone)
+    solved = [record for record in stacked if record is not None]
+    assert all(1 <= record[0] <= synth.DUAL_STEPS for record in solved)
+    certified = [record[1] > synth.FARKAS_RADIUS for record in solved]
+    assert any(certified) and not all(certified)
+    if warm:  # the ladder's warm starts skip the solve
+        assert len(solved) < len(problems) - 1 - 6  # six are capped
+
+
+def test_dual_solve_survives_a_lapack_failure(monkeypatch):
+    """When LAPACK rejects a matrix of a stacked Newton step, the step is
+    redone one problem at a time: the rejected problem retires with a
+    non-finite iterate, and every other one keeps the record of its
+    solve alone.  Nothing raises."""
+    rng = np.random.default_rng(5)
+    problems = [_random_observer_problem(rng, 2, delta)
+                for delta in (0.1, 0.3, 1.0)]
+    alone = [synth._dual_solve([problem], 0.01, [None])[0]
+             for problem in problems]
+    newton_step = synth._newton_step
+
+    def rejecting(X, w, A, *args):
+        if any(np.array_equal(a, problems[1].A) for a in A):
+            raise np.linalg.LinAlgError("rejected")
+        return newton_step(X, w, A, *args)
+
+    monkeypatch.setattr(synth, "_newton_step", rejecting)
+    records = synth._dual_solve(problems, 0.01, [None] * 3)
+    assert records[1][0] == 1 and np.isnan(records[1][3]).all()
+    for j in (0, 2):
+        assert _same_record(records[j], alone[j])
 
 
 @settings(max_examples=20, deadline=None)
@@ -247,26 +331,23 @@ def test_lockstep_kernel_matches_the_reference(seed, margin, max_iterations,
        st.sampled_from([MARGIN, 0.01]))
 def test_farkas_certificates_verify_and_spare_solvable_problems(
         seed, n, shift, delta, margin):
-    """A problem the reference solves without Farkas tests is never
-    certified, and keeps its assignment bit for bit.  A certified
-    problem's certificate re-verifies from scratch (``farkas_check``):
-    its blocks are PSD and its radius clears ``FARKAS_RADIUS``, equal to
-    the reported one.  Of the 20 examples 2 certify and 3 are solved;
-    checked by hand over 400 random examples with 1,500-step budgets,
-    19 certified (the check agreeing to 3e-8 relative) and 117 solved,
-    none of them certified."""
+    """A problem the reference solves is never certified, and keeps its
+    assignment bit for bit.  A certified problem takes no projection
+    step, and the dual matrix behind its certificate re-verifies from
+    scratch (``farkas_check``): its blocks are PSD and its radius clears
+    ``FARKAS_RADIUS``, equal to the reported one."""
     problem = _random_observer_problem(np.random.default_rng(seed), n,
                                        delta, shift)
-    plain = _reference_outcome(problem, margin, 800, None, False)
-    tested = []
-    farkas_radius = synth._farkas_radius
+    plain = _reference_outcome(problem, margin, 800, None)
+    recorded = []
+    dual_solve = synth._dual_solve
 
-    def recorded(A, pinv, floor0, r, spans):
-        radius = farkas_radius(A, pinv, floor0, r, spans)
-        tested.append((r[0, :, 0].copy(), radius[0]))
-        return radius
+    def recording(*args):
+        records = dual_solve(*args)
+        recorded.extend(records)
+        return records
 
-    with mock.patch.object(synth, "_farkas_radius", recorded):
+    with mock.patch.object(synth, "_dual_solve", recording):
         ((result, steps),) = synth._solve_batch([problem], margin, 800,
                                                 [None])
     if not isinstance(plain, InfeasibleError):
@@ -274,13 +355,37 @@ def test_farkas_certificates_verify_and_spare_solvable_problems(
         for name in plain:
             assert np.array_equal(result[name], plain[name])
     if _outcome_kind(result) == "certified":
-        r, radius = tested[-1]
-        assert f"at step {steps}: " in str(result)
+        ((newton_steps, radius, _, x),) = recorded
+        assert steps == 0
+        assert f"({newton_steps} Newton steps): " in str(result)
         assert f"|y| < {radius:.3e} " in str(result)
-        check, psd = farkas_check(problem, margin, r)
+        check, psd = farkas_check(problem, margin, x)
         assert psd >= -1e-13
         assert check > synth.FARKAS_RADIUS
         assert check == pytest.approx(radius, rel=1e-6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 3), st.floats(0.0, 2.0),
+       st.sampled_from([0.1, 0.3]), st.sampled_from([MARGIN, 0.01]))
+def test_dual_solve_certifies_only_unsolvable_problems(seed, n, shift, delta,
+                                                       margin):
+    """Over random observer problems, the dual solve never certifies a
+    problem that the reference projection iteration solves, and every
+    certificate it returns passes ``farkas_check`` above
+    ``FARKAS_RADIUS``.  No solve takes more than ``DUAL_STEPS`` Newton
+    steps."""
+    problem = _random_observer_problem(np.random.default_rng(seed), n,
+                                       delta, shift)
+    assume(margin <= problem.margin_cap)
+    ((steps, radius, _, x),) = synth._dual_solve([problem], margin, [None])
+    assert 1 <= steps <= synth.DUAL_STEPS
+    if radius > synth.FARKAS_RADIUS:
+        assert isinstance(_reference_outcome(problem, margin, 800, None),
+                          InfeasibleError)
+        check, psd = farkas_check(problem, margin, x)
+        assert psd >= -1e-13
+        assert check > synth.FARKAS_RADIUS
 
 
 def test_ladder_reports_the_first_failing_agent(monkeypatch):
@@ -408,7 +513,8 @@ def test_observer_skips_rungs_above_the_cap(benchmark_aug, benchmark_net,
     """The constant -delta^2 I block caps every agent's margin at
     delta^2 = 0.09: the 0.1 rung fails without iterating, the rungs
     below it run as before, and each agent's ladder stops where it always
-    did, so the gain files keep their bytes."""
+    did, so the gain files keep their bytes.  Motor 4's 0.03 rung fails
+    without iterating too: the dual solve certifies it infeasible."""
     logged = _logged_solves(monkeypatch)
     s = synth_observer(benchmark_aug, benchmark_net, 0.3)
     log = _per_agent(logged)
@@ -422,8 +528,8 @@ def test_observer_skips_rungs_above_the_cap(benchmark_aug, benchmark_net,
             assert iterations == 0
         elif ok:
             assert iterations == 1
-        else:  # motor 4's 0.03 rung stalls
-            assert iterations >= 500
+        else:  # the dual solve certifies motor 4's 0.03 rung
+            assert iterations == 0
 
     digests = []
     for name, M in (("gain", s.Lgain), ("storage", s.P)):
@@ -434,22 +540,17 @@ def test_observer_skips_rungs_above_the_cap(benchmark_aug, benchmark_net,
 
 
 def test_observer_rungs_iterate_in_lockstep(monkeypatch):
-    """On an 8-agent fleet (motors 1-4 twice) each solve call makes one
-    stacked ``eigh`` per block and step of its longest-running agent, not
-    one per agent and step: the batching shows as an operation count,
-    which wall time on a shared host cannot pin.  Each Farkas test
-    makes one more stacked ``eigh`` per block, over the problems it
-    tests.  Only stacked (3-D) calls are counted; the
-    re-verification's 2-D ones are not."""
-    net = stack_network([dc_motor_agent(i % 4 + 1) for i in range(8)])
-    calls = []
-    solve_batch = synth._solve_batch
-
-    def logged(problems, *args):
-        outcomes = solve_batch(problems, *args)
-        calls.append([iterations for _, iterations in outcomes])
-        return outcomes
-
+    """On a stack that iterates for long, the nine n = 2 problems of a
+    ``KERNEL_CASES`` stack below their caps at margin 0.01 (five run for
+    500 steps or more, three of them to the 1,500-step budget; the dual
+    solve certifies one of those three), ``_douglas_rachford`` makes one
+    stacked ``eigh`` per block and step of its longest-running problem,
+    not one per problem and step: the batching shows as an operation
+    count, which wall time on a shared host cannot pin."""
+    problems, _ = _kernel_stack(0, False)
+    problems = [problem for problem in problems
+                if problem.coords and len(problem.coords) == 5
+                and 0.01 <= problem.margin_cap]
     stacked = [0]
     eigh = np.linalg.eigh
 
@@ -457,23 +558,16 @@ def test_observer_rungs_iterate_in_lockstep(monkeypatch):
         stacked[0] += np.ndim(a) == 3
         return eigh(a, *args, **kwargs)
 
-    tests = [0]
-    farkas_radius = synth._farkas_radius
-
-    def counted_radius(*args):
-        tests[0] += 1
-        return farkas_radius(*args)
-
-    monkeypatch.setattr(synth, "_solve_batch", logged)
     monkeypatch.setattr(synth.np.linalg, "eigh", counted_eigh)
-    monkeypatch.setattr(synth, "_farkas_radius", counted_radius)
-    synth_observer(augment_network(net), net, 0.3)
+    outcomes = synth._douglas_rachford(problems, 0.01, 1500,
+                                       [None] * len(problems))
+    steps = [iterations for _, iterations in outcomes]
 
     blocks = 2  # the expression and the -P block
-    assert [len(c) for c in calls] == [8, 8, 6]  # base, 0.03, 0.1
-    assert stacked[0] == blocks * (sum(max(c) for c in calls) + tests[0])
-    assert max(calls[1]) >= 500  # the two motor-4 stalls run side by side
-    assert stacked[0] < blocks * sum(sum(c) for c in calls) / 1.5
+    assert stacked[0] == blocks * max(steps)
+    assert sum(step >= 500 for step in steps) == 5
+    assert steps.count(1500) == 3
+    assert stacked[0] < blocks * sum(steps) / 1.5
 
 
 def test_observer_rejects_nonpositive_delta(benchmark_aug, benchmark_net):

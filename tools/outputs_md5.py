@@ -13,7 +13,10 @@ reach, an unnormalized graph whose in-weights do not sum to one, agents
 with two outputs on a graph that fits them and on the default star, an
 attenuation level of 1e-9).  ``synth`` alone runs on two explicit
 agents of two and three states (``mixed_dims``: exit 2 naming
-``plant.agents`` and each agent's n_x, n_u, n_y and n_v).  For each
+``plant.agents`` and each agent's n_x, n_u, n_y and n_v), and on two
+identical explicit agents whose observer LMI is infeasible though the
+projection iteration never stalls on it (``never_stalls``: exit 3, the
+dual solve certifying agent 1).  For each
 command it prints the exit code and the md5 of its stdout and stderr,
 then the md5 of every file left in the work directory.
 
@@ -91,6 +94,17 @@ MIXED_DIMS = {"mixed_dims.yaml": (
     "B: [[0.0], [0.0], [1.0]], C: [[1.0, 0.0, 0.0]], "
     "D: [[0.0], [0.0], [1.0]]}]}\n")}
 
+#: Two identical agents at delta = 0.3 whose observer LMI is infeasible,
+#: though the projection iteration's gap keeps improving on it.
+NEVER_STALLS_AGENT = ("{A: [[-1.377, 0.294], [-0.077, -0.698]], "
+                      "B: [[0.0], [1.0]], C: [[-0.047, -1.086]], "
+                      "D: [[-0.102], [0.052]]}")
+NEVER_STALLS = {"never_stalls.yaml": (
+    "graph: {edges: [[2, 1, 0.5]], sources: [[1, 1.0], [2, 0.5]]}\n"
+    f"plant: {{kind: explicit, agents: [{NEVER_STALLS_AGENT}, "
+    f"{NEVER_STALLS_AGENT}]}}\n"
+    "synthesis: {delta: 0.3}\n")}
+
 #: Commands run with this process pinned to one CPU, so that no table
 #: is split.
 ONE_CPU = {
@@ -160,6 +174,8 @@ def _commands() -> list[tuple[str, list[str]]]:
                                  "infeasible_m5_gains"]),
         ("mixed_dims.synth", ["synth", "-s", "mixed_dims.yaml", "-o",
                               "mixed_dims_gains"]),
+        ("never_stalls.synth", ["synth", "-s", "never_stalls.yaml", "-o",
+                                "never_stalls_gains"]),
     ]
     for name in FAILING:
         stem = name.removesuffix(".yaml")
@@ -209,7 +225,8 @@ def manifest(seed: int) -> list[str]:
     lines = []
     with tempfile.TemporaryDirectory(prefix="outputs_md5_") as work:
         scenarios = dict(_workloads().scenario_files(seed), **WIDE_RANGE,
-                         **ILL_CONDITIONED, **MIXED_DIMS, **FAILING)
+                         **ILL_CONDITIONED, **MIXED_DIMS, **NEVER_STALLS,
+                         **FAILING)
         for name, text in scenarios.items():
             with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
                 fh.write(text)
