@@ -11,7 +11,7 @@ two-product (Numer. Math. 18, 1971; numpy has no fma), so
 settles the rounding unless the fraction of t lies within
 ``_TIE_MARGIN`` of one half; such a cell, like every cell outside the
 kernel's range or not a finite double, is formatted by ``'%.17g' %``
-(:func:`python_cells`) and spliced back into its place.
+(:func:`python_cells`) and written into its place.
 
 The text follows %g's rules: fixed notation for -4 <= E < 17, otherwise
 ``d.ddde-XX`` with at least two exponent digits, trailing zeros and a
@@ -39,8 +39,9 @@ _DEKKER_SPLIT = 2.0**27 + 1
 #   20-22 the exponent's three digits   23 NUL   24 'e'   25 '-'
 #   26 the separator or the newline   27 unused
 # A layout lists, for one (sign, notation, E, significant digits) key, the
-# row bytes of the cell's text in order, padded with the NUL at 23, which
-# is dropped after the gather.
+# row bytes of the cell's text and its end in order, padded with the NUL at
+# 23, which is dropped after the gather.  The longest text '%.17g' writes,
+# '-1.2345678901234567e-308', has 24 bytes, so a cell with its end fits.
 _ROW = 28
 _LAYOUT_WIDTH = 25
 
@@ -49,10 +50,10 @@ _EXP_2, _EXP_3, _ZERO, _PYTHON = 21, 22, 23, 24
 _CLASSES = 25
 
 
-def _layouts() -> tuple[np.ndarray, np.ndarray]:
-    """Row byte positions (padded with the NUL at 23) and text length of
-    every key ``(sign * _CLASSES + class) * 17 + significant digits - 1``."""
-    layouts, lengths = [], []
+def _layouts() -> np.ndarray:
+    """Row byte positions, padded with the NUL at 23, of every key
+    ``(sign * _CLASSES + class) * 17 + significant digits - 1``."""
+    layouts = []
     for sign in (0, 1):
         for cls in range(_CLASSES):
             for k in range(1, 18):
@@ -62,7 +63,7 @@ def _layouts() -> tuple[np.ndarray, np.ndarray]:
                     text += [24, 25] + [20, 21, 22][_EXP_3 - cls:]
                 elif cls == _ZERO:
                     text = [1]
-                elif cls == _PYTHON:
+                elif cls == _PYTHON:  # the slot is written over
                     text = []
                 elif cls >= 4:  # E >= 0: all E + 1 digits before the point
                     fraction = digits[cls - 3:]
@@ -72,9 +73,8 @@ def _layouts() -> tuple[np.ndarray, np.ndarray]:
                     text = [1, 2] + [1] * (3 - cls) + digits
                 text = ([0] if sign and cls != _PYTHON else []) + text + [26]
                 layouts.append(bytes(text).ljust(_LAYOUT_WIDTH, b"\x17"))
-                lengths.append(len(text))
     return (np.frombuffer(b"".join(layouts), dtype=np.uint8)
-            .reshape(-1, _LAYOUT_WIDTH), np.array(lengths))
+            .reshape(-1, _LAYOUT_WIDTH))
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,6 @@ class _Tables:
     trailing_zeros: np.ndarray  # of 0..9999 written with four digits
     exponent_words: np.ndarray  # per s: the three digits of |16 - s|, NUL
     layouts: np.ndarray  # per key: row bytes of the text, then NULs
-    lengths: np.ndarray  # per key: length of the text
 
 
 @functools.cache
@@ -104,7 +103,6 @@ def _tables() -> _Tables:
     digits = np.frombuffer(b"0123456789", dtype=np.uint8)
     quads = np.stack(np.meshgrid(*[digits] * 4, indexing="ij"),
                      axis=-1).reshape(-1, 4)
-    layouts, lengths = _layouts()
     return _Tables(
         pow_hi=hi,
         pow_lo=np.array([float(10**s - int(h)) for s, h in enumerate(hi)]),
@@ -115,7 +113,7 @@ def _tables() -> _Tables:
         exponent_words=np.frombuffer(b"".join(
             f"{abs(16 - s):03d}\0".encode() for s in range(hi.size)),
             dtype=np.uint32),
-        layouts=layouts, lengths=lengths)
+        layouts=_layouts())
 
 
 def _scaled(tables: _Tables, a: np.ndarray, s: np.ndarray):
@@ -150,19 +148,20 @@ def python_cells(values: np.ndarray) -> list[str]:
 
 
 class CellText:
-    """Formats blocks of up to ``cells`` float64 cells, ``width`` to a row,
-    as ``'%.17g'`` does: cells joined by ``sep``, each row ended by a
-    newline.  The work arrays are made once and reused for every block."""
+    """Formats blocks of up to ``cells`` float64 cells as ``'%.17g'``
+    does, each cell followed by its end: the ends of one row, ``ends``,
+    repeat from cell to cell, so ``",,\n"`` writes rows of three cells
+    and ``" "`` a column whose every cell is followed by a space.  The
+    work arrays are made once and reused for every block."""
 
-    def __init__(self, cells: int, width: int, sep: str):
+    def __init__(self, cells: int, ends: str):
         self.tables = _tables()
         self.rows = np.zeros((cells, _ROW), dtype=np.uint8)
         for at, char in enumerate("-0."):
             self.rows[:, at] = ord(char)
         self.rows[:, 24:26] = np.frombuffer(b"e-", dtype=np.uint8)
-        line_ends = (sep * (width - 1) + "\n").encode()
-        self.rows[:, 26] = np.tile(np.frombuffer(line_ends, dtype=np.uint8),
-                                   cells // width)
+        self.rows[:, 26] = np.tile(
+            np.frombuffer(ends.encode(), dtype=np.uint8), cells // len(ends))
         self.starts = (np.arange(cells, dtype=np.int32) * _ROW)[:, None]
         self.gather = np.empty((cells, _LAYOUT_WIDTH), dtype=np.int32)
         self.text = np.empty((cells, _LAYOUT_WIDTH), dtype=np.uint8)
@@ -172,8 +171,11 @@ class CellText:
         """Whether the kernel can write ``sep``: one ASCII byte, not NUL."""
         return len(sep) == 1 and "\0" < sep < "\x80"
 
-    def __call__(self, block: np.ndarray) -> str:
-        """The text of ``block``, a float64 array of rows of ``width``."""
+    def padded(self, block: np.ndarray) -> np.ndarray:
+        """The text of ``block``, a float64 array of whole rows, as a
+        ``(cells, _LAYOUT_WIDTH)`` uint8 array: each cell's text and its
+        end, padded with NULs.  It is a work array, which the next call
+        overwrites."""
         tables = self.tables
         x = block.reshape(-1)
         a = np.abs(x)
@@ -222,14 +224,16 @@ class CellText:
                out=gather)
         text = self.text[:x.size]
         np.take(rows.reshape(-1), gather, out=text)
-        out = text.tobytes().translate(None, b"\0").decode("ascii")
         cells = np.flatnonzero(python)
-        if not cells.size:
-            return out
-        # such a cell wrote its separator alone, as the last char of its text
-        ends = (np.cumsum(tables.lengths[key])[cells] - 1).tolist()
-        pieces, done = [], 0
-        for end, cell in zip(ends, python_cells(x[cells])):
-            pieces += [out[done:end], cell]
-            done = end
-        return "".join(pieces) + out[done:]
+        if cells.size:
+            ends = rows[cells, 26].tobytes().decode("ascii")
+            text[cells] = np.frombuffer(b"".join(
+                (cell + end).encode().ljust(_LAYOUT_WIDTH, b"\0")
+                for cell, end in zip(python_cells(x[cells]), ends)),
+                dtype=np.uint8).reshape(-1, _LAYOUT_WIDTH)
+        return text
+
+    def __call__(self, block: np.ndarray) -> str:
+        """The text of ``block``, a float64 array of whole rows."""
+        return (self.padded(block).tobytes().translate(None, b"\0")
+                .decode("ascii"))

@@ -98,6 +98,7 @@ from .sim import (
     trace_from_csv,
     trace_to_csv,
     write_rows,
+    write_series,
 )
 from .synth import (
     ControllerSynthesis,
@@ -652,17 +653,6 @@ def _assemble(sc: Scenario, gains_dir=None, sweep: bool = False,
 # plot emission
 
 
-def _write_series(path, curves) -> None:
-    """Write gnuplot-style two-column blocks, one block per curve, each
-    ``[t, values]`` through :func:`~coopftc.sim.write_rows`."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# two-column series; blank lines separate curves\n")
-        for label, t, values in curves:
-            fh.write(f"# curve={label}\n")
-            write_rows(fh, [t, values], " ")
-            fh.write("\n")
-
-
 def _emit_plots(outdir, suffix: str, trace, net: NetworkModel) -> list[str]:
     m = net.m
     # one expression, so no difference outlives it while the files are
@@ -672,13 +662,13 @@ def _emit_plots(outdir, suffix: str, trace, net: NetworkModel) -> list[str]:
         + np.sum(((trace.f_s - trace.f_hat) ** 2).reshape(-1, m, net.n_y),
                  axis=2))
     y = trace.x @ net.C.T
-    err_curves = [(f"agent{i + 1}", trace.t, err[:, i]) for i in range(m)]
-    out_curves = [(f"agent{i + 1}", trace.t, y[:, i]) for i in range(m)]
-    out_curves.append(("setpoint", trace.t, trace.y0.ravel()))
+    err_curves = [(f"agent{i + 1}", err[:, i]) for i in range(m)]
+    out_curves = [(f"agent{i + 1}", y[:, i]) for i in range(m)]
+    out_curves.append(("setpoint", trace.y0.ravel()))
     names = [f"plot_estimation_errors{suffix}.dat",
              f"plot_outputs{suffix}.dat"]
-    _write_series(os.path.join(outdir, names[0]), err_curves)
-    _write_series(os.path.join(outdir, names[1]), out_curves)
+    write_series([(os.path.join(outdir, names[0]), trace.t, err_curves),
+                  (os.path.join(outdir, names[1]), trace.t, out_curves)])
     return names
 
 

@@ -27,24 +27,26 @@ remaining trace columns (measured outputs, estimates, cooperative
 error, control) come from one evaluation of the same wiring on the
 whole trace, one row per sample.
 
-Every numeric text file goes through :func:`write_rows` and
-:func:`read_rows`.  A cell is written as ``'%.17g' % x`` writes it, by
-a numpy kernel (:class:`~coopftc.cell_text.CellText`) that finds the 17
-correctly rounded digits of a block of float64 cells at once and lays
-out their text with one gather.  A cell whose digits it cannot prove
-(an exact or near tie, a nonzero magnitude outside [1e-280, 1e17), a
-value that is not a finite double) is formatted by Python's own
-``'%.17g' %`` and spliced into its place, so the bytes are always
-Python's.
+Every numeric text file is written by :func:`write_rows`, or for the
+plots by :func:`write_series`, and read by :func:`read_rows`.  A cell is
+written as ``'%.17g' % x`` writes it, by a numpy kernel
+(:class:`~coopftc.cell_text.CellText`) that finds the 17 correctly
+rounded digits of a block of float64 cells at once and lays out their
+text with one gather, each cell in a slot of its own.  A cell whose
+digits it cannot prove (an exact or near tie, a nonzero magnitude
+outside [1e-280, 1e17), a value that is not a finite double) is
+formatted by Python's own ``'%.17g' %`` and written into its slot, so
+the bytes are always Python's.
 
 A table of more than ``_SPLIT_CELLS`` cells, on a process that may use
 more than one CPU (``os.sched_getaffinity``), is formatted or parsed in
-two halves at once: this process keeps the first half, and one child
-it forks (``os.fork``, in :func:`_fork_half`) formats or parses the
-second into one part file next to the file, unlinked as soon as it is
-made, which this process then copies in.  The child touches no BLAS
-and no Python stdio, turns warnings into errors, and leaves by
-``os._exit``.  The parent reaps it in a ``finally``.  If either half
+two halves at once, and a pair of plot files of more formatted cells is
+written one file each: this process keeps the first half or file, and
+one child it forks (``os.fork``, in :func:`_fork_half`) formats or
+parses the second into one part file next to its file, unlinked as soon
+as it is made, which this process then copies in.  The child touches
+no BLAS and no Python stdio, turns warnings into errors, and leaves by
+``os._exit``.  The parent reaps it in a ``finally``.  If either side
 fails, the parent reruns the serial path, so the bytes, the table and
 every error text are the serial path's.  On one CPU, without
 ``os.fork``, or while any other Python thread runs, nothing forks.
@@ -68,7 +70,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cell_text import CellText
+from .cell_text import _LAYOUT_WIDTH, CellText
 from .control import (ClosedLoop, ClosedLoopMaps, ClosedLoopState,
                       SignalSchedule, _wire, closed_loop_maps,
                       closed_loop_rhs)
@@ -86,6 +88,7 @@ __all__ = [
     "sample_initial_state",
     "run_experiment",
     "write_rows",
+    "write_series",
     "read_rows",
     "trace_to_csv",
     "trace_from_csv",
@@ -362,24 +365,28 @@ def run_experiment(loop: ClosedLoop, schedule: SignalSchedule,
 _WRITE_BLOCK_CELLS = 4096
 
 #: Tables of more cells than this are formatted and parsed by two
-#: processes.  On a 2-CPU host, in a process holding 60 MB more than the
-#: CLI's imports, a split write plus read (medians of 7 and of 9) took
-#: 1.26-1.50x the serial time at 100k cells, 1.19-1.26x for 2 columns but
-#: 0.78-0.85x for 33 at 200k, 0.86-0.98x and 0.72-0.82x at 400k, and
-#: 0.58-0.80x at 800k.  Every benchmark trace is far above it (1.3M
-#: cells or more), every plot curve and gains file far below.
-_SPLIT_CELLS = 400_000
+#: processes, and a pair of plot files of more formatted cells is written
+#: by two.  On a 2-CPU host, in a process holding 60 MB more than the
+#: CLI's imports, split over serial time (medians of 15 alternating pairs,
+#: quartiles in brackets): a 58-column trace written and read back took
+#: 1.08x (0.91-1.35) at 29k cells, 0.90x (0.82-0.97) at 58k, 0.72x at 87k,
+#: 0.79x at 116k and 0.66-0.72x from 174k to 400k; a 2-column table 0.79x
+#: (0.70-0.98, 11 pairs) at 100k and 0.65x at 200k; the 24-agent fleet's
+#: plot pair (204k cells) 0.69x (0.65-0.76).  Every benchmark trace and
+#: plot pair is above it, every gains file and 500-row trace below.
+_SPLIT_CELLS = 100_000
 
 #: Bytes of whole lines one split reader parses per call.
 _READ_BLOCK_BYTES = 1 << 20
 
 
 def _splits(cells: int) -> bool:
-    """Whether a table of ``cells`` cells is split over this process and
-    one forked child: more than ``_SPLIT_CELLS`` cells, more than one CPU
-    this process may run on, a platform that can fork, and no other
-    Python thread running, since a lock it held at the fork would stay
-    held in the child, which could then wait for it for ever.  One child
+    """Whether a table, or a pair of plot files, of ``cells`` cells is
+    split over this process and one forked child: more than
+    ``_SPLIT_CELLS`` cells, more than one CPU this process may run on, a
+    platform that can fork, and no other Python thread running, since a
+    lock it held at the fork would stay held in the child, which could
+    then wait for it for ever.  One child
     is as wide as the split goes: the widest host it has been measured
     on has two CPUs, and a fork copies the page tables of the whole
     process."""
@@ -462,7 +469,7 @@ def _row_text(columns, sep: str, lo: int, hi: int):
     block converted to float64 and formatted by the kernel."""
     width = _width(columns)
     rows = max(1, min(_WRITE_BLOCK_CELLS // width, hi - lo))
-    kernel = CellText(rows * width, width, sep)
+    kernel = CellText(rows * width, sep * (width - 1) + "\n")
     for start in range(lo, hi, rows):
         block = np.column_stack([c[start:min(start + rows, hi)]
                                  for c in columns])
@@ -478,6 +485,18 @@ def _write_all(fd: int, data: bytes) -> None:
 def _write_part(fd: int, columns, sep: str, lo: int, hi: int) -> None:
     for text in _row_text(columns, sep, lo, hi):
         _write_all(fd, text.encode())
+
+
+def _copy_in(part: int, fd: int) -> bool:
+    """Append the whole part file ``part`` at the offset of ``fd``, copied
+    in the kernel; False if the copy fails."""
+    try:
+        pos = 0
+        while sent := os.copy_file_range(part, fd, 1 << 30, pos):
+            pos += sent
+    except OSError:
+        return False
+    return True
 
 
 def _write_split(fh, columns, sep: str) -> bool:
@@ -498,14 +517,7 @@ def _write_split(fh, columns, sep: str) -> bool:
     if part is not None:
         try:
             fh.flush()
-            try:  # appended at the descriptor's offset
-                pos = 0
-                while sent := os.copy_file_range(part, fh.fileno(), 1 << 30,
-                                                 pos):
-                    pos += sent
-            except OSError:
-                pass
-            else:
+            if _copy_in(part, fh.fileno()):
                 fh.seek(0, os.SEEK_END)  # past what the handle did not write
                 return True
         finally:
@@ -544,6 +556,92 @@ def write_rows(fh, columns, sep: str) -> None:
     if split and _write_split(fh, columns, sep):
         return
     fh.writelines(_row_text(columns, sep, 0, n))
+
+
+def _series_text(t, curves):
+    """The bytes of one plot file, a block of lines at a time.  ``t`` is
+    formatted once, into one NUL-padded slot per row; each block of a
+    curve's values is laid beside the slots of its rows, and the NULs of
+    the block's lines are dropped."""
+    n = len(t)
+    rows = max(1, min(_WRITE_BLOCK_CELLS, n))
+    kernel = CellText(rows, " ")
+    times = np.empty((n, _LAYOUT_WIDTH), dtype=np.uint8)
+    for lo in range(0, n, rows):
+        block = np.asarray(t[lo:lo + rows], dtype=np.float64)
+        times[lo:lo + block.size] = kernel.padded(block)
+    kernel = CellText(rows, "\n")
+    lines = np.empty((rows, 2, _LAYOUT_WIDTH), dtype=np.uint8)
+    yield b"# two-column series; blank lines separate curves\n"
+    for label, values in curves:
+        yield f"# curve={label}\n".encode()
+        for lo in range(0, n, rows):
+            block = np.asarray(values[lo:lo + rows], dtype=np.float64)
+            k = block.size
+            lines[:k, 0] = times[lo:lo + k]
+            lines[:k, 1] = kernel.padded(block)
+            yield lines[:k].tobytes().translate(None, b"\0")
+        yield b"\n"
+
+
+def _write_series_file(path, t, curves) -> None:
+    with open(path, "wb") as fh:
+        fh.writelines(_series_text(t, curves))
+
+
+def _write_series_part(t, curves, fd: int) -> None:
+    for data in _series_text(t, curves):
+        _write_all(fd, data)
+
+
+def _write_series_pair(mine, theirs) -> bool:
+    """Write the plot file ``mine`` here and ``theirs`` in one forked
+    child at once, its bytes copied in from the child's part file; False
+    when either side or the copy fails."""
+    path = theirs[0]
+    part = _fork_half(path, partial(_write_series_file, *mine),
+                      partial(_write_series_part, *theirs[1:]))
+    if part is None:
+        return False
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        try:
+            return _copy_in(part, fd)
+        finally:
+            os.close(fd)
+    except OSError:
+        return False
+    finally:
+        os.close(part)
+
+
+def write_series(files) -> None:
+    """Write plot files of gnuplot-style two-column blocks.  Each
+    ``(path, t, curves)`` of ``files`` is a header line, then for each
+    ``(label, values)`` of ``curves`` a ``# curve=label`` line, the rows
+    ``t value`` and a blank line.  The rows' bytes equal ``np.savetxt``'s
+    of ``[t, values]`` with :func:`write_rows`'s format; ``t`` is
+    formatted once per file, and no file's whole text is held in memory.
+
+    Two files of more than ``_SPLIT_CELLS`` formatted cells together
+    (:func:`_splits`) are written at once: this process writes the
+    first, and one forked child (:func:`_fork_half`) writes the bytes of
+    the second into one part file next to it, unlinked once made, which
+    this process then copies into the second file in the kernel.  If
+    either side or the copy fails, both files are written by the serial
+    path, so the bytes and any error are the serial path's."""
+    for path, t, curves in files:
+        for label, values in curves:
+            if len(values) != len(t):
+                raise DimensionMismatchError(
+                    f"{path}: curve {label} has {len(values)} values for "
+                    f"{len(t)} times")
+    cells = sum(len(t) * (1 + len(curves)) for _, t, curves in files)
+    if (len(files) == 2 and hasattr(os, "copy_file_range")
+            and _splits(cells) and _write_series_pair(*files)):
+        return
+    for file in files:
+        _write_series_file(*file)
 
 
 def _scan(fd: int, sep: str):

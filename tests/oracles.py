@@ -1,5 +1,7 @@
 """Test-only reference models that the package itself never runs."""
 
+import io
+
 import numpy as np
 import scipy.signal
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
@@ -410,3 +412,16 @@ def shifted_error_by_phi_solve(g, C1, Phi, x, y0):
     at_zero = cooperative_error(g, np.zeros(np.shape(x)[-1]), x0)
     e_star = np.linalg.solve(Phi, Phi @ at_zero)
     return cooperative_error(g, x, x0) - e_star
+
+
+def savetxt_series(t, curves) -> bytes:
+    """A plot file as ``np.savetxt`` writes it, one block per
+    ``(label, values)`` of ``curves``, each ``[t, values]``."""
+    fh = io.StringIO()
+    fh.write("# two-column series; blank lines separate curves\n")
+    for label, values in curves:
+        fh.write(f"# curve={label}\n")
+        np.savetxt(fh, np.column_stack([t, values]), fmt="%.17g",
+                   delimiter=" ")
+        fh.write("\n")
+    return fh.getvalue().encode()

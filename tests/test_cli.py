@@ -8,7 +8,6 @@ full 40-second benchmark.
 
 import dataclasses
 import hashlib
-import io
 import os
 import subprocess
 import sys
@@ -29,6 +28,7 @@ from coopftc.cli import (Scenario, build_interaction, build_plant,
 from coopftc.errors import NonFiniteStateError, ParseError, ValidationError
 from coopftc.estimator import build_observer
 from coopftc.graph import BENCHMARK_TOPOLOGIES, benchmark_topology
+from oracles import savetxt_series
 
 #: Scenario field name -> its dotted key in a scenario file.
 KEYS = {f.name: f.metadata["key"] for f in dataclasses.fields(Scenario)}
@@ -534,36 +534,23 @@ def test_one_cpu_run_writes_the_same_bytes(tmp_path, gains_dir):
     assert digests[0] == digests[1]
 
 
-def _savetxt_series(curves) -> bytes:
-    """The plot file as ``np.savetxt`` writes it, one block per curve."""
-    fh = io.StringIO()
-    fh.write("# two-column series; blank lines separate curves\n")
-    for label, t, values in curves:
-        fh.write(f"# curve={label}\n")
-        np.savetxt(fh, np.column_stack([t, values]), fmt="%.17g",
-                   delimiter=" ")
-        fh.write("\n")
-    return fh.getvalue().encode()
-
-
 def test_plot_bytes_match_savetxt(tmp_path, short_scenario, gains_dir,
                                   monkeypatch):
     written = []
-    original = cli._write_series
+    original = cli.write_series
 
-    def recorded(path, curves):
-        written.append((path, curves))
-        original(path, curves)
-    monkeypatch.setattr(cli, "_write_series", recorded)
+    def recorded(files):
+        written.extend(files)
+        original(files)
+    monkeypatch.setattr(cli, "write_series", recorded)
     assert main(["simulate", "-s", str(short_scenario), "-o", str(tmp_path),
                  "--gains", str(gains_dir)]) == 0
     # signed zeros, subnormal and huge values format as savetxt does
-    edge = [("edge", np.arange(6.0), np.array([0.0, -0.0, 5e-324, -1e300,
-                                               1 / 3, 2.0 ** 60]))]
-    recorded(tmp_path / "edge.dat", edge)
+    edge = [("edge", np.array([0.0, -0.0, 5e-324, -1e300, 1 / 3, 2.0 ** 60]))]
+    recorded([(tmp_path / "edge.dat", np.arange(6.0), edge)])
     assert len(written) == 3
-    for path, curves in written:
-        assert Path(path).read_bytes() == _savetxt_series(curves)
+    for path, t, curves in written:
+        assert Path(path).read_bytes() == savetxt_series(t, curves)
 
 
 def test_plot_curves_match_per_agent_reference(tmp_path, monkeypatch):
@@ -578,19 +565,21 @@ def test_plot_curves_match_per_agent_reference(tmp_path, monkeypatch):
             ("x", net.nbar_x), ("x_hat", net.nbar_x), ("f_s", net.nbar_y),
             ("f_hat", net.nbar_y))})
     written = {}
-    monkeypatch.setattr(cli, "_write_series",
-                        lambda path, curves: written.update({path: curves}))
+    monkeypatch.setattr(cli, "write_series", lambda files: written.update(
+        {path: (t, curves) for path, t, curves in files}))
     names = cli._emit_plots(tmp_path, "", trace, net)
-    errors, outputs = (written[str(tmp_path / name)] for name in names)
+    (t_err, errors), (t_out, outputs) = (written[str(tmp_path / name)]
+                                         for name in names)
+    assert t_err is trace.t and t_out is trace.t
     for i in range(net.m):
         sl = slice(i * net.n_x, (i + 1) * net.n_x)
         fl = slice(i * net.n_y, (i + 1) * net.n_y)
         err = np.sqrt(
             np.sum((trace.x[:, sl] - trace.x_hat[:, sl]) ** 2, axis=1)
             + np.sum((trace.f_s[:, fl] - trace.f_hat[:, fl]) ** 2, axis=1))
-        npt.assert_array_equal(errors[i][2], err)
-        npt.assert_array_equal(outputs[i][2], (trace.x @ net.C.T)[:, i])
-    assert [label for label, _, _ in outputs][-1] == "setpoint"
+        npt.assert_array_equal(errors[i][1], err)
+        npt.assert_array_equal(outputs[i][1], (trace.x @ net.C.T)[:, i])
+    assert [label for label, _ in outputs][-1] == "setpoint"
 
 
 def test_simulate_sweep_three_topologies(tmp_path, short_scenario,

@@ -26,6 +26,7 @@ from coopftc.errors import (DimensionMismatchError, NonFiniteStateError,
 from coopftc.sim import (SignalSchedule, integrate, propagate, read_rows,
                          run_experiment, sample_initial_state, step_schedule,
                          trace_from_csv, trace_to_csv, write_rows)
+from oracles import savetxt_series
 
 
 # --- integrate --------------------------------------------------------------
@@ -729,6 +730,63 @@ def test_split_is_capped_and_waits_for_no_thread(tmp_path, monkeypatch):
             == (tmp_path / "split.txt").read_bytes())
     npt.assert_array_equal(table.view(np.uint64), split.view(np.uint64))
     _assert_tidy(tmp_path, "split.txt", "threaded.txt")
+
+
+# --- plot files -------------------------------------------------------------
+
+def _plot_files(directory):
+    """Two plot files of several blocks of rows, whose times and values
+    hold cells only Python formats: a tie, a subnormal, 1e300 and -0.0."""
+    odd = np.array([_TIES[0], 5e-324, 1e300, -0.0])
+    t = np.arange(6000.0) / 7
+    t[[0, 4095, 4096, 5999]] = odd
+    values = np.sin(np.arange(6000.0))
+    values[[1, 2, 4097, 5998]] = odd
+    return [(directory / "errors.dat", t,
+             [("agent1", values), ("agent2", -values)]),
+            (directory / "outputs.dat", t,
+             [("agent1", values[::-1]), ("setpoint", np.ones(6000))])]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_plot_files_are_savetxt_s_bytes(tmp_path, monkeypatch, cpus):
+    """On two CPUs this process writes one plot file and one child the
+    other; on one nothing forks.  Either way the bytes are
+    ``np.savetxt``'s, and no piece written holds more than one block of
+    lines."""
+    files = _plot_files(tmp_path)
+    forks = _split_over(monkeypatch, cpus)
+    sim.write_series(files)
+    assert len(forks) == cpus - 1
+    for path, t, curves in files:
+        assert path.read_bytes() == savetxt_series(t, curves)
+        assert max(map(len, sim._series_text(t, curves))) <= (
+            2 * cell_text._LAYOUT_WIDTH * sim._WRITE_BLOCK_CELLS)
+    _assert_tidy(tmp_path, "errors.dat", "outputs.dat")
+
+
+def test_failing_plot_child_falls_back_to_serial_bytes(tmp_path,
+                                                       monkeypatch):
+    def fail(*args):
+        raise OSError("no space left in the part file")
+    files = _plot_files(tmp_path)
+    forks = _split_over(monkeypatch, 2)
+    monkeypatch.setattr(sim, "_write_series_part", fail)
+    sim.write_series(files)
+    assert len(forks) == 1
+    for path, t, curves in files:
+        assert path.read_bytes() == savetxt_series(t, curves)
+    _assert_tidy(tmp_path, "errors.dat", "outputs.dat")
+
+
+def test_plot_curve_of_other_length_is_refused(tmp_path):
+    """A curve whose length is not the times' is named before any file
+    is written."""
+    files = _plot_files(tmp_path)
+    files[1][2].append(("short", np.zeros(5)))
+    with pytest.raises(DimensionMismatchError, match="curve short has 5"):
+        sim.write_series(files)
+    assert os.listdir(tmp_path) == []
 
 
 # --- CSV round trip ---------------------------------------------------------

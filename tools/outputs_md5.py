@@ -22,9 +22,10 @@ then the md5 of every file left in the work directory.
 
 bench4's ``simulate`` and ``verify`` run twice: as the benchmark runs
 them, where the trace is written and read by two processes on a host of
-two or more CPUs, and with this process pinned to one CPU
-(``bench4_one_cpu``), where nothing is split.  The two traces
-(``bench4_out/trace.csv`` and ``bench4_one_cpu_out/trace.csv``) and the
+two or more CPUs, and the two plot files are written one by each, and
+with this process pinned to one CPU (``bench4_one_cpu``), where nothing
+is split.  The two traces (``bench4_out/trace.csv`` and
+``bench4_one_cpu_out/trace.csv``), the two pairs of plot files and the
 two ``verify`` stdouts must have the same md5; where they do not, the
 tool says so on stderr and exits 1.
 
@@ -117,7 +118,9 @@ ONE_CPU = {
 }
 
 #: Manifest lines that the split and the one-CPU runs must share.
-SAME = [("file bench4_out/trace.csv", "file bench4_one_cpu_out/trace.csv"),
+SAME = [*((f"file bench4_out/{name}", f"file bench4_one_cpu_out/{name}")
+          for name in ("trace.csv", "plot_estimation_errors.dat",
+                       "plot_outputs.dat")),
         ("bench4.verify stdout", "bench4_one_cpu.verify stdout")]
 
 
