@@ -52,6 +52,10 @@ class ModelValidationError(ToolkitError):
     """Agent or network matrices fail a structural requirement."""
 
 
+class CertificateFailedError(ToolkitError):
+    """Loaded gains fail the re-verification synthesized gains pass."""
+
+
 class IdentityCheckFailedError(ToolkitError):
     """An exact identity does not hold to tolerance: a fast path of the
     simulation against its reference, or the unit in-weights of a

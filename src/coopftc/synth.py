@@ -113,6 +113,7 @@ __all__ = [
     "ObserverSynthesis",
     "ControllerSynthesis",
     "synth_observer",
+    "certify_observer",
     "synth_controller",
     "observer_inequality",
     "feedback_inequality",
@@ -829,16 +830,8 @@ def synth_observer(aug: AugmentedModel, net: NetworkModel, delta: float,
 
     One small problem is solved per agent and the solutions are
     assembled into network-level ``(P, H)``; block-diagonality of the
-    plant makes the assembly exact, and the full network inequality is
-    re-verified on the assembled matrices at the returned gain, which
-    also proves the error dynamics Hurwitz (module docstring).
-
-    Returns
-    -------
-    ObserverSynthesis
-        With ``Lgain = P^{-1} H`` and
-        ``margin = -lambda_max(Pi(P, P Lgain))`` measured on the
-        assembled network matrices.
+    plant makes the assembly exact.  The gain ``Lgain = P^{-1} H`` is
+    returned through :func:`certify_observer`.
 
     Raises
     ------
@@ -846,8 +839,8 @@ def synth_observer(aug: AugmentedModel, net: NetworkModel, delta: float,
         If ``delta <= 0``.
     InfeasibleError
         If any sub-problem has no strictly feasible point at the
-        requested ``delta``, or the assembled certificate fails its
-        re-verification; the message starts with "observer".
+        requested ``delta``, or :func:`certify_observer` rejects the
+        assembled certificate; the message starts with "observer".
     """
     if delta <= 0:
         raise DeltaNonPositiveError(f"delta must be > 0, got {delta}")
@@ -874,12 +867,18 @@ def synth_observer(aug: AugmentedModel, net: NetworkModel, delta: float,
             for name in ("P", "H"))
     back = np.argsort(perm)
     P, H = P[np.ix_(back, back)], H[back]
+    return certify_observer(aug, net, delta, P, H, solve_linear(P, H), margin)
 
-    Lgain = solve_linear(P, H)
 
-    # Re-verify from scratch, on the assembled network matrices and at
-    # the returned gain; nothing below depends on the solver internals.
-    pi = observer_inequality(P, P @ Lgain, F1A, aug.E2, F1D, delta)
+def certify_observer(aug: AugmentedModel, net: NetworkModel, delta: float,
+                     P, H, Lgain, margin: float) -> ObserverSynthesis:
+    """The one observer verdict, for synthesized and loaded gains alike:
+    ``Pi(P, P Lgain)`` re-verified from scratch on the network matrices
+    (module docstring), which proves ``F1 A_a - L E2`` Hurwitz.  Returns
+    the certificate with ``margin = -lambda_max(Pi(P, P Lgain))``, or
+    raises ``InfeasibleError`` naming "observer" and ``lambda_min(P)``."""
+    pi = observer_inequality(P, P @ Lgain, aug.F1 @ aug.A_a, aug.E2,
+                             aug.F1 @ net.D, delta)
     achieved = _reverify("observer", pi, margin, "P", P)
     return ObserverSynthesis(delta=delta, P=P, H=H, Lgain=Lgain,
                              margin=achieved)

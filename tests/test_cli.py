@@ -22,7 +22,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopftc import cli, linalg, sim, synth
+from coopftc import analysis, cli, linalg, sim, synth
 from coopftc.cli import (Scenario, build_interaction, build_plant,
                          load_matrix, main, parse_scenario, save_matrix)
 from coopftc.errors import NonFiniteStateError, ParseError, ValidationError
@@ -281,6 +281,15 @@ def test_matrix_file_round_trip(tmp_path):
     npt.assert_array_equal(load_matrix(path), M)
 
 
+def _copy_gains(source, target):
+    """Copy the three gains files of ``source`` into a new ``target``."""
+    target.mkdir()
+    for f in (cli.OBSERVER_GAIN_FILE, cli.FEEDBACK_GAIN_FILE,
+              cli.OBSERVER_STORAGE_FILE):
+        (target / f).write_bytes((source / f).read_bytes())
+    return target
+
+
 @pytest.mark.parametrize("command", [
     ["simulate", "-o", "never-written"],
     ["verify", "--trace", "never-read.csv"],
@@ -292,17 +301,70 @@ def test_nonfinite_gain_file_rejected(tmp_path, monkeypatch, capsys,
                                       short_scenario, gains_dir, name,
                                       command):
     monkeypatch.setattr(cli, "synth_observer", _no_synthesis)
-    for f in (cli.OBSERVER_GAIN_FILE, cli.FEEDBACK_GAIN_FILE,
-              cli.OBSERVER_STORAGE_FILE):
-        (tmp_path / f).write_bytes((gains_dir / f).read_bytes())
-    header, first, *rest = (tmp_path / name).read_text().splitlines()
-    (tmp_path / name).write_text(
+    gains = _copy_gains(gains_dir, tmp_path / "gains")
+    header, first, *rest = (gains / name).read_text().splitlines()
+    (gains / name).write_text(
         "\n".join([header, "nan " + first.split(" ", 1)[1], *rest]) + "\n")
     argv = command[:1] + ["-s", str(short_scenario), "--gains",
-                          str(tmp_path)] + command[1:]
+                          str(gains)] + command[1:]
     assert main(argv) == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
     assert name in err and "non-finite" in err
+
+
+def _zero_gain(L, P):
+    # F1 A_a alone has zero eigenvalues from the fault rows
+    return np.zeros_like(L), P
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "-o", "out"],
+    ["verify", "--trace", "never-read.csv"],
+], ids=["simulate", "verify"])
+@pytest.mark.parametrize("tamper", [
+    _zero_gain,
+    lambda L, P: (L, 1e-3 * P),
+    lambda L, P: (L, -P),
+], ids=["zero_L", "small_P", "negative_P"])
+def test_uncertified_gains_rejected(tmp_path, monkeypatch, capsys,
+                                   short_scenario, gains_dir, tamper,
+                                   command):
+    """Loaded gains get the verdict ``synth`` gives its own, and fail
+    with exit 5 before any step is taken or any trace is read."""
+    monkeypatch.setattr(cli, "synth_observer", _no_synthesis)
+    monkeypatch.chdir(tmp_path)
+    gains = _copy_gains(gains_dir, tmp_path / "gains")
+    L, P = tamper(load_matrix(gains / cli.OBSERVER_GAIN_FILE),
+                  load_matrix(gains / cli.OBSERVER_STORAGE_FILE))
+    save_matrix(gains / cli.OBSERVER_GAIN_FILE, L)
+    save_matrix(gains / cli.OBSERVER_STORAGE_FILE, P)
+    argv = command[:1] + ["-s", str(short_scenario), "--gains",
+                          str(gains)] + command[1:]
+    assert main(argv) == cli.EXIT_CERTIFICATE
+    err = capsys.readouterr().err
+    assert err.startswith("certificate failed: observer certificate "
+                          "failed re-verification")
+    assert "lambda_min(P)" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "-o", "out"],
+    ["verify", "--trace", "never-read.csv"],
+], ids=["simulate", "verify"])
+def test_asymmetric_storage_rejected(tmp_path, monkeypatch, capsys,
+                                    short_scenario, gains_dir, command):
+    monkeypatch.chdir(tmp_path)
+    gains = _copy_gains(gains_dir, tmp_path / "gains")
+    P = load_matrix(gains / cli.OBSERVER_STORAGE_FILE)
+    P[0, 1] += 5.0 * np.abs(P).max()
+    save_matrix(gains / cli.OBSERVER_STORAGE_FILE, P)
+    argv = command[:1] + ["-s", str(short_scenario), "--gains",
+                          str(gains)] + command[1:]
+    assert main(argv) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert cli.OBSERVER_STORAGE_FILE in err and "asymmetry" in err
+    assert not (tmp_path / "out").exists()
 
 
 # --- synth command ----------------------------------------------------------
@@ -332,6 +394,30 @@ def test_synth_decides_each_stability_fact_once(tmp_path, monkeypatch):
     monkeypatch.setattr(linalg, "solve_lyapunov", counted)
     assert main(["synth", "-o", str(tmp_path)]) == 0
     assert len(calls) == 0
+
+
+def test_loaded_gains_get_the_synth_verdict(tmp_path, monkeypatch,
+                                           short_scenario, gains_dir):
+    """``simulate --gains`` makes no Lyapunov solve either: the loaded
+    observer passes the re-verification that ``synth`` applies, at the
+    margin ``certificate.txt`` records, and that proves it Hurwitz."""
+    calls, certified = [], []
+    for module in (linalg, analysis):
+        def counted(*args, original=module.solve_lyapunov):
+            calls.append(args)
+            return original(*args)
+        monkeypatch.setattr(module, "solve_lyapunov", counted)
+
+    def recorded(aug, net, so):
+        certified.append(so)
+        return build_observer(aug, net, so)
+    monkeypatch.setattr(cli, "build_observer", recorded)
+    assert main(["simulate", "-s", str(short_scenario), "-o", str(tmp_path),
+                 "--gains", str(gains_dir)]) == 0
+    assert len(calls) == 0
+    [so] = certified
+    cert = (gains_dir / cli.CERTIFICATE_FILE).read_text().splitlines()
+    assert f"synth.observer.margin={so.margin:.12g}" in cert
 
 
 def test_synth_infeasible_delta_exit_code(tmp_path, capsys):

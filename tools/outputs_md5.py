@@ -16,9 +16,13 @@ agents of two and three states (``mixed_dims``: exit 2 naming
 ``plant.agents`` and each agent's n_x, n_u, n_y and n_v), and on two
 identical explicit agents whose observer LMI is infeasible though the
 projection iteration never stalls on it (``never_stalls``: exit 3, the
-dual solve certifying agent 1).  For each
-command it prints the exit code and the md5 of its stdout and stderr,
-then the md5 of every file left in the work directory.
+dual solve certifying agent 1).  Last, bench4's gains with
+``observer_storage.txt`` scaled by 1e-3 (``bench4_tampered``: the
+observer margin drops to about -1) run through ``simulate`` and
+``verify``, which both exit 5 before taking a step or reading the
+trace.  For each command it prints the exit code and the md5 of its
+stdout and stderr, then the md5 of every file left in the work
+directory.
 
 bench4's ``simulate`` and ``verify`` run twice: as the benchmark runs
 them, where the trace is written and read by two processes on a host of
@@ -117,6 +121,17 @@ ONE_CPU = {
                               "bench4_gains"],
 }
 
+#: Commands run on bench4's gains with the observer storage P scaled by
+#: 1e-3 (``_tamper_gains``): Pi(P, P L) then fails its re-verification.
+TAMPERED = {
+    "bench4_tampered.simulate": ["simulate", "-s", "bench4.yaml", "-o",
+                                 "bench4_tampered_out", "--gains",
+                                 "bench4_tampered_gains"],
+    "bench4_tampered.verify": ["verify", "-s", "bench4.yaml", "--trace",
+                               "bench4_out/trace.csv", "--gains",
+                               "bench4_tampered_gains"],
+}
+
 #: Manifest lines that the split and the one-CPU runs must share.
 SAME = [*((f"file bench4_out/{name}", f"file bench4_one_cpu_out/{name}")
           for name in ("trace.csv", "plot_estimation_errors.dat",
@@ -136,7 +151,8 @@ def _workloads():
 
 
 def _commands() -> list[tuple[str, list[str]]]:
-    """(label, argv) of every command, in the order they run."""
+    """(label, argv) of every command before the ``TAMPERED`` ones, in
+    the order they run."""
     commands = []
     for stem in ("bench4", "fleet24"):
         scenario = f"{stem}.yaml"
@@ -222,8 +238,20 @@ def _run(main, argv, one_cpu: bool) -> tuple[str, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def _tamper_gains(cli, source: str, target: str) -> None:
+    """Copy the gains files from ``source`` to ``target``, with the
+    observer storage scaled by 1e-3."""
+    os.mkdir(target)
+    for name in (cli.OBSERVER_GAIN_FILE, cli.FEEDBACK_GAIN_FILE,
+                 cli.OBSERVER_STORAGE_FILE):
+        M = cli.load_matrix(os.path.join(source, name))
+        if name == cli.OBSERVER_STORAGE_FILE:
+            M = 1e-3 * M
+        cli.save_matrix(os.path.join(target, name), M)
+
+
 def manifest(seed: int) -> list[str]:
-    from coopftc.cli import main
+    from coopftc import cli
 
     lines = []
     with tempfile.TemporaryDirectory(prefix="outputs_md5_") as work:
@@ -233,14 +261,21 @@ def manifest(seed: int) -> list[str]:
         for name, text in scenarios.items():
             with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
                 fh.write(text)
+
+        def record(label, argv):
+            code, out, err = _run(cli.main, argv, label in ONE_CPU)
+            lines.extend([f"{label} exit {code}",
+                          f"{label} stdout {_md5(out.encode())}",
+                          f"{label} stderr {_md5(err.encode())}"])
+
         here = os.getcwd()
         os.chdir(work)
         try:
             for label, argv in _commands():
-                code, out, err = _run(main, argv, label in ONE_CPU)
-                lines += [f"{label} exit {code}",
-                          f"{label} stdout {_md5(out.encode())}",
-                          f"{label} stderr {_md5(err.encode())}"]
+                record(label, argv)
+            _tamper_gains(cli, "bench4_gains", "bench4_tampered_gains")
+            for label, argv in TAMPERED.items():
+                record(label, argv)
         finally:
             os.chdir(here)
         for parent, _, names in sorted(os.walk(work)):
