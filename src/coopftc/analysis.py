@@ -8,6 +8,20 @@ estimation spillover and the outer-loop correction.  This module turns
 each promise into a number that a trajectory either satisfies or does
 not.
 
+Each check on a trajectory reads it as blocks of consecutive rows:
+:class:`DissipationCheck`, :class:`IssBoundCheck` and
+:class:`ConsensusCheck` are fed the rows one block at a time
+(``update``), carry from block to block only what the next rows need,
+and decide on every row given (``report``): the dissipation audit keeps
+a one-row overlap for its centred difference and fault-jump exclusion,
+the ISS check each setpoint window's first error and running sup of
+``||theta||``, the consensus metrics each agent's last row out of the
+band, and the input reconstruction its two global maxima.  The
+whole-trace functions (:func:`dissipation_check`,
+:func:`verify_iss_bound`, :func:`consensus_report`) feed the trace as
+one block and are the tests' oracle; ``verify`` feeds each block it
+reads, so no check holds a whole column.
+
 The ISS certificate works in disagreement coordinates.  With ``L`` the
 (normalized) graph matrix and ``Acl = A + B K`` the inner closed loop,
 the cooperative state error obeys an exact linear equation driven by
@@ -58,6 +72,9 @@ __all__ = [
     "IssWindow",
     "DissipationReport",
     "ConsensusReport",
+    "IssBoundCheck",
+    "DissipationCheck",
+    "ConsensusCheck",
     "iss_certificate",
     "verify_iss_bound",
     "dissipation_check",
@@ -211,33 +228,61 @@ def iss_certificate(g: NetworkGraph, net: NetworkModel,
 # combined-input reconstruction shared by several checks
 
 
-def _theta_star(trace: SimTrace, law: ControlLaw) -> np.ndarray:
-    """Row-wise stacked input ``[v; vartheta]`` reconstructed from a trace.
+class _ThetaStar:
+    """Row-wise stacked input ``[v; vartheta]`` reconstructed from the
+    rows of a trace, a block at a time.
 
     ``vartheta = K x - u*`` is the deviation of the law's input ``u*``
     from pure state feedback: the estimation spillover ``K (x - x_hat)``
     plus the outer PI correction.  ``u*`` is recomputed from the trace's
     estimates, error and integral, and ``vartheta`` is cross-checked
     against ``K x - u`` of the recorded input, which must agree to
-    roundoff for a trace produced by this package's closed loop.
+    roundoff for a trace produced by this package's closed loop.  The
+    cross-check's two maxima run over every row given; :meth:`check`
+    decides it.
     """
-    Kx = trace.x @ law.K.T
-    vartheta = Kx - control_input(law, trace.x_hat, trace.e_bar, trace.q)
-    direct = Kx - trace.u
-    scale = max(1.0, float(np.abs(direct).max()))
-    dev = float(np.abs(vartheta - direct).max())
-    if dev > 1e-9 * scale:
-        raise IdentityCheckFailedError(
-            f"input decomposition mismatch ({dev:.3e}); the trace was "
-            "not produced by the gain and outer pairs in this law")
-    return np.hstack([trace.v, vartheta])
+
+    def __init__(self, law: ControlLaw):
+        self.law = law
+        self.scale = 1.0
+        self.dev = 0.0
+
+    def __call__(self, block) -> np.ndarray:
+        law = self.law
+        Kx = block.x @ law.K.T
+        vartheta = Kx - control_input(law, block.x_hat, block.e_bar, block.q)
+        direct = Kx - block.u
+        self.scale = max(self.scale, float(np.abs(direct).max()))
+        self.dev = max(self.dev, float(np.abs(vartheta - direct).max()))
+        return np.hstack([block.v, vartheta])
+
+    def check(self) -> None:
+        if self.dev > 1e-9 * self.scale:
+            raise IdentityCheckFailedError(
+                f"input decomposition mismatch ({self.dev:.3e}); the trace "
+                "was not produced by the gain and outer pairs in this law")
 
 
-def _window_starts(y0: np.ndarray) -> np.ndarray:
-    """Indices where the recorded setpoint column changes value."""
-    flat = y0.ravel()
-    changes = np.flatnonzero(np.diff(flat) != 0.0) + 1
-    return np.concatenate([[0], changes])
+def _theta_star(trace: SimTrace, law: ControlLaw) -> np.ndarray:
+    """:class:`_ThetaStar` of a whole trace, cross-checked."""
+    theta = _ThetaStar(law)
+    rows = theta(trace)
+    theta.check()
+    return rows
+
+
+def _segments(y0: np.ndarray, last):
+    """``(lo, hi, new)`` for each run of rows of one setpoint in a block
+    whose setpoint column is ``y0``; ``new`` where the run starts a
+    window, that is at the trace's first row (``last`` None) or where the
+    setpoint differs from the row before (``last``, the previous block's
+    last row, for the block's first)."""
+    change = np.any(y0[1:] != y0[:-1], axis=1)
+    starts = np.flatnonzero(change) + 1
+    first = last is None or bool(np.any(y0[0] != last))
+    bounds = [0, *starts.tolist(), len(y0)]
+    return [(lo, hi, first or k > 0)
+            for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))]
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +328,66 @@ class IssBoundReport:
         return lines
 
 
+class IssBoundCheck:
+    """The pointwise ISS bound of :func:`verify_iss_bound`, fed a trace's
+    rows a block at a time (:meth:`update`) and decided on every row
+    given (:meth:`report`).  Each open window carries its first time and
+    error, its running maximum of ``||theta||`` and its statistics."""
+
+    def __init__(self, cert: IssCertificate, law: ControlLaw):
+        self.cert = cert
+        self.theta = _ThetaStar(law)
+        self.windows: list[IssWindow] = []
+        self.open = None  # [t0, error0, sup_theta, sup_error, worst, t_stop]
+        self.last_y0 = None
+
+    def update(self, block) -> None:
+        cert = self.cert
+        if cert.graph.m * cert.n_x != block.x.shape[1]:
+            raise DimensionMismatchError(
+                "certificate dimensions do not match the trace")
+        theta_norm = np.linalg.norm(self.theta(block), axis=1)
+        # the cooperative error at designated state zero is (L (x) I) x_bar
+        error_norm = np.linalg.norm(
+            cooperative_error(cert.graph, block.x, np.zeros(cert.n_x)), axis=1)
+        for lo, hi, new in _segments(block.y0, self.last_y0):
+            t_w, lhs = block.t[lo:hi], error_norm[lo:hi]
+            if new:
+                self._close()
+                self.open = [t_w[0], lhs[0], -np.inf, -np.inf, -np.inf, None]
+            t0, error0, sup, sup_error, worst, _ = self.open
+            sup_theta = np.maximum(np.maximum.accumulate(theta_norm[lo:hi]),
+                                   sup)
+            rhs = (cert.c1 * np.exp(-cert.c2 * (t_w - t0)) * error0
+                   + cert.c3 * sup_theta)
+            rel = (lhs - rhs) / np.maximum(rhs, 1e-12)
+            self.open[2:] = [sup_theta[-1], max(sup_error, float(lhs.max())),
+                             max(worst, float(rel.max())), t_w[-1]]
+        self.last_y0 = block.y0[-1].copy()  # not a view: frees the block
+
+    def _close(self) -> None:
+        if self.open is not None:
+            t0, _, sup, sup_error, worst, t_stop = self.open
+            self.windows.append(IssWindow(
+                t_start=float(t0), t_stop=float(t_stop), sup_error=sup_error,
+                sup_input=float(sup), max_relative_violation=worst))
+            self.open = None
+
+    def report(self) -> IssBoundReport:
+        """The report on every row given; raises
+        :class:`IdentityCheckFailedError` if the rows' inputs are not the
+        law's."""
+        self.theta.check()
+        self._close()
+        cert = self.cert
+        worst = max((w.max_relative_violation for w in self.windows),
+                    default=-np.inf)
+        return IssBoundReport(
+            passed=bool(worst <= ISS_RTOL), max_relative_violation=worst,
+            windows=tuple(self.windows), c1=cert.c1, c2=cert.c2, c3=cert.c3,
+        )
+
+
 def verify_iss_bound(trace: SimTrace, cert: IssCertificate,
                      law: ControlLaw) -> IssBoundReport:
     """Check the certificate's trajectory bound pointwise on a trace.
@@ -297,40 +402,12 @@ def verify_iss_bound(trace: SimTrace, cert: IssCertificate,
 
     is evaluated at every sample with a running maximum on the right.
     A sample violates when the left side exceeds the right by more than
-    ``ISS_RTOL`` relative to the right side.
+    ``ISS_RTOL`` relative to the right side.  This is
+    :class:`IssBoundCheck` fed the whole trace as one block.
     """
-    if cert.graph.m * cert.n_x != trace.x.shape[1]:
-        raise DimensionMismatchError(
-            "certificate dimensions do not match the trace")
-    theta = _theta_star(trace, law)
-    theta_norm = np.linalg.norm(theta, axis=1)
-
-    # the cooperative error at designated state zero is (L (x) I) x_bar
-    error_norm = np.linalg.norm(
-        cooperative_error(cert.graph, trace.x, np.zeros(cert.n_x)), axis=1)
-
-    starts = _window_starts(trace.y0)
-    bounds = np.concatenate([starts, [trace.t.size]])
-    windows = []
-    worst = -np.inf
-    for k0, k1 in zip(bounds[:-1], bounds[1:]):
-        t_w = trace.t[k0:k1]
-        lhs = error_norm[k0:k1]
-        sup_theta = np.maximum.accumulate(theta_norm[k0:k1])
-        rhs = (cert.c1 * np.exp(-cert.c2 * (t_w - t_w[0])) * lhs[0]
-               + cert.c3 * sup_theta)
-        rel = (lhs - rhs) / np.maximum(rhs, 1e-12)
-        w_max = float(rel.max())
-        worst = max(worst, w_max)
-        windows.append(IssWindow(
-            t_start=float(t_w[0]), t_stop=float(t_w[-1]),
-            sup_error=float(lhs.max()), sup_input=float(sup_theta[-1]),
-            max_relative_violation=w_max,
-        ))
-    return IssBoundReport(
-        passed=bool(worst <= ISS_RTOL), max_relative_violation=worst,
-        windows=tuple(windows), c1=cert.c1, c2=cert.c2, c3=cert.c3,
-    )
+    check = IssBoundCheck(cert, law)
+    check.update(trace)
+    return check.report()
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +429,80 @@ class DissipationReport:
         return _lines("dissipation", self)
 
 
+class DissipationCheck:
+    """The audit of :func:`dissipation_check`, fed a trace's rows a block
+    at a time (:meth:`update`) and decided on every row given
+    (:meth:`report`).  A row is decided once the row after it is known,
+    so the last two rows' values and fault carry from block to block:
+    the centred difference needs both neighbours, the fault-jump
+    exclusion the next row's fault."""
+
+    def __init__(self, aug: AugmentedModel, net: NetworkModel,
+                 synth_obs: ObserverSynthesis):
+        self.n_aug = aug.n_aug
+        self.P = synth_obs.P
+        self.delta = synth_obs.delta
+        self.A_err = aug.F1 @ aug.A_a - synth_obs.Lgain @ aug.E2
+        self.Bv = aug.F1 @ net.D
+        self.rows = 0          # rows given
+        self.t01 = []          # the first two times, for the step h
+        self.carry = None      # the last two rows' values, oldest first
+        self.last_f_s = None
+        self.max_val, self.max_fd, self.n_checked = -np.inf, 0.0, 0
+
+    def update(self, block) -> None:
+        eps = np.hstack([block.x - block.x_hat, block.f_s - block.f_hat])
+        if eps.shape[1] != self.n_aug:
+            raise DimensionMismatchError(
+                f"estimation error has {eps.shape[1]} columns, "
+                f"expected {self.n_aug}")
+        eps_dot = eps @ self.A_err.T
+        eps_dot += block.v @ self.Bv.T
+        eps_P = eps @ self.P  # serves both V_dot and V
+        v_dot = 2.0 * np.einsum("ij,ij->i", eps_P, eps_dot)
+        del eps_dot
+        supply = (v_dot + np.einsum("ij,ij->i", eps, eps)
+                  - self.delta ** 2 * np.einsum("ij,ij->i", block.v, block.v))
+        V = np.einsum("ij,ij->i", eps_P, eps)
+        # jump[k]: the fault differs from the row before (none before row 0)
+        f_s = block.f_s
+        before = f_s[:1] if self.last_f_s is None else self.last_f_s[None]
+        jump = np.any(np.diff(f_s, axis=0, prepend=before) != 0.0, axis=1)
+        self.last_f_s = f_s[-1].copy()  # not a view: frees the block
+        self.t01 = [*self.t01, *block.t[:2 - len(self.t01)]]
+
+        new = np.stack([V, v_dot, supply, jump])
+        rows = new if self.carry is None else np.hstack([self.carry, new])
+        first = self.rows - (rows.shape[1] - new.shape[1])  # row of column 0
+        self.rows += new.shape[1]
+        # decide every row but the last, whose next row is not known yet
+        pos = np.arange(max(self.rows - new.shape[1] - 1, 0) - first,
+                        rows.shape[1] - 1)
+        self.carry = rows[:, -2:]
+        if not pos.size:
+            return
+        V, v_dot, supply, jump = rows[0], rows[1], rows[2], rows[3] != 0.0
+        near = jump[pos] | jump[pos + 1] | jump[np.maximum(pos - 1, 0)]
+        keep = pos[~near & (pos + first > 0)]
+        if not keep.size:
+            return
+        self.n_checked += keep.size
+        self.max_val = max(self.max_val, float(supply[keep].max()))
+        h = float(self.t01[1] - self.t01[0])
+        fd = (V[keep + 1] - V[keep - 1]) / (2.0 * h)
+        self.max_fd = max(self.max_fd, float(np.abs(fd - v_dot[keep]).max()))
+
+    def report(self) -> DissipationReport:
+        """The audit of every row given: the first and the last row, and
+        the rows within one step of a fault jump, are excluded."""
+        return DissipationReport(
+            passed=bool(self.max_val <= DISSIPATION_TOL),
+            max_interior_value=self.max_val, max_fd_deviation=self.max_fd,
+            n_checked=self.n_checked, n_excluded=self.rows - self.n_checked,
+            tol=DISSIPATION_TOL,
+        )
+
+
 def dissipation_check(trace: SimTrace, aug: AugmentedModel,
                       net: NetworkModel,
                       synth_obs: ObserverSynthesis) -> DissipationReport:
@@ -368,48 +519,12 @@ def dissipation_check(trace: SimTrace, aug: AugmentedModel,
     Samples within one step of a fault jump are excluded from both the
     decision and the cross-check: a stepped fault violates, for one
     grid interval, the constant-fault assumption behind the augmented
-    dynamics.
+    dynamics.  This is :class:`DissipationCheck` fed the whole trace as
+    one block.
     """
-    eps = np.hstack([trace.x - trace.x_hat, trace.f_s - trace.f_hat])
-    if eps.shape[1] != aug.n_aug:
-        raise DimensionMismatchError(
-            f"estimation error has {eps.shape[1]} columns, "
-            f"expected {aug.n_aug}")
-    P = synth_obs.P
-    delta = synth_obs.delta
-    A_err = aug.F1 @ aug.A_a - synth_obs.Lgain @ aug.E2
-    Bv = aug.F1 @ net.D
-
-    eps_dot = eps @ A_err.T
-    eps_dot += trace.v @ Bv.T
-    eps_P = eps @ P  # serves both V_dot and V
-    v_dot = 2.0 * np.einsum("ij,ij->i", eps_P, eps_dot)
-    del eps_dot
-    supply = (v_dot + np.einsum("ij,ij->i", eps, eps)
-              - delta ** 2 * np.einsum("ij,ij->i", trace.v, trace.v))
-
-    n = trace.t.size
-    jumps = np.flatnonzero(np.any(np.diff(trace.f_s, axis=0) != 0.0, axis=1)) + 1
-    excluded = np.zeros(n, dtype=bool)
-    excluded[0] = excluded[-1] = True
-    for j in jumps:
-        excluded[max(j - 1, 0): min(j + 2, n)] = True
-
-    keep = ~excluded
-    max_val = float(supply[keep].max()) if keep.any() else -np.inf
-
-    h = trace.h
-    V = np.einsum("ij,ij->i", eps_P, eps)
-    fd = (V[2:] - V[:-2]) / (2.0 * h)
-    fd_dev = np.abs(fd - v_dot[1:-1])
-    keep_int = keep[1:-1]
-    max_fd = float(fd_dev[keep_int].max()) if keep_int.any() else 0.0
-
-    return DissipationReport(
-        passed=bool(max_val <= DISSIPATION_TOL), max_interior_value=max_val,
-        max_fd_deviation=max_fd, n_checked=int(keep.sum()),
-        n_excluded=int(excluded.sum()), tol=DISSIPATION_TOL,
-    )
+    check = DissipationCheck(aug, net, synth_obs)
+    check.update(trace)
+    return check.report()
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +546,62 @@ class ConsensusReport:
         return _lines("consensus", self)
 
 
+class ConsensusCheck:
+    """The metrics of :func:`consensus_report`, fed a trace's rows a block
+    at a time (:meth:`update`) and reported on every row given
+    (:meth:`report`).  Each agent carries, for the setpoint window open
+    so far, the time after its last row out of the band and whether the
+    last row given was out; a setpoint change resets both.  The band is
+    the open window's: the last window is the last setpoint's."""
+
+    def __init__(self, net: NetworkModel, g: NetworkGraph):
+        if net.n_y != 1:
+            raise DimensionMismatchError(
+                "consensus metrics assume one output channel per agent")
+        self.C = net.C
+        self.graph = g
+        self.settle = np.zeros(net.m)
+        self.out = np.zeros(net.m, dtype=bool)
+        self.t_window = self.y0 = self.band = None
+        self.y_last = self.dev_last = None
+
+    def update(self, block) -> None:
+        y = block.x @ self.C.T
+        y0 = block.y0.ravel()
+        dev = np.abs(y - y0[:, None])
+        t = block.t
+        last = None if self.y0 is None else np.array([self.y0])
+        for lo, hi, new in _segments(block.y0, last):
+            if new:
+                self.y0 = float(y0[lo])
+                self.band = SETTLING_FRACTION * (abs(self.y0)
+                                                 if self.y0 != 0.0 else 1.0)
+                self.t_window = t[lo]
+                self.settle[:] = t[lo]
+                self.out[:] = False
+            outside = dev[lo:hi] > self.band
+            # the row after each agent's last row out of the band
+            after = hi - lo - np.argmax(outside[::-1], axis=0)
+            ever = outside.any(axis=0)
+            self.settle[self.out & ~ever] = t[lo]
+            inside = ever & (after < hi - lo)
+            self.settle[inside] = t[lo:hi][after[inside]]
+            self.out = ever & ~inside
+        self.y_last, self.dev_last = y[-1], dev[-1]
+
+    def report(self) -> ConsensusReport:
+        y_fin = self.y_last
+        e_y = cooperative_error(self.graph, y_fin, self.y0)
+        return ConsensusReport(
+            settling_time=np.where(self.out, np.inf, self.settle),
+            final_offset=self.dev_last.copy(),
+            max_pairwise_final=float(
+                np.abs(y_fin[:, None] - y_fin[None, :]).max()),
+            ebar_y_final=float(np.linalg.norm(e_y)), band=float(self.band),
+            t_last_setpoint=float(self.t_window),
+        )
+
+
 def consensus_report(trace: SimTrace, net: NetworkModel,
                      g: NetworkGraph) -> ConsensusReport:
     """Per-agent settling and agreement metrics on the true outputs.
@@ -441,34 +612,9 @@ def consensus_report(trace: SimTrace, net: NetworkModel,
     (relative band; an absolute band of the same size is used when the
     setpoint is zero).  ``inf`` means the agent never settles within
     the trace.  Pairwise spread and the output-level cooperative error
-    are reported at the final sample.
+    are reported at the final sample.  This is :class:`ConsensusCheck`
+    fed the whole trace as one block.
     """
-    if net.n_y != 1:
-        raise DimensionMismatchError(
-            "consensus metrics assume one output channel per agent")
-    y = trace.x @ net.C.T
-    y0 = trace.y0.ravel()
-    starts = _window_starts(trace.y0)
-    k_last = int(starts[-1])
-    y0_final = float(y0[-1])
-    band = SETTLING_FRACTION * (abs(y0_final) if y0_final != 0.0 else 1.0)
-
-    dev = np.abs(y - y0[:, None])
-    m = net.m
-    settle = np.empty(m)
-    for i in range(m):
-        outside = dev[k_last:, i] > band
-        if outside[-1]:
-            settle[i] = np.inf
-        else:
-            idx = np.flatnonzero(outside)
-            settle[i] = trace.t[k_last + (idx[-1] + 1 if idx.size else 0)]
-
-    y_fin = y[-1]
-    max_pair = float(np.abs(y_fin[:, None] - y_fin[None, :]).max())
-    e_y = cooperative_error(g, y_fin, y0_final)
-    return ConsensusReport(
-        settling_time=settle, final_offset=dev[-1].copy(),
-        max_pairwise_final=max_pair, ebar_y_final=float(np.linalg.norm(e_y)),
-        band=float(band), t_last_setpoint=float(trace.t[k_last]),
-    )
+    check = ConsensusCheck(net, g)
+    check.update(trace)
+    return check.report()

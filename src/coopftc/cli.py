@@ -33,6 +33,7 @@ check (a fast path disagreeing with its reference).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -43,10 +44,10 @@ import yaml
 
 from . import __version__
 from .analysis import (
-    consensus_report,
-    dissipation_check,
+    ConsensusCheck,
+    DissipationCheck,
+    IssBoundCheck,
     iss_certificate,
-    verify_iss_bound,
 )
 from .control import (
     ClosedLoopState,
@@ -92,12 +93,13 @@ from .plant import (
     stack_network,
 )
 from .sim import (
+    Rollout,
     SignalSchedule,
     read_rows,
-    run_experiment,
+    read_trace,
+    rollout,
     sample_initial_state,
     step_schedule,
-    trace_from_csv,
     trace_to_csv,
     write_rows,
     write_series,
@@ -610,7 +612,8 @@ def _load_gains(sc: Scenario, aug: AugmentedModel, net: NetworkModel,
         so = certify_observer(aug, net, sc.delta, P, P @ Lgain, Lgain,
                               sc.margin)
     except InfeasibleError as exc:  # a certificate, not a synthesis, failed
-        raise CertificateFailedError(str(exc)) from exc
+        raise CertificateFailedError(
+            f"{exc}; gains read from {gains_dir}") from exc
     return so, K
 
 
@@ -656,22 +659,40 @@ def _assemble(sc: Scenario, gains_dir=None, sweep: bool = False,
 # plot emission
 
 
-def _emit_plots(outdir, suffix: str, trace, net: NetworkModel) -> list[str]:
-    m = net.m
-    # one expression, so no difference outlives it while the files are
-    # written
-    err = np.sqrt(
-        np.sum(((trace.x - trace.x_hat) ** 2).reshape(-1, m, net.n_x), axis=2)
-        + np.sum(((trace.f_s - trace.f_hat) ** 2).reshape(-1, m, net.n_y),
-                 axis=2))
-    y = trace.x @ net.C.T
-    err_curves = [(f"agent{i + 1}", err[:, i]) for i in range(m)]
-    out_curves = [(f"agent{i + 1}", y[:, i]) for i in range(m)]
-    out_curves.append(("setpoint", trace.y0.ravel()))
+class _PlotCurves:
+    """A run's plot curves, filled a block of rows at a time: each
+    agent's estimation-error norm and true output, and the setpoint."""
+
+    def __init__(self, net: NetworkModel, rows: int):
+        self.net = net
+        self.err = np.empty((rows, net.m))
+        self.y = np.empty((rows, net.m))
+        self.setpoint = np.empty(rows)
+        self.filled = 0
+
+    def update(self, block) -> None:
+        net, m = self.net, self.net.m
+        rows = slice(self.filled, self.filled + len(block.t))
+        # one expression, so no difference outlives it
+        self.err[rows] = np.sqrt(
+            np.sum(((block.x - block.x_hat) ** 2).reshape(-1, m, net.n_x),
+                   axis=2)
+            + np.sum(((block.f_s - block.f_hat) ** 2).reshape(-1, m, net.n_y),
+                     axis=2))
+        self.y[rows] = block.x @ net.C.T
+        self.setpoint[rows] = block.y0.ravel()
+        self.filled = rows.stop
+
+
+def _emit_plots(outdir, suffix: str, t, curves: _PlotCurves) -> list[str]:
+    m = curves.net.m
+    err_curves = [(f"agent{i + 1}", curves.err[:, i]) for i in range(m)]
+    out_curves = [(f"agent{i + 1}", curves.y[:, i]) for i in range(m)]
+    out_curves.append(("setpoint", curves.setpoint))
     names = [f"plot_estimation_errors{suffix}.dat",
              f"plot_outputs{suffix}.dat"]
-    write_series([(os.path.join(outdir, names[0]), trace.t, err_curves),
-                  (os.path.join(outdir, names[1]), trace.t, out_curves)])
+    write_series([(os.path.join(outdir, names[0]), t, err_curves),
+                  (os.path.join(outdir, names[1]), t, out_curves)])
     return names
 
 
@@ -709,9 +730,18 @@ def cmd_synth(sc: Scenario, outdir) -> int:
 
 def _run_one(sc: Scenario, built: _Assembly, law: ControlLaw,
              obs: ObserverRealization, schedule: SignalSchedule,
-             s0: ClosedLoopState):
+             s0: ClosedLoopState) -> Rollout:
     loop = build_closed_loop(built.net, built.aug, obs, law)
-    return run_experiment(loop, schedule, s0, h=sc.h, T=sc.T)
+    return rollout(loop, schedule, s0, h=sc.h, T=sc.T)
+
+
+def _feed(blocks, *checks) -> None:
+    """Hand every block to each of ``checks``, in order."""
+    with contextlib.closing(blocks):
+        for block in blocks:
+            for check in checks:
+                check.update(block)
+            del block  # before the next block is made
 
 
 def cmd_simulate(sc: Scenario, outdir, gains_dir=None,
@@ -730,15 +760,21 @@ def cmd_simulate(sc: Scenario, outdir, gains_dir=None,
 
     summary: list[str] = []
     for name, law in built.laws.items():
-        trace = _run_one(sc, built, law, obs, schedule, s0)
+        # The run keeps its states; the other columns are wired a block
+        # at a time, and each block goes to the file, the plot curves and
+        # the consensus metrics.
+        run = _run_one(sc, built, law, obs, schedule, s0)
         suffix = f"_{name}" if sweep else ""
         trace_name = f"trace{suffix}.csv"
-        trace_to_csv(trace, net, os.path.join(outdir, trace_name))
-        plot_names = _emit_plots(outdir, suffix, trace, net)
-        lines = [f"topology={name}", f"trace.rows={trace.t.size}",
+        curves = _PlotCurves(net, run.t.size)
+        consensus = ConsensusCheck(net, law.graph)
+        trace_to_csv(run, net, os.path.join(outdir, trace_name), curves,
+                     consensus)
+        plot_names = _emit_plots(outdir, suffix, run.t, curves)
+        lines = [f"topology={name}", f"trace.rows={run.t.size}",
                  f"trace.file={trace_name}",
                  *(f"plot.file={f}" for f in plot_names),
-                 *consensus_report(trace, net, law.graph).as_lines()]
+                 *consensus.report().as_lines()]
         prefix = f"{name}." if sweep else ""
         summary.extend(f"{prefix}{line}" for line in lines)
     if sweep:
@@ -778,30 +814,39 @@ def _agreement_identity(g: NetworkGraph) -> tuple[bool, list[str]]:
 
 
 def cmd_verify(sc: Scenario, trace_path, gains_dir=None) -> int:
-    """Re-run every certificate check against a recorded trace."""
+    """Re-run every certificate check against a recorded trace, read one
+    block at a time; every check is decided once the whole file has been
+    read, so a fault in the file is reported first."""
     _require_single_channel(sc)
     built = _assemble(sc, gains_dir, trace=trace_path)
     net, aug, so = built.net, built.aug, built.so
     [law] = built.laws.values()
-    trace = trace_from_csv(trace_path, net)
+
+    dissipation = DissipationCheck(aug, net, so)
+    consensus = ConsensusCheck(net, law.graph)
+    try:
+        iss = IssBoundCheck(iss_certificate(law.graph, net, law.K), law)
+    except (NotPositiveStableError, NotHurwitzError) as exc:
+        iss, iss_error = None, exc
+    _feed(read_trace(trace_path, net), dissipation, consensus,
+          *([iss] if iss else []))
 
     ok, lines = _agreement_identity(law.graph)
     checks = [("agreement-identity", ok)]
 
-    dis = dissipation_check(trace, aug, net, so)
+    dis = dissipation.report()
     lines += dis.as_lines()
     checks.append(("dissipation", dis.passed))
 
-    try:
-        cert = iss_certificate(law.graph, net, law.K)
-        iss = verify_iss_bound(trace, cert, law)
-        lines += iss.as_lines()
-        checks.append(("iss-bound", iss.passed))
-    except (NotPositiveStableError, NotHurwitzError) as exc:
-        lines.append(f"iss.error={exc}")
+    if iss is not None:
+        report = iss.report()
+        lines += report.as_lines()
+        checks.append(("iss-bound", report.passed))
+    else:
+        lines.append(f"iss.error={iss_error}")
         checks.append(("iss-bound", False))
 
-    report = consensus_report(trace, net, law.graph)
+    report = consensus.report()
     tracking_ok = (np.all(np.isfinite(report.settling_time))
                    and float(report.final_offset.max()) <= OFFSET_TOL)
     lines += [*report.as_lines(),

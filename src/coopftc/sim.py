@@ -14,7 +14,7 @@ step.
 The closed loop is linear and its inputs are piecewise constant, so one
 RK4 step is exactly one affine map
 ``z+ = Phi z + G0 w(t) + Gh w(t + h/2) + G1 w(t + h)`` of the stacked
-state and signals.  :func:`run_experiment` takes the affine realization
+state and signals.  :func:`rollout` takes the affine realization
 from :func:`~coopftc.control.closed_loop_maps` (one evaluation of the
 loop's wiring on a stacked probe), spot-checks it against the readable
 :func:`~coopftc.control.closed_loop_rhs` at a random state (so the
@@ -22,10 +22,18 @@ probe's affinity assumption and the fast path are verified), builds the
 step map by applying the RK4 formula to identity columns
 (:func:`rk4_step_maps`) and advances the whole grid with one small
 matrix-vector product per step (:func:`propagate`).  :func:`integrate`
-is the generic RK4 integrator the step map is checked against.  The
-remaining trace columns (measured outputs, estimates, cooperative
-error, control) come from one evaluation of the same wiring on the
-whole trace, one row per sample.
+is the generic RK4 integrator the step map is checked against.
+
+A :class:`Rollout` holds only the states.  The remaining trace columns
+(measured outputs, estimates, cooperative error, control) come from the
+same wiring, evaluated on the rows asked for: :func:`run_experiment`
+asks for every row at once and returns a whole :class:`SimTrace`, the
+tests' oracle; ``simulate`` asks one block at a time.  A trace's blocks
+lie on one grid of rows (:func:`_grid_rows`, :func:`_spans`), fixed by
+the table's width, on which :func:`trace_to_csv` wires, reorders and
+formats a trace and hands each block to the plot curves and checks, and
+:func:`read_trace` gives back the rows of a trace file.  On that
+grid the blocks' rows are the whole-trace call's, bit for bit.
 
 Every numeric text file is written by :func:`write_rows`, or for the
 plots by :func:`write_series`, and read by :func:`read_rows`.  A cell is
@@ -42,23 +50,29 @@ A table of more than ``_SPLIT_CELLS`` cells, on a process that may use
 more than one CPU (``os.sched_getaffinity``), is formatted or parsed in
 two halves at once, and a pair of plot files of more formatted cells is
 written one file each: this process keeps the first half or file, and
-one child it forks (``os.fork``, in :func:`_fork_half`) formats or
-parses the second into one part file next to its file, unlinked as soon
-as it is made, which this process then copies in.  The child touches
-no BLAS and no Python stdio, turns warnings into errors, and leaves by
-``os._exit``.  The parent reaps it in a ``finally``.  If either side
-fails, the parent reruns the serial path, so the bytes, the table and
-every error text are the serial path's.  On one CPU, without
+one child it forks (``os.fork``, in :func:`_forked`) formats or parses
+the second into one part file next to its file, unlinked as soon as it
+is made, which this process then copies in or reads back.  A trace's
+blocks are wired before the fork and its text formatted from their
+rows, staged in a part file; a table read is parsed into part files and
+used after the child is done.  The child touches no BLAS and no Python
+stdio, turns warnings into errors, and leaves by ``os._exit``.  The
+parent reaps it in a ``finally``.  If either side fails, the parent
+reruns the serial path, so the bytes, the table and every error text
+are the serial path's.  On one CPU, without
 ``os.fork``, or while any other Python thread runs, nothing forks.
 Python >= 3.12 warns when a process with threads forks.  That warning
 is silenced around the fork call only, by its message: no other Python
 thread runs then (checked before each split), the only native threads
 are OpenBLAS's pool, which OpenBLAS's own fork handler stops before the
-fork, and the child calls no BLAS.
+fork, and the child calls no BLAS.  Nor does this process while the
+child runs: a BLAS product would then wait for a thread of OpenBLAS's
+that the child keeps off the CPU.
 """
 
 from __future__ import annotations
 
+import contextlib
 import io
 import os
 import signal
@@ -80,17 +94,21 @@ from .plant import AugmentedModel, NetworkModel, agent_permutation
 
 __all__ = [
     "SignalSchedule",
+    "TraceRows",
     "SimTrace",
+    "Rollout",
     "step_schedule",
     "integrate",
     "rk4_step_maps",
     "propagate",
     "sample_initial_state",
+    "rollout",
     "run_experiment",
     "write_rows",
     "write_series",
     "read_rows",
     "trace_to_csv",
+    "read_trace",
     "trace_from_csv",
 ]
 
@@ -281,9 +299,15 @@ def _uneven_step(t: np.ndarray):
     return int(bad[0]) if bad.size else None
 
 
+_TRACE_FIELDS = ("t", "x", "eta", "q", "x_hat", "f_hat", "u", "y_f",
+                 "e_bar", "v", "f_s", "y0")
+
+
 @dataclass(frozen=True)
-class SimTrace:
-    """Dense log of one experiment, one row per time step."""
+class TraceRows:
+    """Consecutive rows of a trace, unchecked: ``t`` one time per row,
+    every other column one row per time.  A block of a trace's rows is
+    one, and so is a whole :class:`SimTrace`."""
 
     t: np.ndarray
     x: np.ndarray
@@ -298,12 +322,24 @@ class SimTrace:
     f_s: np.ndarray
     y0: np.ndarray
 
-    _FIELDS = ("x", "eta", "q", "x_hat", "f_hat", "u", "y_f", "e_bar",
-               "v", "f_s", "y0")
+    def __post_init__(self):
+        """Rows are taken as they are; :class:`SimTrace` checks them."""
+
+    def rows(self, lo: int, hi: int) -> "TraceRows":
+        """Rows ``lo:hi``, as views."""
+        return TraceRows(**{name: getattr(self, name)[lo:hi]
+                            for name in _TRACE_FIELDS})
+
+
+class SimTrace(TraceRows):
+    """Dense log of one experiment, one row per time step: every column
+    finite and as long as ``t``, a uniform grid of two or more points.
+    The fields and methods are those of :class:`TraceRows`, whose
+    ``__init__`` calls this check."""
 
     def __post_init__(self):
         n = self.t.size
-        for name in self._FIELDS:
+        for name in _TRACE_FIELDS[1:]:
             arr = getattr(self, name)
             if arr.ndim != 2 or arr.shape[0] != n:
                 raise DimensionMismatchError(
@@ -321,16 +357,39 @@ class SimTrace:
         return float(self.t[1] - self.t[0])
 
 
-def run_experiment(loop: ClosedLoop, schedule: SignalSchedule,
-                   s0: ClosedLoopState, h: float = 1e-3,
-                   T: float = 40.0) -> SimTrace:
-    """Integrate a closed loop and log the full trace.
+@dataclass(frozen=True)
+class Rollout:
+    """The loop states of one experiment on its time grid, one row per
+    time.  The trace's other columns are not held: :meth:`rows` wires
+    them for the rows asked for."""
+
+    loop: ClosedLoop
+    schedule: SignalSchedule
+    t: np.ndarray
+    states: np.ndarray
+
+    def rows(self, lo: int, hi: int) -> TraceRows:
+        """Rows ``lo:hi`` of the trace: the states, the signals in force
+        at their times, and what the loop's wiring makes of both."""
+        net, aug = self.loop.net, self.loop.aug
+        t = self.t[lo:hi]
+        state = ClosedLoopState.unpack(self.states[lo:hi], net.nbar_x,
+                                       aug.n_aug)
+        v, f_s, y0 = self.schedule.sample(t)
+        y_f, est, e_bar, u, _ = _wire(self.loop, state, v, f_s, y0)
+        return TraceRows(t=t, x=state.x, eta=state.eta, q=state.q,
+                         x_hat=est.x_hat, f_hat=est.f_hat, u=u, y_f=y_f,
+                         e_bar=e_bar, v=v, f_s=f_s, y0=y0)
+
+
+def rollout(loop: ClosedLoop, schedule: SignalSchedule, s0: ClosedLoopState,
+            h: float = 1e-3, T: float = 40.0) -> Rollout:
+    """Integrate a closed loop, keeping its states.
 
     The loop's affine realization is probed once and verified against
     :func:`~coopftc.control.closed_loop_rhs` at one random state; a
     disagreement raises :class:`IdentityCheckFailedError`.  The states
-    then come from :func:`propagate`, and the other columns from one
-    evaluation of the loop's wiring on the whole trace.
+    then come from :func:`propagate`.
     """
     net, aug = loop.net, loop.aug
     maps = closed_loop_maps(loop)
@@ -342,14 +401,18 @@ def run_experiment(loop: ClosedLoop, schedule: SignalSchedule,
     if np.abs(ref - fast).max() > 1e-9 * max(1.0, np.abs(ref).max()):
         raise IdentityCheckFailedError(
             "affine fast path disagrees with reference right-hand side")
+    times, states = propagate(maps, schedule, s0.packed(), h, T)
+    return Rollout(loop=loop, schedule=schedule, t=times, states=states)
 
-    times, Z = propagate(maps, schedule, s0.packed(), h, T)
-    state = ClosedLoopState.unpack(Z, net.nbar_x, aug.n_aug)
-    v, f_s, y0 = schedule.sample(times)
-    y_f, est, e_bar, u, _ = _wire(loop, state, v, f_s, y0)
-    return SimTrace(t=times, x=state.x, eta=state.eta, q=state.q,
-                    x_hat=est.x_hat, f_hat=est.f_hat, u=u, y_f=y_f,
-                    e_bar=e_bar, v=v, f_s=f_s, y0=y0)
+
+def run_experiment(loop: ClosedLoop, schedule: SignalSchedule,
+                   s0: ClosedLoopState, h: float = 1e-3,
+                   T: float = 40.0) -> SimTrace:
+    """Integrate a closed loop and log the full trace: :func:`rollout`,
+    then one evaluation of the loop's wiring on every row.  ``simulate``
+    wires the same rows a block at a time (:func:`trace_to_csv`)."""
+    run = rollout(loop, schedule, s0, h, T)
+    return SimTrace(**vars(run.rows(0, run.t.size)))
 
 
 # --- text tables ------------------------------------------------------------
@@ -376,8 +439,41 @@ _WRITE_BLOCK_CELLS = 4096
 #: plot pair is above it, every gains file and 500-row trace below.
 _SPLIT_CELLS = 100_000
 
-#: Bytes of whole lines one split reader parses per call.
-_READ_BLOCK_BYTES = 1 << 20
+#: Bytes of whole lines parsed per call, and of rows read back from a
+#: child's part file per call: with 256 kB or 1 MB the default scenario's
+#: trace parsed in the same time (2-CPU host), and the smaller chunk
+#: keeps less text beside the block being filled.
+_READ_BLOCK_BYTES = 1 << 18
+
+
+#: Cells in one block of a trace's rows: the unit in which ``simulate``
+#: wires, reorders and formats a trace and ``verify`` checks it.
+_GRID_CELLS = 1 << 17
+
+
+def _grid_rows(width: int) -> int:
+    """Rows per block of a trace ``width`` columns wide: the power of two
+    at or below ``_GRID_CELLS / width``, kept within [256, 4096].  It
+    depends on nothing else, so every process cuts a trace on the same
+    rows.  The block products of the loop's wiring and of the checks
+    (OpenBLAS, two threads) gave the rows of one whole-trace call, bit for
+    bit, at 256 to 4096 rows a block on the default scenario and the
+    24-agent fleet, and other cells at 64, 70 or 1000 rows."""
+    return 1 << min(12, max(8, (_GRID_CELLS // width).bit_length() - 1))
+
+
+def _spans(n: int, rows: int):
+    """``(lo, hi)`` of each block of ``n`` rows cut every ``rows`` rows,
+    except that a last block of one row joins the block before it: a
+    product of one row takes numpy's vector path, whose last bits differ
+    from the same row's in a product of more (seen on the traces of the
+    default scenario and the 24-agent fleet; remainders of 2 to ``rows``
+    rows gave the whole-trace bits)."""
+    lo = 0
+    while lo < n:
+        hi = n if n - lo <= rows + 1 else lo + rows
+        yield lo, hi
+        lo = hi
 
 
 def _splits(cells: int) -> bool:
@@ -414,30 +510,38 @@ def _strict(job, *args) -> None:
         job(*args)
 
 
-def _fork_half(name: str, mine, theirs) -> int | None:
-    """Run ``mine()`` here and ``theirs(fd)`` in one forked child at once,
-    ``fd`` being a new part file next to ``name``, open and already
-    unlinked, so that only the descriptor (which the child inherits)
-    reaches it and nothing is left behind.  Returns ``fd`` when both
-    halves returned; None, with the part closed, when it cannot be made
-    or either half failed.
-
-    Both halves run with warnings turned into errors, so a warning fails
-    a half rather than being printed.  The child leaves by ``os._exit``:
-    it runs no exit handler and flushes no buffer it inherited, so its
-    only effects are what ``theirs`` writes to files.  ``theirs`` must
-    touch no BLAS and no Python stdio.  The child is reaped before this
-    returns, and killed first if this process's half failed.  On None
-    the caller reruns its serial path, so the result, or the error, is
-    the serial path's."""
+def _part_file(name: str) -> int:
+    """A new file next to ``name``, open for reading and writing and
+    already unlinked, so that nothing is left behind."""
     part = f"{name}.{os.getpid()}.part"
-    try:
-        fd = os.open(part, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o600)
-    except OSError:
-        return None
-    pid, done = 0, False
+    fd = os.open(part, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o600)
     try:
         os.unlink(part)
+    except OSError:
+        os.close(fd)
+        raise
+    return fd
+
+
+@contextlib.contextmanager
+def _forked(name: str, theirs):
+    """Run ``theirs(fd)`` in one forked child, ``fd`` being a new part
+    file next to ``name``, open and already unlinked, so that only the
+    descriptor (which the child inherits) reaches it and nothing is left
+    behind.  Yields ``wait``, which reaps the child and returns ``fd``
+    when ``theirs`` returned, None otherwise.  A child not yet reaped on
+    leaving is killed and reaped; ``fd`` is closed on leaving unless
+    ``wait`` returned it, and then the caller closes it.  A part that
+    cannot be made, or a fork that fails, raises ``OSError``.
+
+    ``theirs`` runs with warnings turned into errors, so a warning fails
+    it rather than being printed.  The child leaves by ``os._exit``: it
+    runs no exit handler and flushes no buffer it inherited, so its only
+    effects are what ``theirs`` writes to files.  ``theirs`` must touch
+    no BLAS and no Python stdio."""
+    fd = _part_file(name)
+    pid, handed = 0, False
+    try:
         pid = _fork()
         if pid == 0:
             code = 1
@@ -446,18 +550,35 @@ def _fork_half(name: str, mine, theirs) -> int | None:
                 code = 0
             finally:
                 os._exit(code)
-        _strict(mine)
-        status = os.waitpid(pid, 0)[1]
-        pid, done = 0, status == 0
-    except Exception:
-        pass
+
+        def wait() -> int | None:
+            nonlocal pid, handed
+            status = os.waitpid(pid, 0)[1]
+            pid, handed = 0, status == 0
+            return fd if handed else None
+        yield wait
     finally:
         if pid:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        if not done:
+        if not handed:
             os.close(fd)
-    return fd if done else None
+
+
+def _fork_half(name: str, mine, theirs) -> int | None:
+    """Run ``mine()`` here and ``theirs(fd)`` in one forked child at once
+    (:func:`_forked`).  Returns ``fd`` when both halves returned; None,
+    with the part closed, when it cannot be made or either half failed.
+    ``mine`` also runs with warnings turned into errors.  The child is
+    reaped before this returns, and killed first if this process's half
+    failed.  On None the caller reruns its serial path, so the result,
+    or the error, is the serial path's."""
+    try:
+        with _forked(name, theirs) as wait:
+            _strict(mine)
+            return wait()
+    except Exception:
+        return None
 
 
 def _width(columns) -> int:
@@ -482,9 +603,9 @@ def _write_all(fd: int, data: bytes) -> None:
         view = view[os.write(fd, view):]
 
 
-def _write_part(fd: int, columns, sep: str, lo: int, hi: int) -> None:
-    for text in _row_text(columns, sep, lo, hi):
-        _write_all(fd, text.encode())
+def _write_part(text, lo: int, hi: int, fd: int) -> None:
+    for chunk in text(lo, hi):
+        _write_all(fd, chunk.encode())
 
 
 def _copy_in(part: int, fd: int) -> bool:
@@ -499,21 +620,18 @@ def _copy_in(part: int, fd: int) -> bool:
     return True
 
 
-def _write_split(fh, columns, sep: str) -> bool:
-    """Write the two row halves of ``columns`` at once, if ``fh`` is a
-    named, seekable UTF-8 file and the platform can copy between files in
-    the kernel; False, with ``fh`` as it was, otherwise or when either
-    half or the copy fails."""
+def _write_split(fh, text, n: int, half: int) -> bool:
+    """Write ``text(0, half)`` here and ``text(half, n)`` in one forked
+    child at once, if ``fh`` is a named, seekable UTF-8 file and the
+    platform can copy between files in the kernel; False, with ``fh`` as
+    it was, otherwise or when either half or the copy fails."""
     name = getattr(fh, "name", None)
     if (not isinstance(name, str) or getattr(fh, "encoding", None) != "utf-8"
             or not fh.seekable() or not hasattr(os, "copy_file_range")):
         return False
-    n = len(columns[0])
-    half = n // 2
     start = fh.tell()
-    part = _fork_half(name,
-                      lambda: fh.writelines(_row_text(columns, sep, 0, half)),
-                      lambda fd: _write_part(fd, columns, sep, half, n))
+    part = _fork_half(name, lambda: fh.writelines(text(0, half)),
+                      partial(_write_part, text, half, n))
     if part is not None:
         try:
             fh.flush()
@@ -525,6 +643,15 @@ def _write_split(fh, columns, sep: str) -> bool:
     fh.seek(start)
     fh.truncate()
     return False
+
+
+def _write_text(fh, text, n: int, half: int, cells: int) -> None:
+    """Write the ``n`` rows whose text ``text(lo, hi)`` yields, rows
+    ``0:half`` here and the rest in one forked child where a table of
+    ``cells`` cells is split (:func:`_splits`, :func:`_write_split`)."""
+    if 0 < half < n and _splits(cells) and _write_split(fh, text, n, half):
+        return
+    fh.writelines(text(0, n))
 
 
 def write_rows(fh, columns, sep: str) -> None:
@@ -552,10 +679,8 @@ def write_rows(fh, columns, sep: str) -> None:
         raise ValueError(f"separator {sep!r} is not one ASCII character "
                          "other than NUL")
     n = len(columns[0])
-    split = n > 1 and _splits(n * _width(columns))
-    if split and _write_split(fh, columns, sep):
-        return
-    fh.writelines(_row_text(columns, sep, 0, n))
+    _write_text(fh, partial(_row_text, columns, sep), n, n // 2,
+                n * _width(columns))
 
 
 def _series_text(t, curves):
@@ -644,86 +769,138 @@ def write_series(files) -> None:
         _write_series_file(*file)
 
 
-def _scan(fd: int, sep: str):
-    """The header line, the first row's cell count and the body cut into
-    blocks of whole lines, ``(offset, length, rows)`` each: at least two
-    where the body allows, so that this process and the one child each
-    get some, of at most about ``_READ_BLOCK_BYTES``.  None for a file
-    only the serial reader may judge: no header line, a carriage return
-    in it, or no final newline."""
+def _line_chunk(fd: int, lo: int, hi: int) -> bytes:
+    """The whole lines of about ``_READ_BLOCK_BYTES`` from byte ``lo`` of
+    ``fd``, within bytes ``lo:hi``, which end at a line end."""
+    data = os.pread(fd, min(_READ_BLOCK_BYTES, hi - lo), lo)
+    cut = data.rfind(b"\n") + 1
+    while not cut:  # a line longer than a chunk
+        more = os.pread(fd, min(_READ_BLOCK_BYTES, hi - lo - len(data)),
+                        lo + len(data))
+        if not more:
+            raise ValueError("the last line has no end")
+        data += more
+        cut = data.rfind(b"\n") + 1
+    return data[:cut]
+
+
+def _lines_parsed(fd: int, lo: int, hi: int, sep: str, width: int):
+    """The rows of bytes ``lo:hi`` of ``fd``, parsed a chunk at a time; no
+    chunk's text is held while its rows are used."""
+    while lo < hi:
+        data = _line_chunk(fd, lo, hi)
+        lo += len(data)
+        rows = _parse_lines(data, sep, width)
+        del data
+        yield rows
+
+
+def _line_start(fd: int, lo: int, pos: int) -> int:
+    """The start of the line holding byte ``pos`` of lines from ``lo``."""
+    while pos > lo:
+        step = min(pos - lo, _READ_BLOCK_BYTES)
+        cut = os.pread(fd, step, pos - step).rfind(b"\n")
+        if cut >= 0:
+            return pos - step + cut + 1
+        pos -= step
+    return lo
+
+
+def _parse_lines(data: bytes, sep: str, width: int) -> np.ndarray:
+    """The rows of ``data``, whole lines, with warnings turned into
+    errors; ``ValueError`` unless there is one row of ``width`` cells a
+    line."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # decoded as the serial reader decodes the whole file
+        rows = np.loadtxt(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"),
+                          delimiter=sep, comments=None, ndmin=2)
+    if rows.shape != (data.count(b"\n"), width):
+        raise ValueError("rows differ from the lines")
+    return rows
+
+
+def _parse_into(fd: int, lo: int, hi: int, sep: str, width: int,
+                part: int) -> None:
+    """The rows of bytes ``lo:hi`` of ``fd`` as float64 bytes into the
+    part file ``part``."""
+    for rows in _lines_parsed(fd, lo, hi, sep, width):
+        _write_all(part, rows.tobytes())
+
+
+def _part_rows(part: int, width: int):
+    """The rows :func:`_parse_into` wrote into ``part``, about
+    ``_READ_BLOCK_BYTES`` at a time."""
+    size, row = os.fstat(part).st_size, 8 * width
+    if size % row:
+        raise ValueError("the part file holds a partial row")
+    step = max(1, _READ_BLOCK_BYTES // row) * row
+    for pos in range(0, size, step):
+        data = os.pread(part, step, pos)
+        if len(data) != min(step, size - pos):
+            raise ValueError("the part file is short")
+        yield np.frombuffer(data).reshape(-1, width)
+
+
+def _layout(fd: int, sep: str):
+    """``(header, width, lo, mid, hi)`` of a file whose lines the block
+    reader can cut: the header line, the cells of the first row, and the
+    body ``lo:hi`` of whole lines, of which ``mid:hi`` goes to a forked
+    child where a table of so many cells splits (:func:`_splits`; the
+    count is estimated from the first row's length), else ``mid`` is
+    ``hi``.  None for a file only the serial reader may judge: no header
+    line, a carriage return or bytes that are not UTF-8 in it, or no
+    final newline."""
     size = os.fstat(fd).st_size
     head = os.pread(fd, _READ_BLOCK_BYTES, 0)
-    end = head.find(b"\n") + 1
-    if not end or b"\r" in head[:end]:
+    lo = head.find(b"\n") + 1
+    if not lo or b"\r" in head[:lo] or os.pread(fd, 1, size - 1) != b"\n":
         return None
-    step = max(1, min(_READ_BLOCK_BYTES, (size - end) // 2))
-    blocks, cols, pos = [], 0, end
-    while pos < size:
-        chunk = os.pread(fd, step, pos)
-        cut = chunk.rfind(b"\n") + 1
-        while not cut and pos + len(chunk) < size:  # a line longer than step
-            chunk += os.pread(fd, step, pos + len(chunk))
-            cut = chunk.rfind(b"\n") + 1
-        if not cut:
-            return None
-        if not blocks:
-            cols = chunk[:chunk.find(b"\n")].count(sep.encode()) + 1
-        lines = np.frombuffer(chunk, dtype=np.uint8, count=cut)
-        blocks.append((pos, cut, int(np.count_nonzero(lines == 10))))
-        pos += cut
-    return head[:end - 1].decode("utf-8"), cols, blocks
-
-
-def _read_split(path, sep: str):
-    """``(header, table)`` parsed in two halves at once, or None where the
-    serial reader must run: a small table, one CPU, a file that does not
-    cut into whole lines, or any block that does not parse into as many
-    rows of the first row's width as it has lines."""
+    first = _line_chunk(fd, lo, size) if lo < size else b""
+    line = first.find(b"\n") + 1
     try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:
+        header = head[:lo - 1].decode("utf-8")
+    except UnicodeDecodeError:
         return None
+    width = first[:line].count(sep.encode()) + 1
+    cells = (size - lo) // max(line, 1) * width
+    mid = _line_start(fd, lo, (lo + size) // 2) if _splits(cells) else size
+    return header, width, lo, mid, size
+
+
+def _parsed(fd: int, sep: str, width: int, lo: int, mid: int, hi: int,
+            name: str):
+    """The rows of bytes ``lo:hi`` of ``fd`` in pieces, in order, parsed a
+    chunk at a time.  Where ``mid`` is not ``hi``, this process parses
+    ``lo:mid`` into a part file of its own while one forked child
+    (:func:`_forked`) parses ``mid:hi`` into another, both next to
+    ``name``, and the rows are read back from the two parts once both
+    are parsed.  So no row is used while the child runs: a BLAS product
+    in this process would then wait for a thread of OpenBLAS's that the
+    child keeps off the CPU.  On the 24-agent fleet (2-CPU host, medians
+    of 7 in process), ``verify`` took 0.42-0.44 s using this half's rows
+    as they were parsed (0.34-0.36 s with one BLAS thread), and
+    0.24-0.29 s so, against 0.26-0.36 s reading the whole table first.
+    ``ValueError``, ``OSError`` or a warning where a chunk does not parse
+    into one row of ``width`` cells a line, or the child fails."""
+    if mid == hi:
+        yield from _lines_parsed(fd, lo, hi, sep, width)
+        return
+    own = _part_file(name)
     try:
-        # a cell takes at least two bytes, its text and a separator
-        scan = _scan(fd, sep) if _splits(os.fstat(fd).st_size // 2) else None
-        if scan is None:
-            return None
-        header, cols, blocks = scan
-        rows = np.cumsum([0] + [count for _, _, count in blocks])
-        if not _splits(int(rows[-1]) * cols):
-            return None
-        table = np.empty((int(rows[-1]), cols))
-        half = len(blocks) // 2
-
-        def parse(lo: int, hi: int, part_fd: int | None = None) -> None:
-            """Blocks ``lo:hi`` into the table, or as float64 bytes into
-            the part file ``part_fd``."""
-            for (offset, length, count), r in zip(blocks[lo:hi], rows[lo:hi]):
-                # decoded as the serial reader decodes the whole file
-                data = io.BytesIO(os.pread(fd, length, offset))
-                part = np.loadtxt(io.TextIOWrapper(data, encoding="utf-8"),
-                                  delimiter=sep, comments=None, ndmin=2)
-                if part.shape != (count, cols):
-                    raise ValueError("rows differ from the lines")
-                if part_fd is None:
-                    table[r:r + count] = part
-                else:
-                    _write_all(part_fd, part.tobytes())
-
-        child_rows = _fork_half(os.fspath(path), partial(parse, 0, half),
-                                partial(parse, half, len(blocks)))
-        if child_rows is None:
-            return None
-        with open(child_rows, "rb") as part:
-            part.seek(0)
-            rest = table[rows[half]:]
-            if part.readinto(rest) != rest.nbytes:
-                raise ValueError("part file is short")
-        return header, table
-    except (OSError, ValueError):  # a header that is not UTF-8 included
-        return None
+        with _forked(name, partial(_parse_into, fd, mid, hi, sep,
+                                   width)) as wait:
+            _parse_into(fd, lo, mid, sep, width, own)
+            part = wait()
+        if part is None:
+            raise ValueError("the child's rows did not parse")
+        try:
+            yield from _part_rows(own, width)
+            yield from _part_rows(part, width)
+        finally:
+            os.close(part)
     finally:
-        os.close(fd)
+        os.close(own)
 
 
 def _read_serial(path, sep: str) -> tuple[str, np.ndarray]:
@@ -749,33 +926,98 @@ def _read_serial(path, sep: str) -> tuple[str, np.ndarray]:
     return first, table
 
 
+def _pieces(path, sep: str):
+    """The header line, then the table below it in pieces of rows, in
+    file order: from :func:`_parsed`, or, for a file it cannot cut or
+    from the first piece that fails, from :func:`_read_serial`, whose
+    rows past those already given follow and whose error is raised."""
+    with open(path, "rb") as fh:
+        layout = _layout(fh.fileno(), sep)
+        if layout is None:
+            yield from _read_serial(path, sep)
+            return
+        header, width, lo, mid, hi = layout
+        yield header
+        done = 0
+        try:
+            for piece in _parsed(fh.fileno(), sep, width, lo, mid, hi,
+                                 os.fspath(path)):
+                done += len(piece)
+                yield piece
+        except (OSError, ValueError, Warning):
+            yield _read_serial(path, sep)[1][done:]
+
+
+def _checked(path, sep: str):
+    """The header line, then the table below it in pieces (:func:`_pieces`),
+    none from the first non-finite row on.  The errors of
+    :func:`read_rows` are raised only once the whole file is parsed:
+    an empty body, then the first non-finite row's line."""
+    pieces = _pieces(path, sep)
+    yield next(pieces)
+    count, bad = 0, None
+    for piece in pieces:
+        finite = np.isfinite(piece).all(axis=1)
+        if bad is None and not finite.all():
+            bad = count + int(np.argmin(finite))
+        count += len(piece)
+        if bad is None:
+            yield piece
+    if not count:
+        raise SchemaError(f"{path}: no rows below the header line")
+    if bad is not None:
+        raise SchemaError(f"{path}: line {bad + 2}: non-finite value")
+
+
+def _blocks(path, sep: str, rows: int):
+    """The header line, then the table below it in the blocks of
+    :func:`_spans`, however the pieces fall: each piece is copied into a
+    block of ``rows`` rows, and a full block is given once two more rows
+    are known to follow, or at the end, where one more joins it."""
+    pieces = _checked(path, sep)
+    yield next(pieces)
+    ready, block, filled = None, None, 0
+    for piece in pieces:
+        at = 0
+        while at < len(piece):
+            if ready is not None and filled + len(piece) - at >= 2:
+                yield ready
+                ready = None
+            if block is None:
+                block, filled = np.empty((rows, piece.shape[1])), 0
+            take = min(rows - filled, len(piece) - at)
+            block[filled:filled + take] = piece[at:at + take]
+            at, filled = at + take, filled + take
+            if filled == rows:
+                ready, block, filled = block, None, 0
+    if ready is not None and filled:  # the one row after the last block
+        ready, block = np.concatenate([ready, block[:filled]]), None
+    if ready is not None:
+        yield ready
+    if block is not None:
+        yield block[:filled]
+
+
 def read_rows(path, sep: str) -> tuple[str, np.ndarray]:
     """The header line and the table :func:`write_rows` wrote below it.
     A non-numeric cell, a ragged row, an empty body or a non-finite cell
     raises :class:`SchemaError` naming the file and the line.
 
-    A table of more than ``_SPLIT_CELLS`` cells is cut into blocks of
-    whole lines (:func:`_scan`), and the blocks into two halves
-    (:func:`_splits`, :func:`_fork_half`).  This process parses the
-    first half into the table.  One forked child parses the second and
-    writes the rows' float64 bytes to one part file next to ``path``,
-    unlinked once made; this process reads them into the table.  The
-    table is an ordinary array of its exact size, so a long-lived
-    process can build it in memory it freed before (rows in shared
-    memory could not reuse that).  A half that fails, or a block that
-    parses to other rows than its line count, and a part file that
-    cannot be made, send the whole file through the serial reader, so
-    the table and every error text are the serial reader's.  On one
-    CPU, without ``os.fork``, or while another Python thread runs,
-    nothing forks."""
-    split = _read_split(path, sep)
-    first, table = split if split is not None else _read_serial(path, sep)
-    if table.size == 0:
-        raise SchemaError(f"{path}: no rows below the header line")
-    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
-    if bad.size:
-        raise SchemaError(f"{path}: line {bad[0] + 2}: non-finite value")
-    return first, table
+    The body is parsed in chunks of whole lines of about
+    ``_READ_BLOCK_BYTES`` (:func:`_checked`).  A table of more than
+    ``_SPLIT_CELLS`` cells is cut at the line nearest its middle
+    (:func:`_splits`, :func:`_parsed`): this process parses the first
+    half, and one forked child the second, each writing the rows'
+    float64 bytes to a part file next to ``path``, unlinked once made,
+    which this process then reads back.  A chunk that fails or parses to
+    other rows than its line count, a child that fails and a part file
+    that cannot be made send the file through the serial reader, so the
+    table and every error text are the serial reader's.  On one CPU,
+    without ``os.fork``, or while another Python thread runs, nothing
+    forks."""
+    pieces = _checked(path, sep)
+    header = next(pieces)
+    return header, np.concatenate(list(pieces))
 
 
 # --- trace CSV --------------------------------------------------------------
@@ -807,46 +1049,138 @@ def _trace_columns(net: NetworkModel) -> list[tuple[str, list[str]]]:
     ]
 
 
-def trace_to_csv(trace: SimTrace, net: NetworkModel, path) -> None:
-    """Write one row per step; header names every column.  The observer
-    state is stored per agent (states then fault component) even though
-    it lives in the canonical stacked layout in memory."""
+def _write_staged(fh, blocks, spans, width: int) -> bool:
+    """Write the trace whose ``blocks`` (each a list of columns) lie on
+    ``spans`` as :func:`write_rows` writes a table in two halves, cut at
+    the block boundary nearest the middle: every block's rows go first,
+    as float64 bytes, into one part file next to ``fh``'s file, and both
+    halves' text is then formatted from it at once.  So no block is made
+    while the child runs: the wiring's BLAS products would then wait for
+    a thread of OpenBLAS's that the other process keeps off the CPU (at
+    m = 128, T = 4 s, the trace write took 1.73 s so, and 1.03 s with one
+    BLAS thread).  False, with nothing written, if the part file cannot
+    be made."""
+    try:
+        stage = _part_file(fh.name)
+    except OSError:
+        return False
+    row = 8 * width
+    try:
+        staged = max(1, _READ_BLOCK_BYTES // row)
+        for block in blocks:
+            for lo in range(0, len(block[0]), staged):
+                rows = np.column_stack([c[lo:lo + staged] for c in block])
+                _write_all(stage, memoryview(rows).cast("B"))
+
+        def text(lo: int, hi: int):
+            """Rows ``lo:hi`` of the part, read and formatted a kernel's
+            worth of rows at a time."""
+            step = max(1, _WRITE_BLOCK_CELLS // width)
+            kernel = CellText(step * width, "," * (width - 1) + "\n")
+            for start in range(lo, hi, step):
+                data = os.pread(stage, min(step, hi - start) * row,
+                                start * row)
+                yield kernel(np.frombuffer(data).reshape(-1, width))
+
+        n = spans[-1][1]
+        _write_text(fh, text, n, spans[(len(spans) + 1) // 2][0], n * width)
+    finally:
+        os.close(stage)
+    return True
+
+
+def trace_to_csv(trace, net: NetworkModel, path, *checks) -> None:
+    """Write one row per step; header names every column.  ``trace`` is
+    a :class:`SimTrace` or a :class:`Rollout`, whose rows are taken (and
+    a rollout's wired) one block of the trace grid at a time, so no
+    column is held whole; each block also goes to every one of
+    ``checks`` (``update``), in order.  The observer state is stored per
+    agent (states then fault component) even though it lives in the
+    canonical stacked layout in memory.
+
+    A trace of more than ``_SPLIT_CELLS`` cells, of two blocks or more,
+    is formatted in two halves at once (:func:`_write_staged`)."""
     columns = _trace_columns(net)
-    parts = [trace.eta[:, agent_permutation(net)] if name == "eta"
-             else getattr(trace, name) for name, _ in columns]
     names = [label for _, labels in columns for label in labels]
-    width = sum(part.size for part in parts) // trace.t.size
+    perm = agent_permutation(net)
+
+    def cells(block):
+        return [block.eta[:, perm] if name == "eta" else getattr(block, name)
+                for name, _ in columns]
+
+    width = _width(cells(trace.rows(0, 1)))
     if width != len(names):
         raise SchemaError(f"trace has {width} columns, header names "
                           f"{len(names)}")
+    n = trace.t.size
+    spans = list(_spans(n, _grid_rows(width)))
+
+    def blocks():
+        for lo, hi in spans:
+            block = trace.rows(lo, hi)
+            for check in checks:
+                check.update(block)
+            yield cells(block)
+
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(names) + "\n")
-        write_rows(fh, parts, ",")
+        if (len(spans) > 1 and _splits(n * width)
+                and _write_staged(fh, blocks(), spans, width)):
+            return
+        for block in blocks():
+            fh.writelines(_row_text(block, ",", 0, len(block[0])))
+
+
+def read_trace(path, net: NetworkModel):
+    """The trace :func:`trace_to_csv` wrote at ``path``, one
+    :class:`TraceRows` per block of the trace grid (the blocks
+    :func:`trace_to_csv` wrote), with the per-agent
+    observer-state grouping undone.  Only the time column is kept whole.
+
+    The file's errors are raised once it has been read through, each
+    text naming the file: first :func:`read_rows`'s, then a header
+    that is not the schema's, rows of another width, fewer than two
+    rows, and a time column off a uniform grid (naming the first line
+    whose step differs).  No block is given from a non-finite row on, or
+    at all for a header or width that does not fit."""
+    columns = _trace_columns(net)
+    expected = [label for _, labels in columns for label in labels]
+    cuts = np.cumsum([len(labels) for _, labels in columns])[:-1]
+    inverse = np.argsort(agent_permutation(net))
+    blocks = _blocks(path, ",", _grid_rows(len(expected)))
+    fits = next(blocks).split(",") == expected
+    times, width = [], len(expected)
+    for table in blocks:
+        width = table.shape[1]
+        if fits and width == len(expected):
+            parts = dict(zip([name for name, _ in columns],
+                             np.split(table, cuts, axis=1)))
+            parts["t"] = parts["t"][:, 0]
+            parts["eta"] = parts["eta"][:, inverse]
+            times.append(parts["t"].copy())
+            rows = TraceRows(**parts)
+            del table, parts  # so that no block outlives its turn
+            yield rows
+            del rows
+    if not fits:
+        raise SchemaError(f"{path}: header does not match the trace "
+                          "schema for this network")
+    if width != len(expected):
+        raise SchemaError(f"{path}: {width} columns, expected "
+                          f"{len(expected)}")
+    t = np.concatenate(times)
+    if len(t) < 2:
+        raise SchemaError(f"{path}: {len(t)} row below the header "
+                          "line; a trace needs at least two")
+    k = _uneven_step(t)
+    if k is not None:
+        raise SchemaError(f"{path}: line {k + 3}: time grid is not uniform")
 
 
 def trace_from_csv(path, net: NetworkModel) -> SimTrace:
-    """Read a trace written by :func:`trace_to_csv`, undoing the
-    per-agent observer-state grouping.  Fewer than two rows, or a time
-    column off a uniform grid, raises :class:`SchemaError` naming the
-    file (and the first line whose step differs)."""
-    columns = _trace_columns(net)
-    expected = [label for _, labels in columns for label in labels]
-    header, table = read_rows(path, ",")
-    if header.split(",") != expected:
-        raise SchemaError(f"{path}: header does not match the trace "
-                          "schema for this network")
-    if table.shape[1] != len(expected):
-        raise SchemaError(f"{path}: {table.shape[1]} columns, expected "
-                          f"{len(expected)}")
-    if len(table) < 2:
-        raise SchemaError(f"{path}: {len(table)} row below the header "
-                          "line; a trace needs at least two")
-    k = _uneven_step(table[:, 0])
-    if k is not None:
-        raise SchemaError(f"{path}: line {k + 3}: time grid is not uniform")
-    cuts = np.cumsum([len(labels) for _, labels in columns])[:-1]
-    parts = dict(zip([name for name, _ in columns],
-                     np.split(table, cuts, axis=1)))
-    parts["t"] = parts["t"][:, 0]
-    parts["eta"] = parts["eta"][:, np.argsort(agent_permutation(net))]
-    return SimTrace(**parts)
+    """The whole trace :func:`trace_to_csv` wrote at ``path``: the blocks
+    of :func:`read_trace`, joined.  Raises what ``read_trace`` raises."""
+    blocks = list(read_trace(path, net))
+    return SimTrace(**{name: np.concatenate([getattr(b, name)
+                                             for b in blocks])
+                       for name in _TRACE_FIELDS})

@@ -755,15 +755,16 @@ def _solve_block(problems, margin, max_iterations, prefix, anchors):
 
 
 def _reverify(stage, block, margin, storage_name, storage) -> float:
-    """Re-check an assembled certificate from scratch: ``block``, built
-    at the returned gain, has margin at least ``margin`` and the storage
-    matrix clears ``PD_MARGIN``.  Returns the margin achieved."""
+    """Re-check a certificate from scratch: ``block``, built on the
+    network matrices at the gain to be returned or loaded, has margin at
+    least ``margin`` and the storage matrix clears ``PD_MARGIN``.
+    Returns the margin achieved."""
     achieved = -sym_eigvals(block)[-1]
     s_min = sym_eigvals(storage)[0]
     if achieved < margin or s_min < PD_MARGIN:
         raise InfeasibleError(
-            f"{stage} certificate failed re-verification on the assembled "
-            f"network (margin {achieved:.3e}, lambda_min({storage_name}) "
+            f"{stage} certificate failed re-verification on the network "
+            f"matrices (margin {achieved:.3e}, lambda_min({storage_name}) "
             f"{s_min:.3e})"
         )
     return achieved

@@ -5,27 +5,29 @@ transformed error matrix comes out diagonal, which makes every constant
 computable by hand.
 """
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import benchmark_schedule, quiet_schedule, random_reachable_graph
-from coopftc.analysis import (consensus_report, dissipation_check,
+from coopftc.analysis import (ConsensusCheck, DissipationCheck,
+                              IssBoundCheck, IssCertificate,
+                              consensus_report, dissipation_check,
                               iss_certificate, verify_iss_bound)
 from coopftc.control import (ClosedLoopState, ControlLaw, build_closed_loop,
-                             cooperative_error)
+                             control_input, cooperative_error)
 from coopftc.errors import (IdentityCheckFailedError, NotHurwitzError,
                             NotPositiveStableError)
 from coopftc.estimator import build_observer
 from coopftc.graph import build_graph
 from coopftc.plant import (AgentModel, augment_network, dc_motor_agent,
                            stack_network)
-from coopftc.sim import run_experiment, sample_initial_state
-from coopftc.synth import synth_controller, synth_observer
+from coopftc.sim import TraceRows, run_experiment, sample_initial_state
+from coopftc.synth import ObserverSynthesis, synth_controller, synth_observer
 from oracles import l2_ratio, lift_setpoint, shifted_error_by_phi_solve
 
 
@@ -246,3 +248,101 @@ def test_l2_ratio_below_synthesized_gamma(zero_init_trace, loops,
     ratio, input_l2 = l2_ratio(zero_init_trace, loops["star"].law)
     assert input_l2 > 0
     assert ratio <= controller_synth.gamma * 1.05
+
+
+# --- the checks fed a block at a time --------------------------------------
+
+def _dyadic(rng, shape, scale):
+    """Multiples of ``1 / scale`` in [-2, 2): their products and short sums
+    are exact doubles, so a product's rows do not depend on how many rows
+    it has."""
+    return rng.integers(-2 * scale, 2 * scale, shape) / scale
+
+
+def _exact_case(seed, n, jump, change, forged):
+    """The three checks' inputs and a trace of ``n`` rows on which every
+    product and sum the checks form is exact: three two-state agents on
+    a chain, the fault stepping at row ``jump``, the setpoint 1 -> 2 at
+    row ``change``, outputs out of the band on random rows (more often
+    early), and ``u`` the law's input, in one row off it if ``forged``."""
+    rng = np.random.default_rng(seed)
+    agent = AgentModel(A=np.array([[-1.0, 0.5], [-0.25, -2.0]]),
+                       B=np.array([[0.0], [1.0]]),
+                       C=np.array([[1.0, 0.0]]), D=np.array([[0.5], [0.25]]))
+    net = stack_network([agent] * 3)
+    aug = augment_network(net)
+    g = build_graph(3, [(2, 1, 1.0), (3, 2, 1.0)], [(1, 1.0)])
+    law = ControlLaw(graph=g, K=_dyadic(rng, (3, 6), 4), ell_p=0.25,
+                     ell_i=2.0)
+    P = _dyadic(rng, (9, 9), 4)
+    so = ObserverSynthesis(delta=0.5, P=P + P.T, H=None,
+                           Lgain=_dyadic(rng, (9, 3), 4), margin=0.0)
+    cert = IssCertificate(graph=g, n_x=2, Phi=None, B_phi=None, Q=None,
+                          P_e=None, kappa=0.0, alpha=0.0, beta=0.0, c1=2.5,
+                          c2=0.75, c3=1.5)
+
+    row = np.arange(n)[:, None]
+    y0 = np.where(row < change, 1.0, 2.0)
+    x = _dyadic(rng, (n, 6), 64)
+    out = rng.random((n, 3)) < np.linspace(0.9, 0.05, n)[:, None]
+    x[:, 0::2] = y0 + np.where(out, rng.choice([-0.5, 0.5], (n, 3)),
+                               rng.integers(-1, 2, (n, 3)) / 128)
+    f_s = np.where(row < jump, 0.0, np.array([1.5, -0.75, 0.25]))
+    x_hat = x + _dyadic(rng, (n, 6), 64) / 8
+    e_bar, q = _dyadic(rng, (n, 3), 8), _dyadic(rng, (n, 3), 8)
+    u = control_input(law, x_hat, e_bar, q)
+    if forged:
+        u[rng.integers(n)] += 1.0
+    trace = TraceRows(
+        t=np.arange(n) / 64, x=x, eta=np.zeros((n, 9)), q=q, x_hat=x_hat,
+        f_hat=f_s + _dyadic(rng, (n, 3), 64) / 8, u=u, y_f=np.zeros((n, 3)),
+        e_bar=e_bar, v=_dyadic(rng, (n, 3), 8), f_s=f_s, y0=y0)
+    return trace, cert, law, aug, net, so, g
+
+
+def _outcome(report):
+    """Every field of the report ``report()`` makes, arrays as lists, or
+    the text of the identity error it raises."""
+    try:
+        made = report()
+    except IdentityCheckFailedError as exc:
+        return str(exc)
+    return [(f.name, value.tolist() if isinstance(value, np.ndarray)
+             else value)
+            for f in fields(made) for value in [getattr(made, f.name)]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 40),
+       cuts=st.lists(st.integers(1, 39), max_size=8),
+       jump=st.integers(1, 45), change=st.integers(1, 45),
+       forged=st.booleans())
+# a fault jump and a setpoint change on block edges, a last block of one row
+@example(seed=0, n=40, cuts=[12, 25, 39], jump=12, change=25, forged=False)
+@example(seed=1, n=40, cuts=[12, 25, 39], jump=25, change=12, forged=True)
+@example(seed=2, n=2, cuts=[1], jump=1, change=1, forged=False)
+def test_checks_fed_blocks_report_what_the_whole_trace_call_does(
+        seed, n, cuts, jump, change, forged):
+    """The three checks fed a trace's rows on any cut of blocks give the
+    whole-trace call's report exactly: every maximum, minimum, count,
+    window and settling time, or the same identity error."""
+    trace, cert, law, aug, net, so, g = _exact_case(seed, n, jump, change,
+                                                    forged)
+    edges = sorted({0, n, *(c for c in cuts if c < n)})
+    checks = [IssBoundCheck(cert, law), DissipationCheck(aug, net, so),
+              ConsensusCheck(net, g)]
+    for lo, hi in zip(edges, edges[1:]):
+        for check in checks:
+            check.update(trace.rows(lo, hi))
+    whole = [lambda: verify_iss_bound(trace, cert, law),
+             lambda: dissipation_check(trace, aug, net, so),
+             lambda: consensus_report(trace, net, g)]
+    for check, oracle in zip(checks, whole):
+        assert _outcome(check.report) == _outcome(oracle)
+    # what the reports must say, counted from the case itself
+    dissipation, consensus = checks[1].report(), checks[2].report()
+    excluded = {0, n - 1} | ({jump - 1, jump, jump + 1} if jump < n else set())
+    assert dissipation.n_excluded == len(excluded & set(range(n)))
+    assert consensus.t_last_setpoint == (trace.t[change] if change < n else 0)
+    if not forged:
+        assert len(checks[0].report().windows) == 1 + (change < n)

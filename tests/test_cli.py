@@ -8,9 +8,11 @@ full 40-second benchmark.
 
 import dataclasses
 import hashlib
+import importlib.util
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -352,6 +354,29 @@ def test_uncertified_gains_rejected(tmp_path, monkeypatch, capsys,
     ["simulate", "-o", "out"],
     ["verify", "--trace", "never-read.csv"],
 ], ids=["simulate", "verify"])
+def test_uncertified_gains_name_their_directory(tmp_path, monkeypatch, capsys,
+                                                short_scenario, gains_dir,
+                                                command):
+    """The failed re-verification of loaded gains, which were never
+    assembled from per-agent solves, names the network matrices it ran
+    on and the directory the gains came from."""
+    monkeypatch.chdir(tmp_path)
+    gains = _copy_gains(gains_dir, tmp_path / "gains")
+    P = load_matrix(gains / cli.OBSERVER_STORAGE_FILE)
+    save_matrix(gains / cli.OBSERVER_STORAGE_FILE, 1e-3 * P)
+    argv = command[:1] + ["-s", str(short_scenario), "--gains",
+                          str(gains)] + command[1:]
+    assert main(argv) == cli.EXIT_CERTIFICATE
+    err = capsys.readouterr().err
+    assert err.startswith("certificate failed: observer certificate failed "
+                          "re-verification on the network matrices (")
+    assert err.endswith(f"; gains read from {gains}\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "-o", "out"],
+    ["verify", "--trace", "never-read.csv"],
+], ids=["simulate", "verify"])
 def test_asymmetric_storage_rejected(tmp_path, monkeypatch, capsys,
                                     short_scenario, gains_dir, command):
     monkeypatch.chdir(tmp_path)
@@ -640,8 +665,8 @@ def test_plot_bytes_match_savetxt(tmp_path, short_scenario, gains_dir,
 
 
 def test_plot_curves_match_per_agent_reference(tmp_path, monkeypatch):
-    """The curves computed for all agents at once equal the per-agent
-    formulas bit for bit."""
+    """The curves computed for all agents at once, in two blocks of
+    rows, equal the per-agent formulas bit for bit."""
     net = build_plant(Scenario())
     rng = np.random.default_rng(5)
     n = 7
@@ -653,7 +678,11 @@ def test_plot_curves_match_per_agent_reference(tmp_path, monkeypatch):
     written = {}
     monkeypatch.setattr(cli, "write_series", lambda files: written.update(
         {path: (t, curves) for path, t, curves in files}))
-    names = cli._emit_plots(tmp_path, "", trace, net)
+    curves = cli._PlotCurves(net, n)
+    for rows in (slice(0, 3), slice(3, n)):
+        curves.update(SimpleNamespace(**{name: value[rows] for name, value
+                                         in vars(trace).items()}))
+    names = cli._emit_plots(tmp_path, "", trace.t, curves)
     (t_err, errors), (t_out, outputs) = (written[str(tmp_path / name)]
                                          for name in names)
     assert t_err is trace.t and t_out is trace.t
@@ -1017,7 +1046,7 @@ def test_simulate_non_finite_state_exit_code(tmp_path, short_scenario,
     def diverging(*args, **kwargs):
         raise NonFiniteStateError("state became non-finite at t=1.234",
                                   time=1.234)
-    monkeypatch.setattr(cli, "run_experiment", diverging)
+    monkeypatch.setattr(cli, "rollout", diverging)
     code = main(["simulate", "-s", str(short_scenario), "-o", str(tmp_path),
                  "--gains", str(gains_dir)])
     assert code == cli.EXIT_SIMULATION
@@ -1157,6 +1186,120 @@ def test_verify_flags_tampered_trace(tmp_path, short_scenario, gains_dir,
                  "--gains", str(gains_dir)])
     assert code == cli.EXIT_CERTIFICATE
     assert "certificate failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_fault_in_the_file_comes_before_any_verdict(tmp_path, monkeypatch,
+                                                     capsys, short_scenario,
+                                                     gains_dir, cpus):
+    """``verify`` decides its checks only once the whole trace is read.
+    A trace whose ``u[1]`` is off the law's input on file line 11 fails
+    the identity check (exit 5); with a non-finite cell on its last line
+    as well, the file's fault is reported instead (exit 2, naming that
+    line), read by one process or by two."""
+    assert main(["simulate", "-s", str(short_scenario), "-o", str(tmp_path),
+                 "--gains", str(gains_dir)]) == 0
+    path = tmp_path / "trace.csv"
+    lines = path.read_text().splitlines()
+    cells = lines[10].split(",")
+    col = lines[0].split(",").index("u[1]")
+    cells[col] = repr(float(cells[col]) + 1.0)
+    lines[10] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)))
+    argv = ["verify", "-s", str(short_scenario), "--trace", str(path),
+            "--gains", str(gains_dir)]
+    capsys.readouterr()
+    assert main(argv) == cli.EXIT_CERTIFICATE
+    assert "input decomposition mismatch" in capsys.readouterr().err
+    cells = lines[-1].split(",")
+    cells[3] = "nan"
+    lines[-1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    assert main(argv) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        f"error: {path}: line {len(lines)}: non-finite value\n")
+
+
+def _workloads():
+    """``perfbench/workloads.py``, loaded by path: the benchmark's
+    scenario files."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look the module up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("scenario", ["bench4", "fleet24"])
+def test_split_and_serial_verify_print_the_same(tmp_path, capsys, scenario):
+    """The benchmark's traces checked a block at a time print the same
+    report read by this process alone (one CPU) as with one forked child
+    parsing the second half (two)."""
+    scen = tmp_path / f"{scenario}.yaml"
+    scen.write_text(_workloads().scenario_files(0)[scen.name])
+    gains, out = tmp_path / "gains", tmp_path / "out"
+    assert main(["synth", "-s", str(scen), "-o", str(gains)]) == 0
+    assert main(["simulate", "-s", str(scen), "-o", str(out), "--gains",
+                 str(gains)]) == 0
+    capsys.readouterr()
+    prints, fork = [], os.fork
+    for cpus in (1, 2):
+        forks = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            mp.setattr(os, "fork", lambda: forks.append(1) or fork())
+            assert main(["verify", "-s", str(scen), "--trace",
+                         str(out / "trace.csv"), "--gains", str(gains)]) == 0
+        assert len(forks) == cpus - 1
+        prints.append(capsys.readouterr())
+    assert prints[0] == prints[1]
+
+
+def _traced_peak(argv) -> int:
+    """The peak of the memory Python allocates while ``main(argv)`` runs."""
+    tracemalloc.start()
+    try:
+        main(argv)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _horizons(tmp_path, gains_dir):
+    """Scenario and output paths of the default scenario at T = 2 and 8 s,
+    simulated once each."""
+    runs = {}
+    for T in (2, 8):
+        scen, out = tmp_path / f"T{T}.yaml", tmp_path / f"out{T}"
+        scen.write_text(f"sim:\n  T: {T}.0\n")
+        assert main(["simulate", "-s", str(scen), "-o", str(out),
+                     "--gains", str(gains_dir)]) == 0
+        runs[T] = (str(scen), str(out))
+    return runs
+
+
+def test_verify_memory_does_not_grow_with_the_horizon(tmp_path, gains_dir):
+    """``verify`` holds one block of rows and the time column, so four
+    times the horizon leaves its peak within 1.2 times."""
+    peaks = [_traced_peak(["verify", "-s", scen, "--trace",
+                           f"{out}/trace.csv", "--gains", str(gains_dir)])
+             for scen, out in _horizons(tmp_path, gains_dir).values()]
+    assert peaks[1] <= 1.2 * peaks[0]
+
+
+def test_simulate_memory_grows_by_its_states_and_curves(tmp_path, gains_dir):
+    """``simulate`` holds the loop states, the time grid and the plot
+    curves whole, and the other columns a block at a time: 6000 more
+    rows raise its peak by at most 1.25 times what those need."""
+    net = build_plant(Scenario())
+    per_row = 8 * (1 + 2 * (net.nbar_x + net.nbar_y) + 2 * net.m + 1)
+    peaks = [_traced_peak(["simulate", "-s", scen, "-o", out, "--gains",
+                           str(gains_dir)])
+             for scen, out in _horizons(tmp_path, gains_dir).values()]
+    assert peaks[1] - peaks[0] <= 1.25 * 6000 * per_row
 
 
 # --- full-horizon round trip ------------------------------------------------

@@ -553,6 +553,25 @@ def test_split_read_of_odd_lines_is_the_serial_reading(tmp_path, text):
     _assert_tidy(tmp_path, "t.txt")
 
 
+def test_rows_longer_than_a_chunk_are_read_in_chunks(tmp_path, monkeypatch):
+    """Rows longer than a read chunk, the first one included, are parsed
+    a chunk of whole lines at a time and split, not sent to the serial
+    reader."""
+    rows = np.arange(600.0).reshape(20, 30) / 7
+    path = tmp_path / "t.txt"
+    _write_file(path, [rows], ",")
+    serial, read_serial = [], sim._read_serial
+    monkeypatch.setattr(sim, "_READ_BLOCK_BYTES", 64)
+    monkeypatch.setattr(sim, "_read_serial",
+                        lambda *args: serial.append(1) or read_serial(*args))
+    forks = _split_over(monkeypatch, 2)
+    first, back = read_rows(path, ",")
+    assert first == "header line"
+    npt.assert_array_equal(back.view(np.uint64), rows.view(np.uint64))
+    assert len(forks) == 1 and not serial
+    _assert_tidy(tmp_path, "t.txt")
+
+
 def test_split_write_failure_gives_the_serial_error(tmp_path):
     """A cell only the child meets that cannot be converted to float64:
     the file and the error are the serial writer's."""
@@ -801,6 +820,27 @@ def test_csv_round_trip(tmp_path, loops, s0, benchmark_net):
                  "e_bar", "v", "f_s", "y0"):
         npt.assert_array_equal(getattr(back, name), getattr(tr, name),
                                err_msg=name)
+
+
+@pytest.mark.parametrize("T", [2.048, 4.5])
+def test_trace_grid_keeps_the_whole_trace_bytes(tmp_path, loops, s0,
+                                                benchmark_net, T):
+    """A trace wired and written a block of the trace grid at a time from
+    its states has the bytes of the whole trace's file, also on 2049 rows,
+    where a last block of one row would take numpy's one-row product; and
+    ``read_trace`` gives back the blocks the writer cut."""
+    loop, schedule = loops["star"], benchmark_schedule(4)
+    run = sim.rollout(loop, schedule, s0, h=1e-3, T=T)
+    whole = run_experiment(loop, schedule, s0, h=1e-3, T=T)
+    trace_to_csv(run, benchmark_net, tmp_path / "blocks.csv")
+    trace_to_csv(whole, benchmark_net, tmp_path / "whole.csv")
+    assert ((tmp_path / "blocks.csv").read_bytes()
+            == (tmp_path / "whole.csv").read_bytes())
+    rows = sim._grid_rows(58)
+    cut = [hi - lo for lo, hi in sim._spans(run.t.size, rows)]
+    back = [len(block.t)
+            for block in sim.read_trace(tmp_path / "blocks.csv", benchmark_net)]
+    assert back == cut == ([rows + 1] if T == 2.048 else [rows, rows, 405])
 
 
 def test_csv_header_names(tmp_path, loops, s0, benchmark_net):
