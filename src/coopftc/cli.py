@@ -37,6 +37,7 @@ import contextlib
 import math
 import os
 import sys
+import tempfile
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -93,8 +94,10 @@ from .plant import (
     stack_network,
 )
 from .sim import (
+    PartColumn,
     Rollout,
     SignalSchedule,
+    StagedColumns,
     read_rows,
     read_trace,
     rollout,
@@ -558,9 +561,11 @@ def _require_single_channel(sc: Scenario) -> None:
 
 
 def _require_grid_in_memory(sc: Scenario) -> None:
-    """``simulate`` holds the loop state ``(x, eta, q)`` at every point of
-    the time grid.  A grid whose states alone exceed physical memory
-    would fail to allocate after synthesis; it is rejected before."""
+    """A grid whose loop states ``(x, eta, q)`` at every point would
+    exceed physical memory is rejected before synthesis, as a bound on
+    the run's size: ``run_experiment`` holds all of them, and
+    ``simulate``, which holds the time grid and one block of states,
+    writes a trace of at least as many cells."""
     steps = sc.T / sc.h
     rows = round(steps) + 1 if math.isfinite(steps) else math.inf
     n_x = len(sc.agents[0][0]) if sc.agents else dc_motor_agent(1).n_x
@@ -660,35 +665,38 @@ def _assemble(sc: Scenario, gains_dir=None, sweep: bool = False,
 
 
 class _PlotCurves:
-    """A run's plot curves, filled a block of rows at a time: each
-    agent's estimation-error norm and true output, and the setpoint."""
+    """A run's plot curves, each agent's estimation-error norm and true
+    output and the setpoint, filled a block of rows at a time and staged
+    in a part file next to ``near`` (by default in the temporary
+    directory): :class:`~coopftc.sim.StagedColumns`."""
 
-    def __init__(self, net: NetworkModel, rows: int):
+    def __init__(self, net: NetworkModel, rows: int, near=None):
+        if near is None:
+            near = os.path.join(tempfile.gettempdir(), "coopftc_curves")
         self.net = net
-        self.err = np.empty((rows, net.m))
-        self.y = np.empty((rows, net.m))
-        self.setpoint = np.empty(rows)
-        self.filled = 0
+        self.staged = StagedColumns(near, rows)
 
     def update(self, block) -> None:
         net, m = self.net, self.net.m
-        rows = slice(self.filled, self.filled + len(block.t))
         # one expression, so no difference outlives it
-        self.err[rows] = np.sqrt(
+        err = np.sqrt(
             np.sum(((block.x - block.x_hat) ** 2).reshape(-1, m, net.n_x),
                    axis=2)
             + np.sum(((block.f_s - block.f_hat) ** 2).reshape(-1, m, net.n_y),
                      axis=2))
-        self.y[rows] = block.x @ net.C.T
-        self.setpoint[rows] = block.y0.ravel()
-        self.filled = rows.stop
+        self.staged.append((*err.T, *(block.x @ net.C.T).T, block.y0.ravel()))
+
+    def curve(self, c: int) -> PartColumn:
+        """Curve ``c``: agent ``c + 1``'s error norm for ``c < m``, its
+        output for ``m <= c < 2 m``, the setpoint for ``c = 2 m``."""
+        return self.staged.column(c)
 
 
 def _emit_plots(outdir, suffix: str, t, curves: _PlotCurves) -> list[str]:
     m = curves.net.m
-    err_curves = [(f"agent{i + 1}", curves.err[:, i]) for i in range(m)]
-    out_curves = [(f"agent{i + 1}", curves.y[:, i]) for i in range(m)]
-    out_curves.append(("setpoint", curves.setpoint))
+    err_curves = [(f"agent{i + 1}", curves.curve(i)) for i in range(m)]
+    out_curves = [(f"agent{i + 1}", curves.curve(m + i)) for i in range(m)]
+    out_curves.append(("setpoint", curves.curve(2 * m)))
     names = [f"plot_estimation_errors{suffix}.dat",
              f"plot_outputs{suffix}.dat"]
     write_series([(os.path.join(outdir, names[0]), t, err_curves),
@@ -760,14 +768,15 @@ def cmd_simulate(sc: Scenario, outdir, gains_dir=None,
 
     summary: list[str] = []
     for name, law in built.laws.items():
-        # The run keeps its states; the other columns are wired a block
-        # at a time, and each block goes to the file, the plot curves and
-        # the consensus metrics.
+        # The run is stepped and wired a block at a time, and each block
+        # goes to the file, the staged plot curves and the consensus
+        # metrics.
         run = _run_one(sc, built, law, obs, schedule, s0)
         suffix = f"_{name}" if sweep else ""
         trace_name = f"trace{suffix}.csv"
-        curves = _PlotCurves(net, run.t.size)
         consensus = ConsensusCheck(net, law.graph)
+        curves = _PlotCurves(net, run.t.size,
+                             os.path.join(outdir, f"plot_curves{suffix}"))
         trace_to_csv(run, net, os.path.join(outdir, trace_name), curves,
                      consensus)
         plot_names = _emit_plots(outdir, suffix, run.t, curves)
@@ -915,8 +924,7 @@ _VALIDATION_ERRORS = (
 )
 
 _CERTIFICATE_ERRORS = (
-    CertificateFailedError, NotHurwitzError, NotPositiveStableError,
-    IdentityCheckFailedError,
+    CertificateFailedError, NotPositiveStableError, IdentityCheckFailedError,
 )
 
 

@@ -20,20 +20,27 @@ loop's wiring on a stacked probe), spot-checks it against the readable
 :func:`~coopftc.control.closed_loop_rhs` at a random state (so the
 probe's affinity assumption and the fast path are verified), builds the
 step map by applying the RK4 formula to identity columns
-(:func:`rk4_step_maps`) and advances the whole grid with one small
-matrix-vector product per step (:func:`propagate`).  :func:`integrate`
-is the generic RK4 integrator the step map is checked against.
+(:func:`rk4_step_maps`) and advances the grid with one small
+matrix-vector product per step, a block of rows at a time
+(:class:`_Stepper`); :func:`propagate` advances the whole grid at once
+and is the stepper's oracle.  :func:`integrate` is the generic RK4
+integrator the step map is checked against.
 
-A :class:`Rollout` holds only the states.  The remaining trace columns
-(measured outputs, estimates, cooperative error, control) come from the
-same wiring, evaluated on the rows asked for: :func:`run_experiment`
-asks for every row at once and returns a whole :class:`SimTrace`, the
-tests' oracle; ``simulate`` asks one block at a time.  A trace's blocks
-lie on one grid of rows (:func:`_grid_rows`, :func:`_spans`), fixed by
-the table's width, on which :func:`trace_to_csv` wires, reorders and
-formats a trace and hands each block to the plot curves and checks, and
-:func:`read_trace` gives back the rows of a trace file.  On that
-grid the blocks' rows are the whole-trace call's, bit for bit.
+A :class:`Rollout` holds the loop, its signals, its time grid and a
+stepper of its states (:class:`_Stepper`), which steps the loop one
+block of rows at a time and carries only the last state into the next.
+The trace columns (measured outputs, estimates, cooperative error,
+control) come from the same wiring, evaluated on the rows asked for:
+:func:`run_experiment` takes every state of :func:`propagate` and wires
+every row at once, returning a whole :class:`SimTrace`, the tests'
+oracle; ``simulate`` steps and wires one block at a time.  A trace's
+blocks lie on one grid of rows (:func:`_grid_rows`, :func:`_spans`),
+fixed by the table's width, on which :func:`trace_to_csv` steps, wires,
+reorders and formats a trace and hands each block to the plot curves
+and checks, and :func:`read_trace` gives back the rows of a trace file.
+Each block's forcing is formed for its rows alone, and
+:func:`propagate` forms it on the same grid, so on that grid the
+blocks' rows are the whole-trace call's, bit for bit.
 
 Every numeric text file is written by :func:`write_rows`, or for the
 plots by :func:`write_series`, and read by :func:`read_rows`.  A cell is
@@ -78,6 +85,7 @@ import os
 import signal
 import threading
 import warnings
+import weakref
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -107,6 +115,8 @@ __all__ = [
     "write_rows",
     "write_series",
     "read_rows",
+    "StagedColumns",
+    "PartColumn",
     "trace_to_csv",
     "read_trace",
     "trace_from_csv",
@@ -213,17 +223,47 @@ def rk4_step_maps(maps: ClosedLoopMaps, h: float) -> np.ndarray:
 
     With ``w = (v, f_s, y0)`` stacked, the step from ``t`` is exactly
     ``z+ = Phi z + G0 w(t) + Gh w(t + h/2) + G1 w(t + h)``.  The columns
-    come from one :func:`_rk4_step` applied to identity columns, each
-    stage time selecting its own block of input columns, so the maps
-    carry the integrator's own arithmetic and no series.
+    are one :func:`_rk4_step` applied to the identity columns ``[I | 0]``
+    of the state, each stage time selecting its own block of input
+    columns, so the maps carry the integrator's own arithmetic and no
+    series.  The stages and their sum ``k1 + 2 k2 + 2 k3 + k4`` are
+    formed in place, by ``_rk4_step``'s IEEE operations in its order (an
+    addition's operands may swap: that keeps its bits), each stage freed
+    once added; so the call holds three maps and one block of input
+    columns at once, not the four stages and the square identity.
     """
     B = np.hstack([maps.B_v, maps.B_f, maps.B_r])
     n, p = B.shape
-    eye = np.eye(n + 3 * p)
-    inputs = {0.0: eye[n:n + p], 0.5 * h: eye[n + p:n + 2 * p],
-              h: eye[n + 2 * p:]}
-    return _rk4_step(lambda t, z: maps.M @ z + B @ inputs[t], 0.0,
-                     eye[:n], h)
+    cols = n + 3 * p
+    diag = np.arange(n)
+
+    def stage(z, at: int):
+        """``M z + B`` times the input columns of stage time ``at``
+        (0, 1 or 2 half steps); ``z``'s cells are reused."""
+        k = maps.M @ z
+        np.matmul(B, np.eye(p, cols, n + at * p), out=z)
+        k += z
+        return k
+
+    def shifted(k, c: float, out):
+        """``[I | 0] + c k``, into ``out``."""
+        np.multiply(k, c, out=out)
+        out += 0.0  # the zeros of [I | 0], as 0 + (-0) gives +0
+        out[diag, diag] += 1.0
+        return out
+
+    z = np.eye(n, cols)
+    acc = stage(z, 0)                       # k1
+    k = stage(shifted(acc, 0.5 * h, z), 1)  # k2
+    for c, at in ((0.5 * h, 1), (h, 2)):    # k3, then k4
+        shifted(k, c, z)
+        k *= 2.0
+        acc += k
+        del k  # before the next stage is formed
+        k = stage(z, at)
+    acc += k
+    del k, z
+    return shifted(acc, h / 6.0, acc)
 
 
 #: Below this magnitude an RK4 stage overflows only if the loop's gains
@@ -232,20 +272,41 @@ def rk4_step_maps(maps: ClosedLoopMaps, h: float) -> np.ndarray:
 #: they can disagree by many steps on where the state first overflows.
 _SAFE_MAGNITUDE = np.sqrt(np.finfo(float).max)
 
-#: Grid rows whose forcing is sampled and formed at once: a bounded
-#: block keeps the sampled signals out of the run's peak memory.
-_BLOCK_ROWS = 4096
+
+def _safe(states: np.ndarray) -> bool:
+    return -_SAFE_MAGNITUDE < states.min() <= states.max() < _SAFE_MAGNITUDE
+
+
+def _forcing(step: np.ndarray, schedule: SignalSchedule, t: np.ndarray,
+             h: float, out: np.ndarray) -> None:
+    """The forcing ``G0 w(t) + Gh w(t + h/2) + G1 w(t + h)`` of the steps
+    from the times ``t`` into ``out``, one row each, the signals sampled
+    for those rows only."""
+    w = np.hstack([col for s in (t, t + 0.5 * h, t + h)
+                   for col in schedule.sample(s)])
+    np.matmul(w, step[:, out.shape[1]:].T, out=out)
+
+
+def _recur(phi_t: np.ndarray, prev: np.ndarray, rows: np.ndarray) -> None:
+    """Add ``prev @ phi_t`` to each of ``rows`` in turn, ``prev`` being
+    the state before it: each row then holds its state."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row in rows:
+            row += prev @ phi_t
+            prev = row
 
 
 def propagate(maps: ClosedLoopMaps, schedule: SignalSchedule,
-              z0: np.ndarray, h: float, T: float):
+              z0: np.ndarray, h: float, T: float, rows: int = 4096):
     """RK4 on the affine loop of ``maps`` driven by ``schedule``.
 
     Returns what :func:`integrate` returns for :func:`_affine_rhs`, to
     rounding: ``(times, states)`` on the same grid.  The schedule is
     sampled at the stage times ``integrate`` uses, the forcing of every
-    step is written into the output array, and each step then adds one
-    small matrix-vector product.
+    step is written into the output array, for the rows of one block of
+    the grid of ``rows`` rows (:func:`_spans`) at a time, and each step
+    then adds one small matrix-vector product.  This is the whole-array
+    oracle of :class:`_Stepper`, which gives the same bits on that grid.
 
     A trajectory that leaves the safe magnitude range is handed to
     :func:`integrate`, so a state that stops being finite is reported
@@ -256,21 +317,60 @@ def propagate(maps: ClosedLoopMaps, schedule: SignalSchedule,
     n = maps.M.shape[0]
     out = np.empty((times.size, n))
     out[0] = z0
-    starts = times[:-1]
-    for lo in range(0, starts.size, _BLOCK_ROWS):
-        t = starts[lo:lo + _BLOCK_ROWS]
-        w = np.hstack([col for s in (t, t + 0.5 * h, t + h)
-                       for col in schedule.sample(s)])
-        np.matmul(w, step[:, n:].T, out=out[lo + 1:lo + 1 + t.size])
-    phi_t = np.ascontiguousarray(step[:, :n].T)
-    with np.errstate(over="ignore", invalid="ignore"):
-        prev = out[0]
-        for row in out[1:]:
-            row += prev @ phi_t
-            prev = row
-    if not -_SAFE_MAGNITUDE < out.min() <= out.max() < _SAFE_MAGNITUDE:
+    for lo, hi in _spans(times.size, rows):
+        lo = max(lo, 1)  # row 0 is z0
+        _forcing(step, schedule, times[lo - 1:hi - 1], h, out[lo:hi])
+    _recur(np.ascontiguousarray(step[:, :n].T), out[0], out[1:])
+    if not _safe(out):
         return integrate(_affine_rhs(maps, schedule), z0, h, T)
     return times, out
+
+
+class _Stepper:
+    """The states :func:`propagate` gives, stepped one block of rows at a
+    time as they are asked for (``stepper(lo, hi)``), in grid order:
+    ``lo`` is the last row given or the one after it, so asking for row
+    0 again does not advance it.  Only the last state is carried into
+    the next block, and each block's forcing is formed for its rows
+    alone; on the blocks of :func:`_spans` of ``propagate``'s ``rows``,
+    every state is ``propagate``'s, bit for bit.
+
+    A block that leaves the safe magnitude range hands the run to
+    :func:`integrate` from t = 0: that either raises
+    :class:`NonFiniteStateError` at the time it reports, or gives states
+    (all of them, held whole) from which the rows continue."""
+
+    def __init__(self, maps: ClosedLoopMaps, schedule: SignalSchedule,
+                 z0: np.ndarray, h: float, T: float):
+        self.t = _grid(h, T)
+        self._maps, self._schedule, self._h, self._T = maps, schedule, h, T
+        self._z0 = np.array(z0, dtype=float)
+        self._step = rk4_step_maps(maps, h)
+        self._phi_t = np.ascontiguousarray(self._step[:, :self._z0.size].T)
+        self._last, self._at = self._z0, 0
+        self._exact = None
+
+    def __call__(self, lo: int, hi: int) -> np.ndarray:
+        if self._exact is not None:
+            return self._exact[lo:hi]
+        if not (self._at <= lo <= self._at + 1 and lo < hi <= self.t.size):
+            raise ValueError(f"rows {lo}:{hi} asked for after row "
+                             f"{self._at}: rows are stepped in grid order")
+        out = np.empty((hi - lo, self._z0.size))
+        new = out[self._at + 1 - lo:]  # the rows after the last one given
+        if lo == self._at:
+            out[0] = self._last
+        if len(new):
+            _forcing(self._step, self._schedule, self.t[self._at:hi - 1],
+                     self._h, new)
+            _recur(self._phi_t, self._last, new)
+            if not _safe(out):
+                self._exact = integrate(
+                    _affine_rhs(self._maps, self._schedule), self._z0,
+                    self._h, self._T)[1]
+                return self._exact[lo:hi]
+            self._last, self._at = new[-1].copy(), hi - 1
+        return out
 
 
 def sample_initial_state(net: NetworkModel, aug: AugmentedModel, seed,
@@ -357,40 +457,43 @@ class SimTrace(TraceRows):
         return float(self.t[1] - self.t[0])
 
 
+def _wired(loop: ClosedLoop, schedule: SignalSchedule, t: np.ndarray,
+           states: np.ndarray) -> TraceRows:
+    """The trace rows at the times ``t`` of the loop states ``states``:
+    the states, the signals in force at those times, and what the loop's
+    wiring makes of both."""
+    state = ClosedLoopState.unpack(states, loop.net.nbar_x, loop.aug.n_aug)
+    v, f_s, y0 = schedule.sample(t)
+    y_f, est, e_bar, u, _ = _wire(loop, state, v, f_s, y0)
+    return TraceRows(t=t, x=state.x, eta=state.eta, q=state.q,
+                     x_hat=est.x_hat, f_hat=est.f_hat, u=u, y_f=y_f,
+                     e_bar=e_bar, v=v, f_s=f_s, y0=y0)
+
+
 @dataclass(frozen=True)
 class Rollout:
-    """The loop states of one experiment on its time grid, one row per
-    time.  The trace's other columns are not held: :meth:`rows` wires
-    them for the rows asked for."""
+    """One experiment, stepped as its rows are asked for: the loop, its
+    signals, its time grid and the stepper of its states, which carries
+    only the last state (:class:`_Stepper`).  No column is held:
+    :meth:`rows` steps and wires the rows asked for, in grid order."""
 
     loop: ClosedLoop
     schedule: SignalSchedule
     t: np.ndarray
-    states: np.ndarray
+    states: _Stepper
 
     def rows(self, lo: int, hi: int) -> TraceRows:
-        """Rows ``lo:hi`` of the trace: the states, the signals in force
-        at their times, and what the loop's wiring makes of both."""
-        net, aug = self.loop.net, self.loop.aug
-        t = self.t[lo:hi]
-        state = ClosedLoopState.unpack(self.states[lo:hi], net.nbar_x,
-                                       aug.n_aug)
-        v, f_s, y0 = self.schedule.sample(t)
-        y_f, est, e_bar, u, _ = _wire(self.loop, state, v, f_s, y0)
-        return TraceRows(t=t, x=state.x, eta=state.eta, q=state.q,
-                         x_hat=est.x_hat, f_hat=est.f_hat, u=u, y_f=y_f,
-                         e_bar=e_bar, v=v, f_s=f_s, y0=y0)
+        """Rows ``lo:hi`` of the trace; ``lo`` is the last row given or
+        the one after it, or 0 while no row past 0 has been given."""
+        return _wired(self.loop, self.schedule, self.t[lo:hi],
+                      self.states(lo, hi))
 
 
-def rollout(loop: ClosedLoop, schedule: SignalSchedule, s0: ClosedLoopState,
-            h: float = 1e-3, T: float = 40.0) -> Rollout:
-    """Integrate a closed loop, keeping its states.
-
-    The loop's affine realization is probed once and verified against
+def _fast_maps(loop: ClosedLoop, schedule: SignalSchedule,
+               T: float) -> ClosedLoopMaps:
+    """The loop's affine realization, probed once and verified against
     :func:`~coopftc.control.closed_loop_rhs` at one random state; a
-    disagreement raises :class:`IdentityCheckFailedError`.  The states
-    then come from :func:`propagate`.
-    """
+    disagreement raises :class:`IdentityCheckFailedError`."""
     net, aug = loop.net, loop.aug
     maps = closed_loop_maps(loop)
     z_chk = np.random.default_rng(0).normal(size=loop.dim)
@@ -401,18 +504,35 @@ def rollout(loop: ClosedLoop, schedule: SignalSchedule, s0: ClosedLoopState,
     if np.abs(ref - fast).max() > 1e-9 * max(1.0, np.abs(ref).max()):
         raise IdentityCheckFailedError(
             "affine fast path disagrees with reference right-hand side")
-    times, states = propagate(maps, schedule, s0.packed(), h, T)
-    return Rollout(loop=loop, schedule=schedule, t=times, states=states)
+    return maps
+
+
+def rollout(loop: ClosedLoop, schedule: SignalSchedule, s0: ClosedLoopState,
+            h: float = 1e-3, T: float = 40.0) -> Rollout:
+    """A closed loop's run, to be stepped a block of rows at a time.
+
+    The loop's affine realization is verified first (a disagreement
+    raises :class:`IdentityCheckFailedError`) and its RK4 step map
+    formed; no step is taken until rows are asked for."""
+    stepper = _Stepper(_fast_maps(loop, schedule, T), schedule, s0.packed(),
+                       h, T)
+    return Rollout(loop=loop, schedule=schedule, t=stepper.t, states=stepper)
 
 
 def run_experiment(loop: ClosedLoop, schedule: SignalSchedule,
                    s0: ClosedLoopState, h: float = 1e-3,
                    T: float = 40.0) -> SimTrace:
-    """Integrate a closed loop and log the full trace: :func:`rollout`,
-    then one evaluation of the loop's wiring on every row.  ``simulate``
-    wires the same rows a block at a time (:func:`trace_to_csv`)."""
-    run = rollout(loop, schedule, s0, h, T)
-    return SimTrace(**vars(run.rows(0, run.t.size)))
+    """Integrate a closed loop and log the full trace: every state of
+    :func:`propagate`, its forcing formed on the trace's grid, then one
+    evaluation of the loop's wiring on every row.  ``simulate`` steps and
+    wires the same rows a block at a time (:func:`rollout`,
+    :func:`trace_to_csv`)."""
+    maps = _fast_maps(loop, schedule, T)
+    z0 = s0.packed()
+    probe = _wired(loop, schedule, np.zeros(1), z0[None])
+    times, states = propagate(maps, schedule, z0, h, T,
+                              _grid_rows(_width(vars(probe).values())))
+    return SimTrace(**vars(_wired(loop, schedule, times, states)))
 
 
 # --- text tables ------------------------------------------------------------
@@ -683,6 +803,60 @@ def write_rows(fh, columns, sep: str) -> None:
                 n * _width(columns))
 
 
+class StagedColumns:
+    """Columns of ``rows`` float64 values each, staged a block
+    of rows at a time (:meth:`append`) in one part file next to ``near``
+    (:func:`_part_file`, unlinked once made), each column in a run of
+    bytes of its own, and read back a column at a time (:meth:`column`).
+    The part is closed once neither this nor a column read from it is
+    referred to."""
+
+    def __init__(self, near: str, rows: int):
+        self.rows, self.filled = rows, 0
+        self.fd = _part_file(near)
+        weakref.finalize(self, os.close, self.fd)
+
+    def append(self, columns) -> None:
+        """Stage the next rows: ``columns`` holds one 1-D run of values
+        per column, all of one length."""
+        for c, values in enumerate(columns):
+            data = memoryview(np.asarray(values, dtype=np.float64).tobytes())
+            pos = 8 * (c * self.rows + self.filled)
+            while data:
+                done = os.pwrite(self.fd, data, pos)
+                data, pos = data[done:], pos + done
+        self.filled += len(values)
+
+    def column(self, c: int) -> "PartColumn":
+        return PartColumn(self, 8 * c * self.rows, self.rows)
+
+
+class PartColumn:
+    """``size`` float64 values from byte ``start`` of the part file of
+    ``staged``, read with ``os.pread`` a slice at a time: a curve's
+    values that :func:`write_series` reads back a block at a time, in
+    this process or in a forked child, without holding them whole."""
+
+    def __init__(self, staged: StagedColumns, start: int, size: int):
+        self.staged, self.start, self.size = staged, start, size
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        lo, hi, stride = rows.indices(self.size)
+        if stride != 1:
+            raise ValueError("a part column is read in runs of rows")
+        want = 8 * max(0, hi - lo)
+        data = os.pread(self.staged.fd, want, self.start + 8 * lo)
+        if len(data) != want:
+            raise ValueError("the part file is short")
+        return np.frombuffer(data)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.asarray(self[:], dtype=dtype)
+
+
 def _series_text(t, curves):
     """The bytes of one plot file, a block of lines at a time.  ``t`` is
     formatted once, into one NUL-padded slot per row; each block of a
@@ -747,6 +921,8 @@ def write_series(files) -> None:
     ``t value`` and a blank line.  The rows' bytes equal ``np.savetxt``'s
     of ``[t, values]`` with :func:`write_rows`'s format; ``t`` is
     formatted once per file, and no file's whole text is held in memory.
+    A curve's values are an array or anything sliced like one, such as a
+    :class:`PartColumn`, which is read a block of rows at a time.
 
     Two files of more than ``_SPLIT_CELLS`` formatted cells together
     (:func:`_splits`) are written at once: this process writes the
@@ -1092,11 +1268,13 @@ def _write_staged(fh, blocks, spans, width: int) -> bool:
 def trace_to_csv(trace, net: NetworkModel, path, *checks) -> None:
     """Write one row per step; header names every column.  ``trace`` is
     a :class:`SimTrace` or a :class:`Rollout`, whose rows are taken (and
-    a rollout's wired) one block of the trace grid at a time, so no
-    column is held whole; each block also goes to every one of
-    ``checks`` (``update``), in order.  The observer state is stored per
-    agent (states then fault component) even though it lives in the
-    canonical stacked layout in memory.
+    a rollout's stepped and wired) one block of the trace grid at a
+    time, so no column is held whole; each block also goes to every one
+    of ``checks`` (``update``), in order.  The observer state is stored
+    per agent (states then fault component) even though it lives in the
+    canonical stacked layout in memory.  A write that fails part way,
+    a rollout whose state stops being finite among them, removes the
+    file.
 
     A trace of more than ``_SPLIT_CELLS`` cells, of two blocks or more,
     is formatted in two halves at once (:func:`_write_staged`)."""
@@ -1123,12 +1301,17 @@ def trace_to_csv(trace, net: NetworkModel, path, *checks) -> None:
             yield cells(block)
 
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(names) + "\n")
-        if (len(spans) > 1 and _splits(n * width)
-                and _write_staged(fh, blocks(), spans, width)):
-            return
-        for block in blocks():
-            fh.writelines(_row_text(block, ",", 0, len(block[0])))
+        try:
+            fh.write(",".join(names) + "\n")
+            if (len(spans) > 1 and _splits(n * width)
+                    and _write_staged(fh, blocks(), spans, width)):
+                return
+            for block in blocks():
+                fh.writelines(_row_text(block, ",", 0, len(block[0])))
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+            raise
 
 
 def read_trace(path, net: NetworkModel):

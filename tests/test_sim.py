@@ -8,6 +8,7 @@ import os
 import re
 import signal
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -141,6 +142,107 @@ def test_propagate_reports_first_non_finite_time_of_integrate(loops, s0):
             run_experiment(unstable, schedule, s0, h=1e-3, T=15.0)
     assert 0.0 < ref.value.time < 15.0
     assert fast.value.time == ref.value.time
+
+
+def _step_maps_formula(maps, h):
+    """The RK4 step map as one ``_rk4_step`` on the square identity's
+    first ``n`` rows, each stage time taking its own input columns."""
+    B = np.hstack([maps.B_v, maps.B_f, maps.B_r])
+    n, p = B.shape
+    eye = np.eye(n + 3 * p)
+    inputs = {0.0: eye[n:n + p], 0.5 * h: eye[n + p:n + 2 * p],
+              h: eye[n + 2 * p:]}
+    return sim._rk4_step(lambda t, z: maps.M @ z + B @ inputs[t], 0.0,
+                         eye[:n], h)
+
+
+def _fleet_like_maps(m, seed=3):
+    """Random maps of the shape of an ``m``-motor fleet's: six states and
+    one disturbance and one fault input per motor, one shared setpoint."""
+    rng = np.random.default_rng(seed)
+    n = 6 * m
+    M = rng.normal(size=(n, n))
+    M[rng.random(size=M.shape) < 0.5] = 0.0  # zeros, as a wired loop has
+    return ClosedLoopMaps(M, rng.normal(size=(n, m)),
+                          rng.normal(size=(n, m)), rng.normal(size=(n, 1)))
+
+
+def test_rk4_step_maps_keep_the_formula_bits_in_bounded_memory(loops):
+    """The map formed stage by stage in place equals the RK4 formula on
+    identity columns bit for bit, and its call holds at most four maps'
+    worth of memory at once."""
+    for maps, h in ((closed_loop_maps(loops["star"]), 1e-3),
+                    (closed_loop_maps(loops["path"]), 0.25),
+                    (_fleet_like_maps(4), 1e-2)):
+        npt.assert_array_equal(sim.rk4_step_maps(maps, h),
+                               _step_maps_formula(maps, h))
+    maps = _fleet_like_maps(32)
+    tracemalloc.start()
+    try:
+        step = sim.rk4_step_maps(maps, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    npt.assert_array_equal(step, _step_maps_formula(maps, 1e-3))
+    assert peak <= 4 * step.nbytes
+
+
+@st.composite
+def _stepped_runs(draw):
+    """An affine run of :func:`_affine_runs` and a block size of the
+    grid: small, so most runs take several blocks, and at times one that
+    leaves a last block of one row to join the one before."""
+    maps, schedule, z0, h, T = draw(_affine_runs())
+    n = int(round(T / h)) + 1
+    rows = draw(st.one_of(st.integers(2, 40),
+                          st.sampled_from([r for r in range(2, n)
+                                           if n % r == 1] or [2])))
+    return maps, schedule, z0, h, T, rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(_stepped_runs())
+@example(run=(_fleet_like_maps(1), SignalSchedule(
+    np.array([0.0, 0.08]), np.ones((2, 1)), np.array([[0.0], [1.5]]),
+    np.array([[1.0], [2.0]])), np.full(6, 0.5), 1e-2, 0.16, 8))
+def test_stepper_blocks_are_the_propagated_bits(run):
+    """The stepper's blocks on the grid of ``rows`` rows, joined, are
+    ``propagate``'s states on that grid bit for bit; asking again for
+    row 0, as a width probe does, does not advance it.  The example has
+    17 rows in blocks of 8 and 9 (a last block of one row joins the one
+    before it) and a breakpoint at the second block's first row."""
+    maps, schedule, z0, h, T, rows = run
+    t, whole = propagate(maps, schedule, z0, h, T, rows)
+    stepper = sim._Stepper(maps, schedule, z0, h, T)
+    npt.assert_array_equal(stepper(0, 1), whole[:1])
+    blocks = [stepper(lo, hi) for lo, hi in sim._spans(t.size, rows)]
+    npt.assert_array_equal(stepper.t, t)
+    npt.assert_array_equal(np.concatenate(blocks), whole)
+
+
+def test_stepper_continues_from_integrate_past_the_safe_range():
+    """States beyond the safe magnitude (though finite) send ``propagate``
+    and the stepper's first block to ``integrate``; the stepper's rows
+    then continue from its states, so they are still ``propagate``'s."""
+    maps = _fleet_like_maps(1)
+    schedule = quiet_schedule(1)
+    z0 = np.full(6, 1e160)
+    t, whole = propagate(maps, schedule, z0, 1e-2, 0.5, 8)
+    assert np.isfinite(whole).all() and not sim._safe(whole)
+    stepper = sim._Stepper(maps, schedule, z0, 1e-2, 0.5)
+    blocks = [stepper(lo, hi) for lo, hi in sim._spans(t.size, 8)]
+    npt.assert_array_equal(np.concatenate(blocks), whole)
+
+
+def test_stepper_refuses_rows_out_of_grid_order(loops, s0):
+    run = sim.rollout(loops["star"], benchmark_schedule(4), s0, h=1e-3,
+                      T=1.0)
+    run.rows(0, 300)
+    with pytest.raises(ValueError, match="grid order"):
+        run.rows(0, 300)
+    with pytest.raises(ValueError, match="grid order"):
+        run.rows(301, 600)
+    assert run.rows(299, 600).t[0] == run.t[299]
 
 
 # --- signal schedules -------------------------------------------------------

@@ -15,8 +15,7 @@ simulated second between the shortest and the longest horizon::
     python3 tools/rss_curve.py --src ../parent/src # another tree's code
 
 The commands run in a fresh temporary directory, removed on exit.  At
-m = 128 and T = 16 s the trace is about 570 MB, and ``simulate`` holds
-about 130 MB of states and plot curves.
+m = 128 and T = 16 s the trace is about 570 MB.
 """
 
 from __future__ import annotations
