@@ -26,6 +26,7 @@ from .errors import (
 __all__ = [
     "as_matrix",
     "as_symmetric",
+    "block",
     "block_diag",
     "solve_linear",
     "sym_eigvals",
@@ -68,14 +69,35 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 def block_diag(*blocks) -> np.ndarray:
     """The blocks on the diagonal of a zero matrix, in order, like
     ``scipy.linalg.block_diag``: a scalar is a 1 x 1 block and a 1-D
-    array one row."""
+    array one row.  Blocks may be stacks (..., r, c), whose leading axes
+    broadcast together."""
     blocks = [np.atleast_2d(b) for b in blocks]
-    rows, cols = np.sum([b.shape for b in blocks], axis=0)
-    out = np.zeros((rows, cols), dtype=np.result_type(*blocks))
+    lead = np.broadcast_shapes(*(b.shape[:-2] for b in blocks))
+    rows, cols = np.sum([b.shape[-2:] for b in blocks], axis=0)
+    out = np.zeros(lead + (rows, cols), dtype=np.result_type(*blocks))
     r = c = 0
     for b in blocks:
-        out[r:r + b.shape[0], c:c + b.shape[1]] = b
-        r, c = r + b.shape[0], c + b.shape[1]
+        out[..., r:r + b.shape[-2], c:c + b.shape[-1]] = b
+        r, c = r + b.shape[-2], c + b.shape[-1]
+    return out
+
+
+def block(rows) -> np.ndarray:
+    """``numpy.block`` of a list of rows of matrices, which may be stacks
+    (..., r, c) whose leading axes broadcast together.  Each block is
+    copied into one preallocated result."""
+    blocks = [b for row in rows for b in row]
+    lead = np.broadcast_shapes(*(b.shape[:-2] for b in blocks))
+    r = np.cumsum([0] + [row[0].shape[-2] for row in rows])
+    c = np.cumsum([0] + [b.shape[-1] for b in rows[0]])
+    out = np.empty(lead + (r[-1], c[-1]), dtype=np.result_type(*blocks))
+    for i, row in enumerate(rows):
+        for j, b in enumerate(row):
+            if b.shape[-2:] != (r[i + 1] - r[i], c[j + 1] - c[j]):
+                raise DimensionMismatchError(
+                    f"block ({i}, {j}) has shape {b.shape[-2:]}, expected "
+                    f"({r[i + 1] - r[i]}, {c[j + 1] - c[j]})")
+            out[..., r[i]:r[i + 1], c[j]:c[j + 1]] = b
     return out
 
 
@@ -144,19 +166,40 @@ def solve_linear(A, B):
     return np.linalg.solve(A, b)
 
 
-def as_symmetric(S, name: str = "S") -> np.ndarray:
+def as_symmetric(S, name="S") -> np.ndarray:
     """Coerce ``S`` like :func:`as_matrix` and require it square and
     symmetric to within ``SYMMETRY_RTOL``: ``||S - S.T|| <= SYMMETRY_RTOL
     * max(1, ||S||)`` in the Frobenius norm.  The one symmetry test of
-    the package."""
-    S = as_matrix(S, name)
-    if S.shape[0] != S.shape[1]:
-        raise DimensionMismatchError(f"{name} must be square, got {S.shape}")
-    if np.linalg.norm(S - S.T) > SYMMETRY_RTOL * max(1.0, np.linalg.norm(S)):
+    the package.
+
+    ``S`` may be a stack (..., n, n), each matrix tested against its own
+    norm.  The first failing matrix in C order raises; a callable
+    ``name`` maps its flat position in the stack to its name."""
+    S = np.asarray(S, dtype=float)
+    flat = S.reshape((-1,) + S.shape[-2:] if S.ndim >= 2 else (1, 1, -1))
+    bad = ~np.isfinite(flat).all(axis=(1, 2))
+    square = S.ndim >= 2 and S.shape[-2] == S.shape[-1]
+    if square:
+        gap, size = (x.reshape(len(flat), S.shape[-1] ** 2)
+                     for x in (flat - flat.mT, flat))
+        bad |= (np.sqrt(np.vecdot(gap, gap)) > SYMMETRY_RTOL
+                * np.maximum(1.0, np.sqrt(np.vecdot(size, size))))
+    else:  # every matrix fails, so the first one is named
+        bad[:] = True
+    if bad.any():
+        first = int(np.argmax(bad))
+        label = name(first) if callable(name) else name
+        if S.ndim < 2:
+            raise DimensionMismatchError(
+                f"{label} must be 2-D, got shape {S.shape}")
+        if not np.isfinite(flat[first]).all():
+            raise ValueError(f"{label} contains non-finite entries")
+        if not square:
+            raise DimensionMismatchError(
+                f"{label} must be square, got {S.shape[-2:]}")
         raise NotSymmetricError(
-            f"{name} exceeds the relative asymmetry tolerance "
-            f"{SYMMETRY_RTOL:.0e}"
-        )
+            f"{label} exceeds the relative asymmetry tolerance "
+            f"{SYMMETRY_RTOL:.0e}")
     return S
 
 

@@ -28,14 +28,16 @@ while staying on the affine family spanned by the decision variables
 Douglas-Rachford iteration, which converges far faster here than plain
 alternating projections.  Strictness is enforced by embedding margins
 into the target, and a short ladder of increasing margins pushes the
-accepted point into the interior of the feasible set.  Each agent's
-affine family is probed once, when its :class:`LmiProblem` is built;
-the margin is an argument of the solve, so every ladder rung solves the
-same problem.  The agents' problems are independent and share one
-shape, so the base solve and each rung run in lockstep across agents:
-one stacked iteration over every agent still climbing, in which each
-agent keeps its own warm start, stall counter and margin cap and leaves
-the stack when it converges or gives up.  Every step is elementwise
+accepted point into the interior of the feasible set.  The agents'
+affine families are probed once, as their problems are built, by one
+call of the inequality per block layout on a stack over agents and
+probes (:meth:`LmiProblem.stack`); the margin is an argument of the
+solve, so every ladder rung solves the same problem.  The agents'
+problems are independent and share one shape, so the base solve and
+each rung run in lockstep across agents: one stacked iteration over
+every agent still climbing, in which each agent keeps its own warm
+start, stall counter and margin cap and leaves the stack when it
+converges or gives up.  Every step is elementwise
 over the stack, so each agent ends exactly where a solve of its own
 would.  When base solves fail, the first failing agent is reported.
 The probe also yields the margin cap: a diagonal entry no variable
@@ -53,19 +55,12 @@ inequality for the loop the gain closes, ``P A_o + A_o' P + I`` (with
 positive definite storage this one test also proves ``A_o`` and
 ``A + B K`` Hurwitz.
 
-A failed solve ends in one of three verdicts.  *Provably infeasible*:
-the expression is constant, or the margin is above the cap; no
-iteration runs.  *Certified infeasible*: before any projection step, a
-primal-dual interior-point solve of ``min lambda`` subject to the
-expression at the floors being ``<= lambda I`` (:func:`_dual_solve`,
-in lockstep over the stack, at most ``DUAL_STEPS`` Newton steps) found
-a dual matrix that is a Farkas certificate, and
-:func:`_farkas_radius` shows that it rules out every assignment with
-``|y| < FARKAS_RADIUS``; the problem retires without iterating.
-*Gave up*: the projection iteration stalled or ran out of budget.  The
-dual solve only decides certificates: every problem it does not
-certify goes to the projection iteration as before, so every accepted
-assignment is the one found without it.
+A failed solve ends in one of three verdicts (:func:`solve_lmi`):
+*provably infeasible*, *certified infeasible* by a Farkas certificate
+of the dual solve (:func:`_dual_solve`) before any projection step, or
+*gave up*.  Every problem the dual solve does not certify goes to the
+projection iteration as before, so every accepted assignment is the
+one found without it.
 
 Feasible sets here are large, and different feasible gains behave very
 differently in closed loop: an over-fast inner loop starves the
@@ -76,11 +71,7 @@ bisection over pole-placement speed, with feasibility decided by an
 algebraic Riccati equation equivalent to the inequality at fixed gain,
 yields a strictly feasible starting point that the projection step
 accepts essentially unchanged.  The bisection runs in lockstep over the
-agents, each with its own bracket: every probe round places the poles
-of all agents still probing by one stacked solve per pole
-(:func:`_placing_gains`), then tests the placing gains by one stacked
-Hamiltonian eigendecomposition (:func:`_anchor_riccati`), so each agent
-makes the probes a bisection of its own would.  When no anchor can be
+agents (:func:`_slow_anchors`).  When no anchor can be
 built for an agent, its solve falls back to a cold-started search boxed
 by affine eigenvalue-strip blocks (closed-loop decay rates between
 ``CONTROLLER_DECAY`` and ``CONTROLLER_MAX_RATE``); either way the
@@ -88,11 +79,13 @@ returned certificate passes the same independent re-verification.
 
 Each inequality has one builder, :func:`observer_inequality` and
 :func:`feedback_inequality`; it serves the per-agent LMI expression and
-the re-verification of the assembled network matrices alike.
+the re-verification of the assembled network matrices alike.  Both
+broadcast over the leading axes of stacked arguments.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Callable
 
@@ -103,7 +96,8 @@ from .errors import (
     DeltaNonPositiveError,
     InfeasibleError,
 )
-from .linalg import as_symmetric, block_diag, solve_linear, sym_eigvals
+from .linalg import (as_symmetric, block, block_diag, solve_linear,
+                     sym_eigvals)
 from .plant import AugmentedModel, NetworkModel, agent_permutation
 
 __all__ = [
@@ -177,72 +171,82 @@ class VariableSpec:
 class LmiProblem:
     """Feasibility problem: symmetric affine expression strictly < 0.
 
-    ``expression`` maps a dict of variable values to one symmetric
-    matrix; it must be affine in the variables and symmetric for every
-    assignment (each probe below passes through
-    :func:`coopftc.linalg.as_symmetric`).  Feasibility at margin ``t``
+    ``expression`` maps a dict of variable values to symmetric matrices;
+    it must be affine in the variables.  Feasibility at margin ``t``
     means ``lambda_max(expression) <= -t`` with every PD-flagged variable
     satisfying ``lambda_min >= PD_MARGIN``.
 
-    The family is probed once, here: ``expression`` at zero and at each
-    unit coordinate gives the stacked affine map
-    ``y -> [expression(y), -V, ...]`` (one ``-V`` block per PD variable)
-    as ``base + A y``, together with the pseudo-inverse of ``A``.  Every
-    solve of the problem reuses them, whatever its margin.
+    The family is probed once, here, by one call of ``expression`` with
+    each variable's value a (1 + coordinates, rows, cols) stack: zero,
+    then each unit coordinate.  The expression broadcasts over leading
+    axes; :meth:`stack` builds ``k`` problems from one call whose data
+    carry leading axes (k, 1).  Each probe's matrix must pass
+    :func:`coopftc.linalg.as_symmetric`.  The probes give the stacked
+    affine map ``y -> [expression(y), -V, ...]`` (one ``-V`` block per
+    PD variable) as ``base + A y``, with the pseudo-inverse of ``A``;
+    every solve reuses them, whatever its margin.
 
-    The probe also gives ``margin_cap``: minus the largest diagonal entry
-    of the expression that no variable touches (``inf`` when every
-    diagonal entry moves).  ``lambda_max`` is at least every diagonal
-    entry, so no margin above the cap is attainable.
+    ``margin_cap`` is minus the largest diagonal entry of the expression
+    that no variable touches (``inf`` if none): ``lambda_max`` is at
+    least every diagonal entry, so no larger margin is attainable.
     """
 
     def __init__(self, variables: list[VariableSpec],
                  expression: Callable[[dict[str, np.ndarray]], np.ndarray]):
-        self.variables = list(variables)
-        self.coords = []
-        for v in self.variables:
-            self.coords += [(v.name, i, j) for i in range(v.rows)
-                            for j in range(i if v.symmetric else 0, v.cols)]
-        n_vars = len(self.coords)
-        M0 = as_symmetric(expression(self.assignment(np.zeros(n_vars))),
-                          "expression at zero")
-        pd_vars = [v for v in self.variables if v.positive_definite]
-        self.block_sizes = [M0.shape[0]] + [v.rows for v in pd_vars]
-        self.offsets = np.concatenate(
-            [[0], np.cumsum([s * s for s in self.block_sizes])])
-        total = self.offsets[-1]
+        vars(self).update(vars(self.stack(variables, expression, 1)[0]))
 
-        self.base = np.zeros(total)
-        self.base[:M0.size] = M0.ravel()
-
+    @classmethod
+    def stack(cls, variables, expression, k) -> list[LmiProblem]:
+        """The ``k`` problems of one stacked call of ``expression``.  Each
+        probe product has at most one nonzero term per entry, so each
+        problem is the one a probe of its own builds, bit for bit."""
+        variables, coords, index = list(variables), [], {}
+        for v in variables:
+            i, j = (np.triu_indices(v.rows) if v.symmetric
+                    else np.indices((v.rows, v.cols)).reshape(2, -1))
+            index[v.name] = len(coords) + np.arange(i.size), i, j
+            coords += [(v.name, a, b) for a, b in zip(i.tolist(), j.tolist())]
+        shell, n_vars = cls.__new__(cls), len(coords)
+        shell.variables, shell.coords, shell.index = variables, coords, index
+        # probe 0 is zero, probe q + 1 the unit coordinate q
+        values = shell.assignment(np.eye(1 + n_vars, n_vars, -1))
+        M = np.asarray(expression(values), dtype=float)
+        if M.ndim >= 2:
+            M = np.broadcast_to(M, (k, 1 + n_vars) + M.shape[-2:])
+        M = as_symmetric(M, lambda first: (
+            "expression at zero" if first % (1 + n_vars) == 0 else
+            f"expression response of {coords[first % (1 + n_vars) - 1]}"))
+        N = M.shape[-1]
+        pd_vars = [v for v in variables if v.positive_definite]
+        shell.block_sizes = [N] + [v.rows for v in pd_vars]
+        shell.offsets = offsets = np.concatenate(
+            [[0], np.cumsum([s * s for s in shell.block_sizes])])
+        base = np.zeros((k, offsets[-1]))
+        base[:, :N * N] = M[:, 0].reshape(k, N * N)
         # basis responses, one column per scalar coordinate
-        A = np.zeros((total, n_vars))
-        for k in range(n_vars):
-            e = np.zeros(n_vars)
-            e[k] = 1.0
-            Mk = as_symmetric(expression(self.assignment(e)),
-                              f"expression response of {self.coords[k]}") - M0
-            A[:Mk.size, k] = Mk.ravel()
-            name, i, j = self.coords[k]
-            for b, v in enumerate(pd_vars, start=1):
-                if name == v.name:  # -V block: entries (i, j) and (j, i)
-                    off = self.offsets[b]
-                    A[[off + i * v.cols + j, off + j * v.cols + i], k] = -1.0
-        self.A = A
-        self.pinv = np.linalg.pinv(A) if n_vars else None
-        diagonal = np.arange(M0.shape[0]) * (M0.shape[0] + 1)
-        fixed = ~A[diagonal].any(axis=1)
-        self.margin_cap = (-float(M0.diagonal()[fixed].max()) if fixed.any()
-                           else np.inf)
+        A = np.zeros((k, offsets[-1], n_vars))
+        A[:, :N * N] = (M[:, 1:] - M[:, :1]).reshape(k, n_vars, N * N).mT
+        for off, v in zip(offsets[1:], pd_vars):  # the -V blocks
+            A[:, off:off + v.rows ** 2] -= values[v.name][1:].reshape(
+                n_vars, -1).T
+        pinv = np.linalg.pinv(A) if n_vars else [None] * k
+        fixed = ~A[:, np.arange(N) * (N + 1)].any(axis=2)
+        caps = -np.where(fixed, M[:, 0].diagonal(axis1=1, axis2=2), -np.inf)
+        problems = [copy.copy(shell) for _ in range(k)]
+        for r, problem in enumerate(problems):
+            problem.base, problem.A, problem.pinv = base[r], A[r], pinv[r]
+            problem.margin_cap = float(caps[r].min())
+        return problems
 
     def assignment(self, y: np.ndarray) -> dict[str, np.ndarray]:
-        """Variable values at coordinates ``y``."""
-        vals = {v.name: np.zeros((v.rows, v.cols)) for v in self.variables}
-        sym = {v.name: v.symmetric for v in self.variables}
-        for yk, (name, i, j) in zip(y, self.coords):
-            vals[name][i, j] = yk
-            if sym[name]:
-                vals[name][j, i] = yk
+        """Variable values at coordinates ``y`` (..., coordinates)."""
+        vals = {}
+        for v in self.variables:
+            at, i, j = self.index[v.name]
+            vals[v.name] = x = np.zeros(y.shape[:-1] + (v.rows, v.cols))
+            x[..., i, j] = y[..., at]
+            if v.symmetric:
+                x[..., j, i] = y[..., at]
         return vals
 
     def blocks(self, gvec: np.ndarray) -> list[np.ndarray]:
@@ -518,11 +522,11 @@ def _dual_solve(problems, t, initials):
     feasible points; every accepted assignment on the default scenario
     and the 24-motor fleet has ``|y| <= 156``, 6,400 times below
     ``FARKAS_RADIUS``.  A problem whose warm start already meets the
-    floors is feasible and is not solved.  Returns one entry per problem: None for those, else
-    ``(steps, radius, dual, x)``: the Newton steps taken, the radius of
-    the last iterate's certificate (nan when ``<floor0, X> <= 0``), the
-    dual objective ``<floor0, X>`` (an estimate of ``lambda*``) and
-    ``X`` as a stacked vector.
+    floors is feasible and is not solved.  Returns one entry per
+    problem: None for those, else ``(steps, radius, dual, x)``: the
+    Newton steps taken, the radius of the last iterate's certificate
+    (nan when ``<floor0, X> <= 0``), the dual objective ``<floor0, X>``
+    (an estimate of ``lambda*``) and ``X`` as a stacked vector.
     """
     spans = _spans(problems[0])
     floor0 = _shifted_bases(problems, spans,
@@ -779,10 +783,10 @@ def observer_inequality(P, H, F1A, E2, F1D, delta, decay=False):
     With ``decay`` the block ``Delta - I + 2 OBSERVER_DECAY P`` is
     appended on the diagonal, imposing the minimum decay rate.
     """
-    core = P @ F1A + F1A.T @ P - H @ E2 - E2.T @ H.T
+    core = P @ F1A + F1A.mT @ P - H @ E2 - E2.mT @ H.mT
     PD = P @ F1D
-    pi = np.block([[core + np.eye(F1A.shape[0]), PD],
-                   [PD.T, -delta ** 2 * np.eye(F1D.shape[1])]])
+    pi = block([[core + np.eye(F1A.shape[-1]), PD],
+                [PD.mT, -delta ** 2 * np.eye(F1D.shape[-1])]])
     if decay:
         return block_diag(pi, core + 2.0 * OBSERVER_DECAY * P)
     return pi
@@ -796,13 +800,14 @@ def feedback_inequality(R, G, A, B, D, alpha, delta, strip=False):
     the closed-loop decay rate to ``[CONTROLLER_DECAY,
     CONTROLLER_MAX_RATE]``.
     """
-    n, nu, nv = A.shape[0], B.shape[1], D.shape[1]
-    core = A @ R + R @ A.T + B @ G + G.T @ B.T
-    lam = np.block([
+    n, nu, nv = A.shape[-1], B.shape[-1], D.shape[-1]
+    core = A @ R + R @ A.mT + B @ G + G.mT @ B.mT
+    lam = block([
         [core, R, -B, D],
         [R, -np.eye(n), np.zeros((n, nu)), np.zeros((n, nv))],
-        [-B.T, np.zeros((nu, n)), -alpha * np.eye(nu), np.zeros((nu, nv))],
-        [D.T, np.zeros((nv, n)), np.zeros((nv, nu)), -delta ** 2 * np.eye(nv)],
+        [-B.mT, np.zeros((nu, n)), -alpha * np.eye(nu), np.zeros((nu, nv))],
+        [D.mT, np.zeros((nv, n)), np.zeros((nv, nu)),
+         -delta ** 2 * np.eye(nv)],
     ])
     if strip:
         return block_diag(
@@ -850,16 +855,14 @@ def synth_observer(aug: AugmentedModel, net: NetworkModel, delta: float,
     F1D = aug.F1 @ net.D
     # grouped per agent, the augmented matrices are block-diagonal
     perm = agent_permutation(net)
-    blocks = (_agent_blocks(M, net.m)
-              for M in (F1A[np.ix_(perm, perm)], aug.E2[:, perm], F1D[perm]))
+    F1Ai, E2i, F1Di = (_agent_blocks(M, net.m)[:, None] for M in (
+        F1A[np.ix_(perm, perm)], aug.E2[:, perm], F1D[perm]))
     n = aug.n_aug // net.m
-    problems = []
-    for F1Ai, E2i, F1Di in zip(*blocks):
-        problems.append(LmiProblem(
-            [VariableSpec("P", n, n, symmetric=True, positive_definite=True),
-             VariableSpec("H", n, net.n_y)],
-            lambda v: observer_inequality(v["P"], v["H"], F1Ai, E2i, F1Di,
-                                          delta, decay=True)))
+    problems = LmiProblem.stack(
+        [VariableSpec("P", n, n, symmetric=True, positive_definite=True),
+         VariableSpec("H", n, net.n_y)],
+        lambda v: observer_inequality(v["P"], v["H"], F1Ai, E2i, F1Di, delta,
+                                      decay=True), net.m)
     solutions = _solve_block(
         problems, margin, max_iterations,
         f"observer LMI infeasible for agent {{}} at delta={delta:g}",
@@ -1006,23 +1009,20 @@ def _slow_anchors(A, B, D, alpha, delta):
         return _anchor_probe(A[rows], B[rows], NNt[rows],
                              speeds[:, None] * pattern)
 
-    def feasible(rows, speeds):
-        return probe(rows, speeds)[0]
-
     # bracket from above: raise each speed until its probe passes, at
     # most 24 times; then lower it while probes keep passing
     hi = 1.0 + np.abs(np.linalg.eigvals(A)).max(axis=1)
-    found = feasible(np.arange(len(A)), hi)
+    found = probe(np.arange(len(A)), hi)[0]
     for _ in range(24):
         rows = np.flatnonzero(~found)
         if not rows.size:
             break
         hi[rows] *= 1.5
-        found[rows] = feasible(rows, hi[rows])
+        found[rows] = probe(rows, hi[rows])[0]
     lo = hi / 1.5
     rows = np.flatnonzero(found & (lo > 1e-3))
     while rows.size:
-        rows = rows[feasible(rows, lo[rows])]
+        rows = rows[probe(rows, lo[rows])[0]]
         hi[rows] = lo[rows]
         lo[rows] /= 1.5
         rows = rows[lo[rows] > 1e-3]
@@ -1030,7 +1030,7 @@ def _slow_anchors(A, B, D, alpha, delta):
     rows = np.flatnonzero(found)
     for _ in range(40):
         mid = 0.5 * (lo[rows] + hi[rows])
-        ok = feasible(rows, mid)
+        ok = probe(rows, mid)[0]
         hi[rows[ok]] = mid[ok]
         lo[rows[~ok]] = mid[~ok]
 
@@ -1102,23 +1102,26 @@ def synth_controller(net: NetworkModel, alpha: float, delta: float,
 
     A, B, D = (_agent_blocks(M, net.m) for M in (net.A, net.B, net.D))
     anchors = _slow_anchors(A, B, D, alpha, delta)
-    problems = []
-    for Ai, Bi, Di, anchor in zip(A, B, D, anchors):
-        problems.append(LmiProblem(
-            [VariableSpec("R", net.n_x, net.n_x, symmetric=True,
-                          positive_definite=True),
-             VariableSpec("G", net.n_u, net.n_x)],
-            lambda v: feedback_inequality(v["R"], v["G"], Ai, Bi, Di, alpha,
-                                          delta, strip=anchor is None)))
-    # anchored and strip-boxed agents differ in block layout, so they
-    # iterate as two stacks
+    variables = [VariableSpec("R", net.n_x, net.n_x, symmetric=True,
+                              positive_definite=True),
+                 VariableSpec("G", net.n_u, net.n_x)]
+    # anchored and strip-boxed agents differ in block layout, so they are
+    # probed, and iterate, as two stacks
+    problems = [None] * net.m
+    for strip in (False, True):
+        rows = [i for i, anchor in enumerate(anchors)
+                if (anchor is None) == strip]
+        stacked = LmiProblem.stack(variables, lambda v: feedback_inequality(
+            v["R"], v["G"], A[rows, None], B[rows, None], D[rows, None],
+            alpha, delta, strip=strip), len(rows))
+        for i, problem in zip(rows, stacked):
+            problems[i] = problem
     solutions = _solve_block(
         problems, margin, max_iterations,
         f"feedback LMI infeasible for agent {{}} at alpha={alpha:g}, "
         f"delta={delta:g}", anchors)
-    R = block_diag(*(sol["R"] for sol in solutions))
-    G = block_diag(*(sol["G"] for sol in solutions))
-
+    R, G = (block_diag(*(sol[name] for sol in solutions))
+            for name in ("R", "G"))
     K = solve_linear(R, G.T).T  # K R = G with R symmetric
 
     lam = feedback_inequality(R, K @ R, net.A, net.B, net.D, alpha, delta)

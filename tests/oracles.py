@@ -1,6 +1,7 @@
 """Test-only reference models that the package itself never runs."""
 
 import io
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.signal
@@ -10,7 +11,7 @@ from coopftc.analysis import _theta_star
 from coopftc.control import cooperative_error
 from coopftc.errors import (DimensionMismatchError, InfeasibleError,
                             NotSymmetricError)
-from coopftc.linalg import SYMMETRY_RTOL
+from coopftc.linalg import SYMMETRY_RTOL, as_symmetric
 from coopftc.sim import integrate
 from coopftc.synth import (ANCHOR_INFLATION, CONTROLLER_POLE_RATIO,
                            CONTROLLER_POLE_SLACK, FARKAS_ROUNDING, PD_MARGIN)
@@ -123,6 +124,54 @@ def is_negative_definite(S, margin: float = 0.0) -> bool:
     fails even at ``margin=0``): the independent re-check of an accepted
     LMI certificate."""
     return bool(sym_eigenvalues(S)[-1] < -margin)
+
+
+def lmi_problem_reference(variables, expression):
+    """One LMI problem probed coordinate by coordinate: ``expression`` at
+    zero and at each unit coordinate, one call each with one matrix per
+    variable, each result through :func:`coopftc.linalg.as_symmetric`.
+    The reference for the stacked probe of
+    :meth:`coopftc.synth.LmiProblem.stack`; returns the fields that
+    ``LmiProblem`` keeps, as a namespace."""
+    coords = [(v.name, i, j) for v in variables for i in range(v.rows)
+              for j in range(i if v.symmetric else 0, v.cols)]
+
+    def assignment(y):
+        vals = {v.name: np.zeros((v.rows, v.cols)) for v in variables}
+        sym = {v.name: v.symmetric for v in variables}
+        for yk, (name, i, j) in zip(y, coords):
+            vals[name][i, j] = yk
+            if sym[name]:
+                vals[name][j, i] = yk
+        return vals
+
+    n_vars = len(coords)
+    M0 = as_symmetric(expression(assignment(np.zeros(n_vars))),
+                      "expression at zero")
+    pd_vars = [v for v in variables if v.positive_definite]
+    block_sizes = [M0.shape[0]] + [v.rows for v in pd_vars]
+    offsets = np.concatenate([[0], np.cumsum([s * s for s in block_sizes])])
+    base = np.zeros(offsets[-1])
+    base[:M0.size] = M0.ravel()
+    A = np.zeros((offsets[-1], n_vars))
+    for k in range(n_vars):
+        e = np.zeros(n_vars)
+        e[k] = 1.0
+        Mk = as_symmetric(expression(assignment(e)),
+                          f"expression response of {coords[k]}") - M0
+        A[:Mk.size, k] = Mk.ravel()
+        name, i, j = coords[k]
+        for b, v in enumerate(pd_vars, start=1):
+            if name == v.name:  # -V block: entries (i, j) and (j, i)
+                off = offsets[b]
+                A[[off + i * v.cols + j, off + j * v.cols + i], k] = -1.0
+    diagonal = np.arange(M0.shape[0]) * (M0.shape[0] + 1)
+    fixed = ~A[diagonal].any(axis=1)
+    return SimpleNamespace(
+        coords=coords, block_sizes=block_sizes, offsets=offsets, base=base,
+        A=A, pinv=np.linalg.pinv(A) if n_vars else None,
+        margin_cap=(-float(M0.diagonal()[fixed].max()) if fixed.any()
+                    else np.inf))
 
 
 def solve_lmi_reference(problem, margin, max_iterations=6000, initial=None):

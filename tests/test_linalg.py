@@ -38,6 +38,29 @@ def test_block_diag_matches_scipy_bitwise(blocks):
     assert ours.tobytes() == ref.tobytes()
 
 
+def test_stacks_match_the_matrix_by_matrix_reference():
+    """``block_diag`` and ``block`` on stacks whose leading axes
+    broadcast give, per matrix, scipy's and numpy's result bit for bit;
+    ``as_symmetric`` names the first asymmetric matrix of a stack."""
+    rng = np.random.default_rng(3)
+    P, Q = rng.normal(size=(2, 4, 1, 3, 3))
+    D = rng.normal(size=(5, 3, 2))
+    diag = block_diag(P, -0.5, D)
+    grid = linalg.block([[P, D], [D.mT, -np.eye(2)]])
+    assert diag.shape == (4, 5, 7, 6) and grid.shape == (4, 5, 5, 5)
+    for a in range(4):
+        for b in range(5):
+            assert diag[a, b].tobytes() == scipy.linalg.block_diag(
+                P[a, 0], -0.5, D[b]).tobytes()
+            assert grid[a, b].tobytes() == np.block(
+                [[P[a, 0], D[b]], [D[b].T, -np.eye(2)]]).tobytes()
+    S = P + P.mT
+    assert linalg.as_symmetric(S) is S
+    S[2, 0, 0, 1] += 1.0
+    with pytest.raises(NotSymmetricError, match="^matrix 2 exceeds"):
+        linalg.as_symmetric(S, lambda first: f"matrix {first}")
+
+
 # --- solve_linear -----------------------------------------------------------
 
 def test_solve_identity_returns_rhs():

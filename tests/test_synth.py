@@ -10,19 +10,19 @@ from unittest import mock
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import (anchor_from_poles, anchor_riccati, dissipation_block,
-                     farkas_check, is_negative_definite, place_poles_gain,
-                     slow_anchor, solve_lmi_reference)
+                     farkas_check, is_negative_definite,
+                     lmi_problem_reference, place_poles_gain, slow_anchor,
+                     solve_lmi_reference)
 
 from coopftc import synth
 from coopftc.cli import save_matrix
 from coopftc.errors import (AlphaNonPositiveError, DeltaNonPositiveError,
                             DimensionMismatchError, InfeasibleError,
                             NotSymmetricError)
-from coopftc.linalg import is_hurwitz, sym_eigvals
+from coopftc.linalg import block_diag, is_hurwitz, sym_eigvals
 from coopftc.plant import AgentModel, dc_motor_agent, stack_network
 from coopftc.synth import (LmiProblem, VariableSpec, gamma_bound, solve_lmi,
                            synth_controller, synth_observer)
@@ -85,15 +85,16 @@ def test_asymmetric_expression_raises_not_symmetric(seed, n):
     U = np.triu(rng.normal(size=(n, n)), 1)
     h = [VariableSpec("h", 1, 1)]
     with pytest.raises(NotSymmetricError, match="^expression response"):
-        LmiProblem(h, lambda v: S + v["h"][0, 0] * U)
+        LmiProblem(h, lambda v: S + v["h"] * U)
     with pytest.raises(NotSymmetricError, match="^expression at zero"):
-        LmiProblem(h, lambda v: S + U + v["h"][0, 0] * np.eye(n))
+        LmiProblem(h, lambda v: S + U + v["h"] * np.eye(n))
 
 
 def test_nonsquare_expression_raises_dimension_mismatch():
     with pytest.raises(DimensionMismatchError, match="must be square"):
         LmiProblem([VariableSpec("h", 1, 1)],
-                   lambda v: np.hstack([v["h"], -np.ones((1, 1))]))
+                   lambda v: np.concatenate([v["h"], -np.ones_like(v["h"])],
+                                            axis=-1))
 
 
 def _capped_problem():
@@ -101,7 +102,7 @@ def _capped_problem():
     margin at 0.5, which p >= 1.5 attains."""
     return LmiProblem(
         [VariableSpec("p", 1, 1, symmetric=True, positive_definite=True)],
-        lambda v: scipy.linalg.block_diag(1.0 - v["p"], -0.5, -2.0))
+        lambda v: block_diag(1.0 - v["p"], -0.5, -2.0))
 
 
 def test_margin_cap_is_the_largest_constant_diagonal_entry():
@@ -126,6 +127,117 @@ def test_margin_above_the_cap_raises_before_iterating(monkeypatch):
     with pytest.raises(InfeasibleError,
                        match="provably infeasible.*cap.* 5.000e-01$"):
         solve_lmi(_capped_problem(), 0.5 + 1e-12)
+
+
+# --- stacked probe against the per-coordinate reference --------------------
+
+def _same_problem(ours, ref):
+    """Every field the probe sets equals the reference's."""
+    assert ours.coords == ref.coords and ours.block_sizes == ref.block_sizes
+    assert np.array_equal(ours.offsets, ref.offsets)
+    assert np.array_equal(ours.base, ref.base)
+    assert np.array_equal(ours.A, ref.A)
+    assert (ours.pinv is None) == (ref.pinv is None)
+    assert ref.pinv is None or np.array_equal(ours.pinv, ref.pinv)
+    assert ours.margin_cap == ref.margin_cap
+
+
+def _probe_outcome(build):
+    """The problems ``build()`` returns, or the type and message of the
+    error it raises."""
+    try:
+        return build()
+    except (NotSymmetricError, DimensionMismatchError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(2, 4), st.integers(1, 2),
+       st.integers(1, 2), st.integers(1, 4), st.booleans())
+def test_stacked_probe_matches_the_per_coordinate_reference(seed, n, n_y, n_u,
+                                                            k, decay):
+    """Both stages' problems, built as one stack per layout (anchored and
+    strip agents mixed), equal the per-coordinate reference field for
+    field; a fault in agent ``bad``'s expression raises the reference's
+    first error, naming the same probe."""
+    rng = np.random.default_rng(seed)
+    delta, alpha = rng.uniform(0.05, 2.0, size=2)
+    F1A, A = rng.normal(size=(2, k, n, n))
+    E2, B, D = (rng.normal(size=(k,) + shape)
+                for shape in ((n_y, n), (n, n_u), (n, 1)))
+    strip = rng.random(k) < 0.5
+    observer = [VariableSpec("P", n, n, symmetric=True,
+                             positive_definite=True), VariableSpec("H", n, n_y)]
+    feedback = [VariableSpec("R", n, n, symmetric=True,
+                             positive_definite=True), VariableSpec("G", n_u, n)]
+
+    def pi(v, at):
+        return synth.observer_inequality(v["P"], v["H"], F1A[at], E2[at],
+                                         D[at], delta, decay=decay)
+
+    def lam(v, at):
+        return synth.feedback_inequality(v["R"], v["G"], A[at], B[at], D[at],
+                                         alpha, delta, strip=strip[at].all())
+
+    # one more constant diagonal entry, of each agent its own
+    corner = -rng.uniform(0.001, 0.5, size=(k, 1, 1))
+
+    def capped(v, at):
+        return block_diag(pi(v, at), corner[at])
+
+    for variables, expression, rows in (
+            (observer, pi, np.arange(k)),
+            (observer, capped, np.arange(k)),
+            (feedback, lam, np.flatnonzero(strip)),
+            (feedback, lam, np.flatnonzero(~strip))):
+        stacked = LmiProblem.stack(
+            variables, lambda v: expression(v, (rows, None)), len(rows))
+        for problem, row in zip(stacked, rows):
+            _same_problem(problem, lmi_problem_reference(
+                variables, lambda v: expression(v, row)))
+
+    # an asymmetric term in one agent's block: in the response of one
+    # coordinate, everywhere, or in the response of every H coordinate;
+    # or a non-square block
+    bad = rng.integers(k)
+    H = (rng.integers(n), rng.integers(n_y))
+    U = np.zeros((k,) + pi({"P": np.eye(n), "H": np.ones((n, n_y))},
+                           0).shape)
+    U[bad, 0, -1] = 1.0
+
+    def skewed(v, at):
+        kind = seed % 3
+        scale = (v["H"][..., H[0], H[1], None, None] if kind == 0
+                 else 1.0 if kind == 1
+                 else v["H"].sum(axis=(-2, -1))[..., None, None])
+        return pi(v, at) + scale * U[at]
+
+    def wide(v, at):
+        block = pi(v, at)
+        return np.concatenate([block, block[..., :1]], axis=-1)
+
+    for fault in (skewed, wide):
+        ours = _probe_outcome(lambda: LmiProblem.stack(
+            observer, lambda v: fault(v, (slice(None), None)), k))
+        ref = None
+        for row in range(k):
+            ref = _probe_outcome(lambda: lmi_problem_reference(
+                observer, lambda v: fault(v, row)))
+            if isinstance(ref, tuple):
+                break
+        assert isinstance(ref, tuple) and ours == ref
+
+
+@pytest.mark.parametrize("variables, expression", [
+    ([], lambda v: -np.eye(2)),
+    ([VariableSpec("p", 2, 2, symmetric=True, positive_definite=True)],
+     lambda v: np.diag([-1.0, 0.5])),
+])
+def test_constant_problems_match_the_per_coordinate_reference(variables,
+                                                              expression):
+    """No variables, or variables the expression ignores."""
+    _same_problem(LmiProblem(variables, expression),
+                  lmi_problem_reference(variables, expression))
 
 
 # --- lockstep kernel against the single-problem reference ------------------
@@ -460,15 +572,17 @@ def test_observer_benchmark_feasible(benchmark_aug, benchmark_net,
 
 def test_observer_probes_each_agent_block_once(benchmark_aug, benchmark_net,
                                               monkeypatch):
-    """Each agent's affine family is probed once (at zero and at each
-    scalar coordinate of P and H), however many ladder rungs it climbs."""
+    """Every agent's affine family is probed by one stacked call of the
+    inequality: one (agent, probe) matrix each at zero and at each scalar
+    coordinate of P and H, however many ladder rungs the agents climb."""
     probes = []
     inequality = synth.observer_inequality
 
     def counted_inequality(*args, decay=False):
+        out = inequality(*args, decay=decay)
         if decay:  # the per-agent expression; re-verification has none
-            probes.append(args[0].shape[0])
-        return inequality(*args, decay=decay)
+            probes.append((args[0].shape, out.shape[:-2]))
+        return out
 
     monkeypatch.setattr(synth, "observer_inequality", counted_inequality)
     log = _logged_solves(monkeypatch)
@@ -477,7 +591,7 @@ def test_observer_probes_each_agent_block_once(benchmark_aug, benchmark_net,
     net = benchmark_net
     n = benchmark_aug.n_aug // net.m
     coordinates = n * (n + 1) // 2 + n * net.n_y
-    assert probes == [n] * (net.m * (1 + coordinates))
+    assert probes == [((1 + coordinates, n, n), (net.m, 1 + coordinates))]
     assert len(log) > net.m  # rungs were climbed beyond the base solves
 
 
