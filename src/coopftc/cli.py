@@ -37,7 +37,6 @@ import contextlib
 import math
 import os
 import sys
-import tempfile
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -94,18 +93,17 @@ from .plant import (
     stack_network,
 )
 from .sim import (
-    PartColumn,
     Rollout,
     SignalSchedule,
-    StagedColumns,
+    _Stage,
     read_rows,
     read_trace,
     rollout,
     sample_initial_state,
     step_schedule,
     trace_to_csv,
-    write_rows,
     write_series,
+    write_table,
 )
 from .synth import (
     ControllerSynthesis,
@@ -585,9 +583,7 @@ def _require_grid_in_memory(sc: Scenario) -> None:
 def save_matrix(path, M: np.ndarray) -> None:
     """Write ``rows cols``, then one line per row at full precision."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{M.shape[0]} {M.shape[1]}\n")
-        write_rows(fh, [M], " ")
+    write_table(path, f"{M.shape[0]} {M.shape[1]}", [M], " ")
 
 
 def load_matrix(path) -> np.ndarray:
@@ -665,16 +661,15 @@ def _assemble(sc: Scenario, gains_dir=None, sweep: bool = False,
 
 
 class _PlotCurves:
-    """A run's plot curves, each agent's estimation-error norm and true
-    output and the setpoint, filled a block of rows at a time and staged
-    in a part file next to ``near`` (by default in the temporary
-    directory): :class:`~coopftc.sim.StagedColumns`."""
+    """A run's plot curves, filled a block of rows at a time and staged
+    one curve after another (a :class:`~coopftc.sim._Stage` of ``rows``
+    rows) next to ``near``: column ``c`` of ``stage`` is agent ``c + 1``'s
+    estimation-error norm for ``c < m``, its true output for
+    ``m <= c < 2 m``, and the setpoint for ``c = 2 m``."""
 
-    def __init__(self, net: NetworkModel, rows: int, near=None):
-        if near is None:
-            near = os.path.join(tempfile.gettempdir(), "coopftc_curves")
+    def __init__(self, net: NetworkModel, rows: int, near):
         self.net = net
-        self.staged = StagedColumns(near, rows)
+        self.stage = _Stage(near, 2 * net.m + 1, rows)
 
     def update(self, block) -> None:
         net, m = self.net, self.net.m
@@ -684,19 +679,14 @@ class _PlotCurves:
                    axis=2)
             + np.sum(((block.f_s - block.f_hat) ** 2).reshape(-1, m, net.n_y),
                      axis=2))
-        self.staged.append((*err.T, *(block.x @ net.C.T).T, block.y0.ravel()))
-
-    def curve(self, c: int) -> PartColumn:
-        """Curve ``c``: agent ``c + 1``'s error norm for ``c < m``, its
-        output for ``m <= c < 2 m``, the setpoint for ``c = 2 m``."""
-        return self.staged.column(c)
+        self.stage.append((*err.T, *(block.x @ net.C.T).T, block.y0.ravel()))
 
 
 def _emit_plots(outdir, suffix: str, t, curves: _PlotCurves) -> list[str]:
-    m = curves.net.m
-    err_curves = [(f"agent{i + 1}", curves.curve(i)) for i in range(m)]
-    out_curves = [(f"agent{i + 1}", curves.curve(m + i)) for i in range(m)]
-    out_curves.append(("setpoint", curves.curve(2 * m)))
+    m, curve = curves.net.m, curves.stage.column
+    err_curves = [(f"agent{i + 1}", curve(i)) for i in range(m)]
+    out_curves = [(f"agent{i + 1}", curve(m + i)) for i in range(m)]
+    out_curves.append(("setpoint", curve(2 * m)))
     names = [f"plot_estimation_errors{suffix}.dat",
              f"plot_outputs{suffix}.dat"]
     write_series([(os.path.join(outdir, names[0]), t, err_curves),

@@ -42,34 +42,38 @@ Each block's forcing is formed for its rows alone, and
 :func:`propagate` forms it on the same grid, so on that grid the
 blocks' rows are the whole-trace call's, bit for bit.
 
-Every numeric text file is written by :func:`write_rows`, or for the
-plots by :func:`write_series`, and read by :func:`read_rows`.  A cell is
-written as ``'%.17g' % x`` writes it, by a numpy kernel
+Every numeric text file is written by :func:`write_rows` (the gains
+through :func:`write_table`, the trace through :func:`trace_to_csv`),
+or for the plots by :func:`write_series`, and read by :func:`read_rows`.
+A cell is written as ``'%.17g' % x`` writes it, by a numpy kernel
 (:class:`~coopftc.cell_text.CellText`) that finds the 17 correctly
 rounded digits of a block of float64 cells at once and lays out their
 text with one gather, each cell in a slot of its own.  A cell whose
 digits it cannot prove (an exact or near tie, a nonzero magnitude
 outside [1e-280, 1e17), a value that is not a finite double) is
 formatted by Python's own ``'%.17g' %`` and written into its slot, so
-the bytes are always Python's.
+the bytes are always Python's.  A file these writers make and fail to
+finish is removed (:func:`_created`).
 
-A table of more than ``_SPLIT_CELLS`` cells, on a process that may use
-more than one CPU (``os.sched_getaffinity``), is formatted or parsed in
-two halves at once, and a pair of plot files of more formatted cells is
-written one file each: this process keeps the first half or file, and
-one child it forks (``os.fork``, in :func:`_forked`) formats or parses
-the second into one part file next to its file, unlinked as soon as it
-is made, which this process then copies in or reads back.  A trace's
-blocks are wired before the fork and its text formatted from their
-rows, staged in a part file; a table read is parsed into part files and
-used after the child is done.  The child touches no BLAS and no Python
-stdio, turns warnings into errors, and leaves by ``os._exit``.  The
-parent reaps it in a ``finally``.  If either side fails, the parent
-reruns the serial path, so the bytes, the table and every error text
-are the serial path's.  On one CPU, without
+Every float table is formatted by one writer, :func:`_write`, from
+arrays or from a :class:`_Stage`, an unnamed part file of float64 rows
+filled before any fork: the trace's rows and the plot curves are
+staged as their blocks are made.  A table is two jobs, its row halves
+cut at ``n // 2``; a pair of plot files is one job each.  Where the
+jobs hold more than ``_SPLIT_CELLS`` cells and the process may use
+more than one CPU (``os.sched_getaffinity``, :func:`_splits`), this
+process runs the first job while one child it forks (``os.fork``, in
+:func:`_at_once`) runs the second into a part file, which this process
+then copies in; a table read is cut at the line nearest its middle and
+each half parsed into a stage of its own (:func:`_parsed`), used once
+the child is done.  The child touches no BLAS and no Python stdio,
+turns warnings into errors, and leaves by ``os._exit``; this process
+reaps it, and kills it first if its own half failed.  If either side
+fails, this process reruns the serial path, so the bytes, the table
+and every error text are the serial path's.  On one CPU, without
 ``os.fork``, or while any other Python thread runs, nothing forks.
 Python >= 3.12 warns when a process with threads forks.  That warning
-is silenced around the fork call only, by its message: no other Python
+is silenced for the split only, by its message: no other Python
 thread runs then (checked before each split), the only native threads
 are OpenBLAS's pool, which OpenBLAS's own fork handler stops before the
 fork, and the child calls no BLAS.  Nor does this process while the
@@ -83,6 +87,7 @@ import contextlib
 import io
 import os
 import signal
+import tempfile
 import threading
 import warnings
 import weakref
@@ -113,10 +118,9 @@ __all__ = [
     "rollout",
     "run_experiment",
     "write_rows",
+    "write_table",
     "write_series",
     "read_rows",
-    "StagedColumns",
-    "PartColumn",
     "trace_to_csv",
     "read_trace",
     "trace_from_csv",
@@ -559,10 +563,10 @@ _WRITE_BLOCK_CELLS = 4096
 #: plot pair is above it, every gains file and 500-row trace below.
 _SPLIT_CELLS = 100_000
 
-#: Bytes of whole lines parsed per call, and of rows read back from a
-#: child's part file per call: with 256 kB or 1 MB the default scenario's
-#: trace parsed in the same time (2-CPU host), and the smaller chunk
-#: keeps less text beside the block being filled.
+#: Bytes of whole lines parsed per call, and of rows written to or read
+#: back from a :class:`_Stage` per call: with 256 kB or 1 MB the default
+#: scenario's trace parsed in the same time (2-CPU host), and the smaller
+#: chunk keeps less text beside the block being filled.
 _READ_BLOCK_BYTES = 1 << 18
 
 
@@ -612,93 +616,141 @@ def _splits(cells: int) -> bool:
             and len(os.sched_getaffinity(0)) > 1)
 
 
-def _fork() -> int:
+def _at_once(mine, theirs) -> bool:
+    """Run ``theirs()`` in one forked child while ``mine()`` runs here,
+    both with warnings turned into errors; whether ``theirs`` returned.
+    The child is reaped before this returns, and killed first if
+    ``mine`` raised.  A fork that fails raises ``OSError``.
+
+    The child leaves by ``os._exit``: it runs no exit handler and
+    flushes no buffer it inherited, so its only effects are what
+    ``theirs`` writes to files.  ``theirs`` must touch no BLAS and no
+    Python stdio."""
     with warnings.catch_warnings():
+        warnings.simplefilter("error")
         # Python >= 3.12 warns when a process with threads forks.  No
         # other Python thread runs here (``_splits`` checks), the only
         # native threads are OpenBLAS's pool, which OpenBLAS's own fork
         # handler stops before the fork, and the child calls no BLAS; so
-        # the warning is silenced for this call only.
+        # that warning alone is silenced, for the split only.
         warnings.filterwarnings("ignore", r"This process .*multi-threaded",
                                 DeprecationWarning)
-        return os.fork()
-
-
-def _strict(job, *args) -> None:
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        job(*args)
-
-
-def _part_file(name: str) -> int:
-    """A new file next to ``name``, open for reading and writing and
-    already unlinked, so that nothing is left behind."""
-    part = f"{name}.{os.getpid()}.part"
-    fd = os.open(part, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o600)
-    try:
-        os.unlink(part)
-    except OSError:
-        os.close(fd)
-        raise
-    return fd
-
-
-@contextlib.contextmanager
-def _forked(name: str, theirs):
-    """Run ``theirs(fd)`` in one forked child, ``fd`` being a new part
-    file next to ``name``, open and already unlinked, so that only the
-    descriptor (which the child inherits) reaches it and nothing is left
-    behind.  Yields ``wait``, which reaps the child and returns ``fd``
-    when ``theirs`` returned, None otherwise.  A child not yet reaped on
-    leaving is killed and reaped; ``fd`` is closed on leaving unless
-    ``wait`` returned it, and then the caller closes it.  A part that
-    cannot be made, or a fork that fails, raises ``OSError``.
-
-    ``theirs`` runs with warnings turned into errors, so a warning fails
-    it rather than being printed.  The child leaves by ``os._exit``: it
-    runs no exit handler and flushes no buffer it inherited, so its only
-    effects are what ``theirs`` writes to files.  ``theirs`` must touch
-    no BLAS and no Python stdio."""
-    fd = _part_file(name)
-    pid, handed = 0, False
-    try:
-        pid = _fork()
+        pid = os.fork()
         if pid == 0:
-            code = 1
             try:
-                _strict(theirs, fd)
-                code = 0
+                theirs()
+                os._exit(0)  # so the exit below is reached only if it raised
             finally:
-                os._exit(code)
-
-        def wait() -> int | None:
-            nonlocal pid, handed
-            status = os.waitpid(pid, 0)[1]
-            pid, handed = 0, status == 0
-            return fd if handed else None
-        yield wait
-    finally:
-        if pid:
+                os._exit(1)
+        try:
+            mine()
+        except BaseException:
             os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        if not handed:
-            os.close(fd)
+            raise
+        finally:
+            status = os.waitpid(pid, 0)[1]
+    return status == 0
 
 
-def _fork_half(name: str, mine, theirs) -> int | None:
-    """Run ``mine()`` here and ``theirs(fd)`` in one forked child at once
-    (:func:`_forked`).  Returns ``fd`` when both halves returned; None,
-    with the part closed, when it cannot be made or either half failed.
-    ``mine`` also runs with warnings turned into errors.  The child is
-    reaped before this returns, and killed first if this process's half
-    failed.  On None the caller reruns its serial path, so the result,
-    or the error, is the serial path's."""
-    try:
-        with _forked(name, theirs) as wait:
-            _strict(mine)
-            return wait()
-    except Exception:
-        return None
+def _write_at(fd: int, data, pos: int) -> None:
+    """Write all of ``data`` (bytes or a contiguous array) at byte
+    ``pos`` of ``fd``."""
+    view = memoryview(data).cast("B")
+    while view:
+        done = os.pwrite(fd, view, pos)
+        view, pos = view[done:], pos + done
+
+
+class _Stage:
+    """A float64 table ``width`` columns wide, filled a block of rows at
+    a time (:meth:`append`) and read back without being held whole, in
+    one unnamed temporary file (a part) in the directory of ``near``, or
+    in the temporary directory where none can be made there.  The part
+    is closed by :meth:`close`, or once neither the stage nor a column
+    of it is referred to.
+
+    Its rows lie one after another, read as ``stage[lo:hi]`` or a chunk
+    at a time (:meth:`blocks`); their count is the file's size, so a
+    forked child may fill it.  Given ``rows``, it holds that many, and
+    each column lies in a run of its own instead, read as
+    :meth:`column`: a plot curve is read without the other curves'
+    cells, which across all curves would read the table once per
+    curve."""
+
+    ndim = 2
+
+    def __init__(self, near, width: int, rows: int | None = None):
+        self.width, self.rows, self.filled = width, rows, 0
+        self.step = max(1, _READ_BLOCK_BYTES // (8 * width))  # rows a chunk
+        try:
+            part = tempfile.TemporaryFile(
+                dir=os.path.dirname(os.path.abspath(near)))
+        except OSError:  # a directory this process may not add to
+            part = tempfile.TemporaryFile()
+        self.fd, self.close = part.fileno(), weakref.finalize(self, part.close)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        rows = self.rows or os.fstat(self.fd).st_size // (8 * self.width)
+        return rows, self.width
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def append(self, columns) -> None:
+        """Stage the next rows: ``columns`` side by side (1-D: one
+        column), all of one length, a chunk at a time."""
+        for lo in range(0, len(columns[0]), self.step):
+            block = np.column_stack([c[lo:lo + self.step] for c in columns]
+                                    ).astype(np.float64, copy=False)
+            if self.rows is None:
+                _write_at(self.fd, block, 8 * self.width * self.filled)
+            else:
+                for c, values in enumerate(block.T):
+                    _write_at(self.fd, np.ascontiguousarray(values),
+                              8 * (c * self.rows + self.filled))
+            self.filled += len(block)
+
+    def read(self, cell: int, count: int) -> np.ndarray:
+        """``count`` cells from cell ``cell`` of the part file."""
+        data = os.pread(self.fd, 8 * count, 8 * cell)
+        if len(data) != 8 * count:
+            raise ValueError("the part file is short")
+        return np.frombuffer(data)
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        lo, hi, _ = rows.indices(len(self))
+        return self.read(lo * self.width,
+                         (hi - lo) * self.width).reshape(-1, self.width)
+
+    def blocks(self):
+        """The rows, about ``_READ_BLOCK_BYTES`` at a time."""
+        if os.fstat(self.fd).st_size % (8 * self.width):
+            raise ValueError("the part file holds a partial row")
+        for lo in range(0, len(self), self.step):
+            yield self[lo:lo + self.step]
+
+    def column(self, c: int) -> "_Column":
+        return _Column(self, c)
+
+
+class _Column:
+    """Column ``c`` of a :class:`_Stage` of given ``rows``: a plot
+    curve's values, which :func:`write_series` reads a run of rows at a
+    time (``column[lo:hi]``), in this process or in a forked child."""
+
+    def __init__(self, stage: _Stage, c: int):
+        self.stage, self.c = stage, c
+
+    def __len__(self) -> int:
+        return self.stage.rows
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        lo, hi, _ = rows.indices(len(self))
+        return self.stage.read(self.c * len(self) + lo, hi - lo)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.asarray(self[:], dtype=dtype)
 
 
 def _width(columns) -> int:
@@ -706,8 +758,9 @@ def _width(columns) -> int:
 
 
 def _row_text(columns, sep: str, lo: int, hi: int):
-    """The text of rows ``lo:hi`` of ``columns``, a block at a time, each
-    block converted to float64 and formatted by the kernel."""
+    """The text of rows ``lo:hi`` of ``columns`` (arrays, or a
+    :class:`_Stage`) side by side, a block at a time, each block
+    converted to float64 and formatted by the kernel."""
     width = _width(columns)
     rows = max(1, min(_WRITE_BLOCK_CELLS // width, hi - lo))
     kernel = CellText(rows * width, sep * (width - 1) + "\n")
@@ -717,144 +770,118 @@ def _row_text(columns, sep: str, lo: int, hi: int):
         yield kernel(block.astype(np.float64, copy=False))
 
 
-def _write_all(fd: int, data: bytes) -> None:
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view):]
+def _child_job(text, part) -> None:
+    """The chunks of ``text()`` into the part file ``part``: the second
+    job of :func:`_write`, as its forked child writes it."""
+    part.writelines(text())
+    part.flush()
 
 
-def _write_part(text, lo: int, hi: int, fd: int) -> None:
-    for chunk in text(lo, hi):
-        _write_all(fd, chunk.encode())
+def _splittable(fh) -> bool:
+    """Whether a part file can be copied in at the end of ``fh``: a
+    named, seekable file, UTF-8 if it takes text, on a platform that
+    copies between files in the kernel."""
+    return (isinstance(getattr(fh, "name", None), str)
+            and getattr(fh, "encoding", "utf-8") == "utf-8"
+            and fh.seekable() and hasattr(os, "copy_file_range"))
 
 
-def _copy_in(part: int, fd: int) -> bool:
-    """Append the whole part file ``part`` at the offset of ``fd``, copied
-    in the kernel; False if the copy fails."""
-    try:
-        pos = 0
-        while sent := os.copy_file_range(part, fd, 1 << 30, pos):
-            pos += sent
-    except OSError:
-        return False
-    return True
+def _write(jobs, cells: int) -> None:
+    """Write each ``(fh, text)`` of ``jobs``, one or two, in order:
+    ``text()`` gives the chunks ``fh`` takes, text or bytes.  A table is
+    two jobs, the row halves of one handle; the two plot files are one
+    job each.
 
-
-def _write_split(fh, text, n: int, half: int) -> bool:
-    """Write ``text(0, half)`` here and ``text(half, n)`` in one forked
-    child at once, if ``fh`` is a named, seekable UTF-8 file and the
-    platform can copy between files in the kernel; False, with ``fh`` as
-    it was, otherwise or when either half or the copy fails."""
-    name = getattr(fh, "name", None)
-    if (not isinstance(name, str) or getattr(fh, "encoding", None) != "utf-8"
-            or not fh.seekable() or not hasattr(os, "copy_file_range")):
-        return False
-    start = fh.tell()
-    part = _fork_half(name, lambda: fh.writelines(text(0, half)),
-                      partial(_write_part, text, half, n))
-    if part is not None:
+    Two jobs of more than ``_SPLIT_CELLS`` cells together, where
+    :func:`_splits` allows and both handles can take a part
+    (:func:`_splittable`), are written at once: this process writes the
+    first here, and one forked child (:func:`_at_once`) writes the second
+    into one part file next to its handle's file, which this process
+    then copies in at that handle's end.  Each job reads arrays or a
+    :class:`_Stage` filled before the fork, so no BLAS runs while the
+    child does.  If anything of that fails, each handle is cut back to
+    where it stood and both jobs run here, one after the other, so the
+    bytes and any error are the serial path's."""
+    if len(jobs) == 2 and _splits(cells) and all(
+            _splittable(fh) for fh, _ in jobs):
+        starts = [(fh, fh.tell()) for fh, _ in jobs]
         try:
-            fh.flush()
-            if _copy_in(part, fh.fileno()):
-                fh.seek(0, os.SEEK_END)  # past what the handle did not write
-                return True
-        finally:
-            os.close(part)
-    fh.seek(start)
-    fh.truncate()
-    return False
+            _write_pair(*jobs)
+            return
+        except Exception:  # the serial path raises what fails there
+            for fh, pos in starts:
+                fh.seek(pos)
+                fh.truncate()
+    for fh, text in jobs:
+        fh.writelines(text())
 
 
-def _write_text(fh, text, n: int, half: int, cells: int) -> None:
-    """Write the ``n`` rows whose text ``text(lo, hi)`` yields, rows
-    ``0:half`` here and the rest in one forked child where a table of
-    ``cells`` cells is split (:func:`_splits`, :func:`_write_split`)."""
-    if 0 < half < n and _splits(cells) and _write_split(fh, text, n, half):
-        return
-    fh.writelines(text(0, n))
+def _write_pair(mine, theirs) -> None:
+    """``mine`` here and ``theirs`` by one forked child at once
+    (:func:`_at_once`), into an unnamed part file of the handle's mode
+    in the directory of its file, which is then appended to that
+    handle, copied in the kernel."""
+    (fh, text), (their_fh, their_text) = mine, theirs
+    with tempfile.TemporaryFile(
+            their_fh.mode + "+", encoding=getattr(their_fh, "encoding", None),
+            dir=os.path.dirname(os.path.abspath(their_fh.name))) as part:
+        if not _at_once(partial(fh.writelines, text()),
+                        partial(_child_job, their_text, part)):
+            raise ChildProcessError("the child's job failed")
+        their_fh.flush()
+        pos = 0
+        while sent := os.copy_file_range(part.fileno(), their_fh.fileno(),
+                                         1 << 30, pos):
+            pos += sent
+        their_fh.seek(0, os.SEEK_END)  # past what the handle did not write
+
+
+@contextlib.contextmanager
+def _created(*paths):
+    """``paths`` opened for writing as UTF-8 text with LF line ends.  If
+    the block raises, every file is removed, so no table is left written
+    part way."""
+    with contextlib.ExitStack() as stack:
+        handles = [stack.enter_context(open(path, "w", encoding="utf-8",
+                                            newline="\n"))
+                   for path in paths]
+        try:
+            yield handles
+        except BaseException:
+            for path in paths:
+                with contextlib.suppress(OSError):
+                    os.remove(path)
+            raise
 
 
 def write_rows(fh, columns, sep: str) -> None:
-    """Write the arrays ``columns`` side by side (1-D: one column) to the
-    text handle ``fh``, a few rows at a time, so the whole table is never
-    copied.  The bytes equal ``np.savetxt``'s: 17 significant digits
-    per cell, exact on reading back, cells joined by ``sep``, LF endings.
-    Each block of cells is converted to float64 and formatted by
+    """Write the arrays ``columns`` side by side (1-D: one column), or a
+    :class:`_Stage` given as ``[stage]``, to the text handle ``fh``, a
+    few rows at a time, so the whole table is never copied.  The bytes
+    equal ``np.savetxt``'s: 17 significant digits per cell, exact on
+    reading back, cells joined by ``sep``, LF endings.  Each block of
+    cells is converted to float64 and formatted by
     :class:`~coopftc.cell_text.CellText`, and the cells it cannot prove
     by Python's ``'%.17g' %``.  A separator the kernel cannot write, one
     that is not a single ASCII character other than NUL, raises
-    ``ValueError``.
-
-    A table of more than ``_SPLIT_CELLS`` cells going to a named,
-    seekable UTF-8 file is cut into two row halves (:func:`_splits`,
-    :func:`_fork_half`).  This process formats the first half into
-    ``fh``.  One forked child formats the second into one part file next
-    to the output, unlinked once created; this process then appends the
-    part, copied in the kernel (``os.copy_file_range``).  If either half
-    fails, what was written is truncated and the serial path below runs,
-    so the bytes and any error are the serial path's.  On one CPU,
-    without ``os.fork``, or while another Python thread runs, nothing
-    forks."""
+    ``ValueError``.  The two row halves, cut at ``n // 2``, are
+    :func:`_write`'s two jobs."""
     if not CellText.fits(sep):
         raise ValueError(f"separator {sep!r} is not one ASCII character "
                          "other than NUL")
     n = len(columns[0])
-    _write_text(fh, partial(_row_text, columns, sep), n, n // 2,
-                n * _width(columns))
+    _write([(fh, partial(_row_text, columns, sep, lo, hi))
+            for lo, hi in ((0, n // 2), (n // 2, n)) if lo < hi],
+           n * _width(columns))
 
 
-class StagedColumns:
-    """Columns of ``rows`` float64 values each, staged a block
-    of rows at a time (:meth:`append`) in one part file next to ``near``
-    (:func:`_part_file`, unlinked once made), each column in a run of
-    bytes of its own, and read back a column at a time (:meth:`column`).
-    The part is closed once neither this nor a column read from it is
-    referred to."""
-
-    def __init__(self, near: str, rows: int):
-        self.rows, self.filled = rows, 0
-        self.fd = _part_file(near)
-        weakref.finalize(self, os.close, self.fd)
-
-    def append(self, columns) -> None:
-        """Stage the next rows: ``columns`` holds one 1-D run of values
-        per column, all of one length."""
-        for c, values in enumerate(columns):
-            data = memoryview(np.asarray(values, dtype=np.float64).tobytes())
-            pos = 8 * (c * self.rows + self.filled)
-            while data:
-                done = os.pwrite(self.fd, data, pos)
-                data, pos = data[done:], pos + done
-        self.filled += len(values)
-
-    def column(self, c: int) -> "PartColumn":
-        return PartColumn(self, 8 * c * self.rows, self.rows)
-
-
-class PartColumn:
-    """``size`` float64 values from byte ``start`` of the part file of
-    ``staged``, read with ``os.pread`` a slice at a time: a curve's
-    values that :func:`write_series` reads back a block at a time, in
-    this process or in a forked child, without holding them whole."""
-
-    def __init__(self, staged: StagedColumns, start: int, size: int):
-        self.staged, self.start, self.size = staged, start, size
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        lo, hi, stride = rows.indices(self.size)
-        if stride != 1:
-            raise ValueError("a part column is read in runs of rows")
-        want = 8 * max(0, hi - lo)
-        data = os.pread(self.staged.fd, want, self.start + 8 * lo)
-        if len(data) != want:
-            raise ValueError("the part file is short")
-        return np.frombuffer(data)
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        return np.asarray(self[:], dtype=dtype)
+def write_table(path, header: str, columns, sep: str) -> None:
+    """The line ``header``, then the rows of ``columns`` as
+    :func:`write_rows` writes them, into a new file at ``path``; a write
+    that fails part way removes the file."""
+    with _created(path) as (fh,):
+        fh.write(header + "\n")
+        write_rows(fh, columns, sep)
 
 
 def _series_text(t, curves):
@@ -883,37 +910,6 @@ def _series_text(t, curves):
         yield b"\n"
 
 
-def _write_series_file(path, t, curves) -> None:
-    with open(path, "wb") as fh:
-        fh.writelines(_series_text(t, curves))
-
-
-def _write_series_part(t, curves, fd: int) -> None:
-    for data in _series_text(t, curves):
-        _write_all(fd, data)
-
-
-def _write_series_pair(mine, theirs) -> bool:
-    """Write the plot file ``mine`` here and ``theirs`` in one forked
-    child at once, its bytes copied in from the child's part file; False
-    when either side or the copy fails."""
-    path = theirs[0]
-    part = _fork_half(path, partial(_write_series_file, *mine),
-                      partial(_write_series_part, *theirs[1:]))
-    if part is None:
-        return False
-    try:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
-        try:
-            return _copy_in(part, fd)
-        finally:
-            os.close(fd)
-    except OSError:
-        return False
-    finally:
-        os.close(part)
-
-
 def write_series(files) -> None:
     """Write plot files of gnuplot-style two-column blocks.  Each
     ``(path, t, curves)`` of ``files`` is a header line, then for each
@@ -922,27 +918,19 @@ def write_series(files) -> None:
     of ``[t, values]`` with :func:`write_rows`'s format; ``t`` is
     formatted once per file, and no file's whole text is held in memory.
     A curve's values are an array or anything sliced like one, such as a
-    :class:`PartColumn`, which is read a block of rows at a time.
-
-    Two files of more than ``_SPLIT_CELLS`` formatted cells together
-    (:func:`_splits`) are written at once: this process writes the
-    first, and one forked child (:func:`_fork_half`) writes the bytes of
-    the second into one part file next to it, unlinked once made, which
-    this process then copies into the second file in the kernel.  If
-    either side or the copy fails, both files are written by the serial
-    path, so the bytes and any error are the serial path's."""
+    column of a :class:`_Stage`, which is read a block of rows at a
+    time.  Each file is one job of :func:`_write`; a write that fails
+    part way removes every file."""
     for path, t, curves in files:
         for label, values in curves:
             if len(values) != len(t):
                 raise DimensionMismatchError(
                     f"{path}: curve {label} has {len(values)} values for "
                     f"{len(t)} times")
-    cells = sum(len(t) * (1 + len(curves)) for _, t, curves in files)
-    if (len(files) == 2 and hasattr(os, "copy_file_range")
-            and _splits(cells) and _write_series_pair(*files)):
-        return
-    for file in files:
-        _write_series_file(*file)
+    with _created(*(path for path, _, _ in files)) as handles:
+        _write([(fh.buffer, partial(_series_text, t, curves))
+                for fh, (_, t, curves) in zip(handles, files)],
+               sum(len(t) * (1 + len(curves)) for _, t, curves in files))
 
 
 def _line_chunk(fd: int, lo: int, hi: int) -> bytes:
@@ -996,26 +984,10 @@ def _parse_lines(data: bytes, sep: str, width: int) -> np.ndarray:
     return rows
 
 
-def _parse_into(fd: int, lo: int, hi: int, sep: str, width: int,
-                part: int) -> None:
-    """The rows of bytes ``lo:hi`` of ``fd`` as float64 bytes into the
-    part file ``part``."""
-    for rows in _lines_parsed(fd, lo, hi, sep, width):
-        _write_all(part, rows.tobytes())
-
-
-def _part_rows(part: int, width: int):
-    """The rows :func:`_parse_into` wrote into ``part``, about
-    ``_READ_BLOCK_BYTES`` at a time."""
-    size, row = os.fstat(part).st_size, 8 * width
-    if size % row:
-        raise ValueError("the part file holds a partial row")
-    step = max(1, _READ_BLOCK_BYTES // row) * row
-    for pos in range(0, size, step):
-        data = os.pread(part, step, pos)
-        if len(data) != min(step, size - pos):
-            raise ValueError("the part file is short")
-        yield np.frombuffer(data).reshape(-1, width)
+def _parse_into(fd: int, lo: int, hi: int, sep: str, stage: _Stage) -> None:
+    """The rows of bytes ``lo:hi`` of ``fd``, appended to ``stage``."""
+    for rows in _lines_parsed(fd, lo, hi, sep, stage.width):
+        stage.append([rows])
 
 
 def _layout(fd: int, sep: str):
@@ -1048,10 +1020,10 @@ def _parsed(fd: int, sep: str, width: int, lo: int, mid: int, hi: int,
             name: str):
     """The rows of bytes ``lo:hi`` of ``fd`` in pieces, in order, parsed a
     chunk at a time.  Where ``mid`` is not ``hi``, this process parses
-    ``lo:mid`` into a part file of its own while one forked child
-    (:func:`_forked`) parses ``mid:hi`` into another, both next to
-    ``name``, and the rows are read back from the two parts once both
-    are parsed.  So no row is used while the child runs: a BLAS product
+    ``lo:mid`` into a :class:`_Stage` of its own while one forked child
+    (:func:`_at_once`) parses ``mid:hi`` into another, both next to
+    ``name``, and the rows are read back from the two once both are
+    parsed.  So no row is used while the child runs: a BLAS product
     in this process would then wait for a thread of OpenBLAS's that the
     child keeps off the CPU.  On the 24-agent fleet (2-CPU host, medians
     of 7 in process), ``verify`` took 0.42-0.44 s using this half's rows
@@ -1062,21 +1034,16 @@ def _parsed(fd: int, sep: str, width: int, lo: int, mid: int, hi: int,
     if mid == hi:
         yield from _lines_parsed(fd, lo, hi, sep, width)
         return
-    own = _part_file(name)
+    own, theirs = _Stage(name, width), _Stage(name, width)
     try:
-        with _forked(name, partial(_parse_into, fd, mid, hi, sep,
-                                   width)) as wait:
-            _parse_into(fd, lo, mid, sep, width, own)
-            part = wait()
-        if part is None:
+        if not _at_once(partial(_parse_into, fd, lo, mid, sep, own),
+                        partial(_parse_into, fd, mid, hi, sep, theirs)):
             raise ValueError("the child's rows did not parse")
-        try:
-            yield from _part_rows(own, width)
-            yield from _part_rows(part, width)
-        finally:
-            os.close(part)
+        yield from own.blocks()
+        yield from theirs.blocks()
     finally:
-        os.close(own)
+        own.close()
+        theirs.close()
 
 
 def _read_serial(path, sep: str) -> tuple[str, np.ndarray]:
@@ -1180,17 +1147,11 @@ def read_rows(path, sep: str) -> tuple[str, np.ndarray]:
     raises :class:`SchemaError` naming the file and the line.
 
     The body is parsed in chunks of whole lines of about
-    ``_READ_BLOCK_BYTES`` (:func:`_checked`).  A table of more than
-    ``_SPLIT_CELLS`` cells is cut at the line nearest its middle
-    (:func:`_splits`, :func:`_parsed`): this process parses the first
-    half, and one forked child the second, each writing the rows'
-    float64 bytes to a part file next to ``path``, unlinked once made,
-    which this process then reads back.  A chunk that fails or parses to
-    other rows than its line count, a child that fails and a part file
-    that cannot be made send the file through the serial reader, so the
-    table and every error text are the serial reader's.  On one CPU,
-    without ``os.fork``, or while another Python thread runs, nothing
-    forks."""
+    ``_READ_BLOCK_BYTES`` (:func:`_checked`), in two halves at once where
+    the table splits (:func:`_parsed`).  A chunk that fails or parses to
+    other rows than its line count, a child that fails and a stage that
+    cannot be made send the file through the serial reader, so the table
+    and every error text are the serial reader's."""
     pieces = _checked(path, sep)
     header = next(pieces)
     return header, np.concatenate(list(pieces))
@@ -1225,59 +1186,18 @@ def _trace_columns(net: NetworkModel) -> list[tuple[str, list[str]]]:
     ]
 
 
-def _write_staged(fh, blocks, spans, width: int) -> bool:
-    """Write the trace whose ``blocks`` (each a list of columns) lie on
-    ``spans`` as :func:`write_rows` writes a table in two halves, cut at
-    the block boundary nearest the middle: every block's rows go first,
-    as float64 bytes, into one part file next to ``fh``'s file, and both
-    halves' text is then formatted from it at once.  So no block is made
-    while the child runs: the wiring's BLAS products would then wait for
-    a thread of OpenBLAS's that the other process keeps off the CPU (at
-    m = 128, T = 4 s, the trace write took 1.73 s so, and 1.03 s with one
-    BLAS thread).  False, with nothing written, if the part file cannot
-    be made."""
-    try:
-        stage = _part_file(fh.name)
-    except OSError:
-        return False
-    row = 8 * width
-    try:
-        staged = max(1, _READ_BLOCK_BYTES // row)
-        for block in blocks:
-            for lo in range(0, len(block[0]), staged):
-                rows = np.column_stack([c[lo:lo + staged] for c in block])
-                _write_all(stage, memoryview(rows).cast("B"))
-
-        def text(lo: int, hi: int):
-            """Rows ``lo:hi`` of the part, read and formatted a kernel's
-            worth of rows at a time."""
-            step = max(1, _WRITE_BLOCK_CELLS // width)
-            kernel = CellText(step * width, "," * (width - 1) + "\n")
-            for start in range(lo, hi, step):
-                data = os.pread(stage, min(step, hi - start) * row,
-                                start * row)
-                yield kernel(np.frombuffer(data).reshape(-1, width))
-
-        n = spans[-1][1]
-        _write_text(fh, text, n, spans[(len(spans) + 1) // 2][0], n * width)
-    finally:
-        os.close(stage)
-    return True
-
-
 def trace_to_csv(trace, net: NetworkModel, path, *checks) -> None:
     """Write one row per step; header names every column.  ``trace`` is
     a :class:`SimTrace` or a :class:`Rollout`, whose rows are taken (and
     a rollout's stepped and wired) one block of the trace grid at a
     time, so no column is held whole; each block also goes to every one
-    of ``checks`` (``update``), in order.  The observer state is stored
-    per agent (states then fault component) even though it lives in the
-    canonical stacked layout in memory.  A write that fails part way,
-    a rollout whose state stops being finite among them, removes the
-    file.
-
-    A trace of more than ``_SPLIT_CELLS`` cells, of two blocks or more,
-    is formatted in two halves at once (:func:`_write_staged`)."""
+    of ``checks`` (``update``), in order, and its rows to a
+    :class:`_Stage` next to the file, from which :func:`write_rows`
+    formats the table once every block is made.  The observer state is
+    stored per agent (states then fault component) even though it lives
+    in the canonical stacked layout in memory.  A write that fails part
+    way, a rollout whose state stops being finite among them, removes
+    the file."""
     columns = _trace_columns(net)
     names = [label for _, labels in columns for label in labels]
     perm = agent_permutation(net)
@@ -1290,28 +1210,15 @@ def trace_to_csv(trace, net: NetworkModel, path, *checks) -> None:
     if width != len(names):
         raise SchemaError(f"trace has {width} columns, header names "
                           f"{len(names)}")
-    n = trace.t.size
-    spans = list(_spans(n, _grid_rows(width)))
-
-    def blocks():
-        for lo, hi in spans:
+    with (_created(path) as (fh,),
+          contextlib.closing(_Stage(path, width)) as stage):
+        fh.write(",".join(names) + "\n")
+        for lo, hi in _spans(trace.t.size, _grid_rows(width)):
             block = trace.rows(lo, hi)
             for check in checks:
                 check.update(block)
-            yield cells(block)
-
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        try:
-            fh.write(",".join(names) + "\n")
-            if (len(spans) > 1 and _splits(n * width)
-                    and _write_staged(fh, blocks(), spans, width)):
-                return
-            for block in blocks():
-                fh.writelines(_row_text(block, ",", 0, len(block[0])))
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.remove(path)
-            raise
+            stage.append(cells(block))
+        write_rows(fh, [stage], ",")
 
 
 def read_trace(path, net: NetworkModel):

@@ -678,7 +678,7 @@ def test_plot_curves_match_per_agent_reference(tmp_path, monkeypatch):
     written = {}
     monkeypatch.setattr(cli, "write_series", lambda files: written.update(
         {path: (t, curves) for path, t, curves in files}))
-    curves = cli._PlotCurves(net, n)
+    curves = cli._PlotCurves(net, n, tmp_path / "curves")
     for rows in (slice(0, 3), slice(3, n)):
         curves.update(SimpleNamespace(**{name: value[rows] for name, value
                                          in vars(trace).items()}))

@@ -7,6 +7,7 @@ import io
 import os
 import re
 import signal
+import tempfile
 import threading
 import tracemalloc
 from fractions import Fraction
@@ -21,6 +22,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import benchmark_schedule, quiet_schedule
 from coopftc import cell_text, sim
+from coopftc.cli import save_matrix
 from coopftc.control import ClosedLoopMaps, closed_loop_maps
 from coopftc.errors import (DimensionMismatchError, NonFiniteStateError,
                             SchemaError)
@@ -593,15 +595,16 @@ def test_split_write_of_edge_cells_needs_no_serial_rerun(tmp_path,
                                                          monkeypatch):
     """Both processes format the kernel's edge cells with warnings turned
     into errors: no numpy warning sends the table to the serial path."""
-    results, fork_half = [], sim._fork_half
+    results, write_pair = [], sim._write_pair
 
     def recorded(*args):
-        results.append(fork_half(*args))
-        return results[-1]
+        results.append("raised")
+        write_pair(*args)
+        results[-1] = "returned"
     _split_over(monkeypatch, 2)
-    monkeypatch.setattr(sim, "_fork_half", recorded)
+    monkeypatch.setattr(sim, "_write_pair", recorded)
     _write_file(tmp_path / "t.txt", [_KERNEL_EDGES.reshape(-1, 2)], ",")
-    assert len(results) == 1 and results[0] is not None
+    assert results == ["returned"]
 
 
 @pytest.mark.parametrize("bad", ["1,x,3", "1,2", "1,inf,3"],
@@ -700,7 +703,7 @@ def test_failing_child_falls_back_to_serial_bytes(tmp_path):
         raise OSError("no space left in the part file")
     with pytest.MonkeyPatch.context() as mp:
         forks = _split_over(mp, 2)
-        mp.setattr(sim, "_write_part", fail)
+        mp.setattr(sim, "_child_job", fail)
         _write_file(tmp_path / "t.txt", [rows], ",")
     assert len(forks) == 1
     assert (tmp_path / "t.txt").read_text() == ("header line\n"
@@ -813,7 +816,7 @@ def test_one_core_path_forks_nothing(tmp_path, monkeypatch, one_core):
         monkeypatch.setattr(os, "fork", refuse)
     else:
         monkeypatch.delattr(os, "fork")
-        monkeypatch.setattr(sim, "_fork_half", refuse)
+        monkeypatch.setattr(sim, "_at_once", refuse)
     _write_file(tmp_path / "one.txt", [rows], ",")
     _, table = read_rows(tmp_path / "one.txt", ",")
     assert ((tmp_path / "one.txt").read_bytes()
@@ -892,7 +895,7 @@ def test_failing_plot_child_falls_back_to_serial_bytes(tmp_path,
         raise OSError("no space left in the part file")
     files = _plot_files(tmp_path)
     forks = _split_over(monkeypatch, 2)
-    monkeypatch.setattr(sim, "_write_series_part", fail)
+    monkeypatch.setattr(sim, "_child_job", fail)
     sim.write_series(files)
     assert len(forks) == 1
     for path, t, curves in files:
@@ -943,6 +946,94 @@ def test_trace_grid_keeps_the_whole_trace_bytes(tmp_path, loops, s0,
     back = [len(block.t)
             for block in sim.read_trace(tmp_path / "blocks.csv", benchmark_net)]
     assert back == cut == ([rows + 1] if T == 2.048 else [rows, rows, 405])
+
+
+class _Blocks:
+    """A check that records the first time and the length of each block
+    it is handed."""
+
+    def __init__(self):
+        self.seen = []
+
+    def update(self, block):
+        self.seen.append((float(block.t[0]), len(block.t)))
+
+
+@pytest.mark.parametrize("fault", ["child-fails", "no-stage-part"])
+def test_split_trace_falls_back_to_the_one_cpu_file(tmp_path, loops, s0,
+                                                    benchmark_net, fault):
+    """A split trace write whose child fails, or whose rows cannot be
+    staged next to the file, gives the one-CPU file byte for byte, leaves
+    no part file and no child, and hands each grid block to every check
+    exactly once."""
+    loop, schedule = loops["star"], benchmark_schedule(4)
+
+    def written(name, cpus):
+        check = _Blocks()
+        with pytest.MonkeyPatch.context() as mp:
+            forks = _split_over(mp, cpus)
+            if cpus == 2 and fault == "child-fails":
+                mp.setattr(sim, "_child_job", fail)
+            elif cpus == 2:
+                mp.setattr(tempfile, "TemporaryFile", no_stage)
+            trace_to_csv(sim.rollout(loop, schedule, s0, h=1e-3, T=4.5),
+                         benchmark_net, tmp_path / name, check)
+        return len(forks), check.seen
+
+    def fail(*args):
+        raise OSError("no space left in the part file")
+    parts, temporary_file = [], tempfile.TemporaryFile
+
+    def no_stage(*args, **kwargs):
+        """No part next to the trace for the stage, the first one made."""
+        parts.append(kwargs.get("dir"))
+        if len(parts) == 1:
+            raise OSError("no room next to the trace")
+        return temporary_file(*args, **kwargs)
+    forks, seen = written("one.csv", 1)
+    assert forks == 0
+    assert written("t.csv", 2) == (1, seen)
+    assert ((tmp_path / "t.csv").read_bytes()
+            == (tmp_path / "one.csv").read_bytes())
+    rows = sim._grid_rows(58)
+    assert seen == [(lo * 1e-3, hi - lo)
+                    for lo, hi in sim._spans(4501, rows)]
+    if fault == "no-stage-part":  # staged in the temporary directory
+        assert parts == [str(tmp_path), None, str(tmp_path)]
+    _assert_tidy(tmp_path, "one.csv", "t.csv")
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("table", ["trace", "gains", "plots"])
+def test_table_whose_write_fails_part_way_is_removed(tmp_path, loops, s0,
+                                                     benchmark_net, table,
+                                                     cpus):
+    """A block that fails after the first has been formatted, on one CPU
+    or with the table split: the error reaches the caller, and neither
+    the file (or plot files) nor a part file is left."""
+    padded = cell_text.CellText.padded
+    calls = []
+
+    def failing(self, block):
+        calls.append(1)
+        if len(calls) > 1:
+            raise OSError("no space left on device")
+        return padded(self, block)
+    trace = run_experiment(loops["star"], quiet_schedule(4), s0, h=1e-3,
+                           T=0.5)
+    with pytest.MonkeyPatch.context() as mp:
+        forks = _split_over(mp, cpus)
+        mp.setattr(cell_text.CellText, "padded", failing)
+        with pytest.raises(OSError, match="no space left on device"):
+            if table == "trace":
+                trace_to_csv(trace, benchmark_net, tmp_path / "t.csv")
+            elif table == "gains":
+                save_matrix(tmp_path / "K.txt",
+                            np.arange(9000.0).reshape(90, 100) / 7)
+            else:
+                sim.write_series(_plot_files(tmp_path))
+    assert len(calls) > 1 and len(forks) == cpus - 1
+    _assert_tidy(tmp_path)
 
 
 def test_csv_header_names(tmp_path, loops, s0, benchmark_net):

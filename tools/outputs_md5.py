@@ -16,7 +16,11 @@ agents of two and three states (``mixed_dims``: exit 2 naming
 ``plant.agents`` and each agent's n_x, n_u, n_y and n_v), and on two
 identical explicit agents whose observer LMI is infeasible though the
 projection iteration never stalls on it (``never_stalls``: exit 3, the
-dual solve certifying agent 1).  Last, bench4's gains with
+dual solve certifying agent 1), and on 128 dc motors on a ring
+(``fleet128``, ``fleet_yaml`` of ``perfbench/workloads.py``), whose
+384 x 384 ``observer_storage.txt`` is more than ``sim._SPLIT_CELLS``
+cells, so that it is written by two processes on a host of two or more
+CPUs.  Last, bench4's gains with
 ``observer_storage.txt`` scaled by 1e-3 (``bench4_tampered``: the
 observer margin drops to about -1) run through ``simulate`` and
 ``verify``, which both exit 5 before taking a step or reading the
@@ -195,6 +199,8 @@ def _commands() -> list[tuple[str, list[str]]]:
                               "mixed_dims_gains"]),
         ("never_stalls.synth", ["synth", "-s", "never_stalls.yaml", "-o",
                                 "never_stalls_gains"]),
+        ("fleet128.synth", ["synth", "-s", "fleet128.yaml", "-o",
+                            "fleet128_gains"]),
     ]
     for name in FAILING:
         stem = name.removesuffix(".yaml")
@@ -255,9 +261,11 @@ def manifest(seed: int) -> list[str]:
 
     lines = []
     with tempfile.TemporaryDirectory(prefix="outputs_md5_") as work:
-        scenarios = dict(_workloads().scenario_files(seed), **WIDE_RANGE,
+        workloads = _workloads()
+        scenarios = dict(workloads.scenario_files(seed), **WIDE_RANGE,
                          **ILL_CONDITIONED, **MIXED_DIMS, **NEVER_STALLS,
                          **FAILING)
+        scenarios["fleet128.yaml"] = workloads.fleet_yaml(128, seed, T=4.0)
         for name, text in scenarios.items():
             with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
                 fh.write(text)
