@@ -28,18 +28,23 @@ while staying on the affine family spanned by the decision variables
 Douglas-Rachford iteration, which converges far faster here than plain
 alternating projections.  Strictness is enforced by embedding margins
 into the target, and a short ladder of increasing margins pushes the
-accepted point into the interior of the feasible set.  The agents'
-affine families are probed once, as their problems are built, by one
-call of the inequality per block layout on a stack over agents and
-probes (:meth:`LmiProblem.stack`); the margin is an argument of the
-solve, so every ladder rung solves the same problem.  The agents'
-problems are independent and share one shape, so the base solve and
-each rung run in lockstep across agents: one stacked iteration over
-every agent still climbing, in which each agent keeps its own warm
-start, stall counter and margin cap and leaves the stack when it
-converges or gives up.  Every step is elementwise
-over the stack, so each agent ends exactly where a solve of its own
-would.  When base solves fail, the first failing agent is reported.
+accepted point into the interior of the feasible set.  Each agent's
+problem reads only its own blocks, so agents whose blocks have the same
+bytes are one model, and each stage builds, anchors and solves one
+problem per distinct model (the first agent of each, in agent order);
+every agent of a model gets its solution.  The models' affine families
+are probed once, as their problems are built, by one call of the
+inequality per block layout on a stack over models and probes
+(:meth:`LmiProblem.stack`); the margin is an argument of the solve, so
+every ladder rung solves the same problem.  The problems are
+independent and share one shape, so the base solve and each rung run
+in lockstep across models: one stacked iteration over every model
+still climbing, in which each keeps its own warm start, stall counter
+and margin cap and leaves the stack when it converges or gives up.
+Every step is elementwise over the stack, so each model ends exactly
+where a solve of its own would.  When base solves fail, the first
+failing agent is reported: the first agent of the first failing
+model.
 The probe also yields the margin cap: a diagonal entry no variable
 touches bounds ``lambda_max`` from below, so the constant
 ``-delta^2 I`` block of ``Pi`` caps its margin at ``delta^2``, and the
@@ -71,7 +76,7 @@ bisection over pole-placement speed, with feasibility decided by an
 algebraic Riccati equation equivalent to the inequality at fixed gain,
 yields a strictly feasible starting point that the projection step
 accepts essentially unchanged.  The bisection runs in lockstep over the
-agents (:func:`_slow_anchors`).  When no anchor can be
+models (:func:`_slow_anchors`).  When no anchor can be
 built for an agent, its solve falls back to a cold-started search boxed
 by affine eigenvalue-strip blocks (closed-loop decay rates between
 ``CONTROLLER_DECAY`` and ``CONTROLLER_MAX_RATE``); either way the
@@ -721,7 +726,7 @@ def _farkas_radius(A, pinv, floor0, r, spans):
                    + FARKAS_ROUNDING * norm(A.reshape(len(A), -1)) * size))
 
 
-def _solve_block(problems, margin, max_iterations, prefix, anchors):
+def _solve_block(problems, margin, max_iterations, prefix, anchors, agents):
     """Solve every agent's block at ``margin``, then climb the margin
     ladder while the warm-started solves keep succeeding; return each
     agent's deepest point.
@@ -732,15 +737,16 @@ def _solve_block(problems, margin, max_iterations, prefix, anchors):
     point of the rung below.  An anchored agent (its entry of
     ``anchors`` is not None) starts at its anchor and does not climb:
     the ladder would walk away from the anchor, whose strictness is
-    already built in.  If any base solve fails, the first failing agent
-    is reported, with ``prefix.format(agent)`` (1-based) before the
-    solver's message, and no ladder runs.
+    already built in.  If any base solve fails, the first failing
+    problem is reported, with ``prefix.format(agent)`` before the
+    solver's message: ``agent`` is its entry of ``agents`` (0-based,
+    ascending) plus one.  No ladder runs then.
     """
     outcomes = _solve_batch(problems, margin, max_iterations, anchors)
-    for agent, (result, _) in enumerate(outcomes, start=1):
+    for agent, (result, _) in zip(agents, outcomes):
         if isinstance(result, InfeasibleError):
             raise InfeasibleError(
-                f"{prefix.format(agent)}: {result}") from result
+                f"{prefix.format(agent + 1)}: {result}") from result
     solutions = [result for result, _ in outcomes]
     climbing = [i for i, anchor in enumerate(anchors) if anchor is None]
     for t in MARGIN_LADDER:
@@ -834,9 +840,11 @@ def synth_observer(aug: AugmentedModel, net: NetworkModel, delta: float,
                    max_iterations: int = 6000) -> ObserverSynthesis:
     """Synthesize the augmented-state observer gain for a network.
 
-    One small problem is solved per agent and the solutions are
-    assembled into network-level ``(P, H)``; block-diagonality of the
-    plant makes the assembly exact.  The gain ``Lgain = P^{-1} H`` is
+    One small problem is solved per distinct agent model (agents whose
+    ``F1 A_a``, ``E2`` and ``F1 D`` blocks have the same bytes share
+    one), and each agent's model solution is assembled into
+    network-level ``(P, H)``; block-diagonality of the plant makes the
+    assembly exact.  The gain ``Lgain = P^{-1} H`` is
     returned through :func:`certify_observer`.
 
     Raises
@@ -855,19 +863,21 @@ def synth_observer(aug: AugmentedModel, net: NetworkModel, delta: float,
     F1D = aug.F1 @ net.D
     # grouped per agent, the augmented matrices are block-diagonal
     perm = agent_permutation(net)
-    F1Ai, E2i, F1Di = (_agent_blocks(M, net.m)[:, None] for M in (
+    F1Ai, E2i, F1Di = (_agent_blocks(M, net.m) for M in (
         F1A[np.ix_(perm, perm)], aug.E2[:, perm], F1D[perm]))
+    first, model = _distinct_models(F1Ai, E2i, F1Di)
+    F1Ai, E2i, F1Di = (M[first, None] for M in (F1Ai, E2i, F1Di))
     n = aug.n_aug // net.m
     problems = LmiProblem.stack(
         [VariableSpec("P", n, n, symmetric=True, positive_definite=True),
          VariableSpec("H", n, net.n_y)],
         lambda v: observer_inequality(v["P"], v["H"], F1Ai, E2i, F1Di, delta,
-                                      decay=True), net.m)
+                                      decay=True), len(first))
     solutions = _solve_block(
         problems, margin, max_iterations,
         f"observer LMI infeasible for agent {{}} at delta={delta:g}",
-        [None] * net.m)
-    P, H = (block_diag(*(sol[name] for sol in solutions))
+        [None] * len(first), first)
+    P, H = (block_diag(*(solutions[j][name] for j in model))
             for name in ("P", "H"))
     back = np.argsort(perm)
     P, H = P[np.ix_(back, back)], H[back]
@@ -1054,6 +1064,22 @@ def _agent_blocks(M, m):
     return M.reshape(m, rows, m, cols)[np.arange(m), :, np.arange(m)]
 
 
+def _distinct_models(*stacks):
+    """``(first, model)`` of the agents of the (m, ...) ``stacks``: two
+    agents are one model when their blocks have the same bytes (no
+    tolerance: ``-0.0`` differs from ``0.0``).  ``first`` lists the
+    first agent of each model, ascending, and agent ``i`` is of model
+    ``model[i]``, so ``first[model[i]]`` is the first agent like it."""
+    seen, first, model = {}, [], []
+    for i, blocks in enumerate(zip(*stacks)):
+        key = b"".join(b.tobytes() for b in blocks)
+        if key not in seen:
+            seen[key] = len(first)
+            first.append(i)
+        model.append(seen[key])
+    return first, model
+
+
 @dataclass(frozen=True)
 class ControllerSynthesis:
     """Accepted state-feedback certificate and gain."""
@@ -1072,8 +1098,10 @@ def synth_controller(net: NetworkModel, alpha: float, delta: float,
                      max_iterations: int = 6000) -> ControllerSynthesis:
     """Synthesize the inner state-feedback gain ``K = G R^{-1}``.
 
-    Per-agent decomposition mirrors :func:`synth_observer`.  Each agent's
-    search starts at the slowest certifiable pole family (see module
+    Per-model decomposition mirrors :func:`synth_observer`: one problem
+    and one anchor per distinct model, agents whose ``A``, ``B`` and
+    ``D`` blocks have the same bytes sharing one.  Each model's search
+    starts at the slowest certifiable pole family (see module
     docstring), which keeps the DC gain that the cooperative outer loop
     needs.  When no anchor can be built for an agent, its solve falls
     back to the cold-started search boxed by the
@@ -1101,13 +1129,15 @@ def synth_controller(net: NetworkModel, alpha: float, delta: float,
         raise AlphaNonPositiveError(f"alpha must be > 0, got {alpha}")
 
     A, B, D = (_agent_blocks(M, net.m) for M in (net.A, net.B, net.D))
+    first, model = _distinct_models(A, B, D)
+    A, B, D = A[first], B[first], D[first]
     anchors = _slow_anchors(A, B, D, alpha, delta)
     variables = [VariableSpec("R", net.n_x, net.n_x, symmetric=True,
                               positive_definite=True),
                  VariableSpec("G", net.n_u, net.n_x)]
     # anchored and strip-boxed agents differ in block layout, so they are
     # probed, and iterate, as two stacks
-    problems = [None] * net.m
+    problems = [None] * len(first)
     for strip in (False, True):
         rows = [i for i, anchor in enumerate(anchors)
                 if (anchor is None) == strip]
@@ -1119,8 +1149,8 @@ def synth_controller(net: NetworkModel, alpha: float, delta: float,
     solutions = _solve_block(
         problems, margin, max_iterations,
         f"feedback LMI infeasible for agent {{}} at alpha={alpha:g}, "
-        f"delta={delta:g}", anchors)
-    R, G = (block_diag(*(sol[name] for sol in solutions))
+        f"delta={delta:g}", anchors, first)
+    R, G = (block_diag(*(solutions[j][name] for j in model))
             for name in ("R", "G"))
     K = solve_linear(R, G.T).T  # K R = G with R symmetric
 

@@ -522,6 +522,55 @@ def test_synth_certifies_a_problem_that_never_stalls(tmp_path, capsys):
         "-2.689e-01\n")
 
 
+def test_synth_solves_each_distinct_model_once(tmp_path, monkeypatch):
+    """fleet24 is motors 1-4 six times over: each stage builds, anchors
+    and solves one problem per model, 4 and not 24."""
+    stacked, anchored = [], []
+    stack, slow_anchors = synth.LmiProblem.stack, synth._slow_anchors
+
+    def counted_stack(cls, variables, expression, k):
+        stacked.append(k)
+        return stack(variables, expression, k)
+
+    def counted_anchors(A, *args):
+        anchored.append(len(A))
+        return slow_anchors(A, *args)
+
+    monkeypatch.setattr(synth.LmiProblem, "stack", classmethod(counted_stack))
+    monkeypatch.setattr(synth, "_slow_anchors", counted_anchors)
+    scen = tmp_path / "fleet24.yaml"
+    scen.write_text(_workloads().scenario_files(0)[scen.name])
+    assert main(["synth", "-s", str(scen), "-o", str(tmp_path / "g")]) == 0
+    # observer, then the feedback stage's anchored and strip-boxed stacks
+    assert stacked == [4, 4, 0]
+    assert anchored == [4]
+
+
+def test_synth_names_the_first_agent_of_a_repeated_infeasible_model(
+        tmp_path, capsys):
+    """Motors 1, 5, 1, 5 on a ring at delta = 0.3: motor 5's observer LMI
+    is solved once, for agent 2, and synth names agent 2 as it did when
+    every agent had its own solve."""
+    workloads = _workloads()
+    agents = ", ".join(
+        "{" + ", ".join(f"{name}: {workloads._flow(value)}"
+                        for name, value in
+                        workloads.dc_motor_matrices(i).items()) + "}"
+        for i in (1, 5, 1, 5))
+    p = tmp_path / "repeated.yaml"
+    p.write_text(workloads.ring_graph_yaml(4)
+                 + f"plant: {{kind: explicit, agents: [{agents}]}}\n"
+                 + "synthesis: {delta: 0.3}\n")
+    code = main(["synth", "-s", str(p), "-o", str(tmp_path / "gains")])
+    assert code == cli.EXIT_INFEASIBLE
+    assert capsys.readouterr().err == (
+        "synthesis failed: observer LMI infeasible for agent 2 at "
+        "delta=0.3: certified infeasible by the dual solve (9 Newton "
+        "steps): a Farkas certificate rules out every point with |y| < "
+        "1.489e+07 at margin 1.000e-06; best reachable margin about "
+        "-8.875e-03\n")
+
+
 def _counted_solves(monkeypatch):
     """Patch both solve kernels to log, per call, the stacked projection
     steps (those of the longest-running problem) and the dual solve's

@@ -23,7 +23,8 @@ from coopftc.errors import (AlphaNonPositiveError, DeltaNonPositiveError,
                             DimensionMismatchError, InfeasibleError,
                             NotSymmetricError)
 from coopftc.linalg import block_diag, is_hurwitz, sym_eigvals
-from coopftc.plant import AgentModel, dc_motor_agent, stack_network
+from coopftc.plant import (AgentModel, agent_permutation, augment_network,
+                           dc_motor_agent, stack_network)
 from coopftc.synth import (LmiProblem, VariableSpec, gamma_bound, solve_lmi,
                            synth_controller, synth_observer)
 
@@ -515,7 +516,7 @@ def test_ladder_reports_the_first_failing_agent(monkeypatch):
     log = _logged_solves(monkeypatch)
     with pytest.raises(InfeasibleError) as excinfo:
         synth._solve_block(problems, 0.01, 1500, "agent {} of 4",
-                           [None] * 4)
+                           [None] * 4, range(4))
     assert str(excinfo.value) == expected
     assert [entry[1] for entry in log] == [0.01] * 4  # the base solve only
 
@@ -548,6 +549,71 @@ def test_mixed_layout_controller_matches_per_agent_solves(benchmark_net,
     alone = synth_controller(benchmark_net, 0.2, 0.3)
     for name in ("R", "G", "K"):
         assert np.array_equal(getattr(batched, name), getattr(alone, name))
+
+
+def _agent_gains(motors):
+    """Each agent's diagonal blocks of P, H, L (agent-grouped, as the
+    observer stage cuts them), R, G and K on a fleet of the dc motors
+    ``motors``, and the full matrices in that grouping."""
+    net = stack_network([dc_motor_agent(i) for i in motors])
+    aug = augment_network(net)
+    so = synth_observer(aug, net, 0.3)
+    sc = synth_controller(net, 0.2, 0.3)
+    perm = agent_permutation(net)
+    full = {"P": so.P[np.ix_(perm, perm)], "H": so.H[perm],
+            "L": so.Lgain[perm], "R": sc.R, "G": sc.G, "K": sc.K}
+    blocks = {name: synth._agent_blocks(M, net.m) for name, M in full.items()}
+    return blocks, full
+
+
+@st.composite
+def _fleets(draw):
+    """A fleet of at most 8 agents drawn from at most 3 of motors 1-4,
+    in random order, and a relabeling of its agents."""
+    models = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3,
+                           unique=True))
+    fleet = draw(st.lists(st.sampled_from(models), min_size=1, max_size=8))
+    return fleet, draw(st.permutations(range(len(fleet))))
+
+
+def _same_gains(ours, ref, name):
+    """Bit for bit, but for L: it comes from one LU solve of the whole
+    network P, whose rounding depends on the agent count and order, so
+    it agrees to 1e-15 of its largest entry."""
+    if name != "L":
+        return np.array_equal(ours, ref)
+    return np.abs(ours - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+@settings(max_examples=10, deadline=None)
+@given(_fleets())
+def test_repeated_models_get_the_gains_of_the_distinct_fleet(drawn):
+    """Each agent's blocks of P, H, L, R, G and K equal those of its
+    model in the fleet of the distinct models alone; and relabeling the
+    agents permutes K, L and P (and H, R and G).  Equal means bit for
+    bit, but for L (``_same_gains``)."""
+    fleet, order = drawn
+    blocks, full = _agent_gains(fleet)
+    distinct = list(dict.fromkeys(fleet))
+    alone, _ = _agent_gains(distinct)
+    for name, stack in blocks.items():
+        for agent, motor in zip(stack, fleet):
+            assert _same_gains(agent, alone[name][distinct.index(motor)],
+                               name)
+
+    _, relabeled = _agent_gains([fleet[i] for i in order])
+
+    def agents(width):  # the rows of the relabeled agents, by width
+        return np.concatenate([np.arange(i * width, (i + 1) * width)
+                               for i in order])
+
+    n_aug, n_x, n_u, n_y = 3, 2, 1, 1  # per dc motor
+    widths = {"P": (n_aug, n_aug), "H": (n_aug, n_y), "L": (n_aug, n_y),
+              "R": (n_x, n_x), "G": (n_u, n_x), "K": (n_u, n_x)}
+    for name, (rows, cols) in widths.items():
+        assert _same_gains(relabeled[name],
+                           full[name][np.ix_(agents(rows), agents(cols))],
+                           name)
 
 
 # --- observer stage ---------------------------------------------------------
@@ -892,7 +958,8 @@ def test_anchor_bisection_runs_in_lockstep(monkeypatch):
     """On an 8-agent fleet (motors 1-4 twice) the bisection makes one
     stacked Hamiltonian ``eig`` per probe round: as many as the slowest
     agent's probes, not one per agent and probe.  The stacks hold every
-    probe the per-agent reference makes, each once."""
+    probe the per-agent reference makes for each distinct model (the
+    first four agents), each once."""
     net = stack_network([dc_motor_agent(i % 4 + 1) for i in range(8)])
     A, B, D = (synth._agent_blocks(M, 8) for M in (net.A, net.B, net.D))
     eig, shapes = np.linalg.eig, []
@@ -911,8 +978,8 @@ def test_anchor_bisection_runs_in_lockstep(monkeypatch):
     synth_controller(net, 0.2, 0.3)
 
     stacks = [shape[0] for shape in shapes if len(shape) == 3]
-    assert sum(per_agent) == 356
-    assert sum(stacks) == sum(per_agent)
+    assert sum(per_agent) == 356 and per_agent[4:] == per_agent[:4]
+    assert sum(stacks) == sum(per_agent[:4])
     assert len(stacks) == max(per_agent) == 45
 
 

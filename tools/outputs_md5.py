@@ -16,7 +16,10 @@ agents of two and three states (``mixed_dims``: exit 2 naming
 ``plant.agents`` and each agent's n_x, n_u, n_y and n_v), and on two
 identical explicit agents whose observer LMI is infeasible though the
 projection iteration never stalls on it (``never_stalls``: exit 3, the
-dual solve certifying agent 1), and on 128 dc motors on a ring
+dual solve certifying agent 1), on four motor-1 agents two of which
+differ from motor 1 in one bit (``near_duplicates``: one ``A`` entry one
+ulp off, so a model key with a tolerance changes the gains files, and
+one ``B`` entry ``-0.0`` for ``0.0``), and on 128 dc motors on a ring
 (``fleet128``, ``fleet_yaml`` of ``perfbench/workloads.py``), whose
 384 x 384 ``observer_storage.txt`` is more than ``sim._SPLIT_CELLS``
 cells, so that it is written by two processes on a host of two or more
@@ -55,6 +58,7 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import math
 import os
 import sys
 import tempfile
@@ -113,6 +117,30 @@ NEVER_STALLS = {"never_stalls.yaml": (
     f"plant: {{kind: explicit, agents: [{NEVER_STALLS_AGENT}, "
     f"{NEVER_STALLS_AGENT}]}}\n"
     "synthesis: {delta: 0.3}\n")}
+
+
+def near_duplicates(workloads) -> dict:
+    """Four motor-1 agents on a ring: agent 2's ``A[0][0]`` is one ulp
+    above motor 1's, agent 3's ``B[0][0]`` is ``-0.0`` where motor 1's is
+    ``0.0``, and agent 4 is motor 1 itself.  Synthesis shares one solve
+    between agents whose blocks have the same bytes: agents 1 and 4, and
+    in the observer stage, which does not read ``B``, agent 3 too.  A
+    model key with a tolerance would hand agent 2 agent 1's gains and
+    change the gains files.  Agent 3's feedback problem is its own, and
+    is solved to motor 1's gains."""
+    agents = []
+    for k in range(4):
+        mats = workloads.dc_motor_matrices(1)
+        if k == 1:
+            mats["A"][0][0] = math.nextafter(mats["A"][0][0], math.inf)
+        if k == 2:
+            mats["B"][0][0] = -0.0
+        agents.append("{" + ", ".join(f"{name}: {workloads._flow(value)}"
+                                      for name, value in mats.items()) + "}")
+    return {"near_duplicates.yaml": (
+        workloads.ring_graph_yaml(4)
+        + f"plant: {{kind: explicit, agents: [{', '.join(agents)}]}}\n")}
+
 
 #: Commands run with this process pinned to one CPU, so that no table
 #: is split.
@@ -199,6 +227,8 @@ def _commands() -> list[tuple[str, list[str]]]:
                               "mixed_dims_gains"]),
         ("never_stalls.synth", ["synth", "-s", "never_stalls.yaml", "-o",
                                 "never_stalls_gains"]),
+        ("near_duplicates.synth", ["synth", "-s", "near_duplicates.yaml",
+                                   "-o", "near_duplicates_gains"]),
         ("fleet128.synth", ["synth", "-s", "fleet128.yaml", "-o",
                             "fleet128_gains"]),
     ]
@@ -264,7 +294,7 @@ def manifest(seed: int) -> list[str]:
         workloads = _workloads()
         scenarios = dict(workloads.scenario_files(seed), **WIDE_RANGE,
                          **ILL_CONDITIONED, **MIXED_DIMS, **NEVER_STALLS,
-                         **FAILING)
+                         **near_duplicates(workloads), **FAILING)
         scenarios["fleet128.yaml"] = workloads.fleet_yaml(128, seed, T=4.0)
         for name, text in scenarios.items():
             with open(os.path.join(work, name), "w", encoding="utf-8") as fh:

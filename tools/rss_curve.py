@@ -3,19 +3,21 @@
 for one or more agent counts ``m``.
 
 The scenarios are ``fleet_yaml`` of ``perfbench/workloads.py`` (seed 0),
-loaded by path.  For each ``m``, ``synth`` runs once, on the shortest
-horizon; then, for each horizon T, ``simulate --gains`` and ``verify
---gains`` each run in a fresh interpreter.  Each line gives the
-command's exit code, its wall time inside ``coopftc.cli.main``
-(interpreter start and imports excluded) and the ``ru_maxrss`` of its
-process (a forked child's memory is its own, not counted).  Two summary
-lines follow for each ``m``: ``verify``'s largest peak over its
-smallest, and ``simulate``'s peak growth per simulated second between
-the shortest and the longest horizon.  With several ``m``, a last line
-gives ``synth``'s wall time at the largest ``m`` over the smallest::
+loaded by path.  For each ``m``, ``synth`` runs on the shortest horizon;
+then, for each horizon T, ``simulate --gains`` and ``verify --gains``
+run.  Each command runs ``--repeats`` times (default 1), each time in a
+fresh interpreter.  Each line gives the command's exit codes, the
+median, least and largest of its wall times inside ``coopftc.cli.main``
+(interpreter start and imports excluded) and the median, least and
+largest ``ru_maxrss`` of its process (a forked child's memory is its
+own, not counted).  Two summary lines follow for each ``m``, on the
+median peaks: ``verify``'s largest peak over its smallest, and
+``simulate``'s peak growth per simulated second between the shortest
+and the longest horizon.  With several ``m``, a last line gives
+``synth``'s median wall time at the largest ``m`` over the smallest::
 
     python3 tools/rss_curve.py                     # m = 128, T = 4, 8, 16
-    python3 tools/rss_curve.py --m 128 256 --horizons 4
+    python3 tools/rss_curve.py --m 128 256 --horizons 4 --repeats 5
     python3 tools/rss_curve.py --src ../parent/src # another tree's code
 
 The commands run in a fresh temporary directory, removed on exit.  At
@@ -28,6 +30,7 @@ import argparse
 import importlib.util
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -76,14 +79,18 @@ def main(argv=None) -> int:
                         help="motors, one run of the curve each")
     parser.add_argument("--horizons", type=float, nargs="+",
                         default=[4.0, 8.0, 16.0], help="sim.T values, s")
+    parser.add_argument("--repeats", type=int, default=1,
+                        help="fresh interpreters per command (default 1)")
     args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error(f"--repeats must be >= 1, got {args.repeats}")
     src, horizons = os.path.abspath(args.src), sorted(args.horizons)
     fleet_yaml = _workloads().fleet_yaml
     print(f"{'m':>4} {'T_s':>6} {'command':<9} {'exit':>4} {'wall_s':>7} "
-          f"{'maxrss_mb':>9}")
+          f"{'wall_range_s':>15} {'maxrss_mb':>9} {'maxrss_range_mb':>15}")
     synth_wall = {}
     for m in sorted(set(args.m)):
-        synth_wall[m] = _curve(src, m, horizons, fleet_yaml)
+        synth_wall[m] = _curve(src, m, horizons, fleet_yaml, args.repeats)
     if len(synth_wall) > 1:
         low, high = min(synth_wall), max(synth_wall)
         print(f"synth wall m{high}/m{low}: "
@@ -91,9 +98,10 @@ def main(argv=None) -> int:
     return 0
 
 
-def _curve(src: str, m: int, horizons: list[float], fleet_yaml) -> float:
+def _curve(src: str, m: int, horizons: list[float], fleet_yaml,
+           repeats: int) -> float:
     """Print one line per command at ``m`` and the two summary lines;
-    return ``synth``'s wall time."""
+    return ``synth``'s median wall time."""
     peaks = {"simulate": {}, "verify": {}}
     with tempfile.TemporaryDirectory(prefix="rss_curve_") as work:
         for T in horizons:
@@ -111,14 +119,19 @@ def _curve(src: str, m: int, horizons: list[float], fleet_yaml) -> float:
                                f"{out}/trace.csv", "--gains", "gains"]),
             ]
         for name, T, command in commands:
-            result = _run(src, command, work)
+            results = [_run(src, command, work) for _ in range(repeats)]
+            exits = "/".join(sorted({str(r["exit"]) for r in results}))
+            wall = [r["wall_s"] for r in results]
+            rss = [r["maxrss_mb"] for r in results]
             if name == "synth":
-                synth_wall = result["wall_s"]
+                synth_wall = statistics.median(wall)
             else:
-                peaks[name][T] = result["maxrss_mb"]
-            print(f"{m:>4} {T:>6g} {name:<9} {result['exit']:>4} "
-                  f"{result['wall_s']:>7.3f} {result['maxrss_mb']:>9.1f}",
-                  flush=True)
+                peaks[name][T] = statistics.median(rss)
+            print(f"{m:>4} {T:>6g} {name:<9} {exits:>4} "
+                  f"{statistics.median(wall):>7.3f} "
+                  f"{f'{min(wall):.3f}-{max(wall):.3f}':>15} "
+                  f"{statistics.median(rss):>9.1f} "
+                  f"{f'{min(rss):.1f}-{max(rss):.1f}':>15}", flush=True)
             if name == "verify":  # the trace is not needed again
                 os.remove(os.path.join(work, f"out{T:g}", "trace.csv"))
     verify = peaks["verify"].values()
